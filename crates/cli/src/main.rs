@@ -10,16 +10,6 @@
 //!     --epsilon X       precision for approximate algorithms
 //!     --threads N       worker threads for the per-SCC driver
 //!                       (default: available parallelism; 1 = sequential)
-//!     --sweep MODE      intra-SCC arc-sweep mode: `sequential` (default,
-//!                       bit-identical to the historical loops) or
-//!                       `chunked` (two-phase chunk-ordered sweeps that
-//!                       can use worker threads inside one giant SCC;
-//!                       deterministic at any thread count, but a
-//!                       different — equally correct — trajectory than
-//!                       sequential mode)
-//!     --sweep-chunk N   arcs per chunk in chunked mode (default 4096)
-//!     --sweep-threads N threads per chunked sweep (default: spare
-//!                       driver threads beyond the SCC count, min 1)
 //!     --budget SPEC     work limits, comma-separated `key=value` terms:
 //!                       iters=N (outer-loop iterations per SCC attempt),
 //!                       refine=N (lambda refinements per SCC attempt),
@@ -95,12 +85,15 @@
 //!
 //! mcr dot [FILE]        convert an instance to Graphviz DOT
 //! ```
+//!
+//! A `--flag` outside the set above is a usage error (exit 1), never
+//! silently ignored.
 
 use mcr_core::critical::critical_subgraph;
 use mcr_core::spec::{parse_budget_spec, parse_duration_spec, parse_fallback_spec, solve_spec, SpecError};
 use mcr_core::{
     certify, parse_edit_script, Algorithm, DynamicOutcome, DynamicSolver, Guarantee, Objective,
-    Solution, SolveError, SolveOptions, SolveSpec, SolveStatus, SweepMode,
+    Solution, SolveError, SolveOptions, SolveSpec, SolveStatus,
 };
 use mcr_gen::circuit::{circuit_graph, CircuitConfig};
 use mcr_gen::sprand::{sprand, SprandConfig};
@@ -146,22 +139,58 @@ impl From<SpecError> for CliError {
     }
 }
 
+/// Every `--flag` some subcommand reads.
+const KNOWN_FLAGS: [&str; 27] = [
+    "addr",
+    "algorithm",
+    "arcs",
+    "budget",
+    "counters",
+    "critical",
+    "edits",
+    "epsilon",
+    "fallback",
+    "fleet",
+    "max",
+    "metrics-out",
+    "no-wait",
+    "nodes",
+    "op",
+    "ratio",
+    "replay",
+    "seed",
+    "summary",
+    "threads",
+    "timeout",
+    "timeout-ms",
+    "trace-out",
+    "tmax",
+    "tmin",
+    "wmax",
+    "wmin",
+];
+
+/// The flags in [`KNOWN_FLAGS`] that take no value.
+const SWITCHES: [&str; 6] = ["max", "ratio", "critical", "counters", "summary", "no-wait"];
+
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    /// Splits `raw` into positionals and flags. An unknown `--flag` is
+    /// an error, so a misspelled option cannot fall back to a default.
+    fn parse(raw: &[String]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < raw.len() {
             if let Some(name) = raw[i].strip_prefix("--") {
-                let takes_value = ![
-                    "max", "ratio", "critical", "counters", "summary", "no-wait",
-                ]
-                .contains(&name);
+                if !KNOWN_FLAGS.contains(&name) {
+                    return Err(format!("unknown flag `--{name}`; {USAGE}"));
+                }
+                let takes_value = !SWITCHES.contains(&name);
                 if takes_value && i + 1 < raw.len() {
                     flags.push((name.to_string(), Some(raw[i + 1].clone())));
                     i += 2;
@@ -174,7 +203,7 @@ impl Args {
                 i += 1;
             }
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn flag(&self, name: &str) -> bool {
@@ -219,17 +248,8 @@ fn load_graph(path: Option<&str>) -> Result<Graph, String> {
 /// path. Results are identical either way.
 fn solve_options(args: &Args, epsilon: f64) -> Result<SolveOptions, String> {
     let threads: usize = args.value_parsed("threads", 0)?;
-    let sweep = match args.value("sweep") {
-        None => SweepMode::Sequential,
-        Some(v) if v.eq_ignore_ascii_case("sequential") => SweepMode::Sequential,
-        Some(v) if v.eq_ignore_ascii_case("chunked") => SweepMode::Chunked,
-        Some(v) => return Err(format!("invalid --sweep `{v}` (use sequential or chunked)")),
-    };
     let mut opts = SolveOptions {
         threads,
-        sweep,
-        sweep_chunk: args.value_parsed("sweep-chunk", 0)?,
-        sweep_threads: args.value_parsed("sweep-threads", 0)?,
         epsilon: Some(epsilon),
         ..SolveOptions::default()
     };
@@ -765,17 +785,18 @@ const USAGE: &str =
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(&raw);
-    let obs_req = ObsRequest::from_args(&args);
-    let result = match args.positional.first().map(|s| s.as_str()) {
-        Some("solve") => with_obs(&obs_req, || cmd_solve(&args)),
-        Some("dynamic") => with_obs(&obs_req, || cmd_dynamic(&args)),
-        Some("gen") => cmd_gen(&args).map_err(CliError::from),
-        Some("client") => cmd_client(&args).map_err(CliError::from),
-        Some("dot") => cmd_dot(&args).map_err(CliError::from),
-        Some("bench") => with_obs(&obs_req, || cmd_bench(&args)),
-        _ => Err(CliError::from(USAGE.to_string())),
-    };
+    let result = Args::parse(&raw).map_err(CliError::from).and_then(|args| {
+        let obs_req = ObsRequest::from_args(&args);
+        match args.positional.first().map(|s| s.as_str()) {
+            Some("solve") => with_obs(&obs_req, || cmd_solve(&args)),
+            Some("dynamic") => with_obs(&obs_req, || cmd_dynamic(&args)),
+            Some("gen") => cmd_gen(&args).map_err(CliError::from),
+            Some("client") => cmd_client(&args).map_err(CliError::from),
+            Some("dot") => cmd_dot(&args).map_err(CliError::from),
+            Some("bench") => with_obs(&obs_req, || cmd_bench(&args)),
+            _ => Err(CliError::from(USAGE.to_string())),
+        }
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

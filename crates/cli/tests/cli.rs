@@ -106,6 +106,31 @@ fn unknown_algorithm_is_a_clean_error() {
 }
 
 #[test]
+fn unknown_flag_is_a_usage_error_naming_the_flag() {
+    // A misspelled option must not run the solve with a default.
+    for bad in ["--algoritm", "--sweep"] {
+        let mut child = mcr()
+            .args(["solve", "-", bad, "karp"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn mcr");
+        // The parser may exit before reading stdin; a closed pipe is fine.
+        let _ = child
+            .stdin
+            .as_mut()
+            .expect("stdin piped")
+            .write_all(TRIANGLE.as_bytes());
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bad}: a solve ran");
+        assert!(stderr.contains(&format!("unknown flag `{bad}`")), "{stderr}");
+    }
+}
+
+#[test]
 fn malformed_input_is_a_clean_error() {
     let (_, stderr, ok) = run_with_stdin(&["solve"], "p mcr nonsense\n");
     assert!(!ok);

@@ -21,30 +21,12 @@ use mcr_graph::idx32;
 use mcr_graph::{Graph, NodeId};
 
 /// DG, λ only. Each unfolding level charges one budget iteration.
-/// Takes the workspace for its sweep config and candidate scratch.
-///
-/// A level reads only the previous level's row, so as with Karp the
-/// chunked sweep (phase A computes candidates for the frontier's
-/// out-arcs against the frozen previous row, phase B commits in
-/// frontier×adjacency order) reproduces the sequential table *and
-/// counters* exactly, at any sweep-thread count.
 pub(crate) fn lambda_scc(
     g: &Graph,
     counters: &mut Counters,
-    ws: &mut crate::workspace::Workspace,
     scope: &mut BudgetScope,
 ) -> Result<Ratio64, SolveError> {
     let n = g.num_nodes();
-    let sweep = ws.sweep;
-    let chunked = sweep.is_chunked();
-    let crate::workspace::SweepScratch {
-        cand_i64,
-        level_arcs,
-        ..
-    } = &mut ws.sw;
-    let srcs = g.sources();
-    let tgts = g.targets();
-    let wts = g.weights();
     let mut d = vec![INF; (n + 1) * n];
     d[0] = 0;
     let mut frontier: Vec<u32> = vec![0];
@@ -59,59 +41,20 @@ pub(crate) fn lambda_scc(
         let (prev_rows, cur_rows) = d.split_at_mut(k as usize * n);
         let prev = &prev_rows[(k as usize - 1) * n..];
         let cur = &mut cur_rows[..n];
-        if chunked {
-            // Gather this level's arcs in frontier×adjacency order —
-            // the exact order the sequential pass scans them.
-            level_arcs.clear();
-            for &u in &frontier {
-                debug_assert!(prev[u as usize] < INF, "frontier node without a walk");
-                for (a, _target, _w, _t) in g.out_adj(NodeId::new(u as usize)) {
-                    level_arcs.push(a);
-                }
-            }
-            cand_i64.clear();
-            cand_i64.resize(level_arcs.len(), 0);
-            let chunks = sweep.num_chunks(level_arcs.len()) as u64;
-            crate::obs::sweep_span("core.dg.level", chunks, || {
-                let la = &level_arcs[..];
-                crate::sweep::fill_candidates(cand_i64, sweep.chunk, sweep.threads, &|start,
-                                                                                      out: &mut [i64]| {
-                    for (j, c) in out.iter_mut().enumerate() {
-                        let ai = la[start + j].index();
-                        *c = prev[srcs[ai].index()] + wts[ai];
-                    }
-                });
-                for (j, &a) in la.iter().enumerate() {
-                    counters.arcs_visited += 1;
-                    counters.relaxations += 1;
-                    let v = tgts[a.index()].index();
-                    let c = cand_i64[j];
-                    if c < cur[v] {
-                        cur[v] = c;
-                        counters.distance_updates += 1;
-                        if touched[v] != k {
-                            touched[v] = k;
-                            reached += 1;
-                        }
-                    }
-                }
-            });
-        } else {
-            for &u in &frontier {
-                let du = prev[u as usize];
-                debug_assert!(du < INF, "frontier node without a walk");
-                for (_a, target, w, _t) in g.out_adj(NodeId::new(u as usize)) {
-                    counters.arcs_visited += 1;
-                    counters.relaxations += 1;
-                    let v = target.index();
-                    let cand = du + w;
-                    if cand < cur[v] {
-                        cur[v] = cand;
-                        counters.distance_updates += 1;
-                        if touched[v] != k {
-                            touched[v] = k;
-                            reached += 1;
-                        }
+        for &u in &frontier {
+            let du = prev[u as usize];
+            debug_assert!(du < INF, "frontier node without a walk");
+            for (_a, target, w, _t) in g.out_adj(NodeId::new(u as usize)) {
+                counters.arcs_visited += 1;
+                counters.relaxations += 1;
+                let v = target.index();
+                let cand = du + w;
+                if cand < cur[v] {
+                    cur[v] = cand;
+                    counters.distance_updates += 1;
+                    if touched[v] != k {
+                        touched[v] = k;
+                        reached += 1;
                     }
                 }
             }
@@ -136,7 +79,7 @@ pub(crate) fn solve_scc(
     ws: &mut crate::workspace::Workspace,
     scope: &mut BudgetScope,
 ) -> Result<SccOutcome, SolveError> {
-    let lambda = lambda_scc(g, counters, ws, scope)?;
+    let lambda = lambda_scc(g, counters, scope)?;
     let cycle = crate::critical::critical_cycle_ws(g, lambda, ws, scope)?;
     Ok(SccOutcome {
         lambda,
@@ -209,40 +152,6 @@ mod tests {
         let s = dg_solve(&g, &mut c);
         assert_eq!(s.lambda, Ratio64::from(1));
         assert_eq!(c.arcs_visited, (g.num_nodes()) as u64);
-    }
-
-    #[test]
-    fn chunked_sweep_matches_sequential_exactly() {
-        use crate::sweep::{SweepConfig, SweepMode};
-        use mcr_gen::sprand::{sprand, SprandConfig};
-        use mcr_graph::SccDecomposition;
-        for seed in 0..5 {
-            let g = sprand(&SprandConfig::new(24, 140).seed(seed).weight_range(-20, 20));
-            let scc = SccDecomposition::new(&g);
-            let Some(big) = (0..scc.num_components())
-                .filter(|&c| scc.is_cyclic_component(&g, c))
-                .max_by_key(|&c| scc.component(c).len())
-            else {
-                continue;
-            };
-            let (sub, _, _) = scc.component_subgraph(&g, big);
-            let mut scope = BudgetScope::unlimited(crate::Algorithm::Dg);
-            let mut ws = crate::workspace::Workspace::new();
-            let mut c_seq = Counters::new();
-            let seq = lambda_scc(&sub, &mut c_seq, &mut ws, &mut scope).expect("unlimited");
-            for threads in [1, 2, 8] {
-                let mut ws = crate::workspace::Workspace::new();
-                ws.sweep = SweepConfig {
-                    mode: SweepMode::Chunked,
-                    chunk: 8,
-                    threads,
-                };
-                let mut c_ch = Counters::new();
-                let ch = lambda_scc(&sub, &mut c_ch, &mut ws, &mut scope).expect("unlimited");
-                assert_eq!(seq, ch, "lambda differs: seed {seed} threads {threads}");
-                assert_eq!(c_seq, c_ch, "counters differ: seed {seed} threads {threads}");
-            }
-        }
     }
 
     #[test]

@@ -187,22 +187,12 @@ pub(crate) fn solve_scc_fig1_ckpt(
         rev,
         queue,
         marks,
-        sw,
-        sweep,
         ..
     } = ws;
-    let sweep = *sweep;
     let srcs = g.sources();
     let tgts = g.targets();
     let wts = g.weights();
     let trs = g.transits();
-    let chunked = sweep.is_chunked();
-    let chunks = sweep.num_chunks(m) as u64;
-    let cand = &mut sw.cand_f64;
-    if chunked {
-        cand.clear();
-        cand.resize(m, 0.0);
-    }
     let resumed = match resume {
         Some(JobProgress::Howard {
             policy: saved_policy,
@@ -272,59 +262,23 @@ pub(crate) fn solve_scc_fig1_ckpt(
             }
         }
 
-        // Improvement pass over all arcs (lines 13–18). Sequential mode
-        // is a Gauss–Seidel pass (later arcs see commits from earlier
-        // arcs through `d`); chunked mode is a Jacobi pass — phase A
-        // computes every arc's candidate against the distances frozen
-        // at pass start (chunks may run on worker threads, each writing
-        // a disjoint slice of `cand`), phase B commits sequentially in
-        // arc order, where all counter ticks and state writes happen.
-        // Both reach the same ε-stationary policy; chunked is opt-in
-        // because the per-round trajectories differ.
+        // Improvement pass over all arcs (lines 13–18): a Gauss–Seidel
+        // pass, so later arcs see commits from earlier arcs through `d`.
         let mut improved = false;
-        if chunked {
-            crate::obs::sweep_span("core.howard.fig1.improve", chunks, || {
-                {
-                    let d_now: &[f64] = d;
-                    crate::sweep::fill_candidates(cand, sweep.chunk, sweep.threads, &|start,
-                                                                                      out: &mut [f64]| {
-                        for (j, c) in out.iter_mut().enumerate() {
-                            let ai = start + j;
-                            *c = d_now[tgts[ai].index()] + wts[ai] as f64
-                                - lam * trs[ai] as f64;
-                        }
-                    });
+        #[allow(clippy::needless_range_loop)] // hot loop indexes flat arrays in step
+        for ai in 0..m {
+            let u = srcs[ai].index();
+            let v = tgts[ai].index();
+            counters.relaxations += 1;
+            let c = d[v] + wts[ai] as f64 - lam * trs[ai] as f64;
+            let delta = d[u] - c;
+            if delta > 0.0 {
+                if delta > epsilon {
+                    improved = true;
                 }
-                for (ai, &c) in cand.iter().enumerate() {
-                    let u = srcs[ai].index();
-                    counters.relaxations += 1;
-                    let delta = d[u] - c;
-                    if delta > 0.0 {
-                        if delta > epsilon {
-                            improved = true;
-                        }
-                        d[u] = c;
-                        policy[u] = ArcId::new(ai);
-                        counters.distance_updates += 1;
-                    }
-                }
-            });
-        } else {
-            #[allow(clippy::needless_range_loop)] // hot loop indexes flat arrays in step
-            for ai in 0..m {
-                let u = srcs[ai].index();
-                let v = tgts[ai].index();
-                counters.relaxations += 1;
-                let c = d[v] + wts[ai] as f64 - lam * trs[ai] as f64;
-                let delta = d[u] - c;
-                if delta > 0.0 {
-                    if delta > epsilon {
-                        improved = true;
-                    }
-                    d[u] = c;
-                    policy[u] = ArcId::new(ai);
-                    counters.distance_updates += 1;
-                }
+                d[u] = c;
+                policy[u] = ArcId::new(ai);
+                counters.distance_updates += 1;
             }
         }
         if !improved {
@@ -373,22 +327,12 @@ pub(crate) fn solve_scc_exact_ckpt(
         rev,
         queue,
         marks,
-        sw,
-        sweep,
         ..
     } = ws;
-    let sweep = *sweep;
     let srcs = g.sources();
     let tgts = g.targets();
     let wts = g.weights();
     let trs = g.transits();
-    let chunked = sweep.is_chunked();
-    let chunks = sweep.num_chunks(m) as u64;
-    let cand = &mut sw.cand_i128;
-    if chunked {
-        cand.clear();
-        cand.resize(m, 0);
-    }
     let resumed = match resume {
         Some(JobProgress::Howard {
             policy: saved_policy,
@@ -458,66 +402,22 @@ pub(crate) fn solve_scc_exact_ckpt(
         // Strict improvement pass. An unset d(u) behaves like +∞: any
         // candidate through a valid d(v) adopts it (and validates u for
         // the rest of the pass, as the sentinel version did implicitly).
-        //
-        // Chunked mode is the Jacobi variant: phase A snapshots both
-        // the distances *and the validity stamps* frozen at pass start
-        // (phase B validates nodes mid-pass, so validity must be
-        // captured per candidate — `i128::MAX` marks "target not valid
-        // at pass start"), then phase B commits sequentially in arc
-        // order. If a Jacobi pass admits no improvement, neither would
-        // the sequential pass (its first commit depends only on frozen
-        // state), so the termination certificate is identical.
         let mut improved = false;
-        if chunked {
-            crate::obs::sweep_span("core.howard.exact.improve", chunks, || {
-                {
-                    let d_now: &[i128] = d;
-                    let mark_now: &[u32] = &marks.mark;
-                    crate::sweep::fill_candidates(cand, sweep.chunk, sweep.threads, &|start,
-                                                                                      out: &mut [i128]| {
-                        for (j, c) in out.iter_mut().enumerate() {
-                            let ai = start + j;
-                            let v = tgts[ai].index();
-                            *c = if mark_now[v] == valid {
-                                d_now[v] + wts[ai] as i128 * q - p * trs[ai] as i128
-                            } else {
-                                i128::MAX
-                            };
-                        }
-                    });
-                }
-                for (ai, &c) in cand.iter().enumerate() {
-                    counters.relaxations += 1;
-                    if c == i128::MAX {
-                        continue;
-                    }
-                    let u = srcs[ai].index();
-                    if marks.mark[u] != valid || c < d[u] {
-                        d[u] = c;
-                        marks.mark[u] = valid;
-                        policy[u] = ArcId::new(ai);
-                        improved = true;
-                        counters.distance_updates += 1;
-                    }
-                }
-            });
-        } else {
-            #[allow(clippy::needless_range_loop)] // hot loop indexes flat arrays in step
-            for ai in 0..m {
-                let u = srcs[ai].index();
-                let v = tgts[ai].index();
-                counters.relaxations += 1;
-                if marks.mark[v] != valid {
-                    continue;
-                }
-                let c = d[v] + wts[ai] as i128 * q - p * trs[ai] as i128;
-                if marks.mark[u] != valid || c < d[u] {
-                    d[u] = c;
-                    marks.mark[u] = valid;
-                    policy[u] = ArcId::new(ai);
-                    improved = true;
-                    counters.distance_updates += 1;
-                }
+        #[allow(clippy::needless_range_loop)] // hot loop indexes flat arrays in step
+        for ai in 0..m {
+            let u = srcs[ai].index();
+            let v = tgts[ai].index();
+            counters.relaxations += 1;
+            if marks.mark[v] != valid {
+                continue;
+            }
+            let c = d[v] + wts[ai] as i128 * q - p * trs[ai] as i128;
+            if marks.mark[u] != valid || c < d[u] {
+                d[u] = c;
+                marks.mark[u] = valid;
+                policy[u] = ArcId::new(ai);
+                improved = true;
+                counters.distance_updates += 1;
             }
         }
         if !improved {
@@ -579,46 +479,6 @@ mod tests {
             let (expected, _) = crate::reference::brute_force_min_mean(&g).expect("cyclic");
             assert_eq!(exact_lambda(&g), expected, "exact seed {seed}");
             assert_eq!(fig1_lambda(&g), expected, "fig1 seed {seed}");
-        }
-    }
-
-    #[test]
-    fn chunked_sweeps_match_brute_force_and_are_thread_invariant() {
-        use crate::sweep::{SweepConfig, SweepMode};
-        use mcr_gen::sprand::{sprand, SprandConfig};
-        for seed in 0..20 {
-            let g = sprand(&SprandConfig::new(10, 28).seed(seed).weight_range(-50, 50));
-            let (expected, _) = crate::reference::brute_force_min_mean(&g).expect("cyclic");
-            let mut base_exact = None;
-            let mut base_fig1 = None;
-            for threads in [1, 2, 8] {
-                let cfg = SweepConfig {
-                    mode: SweepMode::Chunked,
-                    chunk: 4,
-                    threads,
-                };
-                let mut ws = Workspace::new();
-                ws.sweep = cfg;
-                let mut c = Counters::new();
-                let s = solve_scc_exact(&g, &mut c, &mut ws, &mut scope()).expect("solvable");
-                assert_eq!(s.lambda, expected, "exact seed {seed} threads {threads}");
-                let sig = (s.lambda, s.cycle, c);
-                match &base_exact {
-                    None => base_exact = Some(sig),
-                    Some(b) => assert_eq!(*b, sig, "exact not invariant: seed {seed}"),
-                }
-
-                let mut ws = Workspace::new();
-                ws.sweep = cfg;
-                let mut c = Counters::new();
-                let s = solve_scc_fig1(&g, &mut c, 1e-9, &mut ws, &mut scope()).expect("solvable");
-                assert_eq!(s.lambda, expected, "fig1 seed {seed} threads {threads}");
-                let sig = (s.lambda, s.cycle, c);
-                match &base_fig1 {
-                    None => base_fig1 = Some(sig),
-                    Some(b) => assert_eq!(*b, sig, "fig1 not invariant: seed {seed}"),
-                }
-            }
         }
     }
 

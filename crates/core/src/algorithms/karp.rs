@@ -19,31 +19,17 @@ use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
-use crate::sweep::SweepConfig;
 use mcr_graph::Graph;
 
 pub(crate) const INF: i64 = i64::MAX / 4;
 
-/// Phase-A sentinel for "source row entry is `+∞`" in chunked sweeps.
-/// Distinct from any real candidate: finite rows are `< INF = MAX/4`
-/// and weights are far from saturating the remaining headroom.
-const NO_CAND: i64 = i64::MAX;
-
 /// Fills the full `(n+1) × n` table of `D_k(v)` values from source
 /// node 0, counting each arc scan. Each of the `n` levels charges one
 /// budget iteration.
-///
-/// Level `k` reads only level `k−1`, so there is no in-level data
-/// dependence: the chunked sweep (phase A computes per-arc candidates
-/// from the frozen previous row, phase B commits the running minimum in
-/// arc order) produces the *same table and the same counters* as the
-/// sequential pass, at any sweep-thread count.
 pub(crate) fn fill_table(
     g: &Graph,
     counters: &mut Counters,
     scope: &mut BudgetScope,
-    sweep: SweepConfig,
-    cand: &mut Vec<i64>,
 ) -> Result<Vec<i64>, SolveError> {
     let n = g.num_nodes();
     let m = g.num_arcs();
@@ -52,12 +38,6 @@ pub(crate) fn fill_table(
     let wts = g.weights();
     let mut d = vec![INF; (n + 1) * n];
     d[0] = 0; // D_0(source) with source = node 0.
-    let chunked = sweep.is_chunked();
-    let chunks = sweep.num_chunks(m) as u64;
-    if chunked {
-        cand.clear();
-        cand.resize(m, NO_CAND);
-    }
     scope.loop_metrics("core.karp.level");
     for k in 1..=n {
         scope.tick_iteration_and_time()?;
@@ -66,43 +46,16 @@ pub(crate) fn fill_table(
         let prev = &prev_rows[(k - 1) * n..];
         let cur = &mut cur_rows[..n];
         counters.arcs_visited += m as u64;
-        if chunked {
-            crate::obs::sweep_span("core.karp.level", chunks, || {
-                crate::sweep::fill_candidates(cand, sweep.chunk, sweep.threads, &|start,
-                                                                                  out: &mut [i64]| {
-                    for (j, c) in out.iter_mut().enumerate() {
-                        let u = srcs[start + j].index();
-                        *c = if prev[u] < INF {
-                            prev[u] + wts[start + j]
-                        } else {
-                            NO_CAND
-                        };
-                    }
-                });
-                for (ai, &c) in cand.iter().enumerate() {
-                    if c == NO_CAND {
-                        continue;
-                    }
-                    counters.relaxations += 1;
-                    let v = tgts[ai].index();
-                    if c < cur[v] {
-                        cur[v] = c;
-                        counters.distance_updates += 1;
-                    }
-                }
-            });
-        } else {
-            #[allow(clippy::needless_range_loop)] // hot loop indexes flat arrays in step
-            for ai in 0..m {
-                let u = srcs[ai].index();
-                if prev[u] < INF {
-                    counters.relaxations += 1;
-                    let c = prev[u] + wts[ai];
-                    let v = tgts[ai].index();
-                    if c < cur[v] {
-                        cur[v] = c;
-                        counters.distance_updates += 1;
-                    }
+        #[allow(clippy::needless_range_loop)] // hot loop indexes flat arrays in step
+        for ai in 0..m {
+            let u = srcs[ai].index();
+            if prev[u] < INF {
+                counters.relaxations += 1;
+                let c = prev[u] + wts[ai];
+                let v = tgts[ai].index();
+                if c < cur[v] {
+                    cur[v] = c;
+                    counters.distance_updates += 1;
                 }
             }
         }
@@ -157,15 +110,13 @@ pub(crate) fn karp_formula(table: &[i64], n: usize) -> Ratio64 {
 }
 
 /// Karp's algorithm, λ only (the paper's measurement protocol skips
-/// witness extraction). Takes the workspace for its sweep config and
-/// candidate scratch.
+/// witness extraction).
 pub(crate) fn lambda_scc(
     g: &Graph,
     counters: &mut Counters,
-    ws: &mut crate::workspace::Workspace,
     scope: &mut BudgetScope,
 ) -> Result<Ratio64, SolveError> {
-    let table = fill_table(g, counters, scope, ws.sweep, &mut ws.sw.cand_i64)?;
+    let table = fill_table(g, counters, scope)?;
     Ok(karp_formula(&table, g.num_nodes()))
 }
 
@@ -177,7 +128,7 @@ pub(crate) fn solve_scc(
     scope: &mut BudgetScope,
 ) -> Result<SccOutcome, SolveError> {
     let n = g.num_nodes();
-    let table = fill_table(g, counters, scope, ws.sweep, &mut ws.sw.cand_i64)?;
+    let table = fill_table(g, counters, scope)?;
     let lambda = karp_formula(&table, n);
     drop(table);
     let cycle = crate::critical::critical_cycle_ws(g, lambda, ws, scope)?;
@@ -235,31 +186,6 @@ mod tests {
         let mut c = Counters::new();
         solve(&g, &mut c);
         assert_eq!(c.arcs_visited, (g.num_nodes() * g.num_arcs()) as u64);
-    }
-
-    #[test]
-    fn chunked_sweep_matches_sequential_exactly() {
-        use crate::sweep::{SweepConfig, SweepMode};
-        use mcr_gen::sprand::{sprand, SprandConfig};
-        for seed in 0..5 {
-            let g = sprand(&SprandConfig::new(24, 120).seed(seed).weight_range(-30, 30));
-            let mut scope = BudgetScope::unlimited(crate::Algorithm::Karp);
-            let mut cand = Vec::new();
-            let mut c_seq = Counters::new();
-            let seq = fill_table(&g, &mut c_seq, &mut scope, SweepConfig::default(), &mut cand)
-                .expect("unlimited");
-            for threads in [1, 2, 8] {
-                let cfg = SweepConfig {
-                    mode: SweepMode::Chunked,
-                    chunk: 16,
-                    threads,
-                };
-                let mut c_ch = Counters::new();
-                let ch = fill_table(&g, &mut c_ch, &mut scope, cfg, &mut cand).expect("unlimited");
-                assert_eq!(seq, ch, "table differs: seed {seed} threads {threads}");
-                assert_eq!(c_seq, c_ch, "counters differ: seed {seed} threads {threads}");
-            }
-        }
     }
 
     #[test]

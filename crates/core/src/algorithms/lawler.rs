@@ -10,15 +10,6 @@
 //! exact method: once the interval is shorter than `1/(n(n−1))` it
 //! contains exactly one rational with denominator ≤ n — the optimum —
 //! recovered by a Stern–Brocot descent.
-//!
-//! The hot loop here is the Bellman–Ford oracle, so Lawler inherits the
-//! chunked intra-SCC sweep directly from
-//! [`crate::bellman`]: when the workspace carries
-//! [`SweepMode::Chunked`](crate::sweep::SweepMode), every oracle call
-//! runs chunk-ordered relaxation rounds (deterministic at any
-//! sweep-thread count). The oracle's *verdict* per midpoint is
-//! mode-independent, so Lawler's bisection trajectory — and its result
-//! — is identical in both sweep modes.
 
 use crate::bellman::{cycle_at_or_below_ws, has_cycle_below_ws};
 use crate::budget::BudgetScope;

@@ -416,24 +416,10 @@ impl Algorithm {
                     f(s, c, &mut scope)
                 }
             };
-        // Karp and DG read the workspace sweep config, so they get the
-        // real workspace instead of the `scoped` fn-pointer shim.
-        let ws_scoped = |f: fn(
-            &Graph,
-            &mut Counters,
-            &mut Workspace,
-            &mut BudgetScope,
-        ) -> Result<Ratio64, SolveError>| {
-            move |_job: usize, s: &Graph, c: &mut Counters, ws: &mut Workspace| {
-                let mut scope = BudgetScope::new(&opts.budget, deadline, self)
-                    .with_cancel(opts.cancel.clone());
-                f(s, c, ws, &mut scope)
-            }
-        };
         match self {
-            Algorithm::Karp => solve_value_per_scc_opts(g, opts, ws_scoped(karp::lambda_scc)),
+            Algorithm::Karp => solve_value_per_scc_opts(g, opts, scoped(karp::lambda_scc)),
             Algorithm::Karp2 => solve_value_per_scc_opts(g, opts, scoped(karp2::lambda_scc)),
-            Algorithm::Dg => solve_value_per_scc_opts(g, opts, ws_scoped(dg::lambda_scc)),
+            Algorithm::Dg => solve_value_per_scc_opts(g, opts, scoped(dg::lambda_scc)),
             Algorithm::Ho => solve_value_per_scc_opts(g, opts, scoped(ho::lambda_scc)),
             // The inner variant, so the solve span opened above is not
             // doubled by the delegation.

@@ -14,7 +14,6 @@ use crate::budget::BudgetScope;
 use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::rational::Ratio64;
-use crate::sweep::SweepConfig;
 use crate::workspace::Workspace;
 use mcr_graph::idx32;
 use mcr_graph::{ArcId, Graph};
@@ -76,7 +75,6 @@ pub fn bellman_ford(g: &Graph, cost: &[i128], strict: bool, counters: &mut Count
     let mut dist = Vec::new();
     let mut parent = Vec::new();
     let mut cycle = Vec::new();
-    let mut cand = Vec::new();
     let scope = BudgetScope::unlimited(crate::algorithms::Algorithm::HowardExact);
     let found = bellman_core(
         g,
@@ -85,8 +83,6 @@ pub fn bellman_ford(g: &Graph, cost: &[i128], strict: bool, counters: &mut Count
         &mut dist,
         &mut parent,
         &mut cycle,
-        &mut cand,
-        SweepConfig::default(),
         &scope,
     );
     match found {
@@ -103,21 +99,8 @@ pub fn bellman_ford(g: &Graph, cost: &[i128], strict: bool, counters: &mut Count
 /// round, so a budgeted oracle call is abandoned within one `O(m)` pass
 /// of its deadline.
 ///
-/// # Sweep modes
-///
-/// In the default sequential mode each round is a Gauss–Seidel pass:
-/// later arcs in the round see updates committed by earlier arcs. In
-/// [`SweepMode::Chunked`](crate::sweep::SweepMode) each round is a
-/// Jacobi pass — phase A computes every arc's candidate
-/// `dist[src] + cost` against the distances *frozen at round start*
-/// (chunks may run on worker threads; each writes a disjoint slice of
-/// `cand`), then phase B commits improvements sequentially in arc
-/// order. Phase B is where all counter ticks and state writes happen,
-/// so chunked results are byte-identical at any sweep-thread count.
-/// The two modes reach the same fixed point (and the same round-`n`
-/// negative-cycle certificate) but may take different per-round
-/// trajectories, which is why chunked mode is opt-in.
-#[allow(clippy::too_many_arguments)] // internal hot loop over flat scratch buffers
+/// Each round is a Gauss–Seidel pass: later arcs in the round see
+/// updates committed by earlier arcs.
 fn bellman_core(
     g: &Graph,
     cost: &[i128],
@@ -125,8 +108,6 @@ fn bellman_core(
     dist: &mut Vec<i128>,
     parent: &mut Vec<u32>,
     cycle: &mut Vec<ArcId>,
-    cand: &mut Vec<i128>,
-    sweep: SweepConfig,
     scope: &BudgetScope,
 ) -> Result<bool, SolveError> {
     let n = g.num_nodes();
@@ -139,63 +120,23 @@ fn bellman_core(
     parent.clear();
     parent.resize(n, NO_PARENT);
     cycle.clear();
-    let chunked = sweep.is_chunked();
-    let chunks = sweep.num_chunks(m) as u64;
-    if chunked {
-        cand.clear();
-        cand.resize(m, 0);
-    }
-    let _lm = if chunked {
-        Some(scope.nested_loop_metrics("core.bellman.round"))
-    } else {
-        None
-    };
     let mut updated_node = None;
     for _round in 0..n {
         scope.check_time()?;
         scope.chaos_check("core.bellman.round")?;
         counters.relaxations += m as u64;
         let mut any = false;
-        if chunked {
-            crate::obs::sweep_span("core.bellman.round", chunks, || {
-                // Phase A: pure candidate computation against frozen
-                // distances; disjoint output slices, no shared writes.
-                {
-                    let dist_now: &[i128] = dist;
-                    crate::sweep::fill_candidates(cand, sweep.chunk, sweep.threads, &|start,
-                                                                                      out: &mut [i128]| {
-                        for (k, c) in out.iter_mut().enumerate() {
-                            let u = srcs[start + k].index();
-                            *c = dist_now[u] + cost[start + k];
-                        }
-                    });
-                }
-                // Phase B: sequential commit in arc order — the only
-                // place state and counters change.
-                for (ai, &c) in cand.iter().enumerate() {
-                    let v = tgts[ai].index();
-                    if c < dist[v] {
-                        dist[v] = c;
-                        parent[v] = idx32(ai);
-                        counters.distance_updates += 1;
-                        any = true;
-                        updated_node = Some(v);
-                    }
-                }
-            });
-        } else {
-            #[allow(clippy::needless_range_loop)] // hot loop indexes flat arrays in step
-            for ai in 0..m {
-                let u = srcs[ai].index();
-                let v = tgts[ai].index();
-                let c = dist[u] + cost[ai];
-                if c < dist[v] {
-                    dist[v] = c;
-                    parent[v] = idx32(ai);
-                    counters.distance_updates += 1;
-                    any = true;
-                    updated_node = Some(v);
-                }
+        #[allow(clippy::needless_range_loop)] // hot loop indexes flat arrays in step
+        for ai in 0..m {
+            let u = srcs[ai].index();
+            let v = tgts[ai].index();
+            let c = dist[u] + cost[ai];
+            if c < dist[v] {
+                dist[v] = c;
+                parent[v] = idx32(ai);
+                counters.distance_updates += 1;
+                any = true;
+                updated_node = Some(v);
             }
         }
         if !any {
@@ -243,8 +184,7 @@ pub(crate) fn check_staged_costs_ws(
 ) -> Result<bool, SolveError> {
     debug_assert_eq!(ws.bf.cost.len(), g.num_arcs());
     counters.oracle_calls += 1;
-    let sweep = ws.sweep;
-    let Workspace { bf, sw, .. } = ws;
+    let bf = &mut ws.bf;
     if !strict {
         counters.oracle_calls += 1;
         let scale = g.num_nodes() as i128 + 1;
@@ -258,8 +198,6 @@ pub(crate) fn check_staged_costs_ws(
             &mut bf.dist,
             &mut bf.parent,
             &mut bf.cycle,
-            &mut sw.cand_i128,
-            sweep,
             scope,
         );
     }
@@ -270,8 +208,6 @@ pub(crate) fn check_staged_costs_ws(
         &mut bf.dist,
         &mut bf.parent,
         &mut bf.cycle,
-        &mut sw.cand_i128,
-        sweep,
         scope,
     )
 }
@@ -425,37 +361,6 @@ mod tests {
                 assert_eq!(cycle, ws.bf.cycle, "lambda {lam} (non-strict)");
             }
             assert_eq!(c3, c4, "counters must match for lambda {lam} (non-strict)");
-        }
-    }
-
-    #[test]
-    fn chunked_sweep_is_thread_invariant_and_agrees_with_sequential() {
-        use crate::sweep::{SweepConfig, SweepMode};
-        let g = from_arc_list(4, &[(0, 1, 3), (1, 2, 1), (2, 0, 5), (2, 3, 1), (3, 1, 4)]);
-        let scope = BudgetScope::unlimited(crate::algorithms::Algorithm::HowardExact);
-        for num in -10..10 {
-            let lam = Ratio64::new(num, 3);
-            let mut ws_seq = Workspace::new();
-            let mut c_seq = counters();
-            let seq =
-                has_cycle_below_ws(&g, lam, &mut c_seq, &mut ws_seq, &scope).expect("unlimited");
-            let mut base: Option<(Vec<i128>, Vec<ArcId>, Counters)> = None;
-            for threads in [1, 2, 8] {
-                let mut ws = Workspace::new();
-                ws.sweep = SweepConfig {
-                    mode: SweepMode::Chunked,
-                    chunk: 2,
-                    threads,
-                };
-                let mut c = counters();
-                let found = has_cycle_below_ws(&g, lam, &mut c, &mut ws, &scope).expect("unlimited");
-                assert_eq!(found, seq, "verdict differs from sequential at lambda {lam}");
-                let sig = (ws.bf.dist.clone(), ws.bf.cycle.clone(), c);
-                match &base {
-                    None => base = Some(sig),
-                    Some(b) => assert_eq!(*b, sig, "lambda {lam} threads {threads}"),
-                }
-            }
         }
     }
 

@@ -289,30 +289,6 @@ impl BudgetScope {
         self.obs_refines_mark.set(self.refines_spent);
     }
 
-    /// Marks `site` for the duration of the returned guard, then
-    /// restores the caller's pending mark — for nested kernels (the
-    /// chunked Bellman–Ford oracle inside a Lawler bisection) that want
-    /// their own `loop.<site>.visits` entry without stealing the
-    /// charges the *outer* loop accumulates after the kernel returns.
-    ///
-    /// Unlike [`loop_metrics`](BudgetScope::loop_metrics) the outer
-    /// site is not flushed on entry: its delta window keeps spanning
-    /// the nested call. The nested kernel must therefore not tick the
-    /// scope itself (the sweeps only poll `check_time`), or its charges
-    /// would be attributed to both sites.
-    #[inline]
-    pub(crate) fn nested_loop_metrics(&self, site: &'static str) -> NestedLoopMetrics<'_> {
-        let saved = (
-            self.obs_site.get(),
-            self.obs_iters_mark.get(),
-            self.obs_refines_mark.get(),
-        );
-        self.obs_site.set(Some(site));
-        self.obs_iters_mark.set(self.iters_spent);
-        self.obs_refines_mark.set(self.refines_spent);
-        NestedLoopMetrics { scope: self, saved }
-    }
-
     /// Reports the charges since the last [`loop_metrics`]
     /// (BudgetScope::loop_metrics) mark to the registry and clears the
     /// mark. Saturating subtraction, since a clone of a marked scope
@@ -486,22 +462,6 @@ impl Drop for BudgetScope {
     /// cancellation, chaos faults) still report their charges.
     fn drop(&mut self) {
         self.flush_loop_metrics();
-    }
-}
-
-/// Guard of [`BudgetScope::nested_loop_metrics`]: flushes the nested
-/// site on drop (also on `?` exits) and restores the outer mark.
-pub(crate) struct NestedLoopMetrics<'a> {
-    scope: &'a BudgetScope,
-    saved: (Option<&'static str>, u64, u64),
-}
-
-impl Drop for NestedLoopMetrics<'_> {
-    fn drop(&mut self) {
-        self.scope.flush_loop_metrics();
-        self.scope.obs_site.set(self.saved.0);
-        self.scope.obs_iters_mark.set(self.saved.1);
-        self.scope.obs_refines_mark.set(self.saved.2);
     }
 }
 

@@ -15,14 +15,11 @@
 //!
 //! * all cyclic components are extracted **up front**, in Tarjan's
 //!   (reverse topological) order, into an indexed job list;
-//! * jobs are dealt round-robin onto per-worker deques; a worker pops
-//!   its own deque from the front and, once drained, **steals** from
-//!   the back of a victim's deque — so one giant component no longer
-//!   serializes the rest of the queue behind whichever worker drew it.
-//!   Scheduling affects only *when* a job runs, never which result it
-//!   produces (each job is solved from a fresh-or-reused [`Workspace`]
-//!   whose contents never leak between components), and each outcome
-//!   lands in the job's own result slot;
+//! * workers pull job indices from one shared atomic cursor and record
+//!   each outcome in the job's own result slot — scheduling affects only
+//!   *when* a job runs, never which result it produces (each job is
+//!   solved from a fresh-or-reused [`Workspace`] whose contents never
+//!   leak between components);
 //! * the reduction walks the slots in job order with a strict `<`, so
 //!   on equal λ the lowest component index wins — the same tie-break
 //!   the sequential loop has always applied;
@@ -33,11 +30,11 @@
 //! Consequently `threads = 1` and `threads = N` return bit-identical
 //! [`Solution`]s.
 //!
-//! Worker threads beyond the component count are not dropped: they flow
-//! into the per-component chunked-sweep budget
-//! ([`SolveOptions::resolved_sweep`]), so a single giant SCC can still
-//! use the whole machine when the opt-in
-//! [`SweepMode::Chunked`](crate::sweep::SweepMode) is selected.
+//! Each component is solved by one sequential kernel on one worker, so
+//! the driver spawns at most one worker per component and a single
+//! giant SCC runs at single-thread speed. Chunked intra-SCC sweeps and
+//! per-worker work-stealing deques were tried and measured slower on 2
+//! cores (see DESIGN.md, "Intra-SCC parallelism: removed").
 
 use crate::algorithms::Algorithm;
 use crate::error::SolveError;
@@ -45,11 +42,10 @@ use crate::instrument::Counters;
 use crate::options::SolveOptions;
 use crate::rational::Ratio64;
 use crate::solution::{Guarantee, Solution};
-use crate::sweep::SweepConfig;
 use crate::workspace::Workspace;
 use mcr_graph::{ArcId, Graph, SccDecomposition, SubgraphExtractor};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Result of solving one strongly connected, cyclic component: the
 /// optimum value and a witness cycle in the *component's local* arc ids.
@@ -167,55 +163,27 @@ pub(crate) fn extract_jobs(g: &Graph) -> Vec<Job> {
 /// path (which is identical in results by construction).
 const PARALLEL_ARC_THRESHOLD: usize = 256;
 
-/// Pops the next job index for worker `t`: the front of its own deque
-/// first, then — once drained — the *back* of the first non-empty
-/// victim's deque (classic work stealing: owner and thief touch
-/// opposite ends). Jobs are never re-queued, so "every deque empty"
-/// means the queue is drained and the worker can exit.
-fn next_job(deques: &[Mutex<VecDeque<usize>>], t: usize) -> Option<usize> {
-    let n = deques.len();
-    for off in 0..n {
-        let Some(dq) = deques.get((t + off) % n) else {
-            continue;
-        };
-        let mut dq = dq.lock().unwrap_or_else(|p| p.into_inner());
-        let popped = if off == 0 {
-            dq.pop_front()
-        } else {
-            dq.pop_back()
-        };
-        if popped.is_some() {
-            return popped;
-        }
-    }
-    None
-}
-
 /// Solves every job and returns the per-job results (indexed like
 /// `jobs`) plus the accumulated counters.
 ///
 /// `threads <= 1` (or a trivially small instance) is the sequential
 /// legacy path: one workspace, one counter sink, jobs in order.
-/// Otherwise the jobs are dealt round-robin onto per-worker
-/// work-stealing deques; results land in job-indexed slots and counters
-/// merge per worker, so the output is identical either way.
+/// Otherwise `threads` scoped workers pull job indices from a shared
+/// atomic cursor; results land in job-indexed slots and counters merge
+/// per worker, so the output is identical either way.
 ///
 /// `solve` receives the job's index as its first argument — a stable,
 /// scheduling-independent key (the component's position in Tarjan
-/// order) used for checkpoint/resume bookkeeping. Every workspace
-/// handed to `solve` carries `sweep`, the resolved chunked-sweep
-/// config for intra-SCC parallelism.
+/// order) used for checkpoint/resume bookkeeping.
 fn run_jobs<R: Send>(
     jobs: &[Job],
     threads: usize,
-    sweep: SweepConfig,
     solve: impl Fn(usize, &Graph, &mut Counters, &mut Workspace) -> R + Sync,
 ) -> (Vec<R>, Counters) {
     let total_arcs: usize = jobs.iter().map(|j| j.sub.num_arcs()).sum();
     if threads <= 1 || jobs.len() <= 1 || total_arcs < PARALLEL_ARC_THRESHOLD {
         let mut counters = Counters::new();
         let mut ws = Workspace::new();
-        ws.sweep = sweep;
         let results = jobs
             .iter()
             .enumerate()
@@ -227,27 +195,20 @@ fn run_jobs<R: Send>(
         return (results, counters);
     }
 
-    // Deal jobs round-robin so every worker starts with a share of the
-    // queue in job order; stealing rebalances whatever the deal got
-    // wrong (e.g. one giant SCC pinning its owner).
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|t| Mutex::new((t..jobs.len()).step_by(threads).collect()))
-        .collect();
+    let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
     let mut counters = Counters::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let deques = &deques;
-                let solve = &solve;
-                scope.spawn(move || {
+            .map(|_| {
+                scope.spawn(|| {
                     let mut ws = Workspace::new();
-                    ws.sweep = sweep;
                     let mut local = Counters::new();
                     let mut done: Vec<(usize, R)> = Vec::new();
-                    while let Some(i) = next_job(deques, t) {
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(job) = jobs.get(i) else {
-                            break; // unreachable: deques hold 0..jobs.len()
+                            break; // queue drained
                         };
                         crate::chaos::pulse("core.driver.job");
                         let r = crate::obs::job_span(i, &job.sub, || {
@@ -314,12 +275,8 @@ pub(crate) fn solve_per_scc_opts(
     if jobs.is_empty() {
         return Err(SolveError::Acyclic);
     }
-    // Cap driver workers at the job count; the spare threads are not
-    // dropped — `resolved_sweep` hands them to the per-component
-    // chunked sweeps (when that opt-in mode is selected).
-    let threads = opts.effective_threads().min(jobs.len()).max(1);
-    let sweep = opts.resolved_sweep(jobs.len());
-    let (results, counters) = run_jobs(jobs, threads, sweep, solve_scc);
+    let threads = opts.effective_threads().clamp(1, jobs.len());
+    let (results, counters) = run_jobs(jobs, threads, solve_scc);
     reduce_outcomes(jobs, &results, counters)
 }
 
@@ -386,9 +343,8 @@ pub(crate) fn solve_value_per_scc_opts(
     if jobs.is_empty() {
         return Err(SolveError::Acyclic);
     }
-    let threads = opts.effective_threads().min(jobs.len()).max(1);
-    let sweep = opts.resolved_sweep(jobs.len());
-    let (lambdas, counters) = run_jobs(jobs, threads, sweep, lambda_scc);
+    let threads = opts.effective_threads().clamp(1, jobs.len());
+    let (lambdas, counters) = run_jobs(jobs, threads, lambda_scc);
     let mut best: Option<Ratio64> = None;
     for result in lambdas {
         let lambda = result?;
@@ -496,10 +452,10 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_path_matches_sequential_on_a_giant_scc() {
+    fn parallel_path_matches_sequential_on_skewed_jobs() {
         // One 400-arc ring plus three 2-cycles — big enough to cross
         // PARALLEL_ARC_THRESHOLD, skewed enough that whichever worker
-        // draws the ring pins it while the others finish and steal.
+        // draws the ring pins it while the others drain the cursor.
         let n_ring = 400usize;
         let mut arcs: Vec<(usize, usize, i64)> = (0..n_ring)
             .map(|i| (i, (i + 1) % n_ring, (i % 7) as i64 + 1))
@@ -518,24 +474,6 @@ mod tests {
             assert_eq!(par.cycle, seq.cycle, "witness differs at {threads} threads");
             assert_eq!(par.counters, seq.counters, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn next_job_drains_own_deque_front_and_steals_from_the_back() {
-        let deques: Vec<Mutex<VecDeque<usize>>> = vec![
-            Mutex::new(VecDeque::from([0, 2, 4])),
-            Mutex::new(VecDeque::from([1, 3])),
-        ];
-        // Worker 0 drains its own deque in order.
-        assert_eq!(next_job(&deques, 0), Some(0));
-        assert_eq!(next_job(&deques, 0), Some(2));
-        assert_eq!(next_job(&deques, 0), Some(4));
-        // Then steals the back of worker 1's deque.
-        assert_eq!(next_job(&deques, 0), Some(3));
-        // Worker 1 still pops its own front.
-        assert_eq!(next_job(&deques, 1), Some(1));
-        assert_eq!(next_job(&deques, 0), None);
-        assert_eq!(next_job(&deques, 1), None);
     }
 
     #[test]

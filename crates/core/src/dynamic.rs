@@ -491,7 +491,6 @@ impl DynamicSolver {
         };
 
         let mut ws = Workspace::new();
-        ws.sweep = self.opts.resolved_sweep(jobs.len());
         let mut results: Vec<Result<SccOutcome, SolveError>> = Vec::with_capacity(jobs.len());
         let mut counters = Counters::new();
         let mut hits = 0usize;

@@ -76,7 +76,6 @@ pub mod register_graph;
 pub mod solution;
 pub mod spec;
 pub mod status;
-pub mod sweep;
 pub mod workspace;
 
 pub use algorithms::Algorithm;
@@ -94,7 +93,6 @@ pub use rational::Ratio64;
 pub use solution::{Guarantee, Solution};
 pub use spec::{Objective, SolveSpec, SpecError};
 pub use status::SolveStatus;
-pub use sweep::{SweepConfig, SweepMode};
 pub use workspace::Workspace;
 
 use mcr_graph::Graph;

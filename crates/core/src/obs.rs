@@ -287,32 +287,6 @@ pub(crate) fn loop_flush(site: &'static str, iters: u64, refines: u64) {
 #[inline(always)]
 pub(crate) fn loop_flush(_site: &'static str, _iters: u64, _refines: u64) {}
 
-/// Wraps one chunked sweep pass (compute + commit): records the pass
-/// count, the number of chunks it split into, and its wall time under
-/// `sweep.<site>.*` — the per-kernel time / chunk-count metrics of
-/// `mcr-metrics v1`. Only the chunked kernels call this, so default
-/// (sequential-sweep) runs emit no `sweep.*` entries and the golden
-/// metrics snapshots are unchanged.
-#[cfg(feature = "obs")]
-pub(crate) fn sweep_span<R>(site: &'static str, chunks: u64, f: impl FnOnce() -> R) -> R {
-    if !mcr_obs::active() {
-        return f();
-    }
-    let start = std::time::Instant::now();
-    let result = f();
-    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    mcr_obs::counter_add(&format!("sweep.{site}.passes"), 1);
-    mcr_obs::counter_add(&format!("sweep.{site}.chunks"), chunks);
-    mcr_obs::timing_record(&format!("sweep.{site}"), ns);
-    result
-}
-
-#[cfg(not(feature = "obs"))]
-#[inline(always)]
-pub(crate) fn sweep_span<R>(_site: &'static str, _chunks: u64, f: impl FnOnce() -> R) -> R {
-    f()
-}
-
 /// Records one incremental-solver batch: how many edits it applied and
 /// whether the solve was answered incrementally (component-cache hits
 /// covered part of the work) or by a full from-scratch solve. Emits the

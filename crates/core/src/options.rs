@@ -9,7 +9,6 @@ use crate::budget::{Budget, Deadline};
 use crate::cancel::CancelToken;
 use crate::checkpoint::CheckpointStore;
 use crate::driver::SccPlan;
-use crate::sweep::{SweepConfig, SweepMode, DEFAULT_CHUNK_ARCS};
 use std::time::Instant;
 
 /// The ordered list of alternate algorithms the driver tries when the
@@ -106,7 +105,10 @@ pub struct SolveOptions {
     /// Results are **bit-identical** for every thread count: components
     /// are reduced in a fixed order with a strict comparison, and
     /// counters merge commutatively. Parallelism only helps on inputs
-    /// with several nontrivial components.
+    /// with several nontrivial components: each component is solved by
+    /// one sequential kernel on one thread, so a single giant SCC runs
+    /// at single-thread speed whatever the count, and the driver never
+    /// spawns more workers than there are components.
     pub threads: usize,
     /// Precision for the ε-approximate algorithms; `None` uses
     /// [`crate::Algorithm::default_epsilon`]. Exact algorithms ignore it.
@@ -138,24 +140,6 @@ pub struct SolveOptions {
     /// same (or a reloaded) store resumes from it bit-identically. See
     /// [`crate::checkpoint`].
     pub checkpoints: Option<CheckpointStore>,
-    /// How the relaxation kernels traverse a component's arc array.
-    /// [`SweepMode::Sequential`] (the default) is the classic in-place
-    /// sweep; [`SweepMode::Chunked`] enables the two-phase
-    /// chunk-ordered-commit sweeps of [`crate::sweep`], whose results
-    /// are identical at any [`SolveOptions::sweep_threads`] count.
-    pub sweep: SweepMode,
-    /// Arcs per chunk for the chunked sweeps; `0` (the default) uses
-    /// [`DEFAULT_CHUNK_ARCS`]. The chunk size *does* select which
-    /// (deterministic) chunked schedule runs, so hold it fixed when
-    /// comparing runs bit-for-bit.
-    pub sweep_chunk: usize,
-    /// Intra-SCC thread budget: worker threads for one chunked sweep's
-    /// compute phase. `0` (the default) derives it from the spare
-    /// driver threads — `effective_threads() / number-of-SCC-jobs`, at
-    /// least 1 — so a single giant SCC receives the whole requested
-    /// thread count. Has no effect in [`SweepMode::Sequential`]. Never
-    /// changes results, only wall-clock.
-    pub sweep_threads: usize,
     /// A pre-computed SCC decomposition ([`SccPlan::prepare`]): when
     /// set **and** prepared from this exact graph, the per-SCC driver
     /// reuses its Tarjan-ordered job list instead of re-running SCC
@@ -179,9 +163,6 @@ impl Default for SolveOptions {
             cancel: None,
             deadline: None,
             checkpoints: None,
-            sweep: SweepMode::Sequential,
-            sweep_chunk: 0,
-            sweep_threads: 0,
             plan: None,
         }
     }
@@ -268,25 +249,6 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the sweep traversal mode.
-    pub fn sweep(mut self, mode: SweepMode) -> Self {
-        self.sweep = mode;
-        self
-    }
-
-    /// Sets the chunk size (arcs) for chunked sweeps (`0` = default).
-    pub fn sweep_chunk(mut self, arcs: usize) -> Self {
-        self.sweep_chunk = arcs;
-        self
-    }
-
-    /// Sets the intra-SCC sweep thread budget (`0` = derive from the
-    /// spare driver threads).
-    pub fn sweep_threads(mut self, threads: usize) -> Self {
-        self.sweep_threads = threads;
-        self
-    }
-
     /// The concrete worker count: `threads`, or the machine's available
     /// parallelism when `threads == 0` (falling back to 1 if that cannot
     /// be determined).
@@ -297,30 +259,6 @@ impl SolveOptions {
                 .unwrap_or(1)
         } else {
             self.threads
-        }
-    }
-
-    /// Resolves the sweep knobs for a solve with `jobs` SCC jobs: the
-    /// chunk size defaults to [`DEFAULT_CHUNK_ARCS`], and a zero
-    /// `sweep_threads` receives the worker threads the per-SCC driver
-    /// cannot use itself (`effective_threads() / jobs`, at least 1).
-    /// The mode and chunk size select *which* deterministic schedule
-    /// runs; the thread count never changes results.
-    pub fn resolved_sweep(&self, jobs: usize) -> SweepConfig {
-        let chunk = if self.sweep_chunk == 0 {
-            DEFAULT_CHUNK_ARCS
-        } else {
-            self.sweep_chunk
-        };
-        let threads = if self.sweep_threads == 0 {
-            (self.effective_threads() / jobs.max(1)).max(1)
-        } else {
-            self.sweep_threads
-        };
-        SweepConfig {
-            mode: self.sweep,
-            chunk,
-            threads,
         }
     }
 }
@@ -355,26 +293,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn non_positive_epsilon_rejected() {
         let _ = SolveOptions::new().epsilon(0.0);
-    }
-
-    #[test]
-    fn sweep_resolution_hands_spare_threads_to_the_sweeps() {
-        // 8 requested threads over 2 jobs: each job's sweeps get 4.
-        let opts = SolveOptions::new().threads(8).sweep(SweepMode::Chunked);
-        let cfg = opts.resolved_sweep(2);
-        assert_eq!(cfg.mode, SweepMode::Chunked);
-        assert_eq!(cfg.chunk, DEFAULT_CHUNK_ARCS);
-        assert_eq!(cfg.threads, 4);
-        // A single giant SCC receives the whole requested count.
-        assert_eq!(opts.resolved_sweep(1).threads, 8);
-        // More jobs than threads: sweeps stay sequential.
-        assert_eq!(opts.resolved_sweep(20).threads, 1);
-        // Explicit knobs win over derivation.
-        let opts = opts.sweep_threads(3).sweep_chunk(512);
-        let cfg = opts.resolved_sweep(1);
-        assert_eq!((cfg.threads, cfg.chunk), (3, 512));
-        // The default mode is sequential.
-        assert_eq!(SolveOptions::default().sweep, SweepMode::Sequential);
     }
 
     #[test]

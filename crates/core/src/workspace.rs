@@ -21,7 +21,6 @@
 //!   push order of the `Vec<Vec<u32>>` it replaces — traversal order,
 //!   and therefore every downstream tie-break, is unchanged.
 
-use crate::sweep::SweepConfig;
 use mcr_graph::ArcId;
 
 /// Epoch-stamped mark array: `mark[v] == epoch` means "set in the
@@ -132,19 +131,6 @@ pub(crate) struct BellmanScratch {
     pub(crate) cycle: Vec<ArcId>,
 }
 
-/// Candidate buffers for the chunked sweeps of [`crate::sweep`]: one
-/// per value domain (`f64` for Howard fig. 1, `i128` for the exact
-/// Howard/Bellman kernels, `i64` for the Karp/DG table fills), plus a
-/// flat arc list for DG's per-level frontier expansion.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SweepScratch {
-    pub(crate) cand_f64: Vec<f64>,
-    pub(crate) cand_i128: Vec<i128>,
-    pub(crate) cand_i64: Vec<i64>,
-    /// Arcs leaving the current DG frontier, in frontier order.
-    pub(crate) level_arcs: Vec<ArcId>,
-}
-
 /// Scratch buffers for the critical-subgraph DFS.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DfsScratch {
@@ -179,13 +165,6 @@ pub struct Workspace {
     pub(crate) marks: Marks,
     pub(crate) bf: BellmanScratch,
     pub(crate) dfs: DfsScratch,
-    /// Chunked-sweep candidate buffers.
-    pub(crate) sw: SweepScratch,
-    /// Sweep configuration for this solve, set by the driver before the
-    /// first job and preserved across [`Workspace::reset`] — it is
-    /// configuration, not scratch state, and the chunked kernels must
-    /// see the same schedule after a mid-solve reset.
-    pub(crate) sweep: SweepConfig,
     /// Set between [`Workspace::begin_use`] and [`Workspace::end_use`].
     /// A workspace still poisoned at the *next* `begin_use` was
     /// abandoned mid-solve (budget abort, error unwind) and is reset to
@@ -227,14 +206,10 @@ impl Workspace {
     }
 
     /// Discards all scratch state, returning the workspace to its
-    /// freshly-constructed (unpoisoned, empty) state. The sweep
-    /// configuration survives: it is part of the solve's options, not
-    /// of the abandoned attempt's state.
+    /// freshly-constructed (unpoisoned, empty) state.
     pub fn reset(&mut self) {
         crate::chaos::pulse("core.workspace.reset");
-        let sweep = self.sweep;
         *self = Workspace::default();
-        self.sweep = sweep;
     }
 }
 
@@ -308,23 +283,6 @@ mod tests {
         assert!(ws.dist_f64.is_empty(), "stale scratch leaked past reset");
         ws.end_use();
         assert!(!ws.is_poisoned());
-    }
-
-    #[test]
-    fn reset_preserves_the_sweep_config() {
-        use crate::sweep::{SweepConfig, SweepMode};
-        let mut ws = Workspace::new();
-        ws.sweep = SweepConfig {
-            mode: SweepMode::Chunked,
-            chunk: 128,
-            threads: 4,
-        };
-        ws.begin_use();
-        ws.dist_f64.push(1.0);
-        ws.reset();
-        assert!(ws.dist_f64.is_empty());
-        assert_eq!(ws.sweep.chunk, 128, "sweep config is options, not scratch");
-        assert!(ws.sweep.is_chunked());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use mcr_core::{
     Algorithm, Budget, Checkpoint, CheckpointStore, FallbackChain, Solution, SolveError,
-    SolveOptions, SweepMode,
+    SolveOptions,
 };
 use mcr_gen::sprand::{sprand, SprandConfig};
 use mcr_graph::graph::from_arc_list;
@@ -187,104 +187,6 @@ fn lawler_eps_resumes_bit_identically() {
             threads,
             &reference,
         );
-    }
-}
-
-#[test]
-fn chunked_sweeps_resume_bit_identically_at_1_2_8_sweep_threads() {
-    // The chunked intra-SCC path composes with checkpoint/resume.
-    // Howard is interrupted after one policy iteration, so the resume
-    // continues mid-policy-iteration from the saved policy (its value
-    // sweeps then run chunk-ordered); Lawler is interrupted
-    // mid-bisection, so the resumed bisection drives the chunked
-    // Bellman–Ford oracle from the saved interval. At every sweep-thread
-    // count the resumed run must be bit-identical to the uninterrupted
-    // *chunked* run, whose λ in turn matches the sequential-sweep
-    // reference.
-    let g = multi_scc_graph();
-    for (alg, tight) in [
-        (Algorithm::HowardExact, Budget::default().max_iterations(1)),
-        (Algorithm::Howard, Budget::default().max_iterations(1)),
-        (
-            Algorithm::LawlerExact,
-            Budget::default().max_lambda_refinements(3),
-        ),
-    ] {
-        let seq_ref = alg
-            .solve_with_options(&g, &SolveOptions::new().fallback(FallbackChain::NONE))
-            .expect("cyclic");
-        for sweep_threads in [1, 2, 8] {
-            let chunked = |budget: Budget| {
-                SolveOptions::new()
-                    .sweep(SweepMode::Chunked)
-                    .sweep_chunk(16)
-                    .sweep_threads(sweep_threads)
-                    .budget(budget)
-                    .fallback(FallbackChain::NONE)
-            };
-            let context = format!("chunked {} sweep_threads={sweep_threads}", alg.name());
-            let reference = alg
-                .solve_with_options(&g, &chunked(Budget::UNLIMITED))
-                .expect("cyclic");
-            assert_eq!(reference.lambda, seq_ref.lambda, "{context}: λ vs sequential");
-
-            let store = CheckpointStore::new();
-            let err = alg
-                .solve_with_options(&g, &chunked(tight).checkpoints(store.clone()))
-                .expect_err("tight budget must interrupt the chunked solve");
-            assert!(
-                matches!(err, SolveError::BudgetExhausted { .. }),
-                "{context}: {err}"
-            );
-            assert!(!store.is_empty(), "{context}: interruption saved no progress");
-
-            let resumed = alg
-                .solve_with_options(&g, &chunked(Budget::UNLIMITED).checkpoints(store.clone()))
-                .expect("unlimited chunked resume finishes");
-            assert_bit_identical(&resumed, &reference, &context);
-            assert!(
-                resumed.counters.iterations < reference.counters.iterations,
-                "{context}: resume did not reuse saved progress"
-            );
-            assert!(store.is_empty(), "{context}: checkpoints not cleared");
-        }
-    }
-}
-
-#[test]
-fn store_written_under_one_sweep_mode_resumes_under_another() {
-    // Checkpoints record *progress* (policies, intervals), not the sweep
-    // schedule, so a store written by a sequential-sweep run resumes
-    // under a chunked run (and vice versa) and still reaches the
-    // mode-independent answer.
-    let g = multi_scc_graph();
-    let chunked = SolveOptions::new()
-        .sweep(SweepMode::Chunked)
-        .sweep_chunk(16)
-        .sweep_threads(4)
-        .fallback(FallbackChain::NONE);
-    let sequential = SolveOptions::new().fallback(FallbackChain::NONE);
-    let reference = Algorithm::HowardExact
-        .solve_with_options(&g, &sequential)
-        .expect("cyclic");
-    for (write_opts, resume_opts, label) in [
-        (&sequential, &chunked, "sequential→chunked"),
-        (&chunked, &sequential, "chunked→sequential"),
-    ] {
-        let store = CheckpointStore::new();
-        Algorithm::HowardExact
-            .solve_with_options(
-                &g,
-                &write_opts
-                    .clone()
-                    .budget(Budget::default().max_iterations(1))
-                    .checkpoints(store.clone()),
-            )
-            .expect_err("tight budget interrupts");
-        let resumed = Algorithm::HowardExact
-            .solve_with_options(&g, &resume_opts.clone().checkpoints(store))
-            .expect("cross-mode resume finishes");
-        assert_bit_identical(&resumed, &reference, label);
     }
 }
 

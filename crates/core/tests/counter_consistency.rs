@@ -9,7 +9,7 @@
 //! properties at the `Counters`/`HeapCounters` level, where they hold
 //! with or without the `obs` feature compiled in.
 
-use mcr_core::{Algorithm, SolveOptions, SweepMode};
+use mcr_core::{Algorithm, SolveOptions};
 use mcr_gen::circuit::{circuit_graph, CircuitConfig};
 use mcr_graph::heap::{AddressableHeap, FibonacciHeap, HeapCounters, IndexedBinaryHeap};
 
@@ -36,60 +36,6 @@ fn merged_counters_are_thread_count_invariant() {
                     par,
                     seq,
                     "{} seed={seed} threads={threads}: merged Counters drifted",
-                    alg.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn chunked_sweeps_tick_identical_counters_at_any_sweep_thread_count() {
-    // The chunked intra-SCC sweeps move candidate *computation* onto
-    // worker threads but commit — and count — every abstract operation
-    // in the sequential Phase B, so the full `Counters` struct is
-    // bit-identical at 1, 2, and 8 sweep threads. For the level-table
-    // kernels (Karp, DG) the chunked schedule performs the very same
-    // operations as the sequential sweep, so those totals must also
-    // equal the sequential-mode totals exactly.
-    for seed in 0..5u64 {
-        let g = circuit_graph(&CircuitConfig::new(96).seed(seed));
-        for alg in [
-            Algorithm::Karp,
-            Algorithm::Dg,
-            Algorithm::Lawler,
-            Algorithm::HowardExact,
-        ] {
-            let (seq_lam, seq_cnt) = alg
-                .solve_lambda_only_opts(&g, &SolveOptions::new())
-                .expect("cyclic");
-            let chunked = |t: usize| {
-                SolveOptions::new()
-                    .sweep(SweepMode::Chunked)
-                    .sweep_chunk(16)
-                    .sweep_threads(t)
-            };
-            let (base_lam, base_cnt) = alg
-                .solve_lambda_only_opts(&g, &chunked(1))
-                .expect("cyclic");
-            assert_eq!(base_lam, seq_lam, "{} seed={seed}: chunked λ", alg.name());
-            for threads in [2usize, 8] {
-                let (lam, cnt) = alg
-                    .solve_lambda_only_opts(&g, &chunked(threads))
-                    .expect("cyclic");
-                assert_eq!(lam, base_lam, "{} seed={seed} st={threads}", alg.name());
-                assert_eq!(
-                    cnt,
-                    base_cnt,
-                    "{} seed={seed} st={threads}: chunked Counters drifted",
-                    alg.name()
-                );
-            }
-            if matches!(alg, Algorithm::Karp | Algorithm::Dg) {
-                assert_eq!(
-                    base_cnt,
-                    seq_cnt,
-                    "{} seed={seed}: level-kernel chunked totals differ from sequential",
                     alg.name()
                 );
             }

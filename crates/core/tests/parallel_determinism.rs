@@ -7,7 +7,7 @@
 //! exercise the guarantee end-to-end through every public algorithm on
 //! multi-SCC inputs, where the work queue actually fans out.
 
-use mcr_core::{Algorithm, Ratio64, Solution, SolveOptions, SweepMode};
+use mcr_core::{Algorithm, Ratio64, Solution, SolveOptions};
 use mcr_gen::sprand::{sprand, SprandConfig};
 use mcr_graph::graph::from_arc_list;
 use mcr_graph::io::read_dimacs;
@@ -146,111 +146,24 @@ fn tied_components_pick_the_same_witness() {
     }
 }
 
-/// One strongly connected component: a SPRAND graph with a Hamiltonian
-/// ring overlaid so every node reaches every other. This is the shape
-/// where the per-SCC driver degenerates to one job and all requested
-/// parallelism must flow into the intra-SCC chunked sweeps.
-fn giant_scc_sprand(n: usize, m: usize, seed: u64) -> Graph {
-    let part = sprand(&SprandConfig::new(n, m).seed(seed).weight_range(-30, 30));
-    let mut b = GraphBuilder::new();
-    let ids = b.add_nodes(n);
-    for a in part.arc_ids() {
-        b.add_arc(
-            ids[part.source(a).index()],
-            ids[part.target(a).index()],
-            part.weight(a),
-        );
-    }
-    for i in 0..n {
-        b.add_arc(ids[i], ids[(i + 1) % n], 25);
-    }
-    b.build()
-}
-
-/// Chunked-sweep options with a chunk small enough that even the test
-/// graphs span many chunks.
-fn chunked(sweep_threads: usize) -> SolveOptions {
-    SolveOptions::new()
-        .sweep(SweepMode::Chunked)
-        .sweep_chunk(16)
-        .sweep_threads(sweep_threads)
-}
-
-const SWEEP_THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
 #[test]
-fn chunked_sweeps_are_sweep_thread_invariant_on_a_giant_scc() {
-    // The determinism contract of the chunked mode: the sweep-thread
-    // count selects only *who computes* each candidate chunk, never the
-    // commit order, so the full solution — λ, witness, guarantee, and
-    // every abstract-op counter — is bit-identical at 1, 2, and 8
-    // sweep threads. The optimum value itself must also agree with the
-    // sequential sweep (the schedules differ, the answer may not).
-    let g = giant_scc_sprand(24, 120, 7);
-    for alg in Algorithm::ALL {
-        let seq = alg.solve(&g).expect("cyclic");
-        let base = alg.solve_with_options(&g, &chunked(1)).expect("cyclic");
-        assert_eq!(base.lambda, seq.lambda, "{}: chunked λ", alg.name());
-        for threads in SWEEP_THREAD_COUNTS {
-            let par = alg.solve_with_options(&g, &chunked(threads)).expect("cyclic");
-            assert_same_solution(
-                &base,
-                &par,
-                &format!("chunked/{}/sweep_threads={threads}", alg.name()),
-            );
-        }
-    }
-}
-
-#[test]
-fn level_kernels_chunked_equals_sequential_exactly() {
-    // Karp and DG fill level tables where level k reads only level k−1,
-    // so the chunked schedule is not merely equivalent — it performs the
-    // *same* abstract operations as the sequential sweep. Full solutions
-    // (counters included) must coincide across both modes.
-    for seed in 0..3 {
-        let g = giant_scc_sprand(20, 90, seed);
-        for alg in [Algorithm::Karp, Algorithm::Dg] {
-            let seq = alg.solve(&g).expect("cyclic");
-            for threads in SWEEP_THREAD_COUNTS {
-                let ch = alg.solve_with_options(&g, &chunked(threads)).expect("cyclic");
-                assert_same_solution(
-                    &seq,
-                    &ch,
-                    &format!("level/{}/seed={seed}/sweep_threads={threads}", alg.name()),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn chunked_sweeps_compose_with_the_parallel_driver() {
-    // Driver workers × sweep threads: every combination must agree with
-    // the chunked single-thread baseline bit-for-bit. The instance is
-    // large enough (> 256 arcs) to cross the driver's work-stealing
-    // threshold, so both layers of parallelism are genuinely exercised.
+fn large_multi_scc_graph_crosses_the_parallel_threshold() {
+    // The other unions are small enough that the driver routes them
+    // around the thread pool; this one (> 256 arcs) genuinely runs the
+    // shared-cursor workers at every thread count.
     let g = multi_scc_sprand(4, 16, 70, 13);
+    assert!(g.num_arcs() > 256);
     for alg in [
         Algorithm::HowardExact,
         Algorithm::Karp,
         Algorithm::Dg,
         Algorithm::LawlerExact,
     ] {
-        let base = alg.solve_with_options(&g, &chunked(1)).expect("cyclic");
+        let seq = alg.solve(&g).expect("cyclic");
         for threads in THREAD_COUNTS {
-            for sweep_threads in SWEEP_THREAD_COUNTS {
-                let opts = chunked(sweep_threads).threads(threads);
-                let par = alg.solve_with_options(&g, &opts).expect("cyclic");
-                assert_same_solution(
-                    &base,
-                    &par,
-                    &format!(
-                        "compose/{}/threads={threads}/sweep_threads={sweep_threads}",
-                        alg.name()
-                    ),
-                );
-            }
+            let opts = SolveOptions::new().threads(threads);
+            let par = alg.solve_with_options(&g, &opts).expect("cyclic");
+            assert_same_solution(&seq, &par, &format!("large/{}/threads={threads}", alg.name()));
         }
     }
 }

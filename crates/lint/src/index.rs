@@ -4,19 +4,9 @@
 //! [`FileModel`] bundles one file's scanned token stream with its brace
 //! tree; [`Workspace`] holds every scanned file so cross-file rules
 //! (wire-schema presence, status-map, lock-order call graphs) can
-//! resolve names across the crate boundary. The scope helpers recover
-//! the *local* bindings of a function or closure body — parameters,
-//! `let` patterns, `for` patterns, nested-closure parameters — which is
-//! what the phase-purity rule checks assignment targets against.
-//!
-//! The binding extractors deliberately over-approximate (a tuple-struct
-//! pattern's constructor ident counts as a binding): the consumers only
-//! ever ask "is this assignment target local?", where an extra name can
-//! hide a finding in pathological code but a missing one would produce
-//! a false positive on idiomatic code. The workspace's style rules keep
-//! the pathological cases out.
+//! resolve names across the crate boundary.
 
-use crate::scan::{self, Scanned, TokKind, Token};
+use crate::scan::{self, Scanned};
 use crate::tree::{self, Tree};
 
 /// One analyzed source file.
@@ -44,133 +34,5 @@ impl Workspace {
     /// The model for an exact workspace-relative path.
     pub fn file(&self, rel: &str) -> Option<&FileModel> {
         self.files.iter().find(|f| f.rel == rel)
-    }
-}
-
-/// Keywords that appear inside patterns but never bind a name.
-fn is_pattern_keyword(t: &str) -> bool {
-    matches!(t, "mut" | "ref" | "dyn" | "impl" | "move" | "box" | "_")
-}
-
-/// Identifiers bound by a parameter list: the inclusive token range
-/// between (but not including) the delimiters of `(...)` or `|...|`.
-/// Per comma-separated segment, idents up to the top-level `:` count as
-/// pattern names; the type side is skipped.
-pub fn param_names(toks: &[Token], start: usize, end: usize) -> Vec<String> {
-    let mut names = Vec::new();
-    let mut depth = 0usize;
-    let mut in_type = false;
-    for t in toks.iter().take(end + 1).skip(start) {
-        match t.text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth = depth.saturating_sub(1),
-            ":" if depth == 0 => in_type = true,
-            "," if depth == 0 => in_type = false,
-            _ => {
-                if !in_type
-                    && t.kind == TokKind::Ident
-                    && !is_pattern_keyword(&t.text)
-                {
-                    names.push(t.text.clone());
-                }
-            }
-        }
-    }
-    names
-}
-
-/// Identifiers bound by `let` statements, `for` patterns, and nested
-/// closure parameter lists inside the inclusive token range.
-pub fn local_bindings(toks: &[Token], start: usize, end: usize) -> Vec<String> {
-    let mut names = Vec::new();
-    let mut k = start;
-    while k <= end {
-        let t = &toks[k];
-        if t.kind == TokKind::Ident && t.text == "let" {
-            // Pattern runs to the top-level `:` (type), `=` (init), or
-            // `;`/`{` (defensive stop).
-            let mut depth = 0usize;
-            let mut j = k + 1;
-            while j <= end {
-                match toks[j].text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth = depth.saturating_sub(1),
-                    ":" | "=" | ";" | "{" if depth == 0 => break,
-                    _ => {
-                        if toks[j].kind == TokKind::Ident && !is_pattern_keyword(&toks[j].text) {
-                            names.push(toks[j].text.clone());
-                        }
-                    }
-                }
-                j += 1;
-            }
-            k = j;
-        } else if t.kind == TokKind::Ident && t.text == "for" {
-            // `for <pattern> in ...` — idents up to the `in`. An `impl
-            // Trait for Type` hits `{` first; the stray type name it
-            // collects is harmless to the "is it local?" question.
-            let mut j = k + 1;
-            while j <= end {
-                let tj = &toks[j];
-                if (tj.kind == TokKind::Ident && tj.text == "in") || tj.text == "{" {
-                    break;
-                }
-                if tj.kind == TokKind::Ident && !is_pattern_keyword(&tj.text) {
-                    names.push(tj.text.clone());
-                }
-                j += 1;
-            }
-            k = j;
-        } else if t.text == "|" && k > start && closure_starts_after(&toks[k - 1]) {
-            // Nested closure `|a, b: T|` — its params are local too.
-            if let Some(close) = (k + 1..=end).find(|&j| toks[j].text == "|") {
-                names.extend(param_names(toks, k + 1, close.saturating_sub(1)));
-                k = close;
-            }
-        }
-        k += 1;
-    }
-    names
-}
-
-/// Whether a `|` following this token opens a closure parameter list
-/// (as opposed to a bitwise/pattern `|`).
-fn closure_starts_after(prev: &Token) -> bool {
-    matches!(prev.text.as_str(), "(" | "," | "=" | "{" | ";" | ":" | "&")
-        || matches!(prev.text.as_str(), "move" | "return" | "else")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scan::scan;
-    use crate::tree::parse;
-
-    #[test]
-    fn param_names_skip_types_and_keep_tuple_patterns() {
-        let s = scan("fn f(start: usize, out: &mut [T], (j, c): (usize, &mut T)) {}");
-        let t = parse(&s);
-        let (po, pc) = t.fns[0].params;
-        let names = param_names(&s.tokens, po + 1, pc - 1);
-        assert_eq!(names, ["start", "out", "j", "c"]);
-    }
-
-    #[test]
-    fn local_bindings_cover_let_for_and_closures() {
-        let src = "fn f() {\n\
-                   let mut acc = 0;\n\
-                   let (a, b): (u32, u32) = (1, 2);\n\
-                   for (j, c) in xs.iter_mut().enumerate() { }\n\
-                   xs.sort_by(|x, y| x.cmp(y));\n\
-                   }";
-        let s = scan(src);
-        let t = parse(&s);
-        let (bo, bc) = t.fns[0].body.expect("body");
-        let names = local_bindings(&s.tokens, bo + 1, bc - 1);
-        for expected in ["acc", "a", "b", "j", "c", "x", "y"] {
-            assert!(names.contains(&expected.to_string()), "missing {expected}");
-        }
-        // Type names after `:` are not bindings.
-        assert!(!names.contains(&"u32".to_string()));
     }
 }

@@ -15,10 +15,6 @@
 //! * **MCRL002** (chaos manifest): site *uses* are collected from every
 //!   scanned file; the manifest must be duplicate-free, every use must
 //!   be declared, and every declaration must be used.
-//! * **MCRL007** (chunked-sweep harness coverage): `crates/core/src/`,
-//!   excluding the sweep engine itself (`sweep.rs`) — every kernel that
-//!   calls `fill_candidates` must carry a `loop_metrics`/
-//!   `nested_loop_metrics` site and a `chaos_check`/`pulse` failpoint.
 //! * **MCRL003** (bare f64 `==`/`!=`): all solver code, `crates/core/src/`.
 //! * **MCRL004** (narrowing `as` casts): the hot paths,
 //!   `crates/core/src/` and `crates/graph/src/`.
@@ -39,9 +35,6 @@
 //! * **MCRL011** (wire schema): JSON field literals of the versioned
 //!   wire formats must match the committed `schemas/` manifests, both
 //!   directions.
-//! * **MCRL012** (phase purity): `crates/core/src/` minus the sweep
-//!   engine — `fill_candidates` closures must not mutate captured
-//!   state.
 //! * **MCRL013** (status map): `crates/core/src/status.rs` — every
 //!   `SolveStatus` variant in every status table.
 //! * **MCRL014** (lock order): `crates/serve/src/` — nested lock
@@ -165,10 +158,6 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
         if rel.starts_with("crates/core/src/algorithms/") {
             rules::check_budget_coverage(rel, scanned, &mut diagnostics);
             rules::check_obs_coverage(rel, scanned, &mut diagnostics);
-        }
-        if rel.starts_with("crates/core/src/") && rel != "crates/core/src/sweep.rs" {
-            rules::check_sweep_coverage(rel, scanned, &mut diagnostics);
-            rules_sym::check_phase_purity(rel, scanned, &mut diagnostics);
         }
         if rel.starts_with("crates/core/src/") {
             rules::check_float_eq(rel, scanned, &mut diagnostics);

@@ -1,4 +1,4 @@
-//! The nine workspace contract rules.
+//! The eight workspace contract rules (MCRL007 is retired).
 //!
 //! | id      | allow tag        | contract                                              |
 //! |---------|------------------|-------------------------------------------------------|
@@ -8,7 +8,6 @@
 //! | MCRL004 | `narrowing-cast` | no narrowing `as` casts in graph/core hot paths       |
 //! | MCRL005 | `panic`          | parser/solver/driver/fallback layers are panic-free   |
 //! | MCRL006 | `obs`            | budget-charging algorithm loops register loop metrics |
-//! | MCRL007 | `sweep`          | chunked-sweep kernels carry loop metrics + chaos site |
 //! | MCRL008 | `serve`          | every serve-layer request handler installs the guard  |
 //! | MCRL009 | `retry`          | network connect/send loops are bounded by RetryPolicy |
 //!
@@ -18,19 +17,17 @@
 use crate::scan::{Scanned, TokKind, Token};
 
 /// Rule tags accepted inside `// lint: allow(<tag>) reason=...`.
-pub const KNOWN_ALLOW_TAGS: [&str; 14] = [
+pub const KNOWN_ALLOW_TAGS: [&str; 12] = [
     "budget",
     "chaos",
     "float-eq",
     "narrowing-cast",
     "panic",
     "obs",
-    "sweep",
     "serve",
     "retry",
     "nondet",
     "wire-schema",
-    "phase-purity",
     "status-map",
     "lock-order",
 ];
@@ -242,84 +239,6 @@ pub fn check_obs_coverage(file: &str, s: &Scanned, out: &mut Vec<Diagnostic>) {
                         "budgeted loop in `{}` never calls scope.loop_metrics(\"<site>\"): \
                          its work would be invisible to the obs metrics registry",
                         name.text
-                    ),
-                );
-            }
-        }
-        i += 1;
-    }
-}
-
-/// MCRL007: every chunked-sweep kernel — any non-test function in
-/// `crates/core/src/` (excluding the sweep engine itself) whose body
-/// calls `fill_candidates` — must carry both an observability site
-/// (`loop_metrics` or `nested_loop_metrics`, so chunked passes surface
-/// in `mcr-metrics v1`) and a chaos failpoint (`chaos_check` or
-/// `pulse`, so the fault-injection suites can interrupt it
-/// deterministically). A chunked pass outside both harnesses would be
-/// invisible to the golden-trace and chaos walls that pin the
-/// determinism contract.
-pub fn check_sweep_coverage(file: &str, s: &Scanned, out: &mut Vec<Diagnostic>) {
-    let toks = &s.tokens;
-    let mut i = 0;
-    while i < toks.len() {
-        if !(toks[i].kind == TokKind::Ident && toks[i].text == "fn") {
-            i += 1;
-            continue;
-        }
-        let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
-            i += 1;
-            continue;
-        };
-        if s.is_test_line(toks[i].line) {
-            i += 1;
-            continue;
-        }
-        let fn_line = toks[i].line;
-        let Some(popen) = (i + 1..toks.len()).find(|&k| toks[k].text == "(") else {
-            break;
-        };
-        let Some(pclose) = matching(toks, popen, "(", ")") else {
-            break;
-        };
-        let body_open = (pclose..toks.len()).find(|&k| toks[k].text == "{" || toks[k].text == ";");
-        let (bopen, bclose) = match body_open {
-            Some(k) if toks[k].text == "{" => match matching(toks, k, "{", "}") {
-                Some(c) => (k, c),
-                None => break,
-            },
-            _ => {
-                i = pclose + 1;
-                continue;
-            }
-        };
-        let body = &toks[bopen..=bclose];
-        let has = |names: &[&str]| {
-            body.iter()
-                .any(|t| t.kind == TokKind::Ident && names.contains(&t.text.as_str()))
-        };
-        if has(&["fill_candidates"]) {
-            let metrics = has(&["loop_metrics", "nested_loop_metrics"]);
-            let chaos = has(&["chaos_check", "pulse"]);
-            if !(metrics && chaos) {
-                let mut missing = Vec::new();
-                if !metrics {
-                    missing.push("a loop_metrics/nested_loop_metrics site");
-                }
-                if !chaos {
-                    missing.push("a chaos_check/pulse failpoint");
-                }
-                diag(
-                    out,
-                    s,
-                    "MCRL007",
-                    "sweep",
-                    file,
-                    fn_line,
-                    format!(
-                        "chunked-sweep kernel `{}` calls fill_candidates but is missing {}",
-                        name.text,
-                        missing.join(" and ")
                     ),
                 );
             }
@@ -811,41 +730,6 @@ mod tests {
                    }\n\
                    fn helper(scope: &BudgetScope, n: usize) { for _ in 0..n {} }\n";
         assert!(run(src, check_obs_coverage).is_empty());
-    }
-
-    #[test]
-    fn sweep_rule_fires_on_unharnessed_chunked_kernel() {
-        let src = "fn kernel(cand: &mut [i64]) {\n\
-                   \x20 fill_candidates(cand, 64, 2, &|s, o| compute(s, o));\n\
-                   }\n";
-        let d = run(src, check_sweep_coverage);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "MCRL007");
-        assert_eq!(d[0].line, 1);
-        assert!(d[0].message.contains("loop_metrics"));
-        assert!(d[0].message.contains("chaos_check"));
-    }
-
-    #[test]
-    fn sweep_rule_passes_harnessed_kernels_and_plain_fns() {
-        let src = "fn kernel(scope: &BudgetScope, cand: &mut [i64]) {\n\
-                   \x20 scope.loop_metrics(\"core.x.level\");\n\
-                   \x20 scope.chaos_check(\"core.x.level\")?;\n\
-                   \x20 fill_candidates(cand, 64, 2, &|s, o| compute(s, o));\n\
-                   }\n\
-                   fn nested(scope: &BudgetScope, cand: &mut [i64]) {\n\
-                   \x20 let _g = scope.nested_loop_metrics(\"core.y.round\");\n\
-                   \x20 pulse(\"core.y.round\");\n\
-                   \x20 fill_candidates(cand, 64, 2, &|s, o| compute(s, o));\n\
-                   }\n\
-                   fn unrelated(n: usize) { for _ in 0..n {} }\n";
-        assert!(run(src, check_sweep_coverage).is_empty());
-    }
-
-    #[test]
-    fn sweep_rule_skips_test_code() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f(c: &mut [i64]) { fill_candidates(c, 1, 1, &|_, _| ()); }\n}\n";
-        assert!(run(src, check_sweep_coverage).is_empty());
     }
 
     #[test]

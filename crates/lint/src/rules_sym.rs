@@ -14,10 +14,6 @@
 //!   entry must still be produced or parsed somewhere. Adding a field
 //!   without touching the manifest (and so the version review) is a
 //!   lint error.
-//! * **MCRL012 `phase-purity`** — phase-A closures handed to
-//!   `fill_candidates` must not mutate captured non-local state; all
-//!   commits go through the output slice, all observables fold at the
-//!   chunk-ordered commit point.
 //! * **MCRL013 `status-map`** — every `SolveStatus` variant appears in
 //!   the exit-code map, the wire-name table, `from_code`,
 //!   `is_retryable`, and `ALL`; a new variant cannot ship half-mapped.
@@ -372,140 +368,6 @@ pub fn check_wire_manifests(
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// MCRL012: phase-purity of chunk-parallel kernels.
-// ---------------------------------------------------------------------
-
-/// MCRL012: the closure argument of every `fill_candidates` call must
-/// only assign through its own locals (parameters, `let`s, `for`
-/// patterns). Scope: `crates/core/src/` minus the sweep engine itself.
-pub fn check_phase_purity(file: &str, s: &Scanned, out: &mut Vec<Diagnostic>) {
-    let toks = &s.tokens;
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        if !(t.kind == TokKind::Ident && t.text == "fill_candidates")
-            || !toks.get(i + 1).is_some_and(|n| n.text == "(")
-        {
-            i += 1;
-            continue;
-        }
-        let Some(close) = matching(toks, i + 1, "(", ")") else {
-            break;
-        };
-        check_kernel_closure(file, s, i + 2, close - 1, out);
-        i = close + 1;
-    }
-}
-
-/// Finds the closure inside a `fill_candidates` argument range and
-/// checks its assignments.
-fn check_kernel_closure(
-    file: &str,
-    s: &Scanned,
-    args_start: usize,
-    args_end: usize,
-    out: &mut Vec<Diagnostic>,
-) {
-    let toks = &s.tokens;
-    let Some(popen) = (args_start..=args_end).find(|&k| toks[k].text == "|") else {
-        return;
-    };
-    let Some(pclose) = (popen + 1..=args_end).find(|&k| toks[k].text == "|") else {
-        return;
-    };
-    // Body: `{ ... }` or a bare expression running to the call's `)`.
-    let (body_start, body_end) = match (pclose + 1..=args_end).find(|&k| toks[k].text != "") {
-        Some(k) if toks[k].text == "{" => match matching(toks, k, "{", "}") {
-            Some(c) => (k + 1, c.saturating_sub(1)),
-            None => return,
-        },
-        Some(k) => (k, args_end),
-        None => return,
-    };
-    if body_start > body_end {
-        return;
-    }
-    let mut locals: BTreeSet<String> = BTreeSet::new();
-    if pclose > popen + 1 {
-        locals.extend(index::param_names(toks, popen + 1, pclose - 1));
-    }
-    locals.extend(index::local_bindings(toks, body_start, body_end));
-    for k in body_start..=body_end {
-        let op = toks[k].text.as_str();
-        if !matches!(op, "=" | "+=" | "-=" | "*=" | "/=") || toks[k].kind != TokKind::Punct {
-            continue;
-        }
-        if s.is_test_line(toks[k].line) {
-            continue;
-        }
-        if op == "=" && stmt_is_let_binding(toks, body_start, k) {
-            continue;
-        }
-        let Some(root) = assignment_root(toks, body_start, k) else {
-            continue;
-        };
-        if !locals.contains(&toks[root].text) {
-            diag(
-                out,
-                s,
-                "MCRL012",
-                "phase-purity",
-                file,
-                toks[k].line,
-                format!(
-                    "phase-A kernel closure mutates captured `{}`; write only through the \
-                     output slice and fold observables at the chunk commit point",
-                    toks[root].text
-                ),
-            );
-        }
-    }
-}
-
-/// Whether the statement containing the `=` at `op` starts with `let`
-/// (i.e. the `=` is a binding initializer, not a mutation).
-fn stmt_is_let_binding(toks: &[Token], lo: usize, op: usize) -> bool {
-    let mut j = op;
-    while j > lo {
-        j -= 1;
-        match toks[j].text.as_str() {
-            ";" | "{" | "}" => return false,
-            "let" if toks[j].kind == TokKind::Ident => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
-/// The root identifier of the assignment target ending just before
-/// `op`: walks the LHS expression backwards over field/index chains
-/// (`counters.relax`, `out[j - start]`, `*c`) to its leftmost ident.
-fn assignment_root(toks: &[Token], lo: usize, op: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut root: Option<usize> = None;
-    let mut j = op;
-    while j > lo {
-        j -= 1;
-        let t = &toks[j];
-        match t.text.as_str() {
-            "]" | ")" => depth += 1,
-            "[" | "(" => {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            "." => {}
-            _ if depth > 0 => {}
-            _ if t.kind == TokKind::Ident => root = Some(j),
-            _ if t.kind == TokKind::Int => {}
-            _ => break,
-        }
-    }
-    root
 }
 
 // ---------------------------------------------------------------------
@@ -1082,29 +944,6 @@ mod tests {
                    fn f() { let t = Instant::now(); }\n\
                    #[cfg(test)]\nmod t { fn g() { let t = Instant::now(); } }\n";
         assert_eq!(run_nondet("crates/obs/src/lib.rs", src), [(2, true)]);
-    }
-
-    #[test]
-    fn phase_purity_flags_captured_mutation_only() {
-        let src = "fn kernel(cand: &mut [usize], counters: &mut C) {\n\
-                   let mut local_total = 0;\n\
-                   fill_candidates(cand, 8, 2, &|start, out: &mut [usize]| {\n\
-                   let mut best = 0;\n\
-                   for (j, c) in out.iter_mut().enumerate() {\n\
-                   best += j;\n\
-                   *c = start + best;\n\
-                   counters.relaxations += 1;\n\
-                   local_total += 1;\n\
-                   }\n\
-                   });\n\
-                   }\n";
-        let m = FileModel::new("crates/core/src/kernel.rs".to_string(), src);
-        let mut out = Vec::new();
-        check_phase_purity(&m.rel, &m.scanned, &mut out);
-        let lines: Vec<u32> = out.iter().map(|d| d.line).collect();
-        // `counters` (line 8) and `local_total` (line 9) are captured;
-        // `best`, `c` are closure-local.
-        assert_eq!(lines, [8, 9]);
     }
 
     #[test]

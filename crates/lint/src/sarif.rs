@@ -12,7 +12,9 @@ use crate::{json_escape, Report};
 
 /// The rule-metadata table: id, one-line description. Kept in rule-id
 /// order; the SARIF `ruleIndex` of each result indexes into this.
-pub const RULES: [(&str, &str); 15] = [
+/// MCRL007 and MCRL012 are retired (their chunked-sweep engine is gone)
+/// and are never reused.
+pub const RULES: [(&str, &str); 13] = [
     ("MCRL000", "Malformed lint allowlist comment"),
     ("MCRL001", "Solver loop missing budget/cancellation charge"),
     ("MCRL002", "Chaos failpoint site not in the central manifest"),
@@ -20,12 +22,10 @@ pub const RULES: [(&str, &str); 15] = [
     ("MCRL004", "Narrowing as-cast on a hot path"),
     ("MCRL005", "Panic or unchecked indexing in a panic-free layer"),
     ("MCRL006", "Budgeted loop missing its metrics registration"),
-    ("MCRL007", "Chunked-sweep kernel missing metrics or failpoint"),
     ("MCRL008", "Serve handler missing the per-request guard"),
     ("MCRL009", "Network path missing retry/backoff classification"),
     ("MCRL010", "Nondeterminism in an ordering-sensitive scope"),
     ("MCRL011", "Wire field not matching the schemas/ manifest"),
-    ("MCRL012", "Phase-A kernel closure mutates captured state"),
     ("MCRL013", "SolveStatus variant missing from a status table"),
     ("MCRL014", "Nested lock acquisition violates the declared order"),
 ];

@@ -59,13 +59,18 @@ fn wait_for(what: &str, mut probe: impl FnMut() -> bool) {
     panic!("timed out waiting for {what}");
 }
 
-/// Parsed `recovered` journal lines, in write order.
+/// Parsed `recovered` journal lines, in admission-id order. Several
+/// workers finish recovered requests in any order, so write order is
+/// not admission order.
 fn recovered_lines(dir: &Path) -> Vec<Value> {
     let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap_or_default();
-    text.lines()
+    let mut lines: Vec<Value> = text
+        .lines()
         .filter_map(|l| json::parse(l).ok())
         .filter(|v| v.get("kind").and_then(Value::as_str) == Some("recovered"))
-        .collect()
+        .collect();
+    lines.sort_by_key(|v| v.get("id").and_then(Value::as_u64));
+    lines
 }
 
 fn field<'a>(v: &'a Value, name: &str) -> &'a str {

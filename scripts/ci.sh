@@ -6,8 +6,8 @@
 # the crates the solver stack touches (which enforces the module-level
 # `deny(clippy::unwrap_used, clippy::panic)` gates on the parser and
 # the error/budget/certify layer), a CLI smoke test of the exit
-# code contract against the bad-input corpus, a 4-thread smoke of
-# the chunked intra-SCC sweep path (CLI + bench harness), a kill -9
+# code contract against the bad-input corpus, a byte-compare of the
+# static solve across per-SCC driver thread counts, a kill -9
 # crash-recovery drill of the mcrd solve daemon, and a two-shard fleet
 # drill that SIGKILLs one shard mid-replay and proves every request
 # still settles exactly once with zero duplicate solves.
@@ -22,13 +22,12 @@ echo "=== mcr-lint (workspace contract checker) ==="
 # (MCRL001), chaos-site manifest drift (MCRL002), bare f64 equality
 # (MCRL003), narrowing casts in hot paths (MCRL004), panic sources in
 # the panic-free layers (MCRL005), obs metrics coverage of budgeted
-# loops (MCRL006), loop-metrics + chaos coverage of chunked-sweep
-# kernels (MCRL007), RequestGuard containment of every serve-layer
+# loops (MCRL006), RequestGuard containment of every serve-layer
 # request handler (MCRL008), bounded RetryPolicy caps on network
 # connect/send loops (MCRL009), order-unstable containers and wall
 # clocks in determinism scopes (MCRL010), wire-format schema manifest
-# drift (MCRL011), phase-A kernel purity (MCRL012), total SolveStatus
-# maps (MCRL013), and the declared serve lock order (MCRL014). See
+# drift (MCRL011), total SolveStatus maps (MCRL013), and the declared
+# serve lock order (MCRL014). MCRL007 and MCRL012 are retired. See
 # DESIGN.md and crates/lint.
 # SARIF 2.1.0 report for code-scanning upload (the workflow's lint job
 # publishes it). Emitted before the gating run so a red lint still
@@ -96,33 +95,24 @@ grep -q "answered instead" /tmp/mcr_ci_stdout
 grep -q "certificate" /tmp/mcr_ci_stdout
 rm -f /tmp/mcr_ci_stderr /tmp/mcr_ci_stdout /tmp/mcr_ci_hostile.dimacs
 
-echo "=== chunked-sweep smoke: 4 threads, bit-identical to sequential ==="
-# The intra-SCC chunked sweeps must change wall-clock only, never
-# output. Level kernels (Karp) are exactly schedule-independent, so the
-# full CLI output must match byte-for-byte; the default algorithm must
-# agree between 1 and 4 sweep threads (the chunked determinism
-# contract).
-"$MCR" solve benchmarks/multi_scc.dimacs --algorithm karp --critical \
-    --counters > /tmp/mcr_ci_seq.out
-"$MCR" solve benchmarks/multi_scc.dimacs --algorithm karp --critical \
-    --counters --threads 4 --sweep chunked --sweep-threads 4 \
-    > /tmp/mcr_ci_chunked.out
-cmp /tmp/mcr_ci_seq.out /tmp/mcr_ci_chunked.out || {
-    echo "FAIL: chunked sweep output differs from sequential (karp)"
-    exit 1
-}
-"$MCR" solve benchmarks/multi_scc.dimacs --critical --counters \
-    --sweep chunked --sweep-threads 1 > /tmp/mcr_ci_seq.out
-"$MCR" solve benchmarks/multi_scc.dimacs --critical --counters \
-    --sweep chunked --sweep-threads 4 > /tmp/mcr_ci_chunked.out
-cmp /tmp/mcr_ci_seq.out /tmp/mcr_ci_chunked.out || {
-    echo "FAIL: chunked sweep output differs between 1 and 4 sweep threads"
-    exit 1
-}
-rm -f /tmp/mcr_ci_seq.out /tmp/mcr_ci_chunked.out
-# Bench-path smoke: tiny instances, full determinism asserts, and the
-# 4-sweep-thread rows genuinely running the multi-chunk schedule.
-MCR_BENCH_QUICK=1 cargo bench -q -p mcr-bench --bench intra_scc >/dev/null
+echo "=== driver smoke: 1, 2 and 4 threads, byte-identical ==="
+# The per-SCC driver changes wall-clock only, never output: the full
+# CLI output (witness, critical subgraph, counters) must match
+# byte-for-byte at every thread count, for the default algorithm and
+# for Karp.
+for alg in howard-exact karp; do
+    "$MCR" solve benchmarks/multi_scc.dimacs --algorithm "$alg" --critical \
+        --counters --threads 1 > /tmp/mcr_ci_t1.out
+    for t in 2 4; do
+        "$MCR" solve benchmarks/multi_scc.dimacs --algorithm "$alg" --critical \
+            --counters --threads "$t" > /tmp/mcr_ci_tn.out
+        cmp /tmp/mcr_ci_t1.out /tmp/mcr_ci_tn.out || {
+            echo "FAIL: $alg output differs between 1 and $t driver threads"
+            exit 1
+        }
+    done
+done
+rm -f /tmp/mcr_ci_t1.out /tmp/mcr_ci_tn.out
 
 echo "=== dynamic solver: quick differential tier + golden-edits smoke ==="
 # Quick tier of the incremental-solver differential harness (the full
