@@ -9,9 +9,10 @@
 //!   (the shape the component cache is built for: an edit touches one
 //!   component, the other 63 replay from cache);
 //! * `circuit` — one mostly-connected circuit graph (the adversarial
-//!   shape: almost everything lives in one SCC, so most of the work
-//!   re-solves every time and the bench measures the solver's
-//!   fingerprint/rebuild overhead honestly).
+//!   shape: almost everything lives in one SCC, so the cache saves
+//!   little solve work and the row measures what the solver pays
+//!   around the solve: a reweight patches the kept CSR graph and SCC
+//!   jobs in place, where a from-scratch solve rebuilds both).
 //!
 //! Each group times `incremental` (a persistent solver absorbing one
 //! reweight per iteration) against `from_scratch` (the same edit
@@ -150,8 +151,8 @@ fn bench_instance(c: &mut Criterion, name: &str, g: &Graph, spec: SolveSpec) {
 
 fn bench_dynamic(c: &mut Criterion) {
     // Components big enough that per-SCC solve work (exact Lawler
-    // bisection) dominates the O(n + m) rebuild both paths share —
-    // that ratio, not parallelism, is where incrementality pays.
+    // bisection) dominates the O(n + m) rebuild the from-scratch path
+    // pays — that ratio, not parallelism, is where the cache pays.
     let (blocks, n, m) = if quick() { (4, 32, 96) } else { (8, 256, 1280) };
     let union = sprand_union(blocks, n, m, 11);
     bench_instance(

@@ -18,7 +18,7 @@
 //! | `core.fallback.attempt`     | each fallback-chain attempt            |
 //! | `core.workspace.reset`      | workspace poison-recovery (unit site)  |
 //! | `core.dynamic.apply`        | incremental edit-batch application     |
-//! | `core.dynamic.rebuild`      | incremental CSR rebuild (unit site)    |
+//! | `core.dynamic.rebuild`      | topology rebuild or patch (unit site)  |
 //! | `core.dynamic.certify`      | incremental witness re-certification   |
 //!
 //! Algorithm loop sites: `core.burns.phase`, `core.burns.exact.phase`,

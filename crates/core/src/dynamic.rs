@@ -15,10 +15,20 @@
 //! only key checkpoint/obs bookkeeping, which this solver disables).
 //! The solver therefore:
 //!
-//! 1. rebuilds the CSR graph from the arc list (`O(n + m)`),
-//! 2. re-runs Tarjan's SCC extraction (`O(n + m)`),
-//! 3. fingerprints each component's subgraph (FNV-1a over its arc
-//!    table) and reuses the cached [`SccOutcome`] + per-job
+//! 1. keeps the topology-derived state alive across batches: the CSR
+//!    graph (and its negated twin when maximizing), Tarjan's component
+//!    jobs, a host-arc → component-arc map, and each component's
+//!    fingerprint. It is built once (`O(n + m)`) on the first solve and
+//!    after every batch that inserts or deletes an arc, exactly as a
+//!    from-scratch solve would build it;
+//! 2. patches that state in place for a batch made only of
+//!    [`Edit::Reweight`] / [`Edit::Retime`]: each edit rewrites one arc
+//!    of the host graph and of its component's subgraph in
+//!    `O(degree)` ([`Graph::set_arc_values`]). The arc set is unchanged,
+//!    so the CSR, the job order and every subgraph stay byte-equal to a
+//!    rebuild, and only the patched components are re-fingerprinted;
+//! 3. looks each component's fingerprint (FNV-1a over its arc table)
+//!    up in the cache and reuses the cached [`SccOutcome`] + per-job
 //!    [`Counters`] on a hit,
 //! 4. solves only the missed components, with the *exact* per-SCC
 //!    closure [`crate::spec::solve_spec`] would have used for the same
@@ -42,17 +52,19 @@
 //! * ratio specs solved by expansion-based algorithms (Karp family) —
 //!   the expansion graph is derived, so component caching does not
 //!   apply;
-//! * a chaos fault at `core.dynamic.apply` (cache dropped before the
-//!   solve) or `core.dynamic.certify` (incremental answer rejected);
-//! * a witness that fails [`certify`] — the cache is cleared and the
-//!   batch is re-answered from scratch, never returned unverified.
+//! * a chaos fault at `core.dynamic.apply` (cache and topology state
+//!   dropped before the solve) or `core.dynamic.certify` (incremental
+//!   answer rejected);
+//! * a witness that fails [`certify`] — the cache is cleared, the
+//!   topology state is rebuilt from the arc list, and the batch is
+//!   re-answered from scratch, never returned unverified.
 //!
 //! Every returned solution — incremental or full — is re-validated by
 //! [`certify`] against the current caller-orientation graph.
 
 use crate::algorithms::Algorithm;
 use crate::budget::BudgetScope;
-use crate::driver::{extract_jobs, reduce_outcomes, SccOutcome};
+use crate::driver::{extract_jobs, reduce_outcomes, Job, SccOutcome};
 use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::options::SolveOptions;
@@ -60,7 +72,7 @@ use crate::solution::Solution;
 use crate::spec::{solve_spec, Objective, SolveSpec, SpecError};
 use crate::certify::certify;
 use crate::workspace::Workspace;
-use mcr_graph::{Graph, GraphBuilder, NodeId};
+use mcr_graph::{idx32, ArcId, Graph, GraphBuilder, NodeId};
 use std::collections::BTreeMap;
 
 /// One graph mutation. Arc indices refer to the solver's *current*
@@ -194,6 +206,101 @@ fn fnv1a_u64(hash: &mut u64, word: u64) {
     }
 }
 
+/// The `Topo::owner` job slot of an arc outside every cyclic component.
+const NO_JOB: u32 = u32::MAX;
+
+/// The topology-derived state of the current graph (module docs, steps
+/// 1–2). Every field is a function of the arc list, and a weight-only
+/// batch keeps it that way by patching in place; a batch that inserts
+/// or deletes an arc drops it instead.
+#[derive(Debug)]
+struct Topo {
+    /// The current graph, caller orientation.
+    graph: Graph,
+    /// `graph.negated()` when a maximizing spec solves per component.
+    negated: Option<Graph>,
+    /// Cyclic components of the solved orientation, in Tarjan order
+    /// (none for [`Route::Expansion`], which never solves per component).
+    jobs: Vec<Job>,
+    /// Host arc → (job, local arc) for arcs inside a cyclic component,
+    /// `(NO_JOB, _)` for the rest. Job indices are below the node count,
+    /// so a `u32` holds them, and a rebuild fills half the memory an
+    /// `Option<(usize, ArcId)>` table would take.
+    owner: Vec<(u32, ArcId)>,
+    /// Per job: the epsilon-free FNV-1a state of its subgraph.
+    hashes: Vec<u64>,
+    /// Per job, ratio objective only: whether it holds a zero-transit
+    /// cycle. Such a cycle lies inside one cyclic component, so these
+    /// flags together answer `has_zero_transit_cycle` for the graph.
+    zero_transit: Vec<bool>,
+    /// Per job: patched since `hashes`/`zero_transit` were computed.
+    stale: Vec<bool>,
+}
+
+impl Topo {
+    fn build(nodes: usize, arcs: &[ArcSpec], spec: &SolveSpec) -> Topo {
+        let graph = build_graph(nodes, arcs);
+        let per_component = route_for(spec) != Route::Expansion;
+        let negated = (per_component && spec.maximize).then(|| graph.negated());
+        let jobs = if per_component {
+            extract_jobs(negated.as_ref().unwrap_or(&graph))
+        } else {
+            Vec::new()
+        };
+        let mut owner = vec![(NO_JOB, ArcId::new(0)); arcs.len()];
+        for (j, job) in jobs.iter().enumerate() {
+            for (local, host) in job.arc_map.iter().enumerate() {
+                owner[host.index()] = (idx32(j), ArcId::new(local));
+            }
+        }
+        Topo {
+            graph,
+            negated,
+            owner,
+            hashes: vec![0; jobs.len()],
+            zero_transit: vec![false; jobs.len()],
+            stale: vec![true; jobs.len()],
+            jobs,
+        }
+    }
+
+    /// The orientation the components are solved in.
+    fn target(&self) -> &Graph {
+        self.negated.as_ref().unwrap_or(&self.graph)
+    }
+
+    /// Rewrites one arc's weight and transit in every graph that holds
+    /// it, and marks its component for re-fingerprinting.
+    fn set_arc_values(&mut self, arc: usize, weight: i64, transit: i64) {
+        let id = ArcId::new(arc);
+        self.graph.set_arc_values(id, weight, transit);
+        let solved_weight = match &mut self.negated {
+            Some(neg) => {
+                neg.set_arc_values(id, -weight, transit);
+                -weight
+            }
+            None => weight,
+        };
+        let (job, local) = self.owner[arc];
+        if job != NO_JOB {
+            let j = job as usize;
+            self.jobs[j].sub.set_arc_values(local, solved_weight, transit);
+            self.stale[j] = true;
+        }
+    }
+
+    /// Re-fingerprints (and, for the ratio objective, re-checks for a
+    /// zero-transit cycle) every job patched since the last call.
+    fn refresh(&mut self, ratio: bool) {
+        for (j, job) in self.jobs.iter().enumerate() {
+            if std::mem::take(&mut self.stale[j]) {
+                self.hashes[j] = fingerprint(&job.sub);
+                self.zero_transit[j] = ratio && crate::ratio::has_zero_transit_cycle(&job.sub);
+            }
+        }
+    }
+}
+
 /// A persistent, incrementally updatable MCM/MCR solver.
 ///
 /// Construct it from a graph plus the [`SolveSpec`] and
@@ -217,6 +324,9 @@ pub struct DynamicSolver {
     opts: SolveOptions,
     cache: BTreeMap<u64, CacheEntry>,
     epoch: u64,
+    /// Topology-derived state of `arcs`; `None` until the next solve
+    /// builds it (at the start, and after an insert or delete).
+    topo: Option<Topo>,
 }
 
 impl DynamicSolver {
@@ -252,6 +362,7 @@ impl DynamicSolver {
             opts,
             cache: BTreeMap::new(),
             epoch: 0,
+            topo: None,
         }
     }
 
@@ -271,19 +382,13 @@ impl DynamicSolver {
     }
 
     /// Materializes the current graph (caller orientation). Arc ids in
-    /// returned witnesses index this graph.
+    /// returned witnesses index this graph. After a solve this is a copy
+    /// of the solver's own graph, with no rebuild.
     pub fn current_graph(&self) -> Graph {
-        let mut b = GraphBuilder::new();
-        b.add_nodes(self.nodes);
-        for a in &self.arcs {
-            b.add_arc_with_transit(
-                NodeId::new(a.src),
-                NodeId::new(a.dst),
-                a.weight,
-                a.transit,
-            );
+        match &self.topo {
+            Some(topo) => topo.graph.clone(),
+            None => build_graph(self.nodes, &self.arcs),
         }
-        b.build()
     }
 
     /// Serializes the solver's graph state as `mcr-dynamic v1` plain
@@ -374,18 +479,53 @@ impl DynamicSolver {
 
     /// Applies one edit batch **atomically** and re-solves.
     ///
-    /// Validation runs against a staged copy: if any edit is invalid
-    /// (arc index out of range, endpoint out of range, negative
-    /// transit) the whole batch is rejected with
-    /// [`SpecError::Input`] and the solver is unchanged. A *solve*
-    /// error (e.g. [`SolveError::ZeroTransitCycle`], budget
-    /// exhaustion) commits the edits and reports the error, exactly as
-    /// a from-scratch [`solve_spec`] of the edited graph would.
+    /// One validation pass checks every edit against the evolving arc
+    /// count before anything changes: if any edit is invalid (arc index
+    /// out of range, endpoint out of range, negative transit) the whole
+    /// batch is rejected with [`SpecError::Input`] and the solver is
+    /// unchanged. A *solve* error (e.g. [`SolveError::ZeroTransitCycle`],
+    /// budget exhaustion) commits the edits and reports the error,
+    /// exactly as a from-scratch [`solve_spec`] of the edited graph
+    /// would.
     pub fn apply(&mut self, edits: &[Edit]) -> Result<DynamicOutcome, SpecError> {
-        let mut staged = self.arcs.clone();
-        apply_edits(self.nodes, &mut staged, edits).map_err(SpecError::Input)?;
-        self.arcs = staged;
+        let weight_only =
+            validate_edits(self.nodes, self.arcs.len(), edits).map_err(SpecError::Input)?;
+        if !weight_only {
+            self.topo = None;
+        }
+        for edit in edits {
+            match *edit {
+                Edit::InsertArc {
+                    src,
+                    dst,
+                    weight,
+                    transit,
+                } => self.arcs.push(ArcSpec {
+                    src,
+                    dst,
+                    weight,
+                    transit,
+                }),
+                Edit::DeleteArc { arc } => {
+                    self.arcs.remove(arc);
+                }
+                Edit::Reweight { arc, weight } => {
+                    self.set_arc_values(arc, weight, self.arcs[arc].transit)
+                }
+                Edit::Retime { arc, transit } => {
+                    self.set_arc_values(arc, self.arcs[arc].weight, transit)
+                }
+            }
+        }
         self.solve_batch(edits.len() as u64)
+    }
+
+    fn set_arc_values(&mut self, arc: usize, weight: i64, transit: i64) {
+        self.arcs[arc].weight = weight;
+        self.arcs[arc].transit = transit;
+        if let Some(topo) = &mut self.topo {
+            topo.set_arc_values(arc, weight, transit);
+        }
     }
 
     /// Re-solves the current graph without editing it (the initial
@@ -397,30 +537,42 @@ impl DynamicSolver {
     fn solve_batch(&mut self, edits: u64) -> Result<DynamicOutcome, SpecError> {
         self.epoch += 1;
         // A fault at the apply site simulates corrupted incremental
-        // state: drop the cache, forcing this batch down the full
-        // path. The answer must be unchanged (chaos suite pins this).
+        // state: drop the cache and the topology state, forcing this
+        // batch down the full path. The answer must be unchanged (chaos
+        // suite pins this).
         if crate::chaos::fail_hit("core.dynamic.apply") {
             self.cache.clear();
+            self.topo = None;
         }
         crate::chaos::pulse("core.dynamic.rebuild");
-        let g = self.current_graph();
-        let mut outcome = match route_for(&self.spec) {
-            Route::Expansion => self.full_solve(&g)?,
-            route => self.component_solve(&g, route)?,
+        let mut rebuilt = self.topo.is_none();
+        let mut topo = match self.topo.take() {
+            Some(topo) => topo,
+            None => Topo::build(self.nodes, &self.arcs, &self.spec),
         };
+        let solved = match route_for(&self.spec) {
+            Route::Expansion => full_solve(&topo.graph, &self.spec, &self.opts),
+            route => self.component_solve(&mut topo, route),
+        };
+        // A failed solve still committed its edits, so the state stays.
+        let topo = self.topo.insert(topo);
+        let mut outcome = solved?;
         // Certification gate: an incremental answer that does not
         // re-certify (or that a fault at the certify site rejects) is
-        // discarded and the batch re-answered from scratch.
+        // discarded, and the batch is re-answered from scratch on state
+        // rebuilt from the arc list.
         if let Some(sol) = &outcome.solution {
             let rejected = crate::chaos::fail_hit("core.dynamic.certify")
-                || certify(sol, &g).is_err();
+                || certify(sol, &topo.graph).is_err();
             if rejected {
                 self.cache.clear();
-                outcome = self.full_solve(&g)?;
+                *topo = Topo::build(self.nodes, &self.arcs, &self.spec);
+                rebuilt = true;
+                outcome = full_solve(&topo.graph, &self.spec, &self.opts)?;
             }
         }
         if let Some(sol) = &outcome.solution {
-            if let Err(e) = certify(sol, &g) {
+            if let Err(e) = certify(sol, &topo.graph) {
                 return Err(SpecError::Input(format!(
                     "dynamic solve produced an uncertifiable witness: {e}"
                 )));
@@ -432,43 +584,31 @@ impl DynamicSolver {
             edits,
             outcome.cache_hits as u64,
             outcome.cache_misses as u64,
+            rebuilt,
         );
         Ok(outcome)
-    }
-
-    /// The from-scratch path: delegate to [`solve_spec`] wholesale.
-    fn full_solve(&mut self, g: &Graph) -> Result<DynamicOutcome, SpecError> {
-        let solution = solve_spec(g, &self.spec, &self.opts)?;
-        Ok(DynamicOutcome {
-            solution,
-            mode: SolveMode::Full,
-            cache_hits: 0,
-            cache_misses: 0,
-        })
     }
 
     /// The incremental path: fingerprint the components of the edited
     /// graph, reuse cached outcomes, solve only the misses, and reduce
     /// exactly as the driver would.
-    fn component_solve(&mut self, g: &Graph, route: Route) -> Result<DynamicOutcome, SpecError> {
-        let negated;
-        let target: &Graph = if self.spec.maximize {
-            negated = g.negated();
-            &negated
-        } else {
-            g
-        };
+    fn component_solve(
+        &mut self,
+        topo: &mut Topo,
+        route: Route,
+    ) -> Result<DynamicOutcome, SpecError> {
+        topo.refresh(self.spec.objective == Objective::Ratio);
         // Mirror solve_spec's up-front validation order: epsilon
         // first, then the ratio zero-transit-cycle guard.
         let epsilon = match self.opts.epsilon {
             Some(e) if e > 0.0 && e.is_finite() => e,
             Some(e) => return Err(SolveError::InvalidEpsilon { epsilon: e }.into()),
-            None => Algorithm::default_epsilon(target),
+            None => Algorithm::default_epsilon(topo.target()),
         };
-        if self.spec.objective == Objective::Ratio && crate::ratio::has_zero_transit_cycle(target) {
+        if topo.zero_transit.contains(&true) {
             return Err(SolveError::ZeroTransitCycle.into());
         }
-        let jobs = extract_jobs(target);
+        let jobs = &topo.jobs;
         if jobs.is_empty() {
             return Ok(DynamicOutcome {
                 solution: None,
@@ -496,7 +636,12 @@ impl DynamicSolver {
         let mut hits = 0usize;
         let mut misses = 0usize;
         for (i, job) in jobs.iter().enumerate() {
-            let fp = fingerprint(&job.sub, epsilon_matters.then_some(epsilon));
+            // FNV-1a streams, so folding epsilon into the stored state
+            // equals hashing it after the arc table.
+            let mut fp = topo.hashes[i];
+            if epsilon_matters {
+                fnv1a_u64(&mut fp, epsilon.to_bits());
+            }
             let cached = self.cache.get_mut(&fp).filter(|e| {
                 e.nodes == job.sub.num_nodes() && e.arcs == job.sub.num_arcs()
             });
@@ -527,7 +672,7 @@ impl DynamicSolver {
             results.push(result);
         }
 
-        let reduced = reduce_outcomes(&jobs, &results, counters);
+        let reduced = reduce_outcomes(jobs, &results, counters);
         let solution = match route {
             // The native ratio entry points fold *any* failure into
             // "no answer" (`solve_per_scc(..).ok()`); replicate that.
@@ -635,6 +780,31 @@ impl DynamicSolver {
     }
 }
 
+/// The from-scratch path: delegate to [`solve_spec`] wholesale.
+fn full_solve(
+    g: &Graph,
+    spec: &SolveSpec,
+    opts: &SolveOptions,
+) -> Result<DynamicOutcome, SpecError> {
+    let solution = solve_spec(g, spec, opts)?;
+    Ok(DynamicOutcome {
+        solution,
+        mode: SolveMode::Full,
+        cache_hits: 0,
+        cache_misses: 0,
+    })
+}
+
+/// Builds the CSR graph of an arc list, arc ids in list order.
+fn build_graph(nodes: usize, arcs: &[ArcSpec]) -> Graph {
+    let mut b = GraphBuilder::with_capacity(nodes, arcs.len());
+    b.add_nodes(nodes);
+    for a in arcs {
+        b.add_arc_with_transit(NodeId::new(a.src), NodeId::new(a.dst), a.weight, a.transit);
+    }
+    b.build()
+}
+
 fn validate_arc(nodes: usize, arc: &ArcSpec) -> Result<(), String> {
     if arc.src >= nodes || arc.dst >= nodes {
         return Err(format!(
@@ -648,10 +818,13 @@ fn validate_arc(nodes: usize, arc: &ArcSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies `edits` in order against `arcs`, validating each against the
-/// evolving list. On error the list may be partially edited — callers
-/// stage on a copy ([`DynamicSolver::apply`]) to keep batches atomic.
-fn apply_edits(nodes: usize, arcs: &mut Vec<ArcSpec>, edits: &[Edit]) -> Result<(), String> {
+/// Checks `edits` in order against an arc list of `len` arcs, tracking
+/// only how the count evolves, so a rejected batch leaves nothing to
+/// undo. Returns whether the batch is weight-only: made of
+/// [`Edit::Reweight`] / [`Edit::Retime`] alone, so the arc set survives
+/// it.
+fn validate_edits(nodes: usize, mut len: usize, edits: &[Edit]) -> Result<bool, String> {
+    let mut weight_only = true;
     for (i, edit) in edits.iter().enumerate() {
         let check_index = |arc: usize, len: usize| -> Result<(), String> {
             if arc >= len {
@@ -676,38 +849,37 @@ fn apply_edits(nodes: usize, arcs: &mut Vec<ArcSpec>, edits: &[Edit]) -> Result<
                     transit,
                 };
                 validate_arc(nodes, &arc).map_err(|e| format!("edit {i}: {e}"))?;
-                arcs.push(arc);
+                len += 1;
+                weight_only = false;
             }
             Edit::DeleteArc { arc } => {
-                check_index(arc, arcs.len())?;
-                arcs.remove(arc);
+                check_index(arc, len)?;
+                len -= 1;
+                weight_only = false;
             }
-            Edit::Reweight { arc, weight } => {
-                check_index(arc, arcs.len())?;
-                arcs[arc].weight = weight;
-            }
+            Edit::Reweight { arc, .. } => check_index(arc, len)?,
             Edit::Retime { arc, transit } => {
-                check_index(arc, arcs.len())?;
+                check_index(arc, len)?;
                 if transit < 0 {
                     return Err(format!("edit {i}: transit time {transit} is negative"));
                 }
-                arcs[arc].transit = transit;
             }
         }
     }
-    Ok(())
+    Ok(weight_only)
 }
 
 /// FNV-1a fingerprint of one component subgraph: node count, arc count,
-/// then each arc's `(src, dst, weight, transit)` in arc-id order, plus
-/// the effective epsilon when the spec's solver consumes one. Transits
+/// then each arc's `(src, dst, weight, transit)` in arc-id order. The
+/// lookup folds in the effective epsilon when the spec's solver
+/// consumes one (see `DynamicSolver::component_solve`). Transits
 /// are always hashed — both objectives are cost-to-time ratios over the
 /// graph's transits, so a retime changes λ even under `Objective::Mean`
 /// (the differential harness caught a transit-blind fingerprint reusing
 /// stale outcomes across retimes). Components with equal fingerprints
 /// (and matching size guard) are byte-identical subproblems, so their
 /// outcomes are interchangeable.
-fn fingerprint(sub: &Graph, epsilon: Option<f64>) -> u64 {
+fn fingerprint(sub: &Graph) -> u64 {
     let mut h = FNV_OFFSET;
     fnv1a_u64(&mut h, sub.num_nodes() as u64);
     fnv1a_u64(&mut h, sub.num_arcs() as u64);
@@ -716,9 +888,6 @@ fn fingerprint(sub: &Graph, epsilon: Option<f64>) -> u64 {
         fnv1a_u64(&mut h, sub.target(a).index() as u64);
         fnv1a_u64(&mut h, sub.weight(a) as u64);
         fnv1a_u64(&mut h, sub.transit(a) as u64);
-    }
-    if let Some(e) = epsilon {
-        fnv1a_u64(&mut h, e.to_bits());
     }
     h
 }
@@ -791,6 +960,43 @@ mod tests {
             .expect_err("out-of-range index");
         assert!(matches!(err, SpecError::Input(_)));
         assert_eq!(dyn_solver.arcs(), &before[..], "batch must be atomic");
+
+        // A weight-only batch failing on its last edit, after a solve
+        // has built the topology state that valid edits would patch.
+        dyn_solver.solve().expect("solves");
+        let err = dyn_solver
+            .apply(&[
+                Edit::Reweight { arc: 0, weight: -9 },
+                Edit::Retime { arc: 1, transit: 4 },
+                Edit::Reweight { arc: 2, weight: 1 },
+            ])
+            .expect_err("out-of-range index");
+        assert_eq!(
+            err.to_string(),
+            "edit 2: arc index 2 is out of range (2 arcs)"
+        );
+        assert_eq!(dyn_solver.arcs(), &before[..], "weight-only batch must be atomic");
+        assert_eq!(
+            dyn_solver.current_graph().weights(),
+            &[2, 2],
+            "the graph must not see the rejected reweight"
+        );
+        // The next valid batch answers as a fresh solve of the graph it
+        // leaves behind.
+        let out = dyn_solver
+            .apply(&[Edit::Retime { arc: 0, transit: 3 }])
+            .expect("solves");
+        let sol = out.solution.expect("cyclic");
+        let mut b = GraphBuilder::new();
+        let v = b.add_nodes(2);
+        b.add_arc_with_transit(v[0], v[1], 2, 3);
+        b.add_arc_with_transit(v[1], v[0], 2, 1);
+        let scratch = solve_spec(&b.build(), &mean_spec(), &SolveOptions::new())
+            .expect("solves")
+            .expect("cyclic");
+        assert_eq!(sol.lambda, scratch.lambda);
+        assert_eq!(sol.cycle, scratch.cycle);
+        assert_eq!(sol.counters, scratch.counters);
     }
 
     #[test]

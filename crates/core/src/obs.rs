@@ -287,18 +287,29 @@ pub(crate) fn loop_flush(site: &'static str, iters: u64, refines: u64) {
 #[inline(always)]
 pub(crate) fn loop_flush(_site: &'static str, _iters: u64, _refines: u64) {}
 
-/// Records one incremental-solver batch: how many edits it applied and
+/// Records one incremental-solver batch: how many edits it applied,
 /// whether the solve was answered incrementally (component-cache hits
-/// covered part of the work) or by a full from-scratch solve. Emits the
-/// `dynamic.solve.incremental` / `dynamic.solve.full` counter pair plus
+/// covered part of the work) or by a full from-scratch solve, and
+/// whether the solver rebuilt its topology state (CSR + Tarjan) or
+/// reused it, patched in place. Emits the `dynamic.solve.incremental` /
+/// `dynamic.solve.full` and `dynamic.topology.patched` /
+/// `dynamic.topology.rebuilt` counter pairs plus
 /// `dynamic.edits.applied`, and a `dynamic.solve` trace event carrying
-/// the per-batch hit/miss split.
+/// the per-batch hit/miss split and a 0/1 `rebuilt` flag.
 #[cfg(feature = "obs")]
-pub(crate) fn dynamic_solve(mode: &'static str, edits: u64, hits: u64, misses: u64) {
+pub(crate) fn dynamic_solve(
+    mode: &'static str,
+    edits: u64,
+    hits: u64,
+    misses: u64,
+    rebuilt: bool,
+) {
     if !mcr_obs::active() {
         return;
     }
     mcr_obs::counter_add(&format!("dynamic.solve.{mode}"), 1);
+    let topology = if rebuilt { "rebuilt" } else { "patched" };
+    mcr_obs::counter_add(&format!("dynamic.topology.{topology}"), 1);
     mcr_obs::counter_add("dynamic.edits.applied", edits);
     mcr_obs::global_event(
         "dynamic.solve",
@@ -306,10 +317,18 @@ pub(crate) fn dynamic_solve(mode: &'static str, edits: u64, hits: u64, misses: u
             ("mode", mode.into()),
             ("hits", hits.into()),
             ("misses", misses.into()),
+            ("rebuilt", u64::from(rebuilt).into()),
         ],
     );
 }
 
 #[cfg(not(feature = "obs"))]
 #[inline(always)]
-pub(crate) fn dynamic_solve(_mode: &'static str, _edits: u64, _hits: u64, _misses: u64) {}
+pub(crate) fn dynamic_solve(
+    _mode: &'static str,
+    _edits: u64,
+    _hits: u64,
+    _misses: u64,
+    _rebuilt: bool,
+) {
+}

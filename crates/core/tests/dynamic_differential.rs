@@ -8,10 +8,12 @@
 //! must produce the same typed error on both paths.
 //!
 //! The sweep mirrors `differential.rs`: seeded random edit scripts
-//! (the `mcr gen edits` generator) plus deterministic circuit-shaped
-//! scripts, across 1/2/8 driver threads, with the spec rotated across
-//! the route matrix (mean chain / strict ratio / native ratio /
-//! expansion ratio / maximize). Adversarial scripts cover the cases an
+//! (the `mcr gen edits` generator), deterministic circuit-shaped
+//! scripts, and weight-only scripts (which the solver answers by
+//! patching its topology state in place), across 1/2/8 driver threads,
+//! with the spec rotated across the route matrix (mean chain / strict
+//! ratio / native ratio / expansion ratio / maximize). Adversarial
+//! scripts cover the cases an
 //! incremental solver is most likely to get wrong: deleting the
 //! critical cycle, disconnecting a component, injecting zero transit
 //! times, and duplicate-arc churn. `MCR_DYNAMIC_QUICK=1` shrinks the
@@ -207,6 +209,98 @@ fn circuit_scripts_match_from_scratch_solves_at_every_thread_count() {
     }
 }
 
+/// Weight-only scripts: mostly [`Edit::Reweight`] / [`Edit::Retime`]
+/// batches, which the solver answers by patching its topology state in
+/// place. The base is a circuit (even seeds) or a SPRAND union (odd)
+/// plus a two-arc tail that lies on no cycle. Batches cycle through
+/// four shapes: several edits with one arc edited twice; a lone edit to
+/// a tail arc; a lone retime; and an insert or delete, which drops the
+/// state so the next solve rebuilds it mid-script.
+fn weight_only_script(seed: u64) -> EditScript {
+    let base = if seed.is_multiple_of(2) {
+        circuit_script(seed)
+    } else {
+        parse_edit_script(&edit_script(&EditScriptConfig::new(0).seed(seed))).expect("parses")
+    };
+    let n = base.nodes;
+    let mut arcs = base.base_arcs;
+    // n + 1 -> n -> 0: no arc enters the two tail nodes.
+    arcs.push(ArcSpec { src: n, dst: 0, weight: 7, transit: 1 });
+    arcs.push(ArcSpec { src: n + 1, dst: n, weight: -3, transit: 2 });
+    let mut tail = [arcs.len() - 2, arcs.len() - 1];
+    let mut m = arcs.len();
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = |bound: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % bound as u64) as usize
+    };
+    let mut batches = Vec::new();
+    for b in 0..12 {
+        let mut batch = Vec::new();
+        match b % 4 {
+            0 => {
+                for _ in 0..1 + next(3) {
+                    let arc = next(m);
+                    batch.push(if next(2) == 0 {
+                        Edit::Reweight { arc, weight: next(81) as i64 - 20 }
+                    } else {
+                        Edit::Retime { arc, transit: 1 + next(3) as i64 }
+                    });
+                }
+                let twice = next(m);
+                batch.push(Edit::Reweight { arc: twice, weight: next(81) as i64 - 20 });
+                batch.push(Edit::Retime { arc: twice, transit: 1 + next(3) as i64 });
+                batch.push(Edit::Reweight { arc: twice, weight: next(81) as i64 - 20 });
+            }
+            1 => batch.push(Edit::Reweight {
+                arc: tail[next(2)],
+                weight: next(81) as i64 - 20,
+            }),
+            2 => batch.push(Edit::Retime { arc: next(m), transit: 1 + next(3) as i64 }),
+            _ if b % 8 == 3 => {
+                batch.push(Edit::InsertArc {
+                    src: next(n),
+                    dst: next(n),
+                    weight: next(81) as i64 - 20,
+                    transit: 1 + next(3) as i64,
+                });
+                m += 1;
+            }
+            _ => {
+                // Below the tail, which therefore shifts down by one.
+                batch.push(Edit::DeleteArc { arc: next(tail[0]) });
+                m -= 1;
+                tail = tail.map(|t| t - 1);
+            }
+        }
+        batches.push(batch);
+    }
+    EditScript {
+        nodes: n + 2,
+        base_arcs: arcs,
+        batches,
+        seed,
+    }
+}
+
+#[test]
+fn weight_only_scripts_match_from_scratch_solves_at_every_thread_count() {
+    for seed in 0..scripts_per_class() {
+        let script = weight_only_script(seed);
+        let spec = spec_for(seed);
+        for threads in THREADS {
+            replay_and_check(
+                &script,
+                spec,
+                threads,
+                &format!("weight-only seed={seed} threads={threads}"),
+            );
+        }
+    }
+}
+
 #[test]
 fn deleting_the_critical_cycle_re_answers_correctly_until_acyclic() {
     // The hardest single edit for a cached solver: remove exactly the
@@ -326,6 +420,61 @@ fn zero_transit_injection_errors_like_a_fresh_solve_and_recovers() {
         .expect("recovers");
     let sol = outcome.solution.expect("cyclic again");
     assert_eq!(sol.lambda.to_string(), "7/3");
+
+    // Retime-only batches on a graph with a second component, which the
+    // zero-transit check must keep seeing while only the first changes:
+    // create a zero-transit cycle in one component, then remove it.
+    let script = EditScript {
+        nodes: 4,
+        base_arcs: vec![
+            ArcSpec { src: 0, dst: 1, weight: 3, transit: 1 },
+            ArcSpec { src: 1, dst: 0, weight: 4, transit: 2 },
+            ArcSpec { src: 2, dst: 3, weight: 1, transit: 1 },
+            ArcSpec { src: 3, dst: 2, weight: 9, transit: 1 },
+            ArcSpec { src: 1, dst: 2, weight: 5, transit: 0 },
+        ],
+        batches: vec![],
+        seed: 0,
+    };
+    let mut solver = DynamicSolver::new(&script.base_graph(), spec, SolveOptions::new());
+    step_and_check(&mut solver, None, &spec, "two rings");
+    let create = [Edit::Retime { arc: 2, transit: 0 }, Edit::Retime { arc: 3, transit: 0 }];
+    let err = solver.apply(&create).expect_err("zero-transit cycle must fail");
+    let fresh_err = solve_spec(&solver.current_graph(), &spec, &SolveOptions::new())
+        .expect_err("fresh solve fails identically");
+    assert_eq!(err.to_string(), fresh_err.to_string());
+    // Editing the other component leaves the zero-transit cycle in place.
+    step_and_check(
+        &mut solver,
+        Some(&[Edit::Retime { arc: 0, transit: 5 }]),
+        &spec,
+        "zero-transit cycle untouched",
+    );
+    assert!(solver.apply(&[Edit::Retime { arc: 1, transit: 1 }]).is_err());
+    step_and_check(
+        &mut solver,
+        Some(&[Edit::Retime { arc: 3, transit: 2 }]),
+        &spec,
+        "zero-transit cycle removed",
+    );
+    // Created and removed again within one batch: never an error.
+    step_and_check(
+        &mut solver,
+        Some(&[
+            Edit::Retime { arc: 3, transit: 0 },
+            Edit::Retime { arc: 4, transit: 3 },
+            Edit::Retime { arc: 2, transit: 1 },
+        ]),
+        &spec,
+        "zero-transit cycle created and removed in one batch",
+    );
+    // The acyclic bridge arc may carry zero transit freely.
+    step_and_check(
+        &mut solver,
+        Some(&[Edit::Retime { arc: 4, transit: 0 }]),
+        &spec,
+        "zero-transit bridge",
+    );
 }
 
 #[test]
@@ -511,4 +660,41 @@ fn metrics_pair_reports_incremental_vs_full_modes() {
     assert_eq!(outcome.mode, SolveMode::Incremental);
     assert_eq!(outcome.cache_hits, 2, "two untouched components reused");
     assert_eq!(outcome.cache_misses, 1, "the edited component re-solved");
+
+    // The `dynamic.topology.patched` / `.rebuilt` pair and the event's
+    // `rebuilt` flag: a reweight batch patches the topology state in
+    // place, an insert batch rebuilds it. Other tests in this binary
+    // may run solvers while the recorder is installed, so look for this
+    // solver's own events rather than asserting exact totals.
+    #[cfg(feature = "obs")]
+    {
+        use mcr_core::obs::{install, Timestamps};
+        let guard = install();
+        solver
+            .apply(&[Edit::Reweight { arc: 0, weight: 61 }])
+            .expect("applies");
+        let a = script.base_arcs[0];
+        let outcome = solver
+            .apply(&[Edit::InsertArc { src: a.src, dst: a.dst, weight: 70, transit: 1 }])
+            .expect("applies");
+        assert_eq!((outcome.cache_hits, outcome.cache_misses), (2, 1));
+        let report = guard.finish();
+        for name in ["dynamic.topology.patched", "dynamic.topology.rebuilt"] {
+            assert!(
+                report.counters.get(name).is_some_and(|&n| n >= 1),
+                "{name} not counted"
+            );
+        }
+        let trace = report.trace_jsonl(Timestamps::Normalized);
+        for rebuilt in [0, 1] {
+            let fields =
+                format!("\"mode\":\"incremental\",\"hits\":2,\"misses\":1,\"rebuilt\":{rebuilt}}}");
+            assert!(
+                trace
+                    .lines()
+                    .any(|l| l.contains("\"kind\":\"dynamic.solve\"") && l.ends_with(&fields)),
+                "no dynamic.solve event ending {fields} in\n{trace}"
+            );
+        }
+    }
 }

@@ -382,6 +382,45 @@ impl Graph {
         g
     }
 
+    /// Overwrites the weight and transit time of `arc` in place, keeping
+    /// the aligned adjacency copies in step. The arc set, and so the CSR
+    /// layout, is unchanged, which leaves the graph byte-equal to a fresh
+    /// [`GraphBuilder`] build of the edited arc list. Costs
+    /// `O(out_degree(source) + in_degree(target))`.
+    ///
+    /// ```
+    /// use mcr_graph::{graph::from_arc_list, ArcId};
+    /// let mut g = from_arc_list(2, &[(0, 1, 4), (1, 0, 6)]);
+    /// g.set_arc_values(ArcId::new(1), -3, 2);
+    /// assert_eq!((g.weight(ArcId::new(1)), g.transit(ArcId::new(1))), (-3, 2));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arc` is out of range or `transit` is negative.
+    pub fn set_arc_values(&mut self, arc: ArcId, weight: i64, transit: i64) {
+        assert!(transit >= 0, "transit times must be nonnegative");
+        let i = arc.index();
+        self.weights[i] = weight;
+        self.transits[i] = transit;
+        let s = self.sources[i].index();
+        let (lo, hi) = (self.first_out[s] as usize, self.first_out[s + 1] as usize);
+        let at = lo + self.out_arcs[lo..hi]
+            .iter()
+            .position(|&a| a == arc)
+            .expect("an arc is in its source's out-list");
+        self.out_weights[at] = weight;
+        self.out_transits[at] = transit;
+        let t = self.targets[i].index();
+        let (lo, hi) = (self.first_in[t] as usize, self.first_in[t + 1] as usize);
+        let at = lo + self.in_arcs[lo..hi]
+            .iter()
+            .position(|&a| a == arc)
+            .expect("an arc is in its target's in-list");
+        self.in_weights[at] = weight;
+        self.in_transits[at] = transit;
+    }
+
     /// Returns the reverse graph: every arc `(u, v)` becomes `(v, u)`
     /// with the same weight and transit time.
     pub fn reversed(&self) -> Graph {
@@ -722,6 +761,54 @@ mod tests {
         assert_eq!(h.weight(ArcId::new(1)), 20);
         // Structure unchanged.
         assert_eq!(h.target(ArcId::new(0)), NodeId::new(1));
+    }
+
+    #[test]
+    fn set_arc_values_matches_a_fresh_build_of_the_edited_arcs() {
+        // A small xorshift stream: arcs over 6 nodes, so self-loops and
+        // parallel arcs both turn up, then 200 random in-place patches.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let n = 6;
+        let mut arcs: Vec<(usize, usize, i64, i64)> = (0..40)
+            .map(|_| (next(n) as usize, next(n) as usize, next(21) as i64 - 10, next(4) as i64))
+            .collect();
+        arcs.extend([(2, 2, 5, 1), (2, 2, -5, 0), (0, 3, 1, 1), (0, 3, 1, 1)]);
+        let build = |arcs: &[(usize, usize, i64, i64)]| {
+            let mut b = GraphBuilder::new();
+            b.add_nodes(n as usize);
+            for &(s, t, w, tr) in arcs {
+                b.add_arc_with_transit(NodeId::new(s), NodeId::new(t), w, tr);
+            }
+            b.build()
+        };
+        let mut g = build(&arcs);
+        for _ in 0..200 {
+            let a = next(arcs.len() as u64) as usize;
+            let (w, tr) = (next(2001) as i64 - 1000, next(5) as i64);
+            arcs[a].2 = w;
+            arcs[a].3 = tr;
+            g.set_arc_values(ArcId::new(a), w, tr);
+        }
+        let fresh = build(&arcs);
+        assert_eq!(g.weights(), fresh.weights());
+        assert_eq!(g.transits(), fresh.transits());
+        for v in g.node_ids() {
+            assert!(g.out_adj(v).eq(fresh.out_adj(v)), "out_adj of {v:?}");
+            assert!(g.in_adj(v).eq(fresh.in_adj(v)), "in_adj of {v:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transit")]
+    fn set_arc_values_rejects_negative_transit() {
+        let mut g = from_arc_list(1, &[(0, 0, 1)]);
+        g.set_arc_values(ArcId::new(0), 1, -1);
     }
 
     #[test]

@@ -250,16 +250,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
             Some(&c) if c < 0x20 => return Err(err(*pos, "raw control character in string")),
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte sequences intact).
-                let s = std::str::from_utf8(b.get(*pos..).unwrap_or(b""))
+                // Copy the whole run of plain characters up to the next
+                // quote, backslash or control byte. All three are ASCII,
+                // so the run ends on a character boundary of the UTF-8
+                // input and is validated once, in linear time.
+                let rest = b.get(*pos..).unwrap_or(b"");
+                let len = rest
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                    .unwrap_or(rest.len());
+                let run = std::str::from_utf8(rest.get(..len).unwrap_or(b""))
                     .map_err(|_| err(*pos, "invalid utf-8 in string"))?;
-                match s.chars().next() {
-                    Some(c) => {
-                        out.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return Err(err(*pos, "unterminated string")),
-                }
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
@@ -434,6 +437,21 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn strings_copy_multibyte_runs_between_escapes() {
+        let text = "é日本 plain 🦀\"\\n\\u00e9 tail";
+        let s = ObjWriter::new().str("k", text).finish();
+        let v = parse(&s).expect("parses");
+        assert_eq!(v.get("k").and_then(Value::as_str), Some(text));
+        let v = parse("\"ab\\u00e9cd\\té\"").expect("parses");
+        assert_eq!(v.as_str(), Some("abécd\té"));
+        // Error positions: the end of input, and the control byte itself.
+        let e = parse("\"abc日").expect_err("unterminated");
+        assert_eq!((e.at, e.message.as_str()), (7, "unterminated string"));
+        let e = parse("\"ab\u{1}c\"").expect_err("raw control byte");
+        assert_eq!((e.at, e.message.as_str()), (3, "raw control character in string"));
     }
 
     #[test]
