@@ -432,7 +432,7 @@ fn cmd_solve(args: &Args) -> Result<(), CliError> {
             );
             if sol.solved_by != alg {
                 println!(
-                    "note: {} gave up within the budget; {} answered instead",
+                    "note: {} gave up; {} answered instead",
                     alg.name(),
                     sol.solved_by.name()
                 );

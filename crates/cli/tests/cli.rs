@@ -131,6 +131,45 @@ fn unknown_flag_is_a_usage_error_naming_the_flag() {
 }
 
 #[test]
+fn karp_family_past_the_table_range_exits_cleanly() {
+    // 3 · 2^60 reaches the Karp table's "unreached" sentinel. Alone the
+    // solver must refuse with a typed overflow (exit 1); with the default
+    // chain Howard-exact answers. Neither may panic (exit 101).
+    let w = 1u64 << 60;
+    let input = format!("p mcr 3 4\na 1 2 {w}\na 2 3 {w}\na 3 1 {w}\na 2 1 {w}\n");
+    for alg in ["karp", "karp2", "dg", "ho"] {
+        for (fallback, code) in [(None, 0), (Some("none"), 1)] {
+            let mut args = vec!["solve", "-", "--algorithm", alg];
+            args.extend(fallback.iter().flat_map(|f| ["--fallback", f]));
+            let mut child = mcr()
+                .args(&args)
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn mcr");
+            child
+                .stdin
+                .as_mut()
+                .expect("stdin piped")
+                .write_all(input.as_bytes())
+                .expect("write stdin");
+            let out = child.wait_with_output().expect("wait");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{args:?}: {stdout}{stderr}");
+            if code == 0 {
+                assert!(stdout.contains("Howard-exact answered instead"), "{stdout}");
+                assert!(stdout.contains(&format!("lambda = {w}")), "{stdout}");
+                assert!(stdout.contains("certificate"), "{stdout}");
+            } else {
+                assert!(stderr.contains("overflow"), "{stderr}");
+            }
+        }
+    }
+}
+
+#[test]
 fn malformed_input_is_a_clean_error() {
     let (_, stderr, ok) = run_with_stdin(&["solve"], "p mcr nonsense\n");
     assert!(!ok);

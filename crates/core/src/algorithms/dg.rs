@@ -10,7 +10,7 @@
 //! unfolding fills up immediately and the saving is small (§4.4); on
 //! sparse circuits it is large.
 
-use super::karp::{karp_formula, INF};
+use super::karp::{check_magnitude, karp_formula, INF};
 use crate::budget::BudgetScope;
 use crate::driver::SccOutcome;
 use crate::error::SolveError;
@@ -26,6 +26,7 @@ pub(crate) fn lambda_scc(
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<Ratio64, SolveError> {
+    check_magnitude(g)?;
     let n = g.num_nodes();
     let mut d = vec![INF; (n + 1) * n];
     d[0] = 0;
@@ -69,7 +70,7 @@ pub(crate) fn lambda_scc(
             }
         }
     }
-    Ok(karp_formula(&d, n))
+    karp_formula(&d, n)
 }
 
 /// DG on one strongly connected, cyclic component.

@@ -13,7 +13,7 @@
 //! is reached, Karp's formula decides as usual, so the algorithm is
 //! always exact.
 
-use super::karp::{karp_formula, INF};
+use super::karp::{check_magnitude, karp_formula, relax_level, INF};
 use crate::budget::BudgetScope;
 use crate::driver::SccOutcome;
 use crate::error::SolveError;
@@ -112,8 +112,8 @@ fn run(
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<(Ratio64, Option<Vec<ArcId>>), SolveError> {
+    check_magnitude(g)?;
     let n = g.num_nodes();
-    let m = g.num_arcs();
     let mut d = vec![INF; (n + 1) * n];
     let mut parent = vec![NO_PARENT; (n + 1) * n];
     d[0] = 0;
@@ -127,27 +127,9 @@ fn run(
     for k in 1..=n {
         scope.tick_iteration_and_time()?;
         scope.chaos_check("core.ho.level")?;
-        {
-            let (prev_rows, cur_rows) = d.split_at_mut(k * n);
-            let prev = &prev_rows[(k - 1) * n..];
-            let cur = &mut cur_rows[..n];
-            let par = &mut parent[k * n..(k + 1) * n];
-            counters.arcs_visited += m as u64;
-            for ai in 0..m {
-                let a = ArcId::new(ai);
-                let u = g.source(a).index();
-                if prev[u] < INF {
-                    counters.relaxations += 1;
-                    let cand = prev[u] + g.weight(a);
-                    let v = g.target(a).index();
-                    if cand < cur[v] {
-                        cur[v] = cand;
-                        par[v] = idx32(ai);
-                        counters.distance_updates += 1;
-                    }
-                }
-            }
-        }
+        let (prev_rows, cur_rows) = d.split_at_mut(k * n);
+        let par = &mut parent[k * n..(k + 1) * n];
+        relax_level(g, &prev_rows[(k - 1) * n..], &mut cur_rows[..n], Some(par), counters);
         // Early termination attempt: inspect the walk realizing the
         // level's minimum D value.
         let cur = &d[k * n..(k + 1) * n];
@@ -190,7 +172,7 @@ fn run(
 
     // No early exit: fall back to Karp's formula over the full table.
     counters.iterations += n as u64;
-    let lambda = karp_formula(&d, n);
+    let lambda = karp_formula(&d, n)?;
     if best_mu == Some(lambda) {
         Ok((lambda, Some(best_cycle)))
     } else {

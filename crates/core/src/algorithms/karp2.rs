@@ -7,7 +7,7 @@
 //! second pass recomputes each `D_k(v)` row in order while folding it
 //! into the running maximum of Karp's formula.
 
-use super::karp::INF;
+use super::karp::{check_magnitude, fold_row, karp_min, relax_level, INF};
 use crate::budget::BudgetScope;
 use crate::driver::SccOutcome;
 use crate::error::SolveError;
@@ -16,23 +16,6 @@ use crate::rational::Ratio64;
 use crate::solution::Guarantee;
 use mcr_graph::Graph;
 
-fn relax_row(g: &Graph, prev: &[i64], cur: &mut [i64], counters: &mut Counters) {
-    cur.fill(INF);
-    counters.arcs_visited += g.num_arcs() as u64;
-    for a in g.arc_ids() {
-        let u = g.source(a).index();
-        if prev[u] < INF {
-            counters.relaxations += 1;
-            let cand = prev[u] + g.weight(a);
-            let v = g.target(a).index();
-            if cand < cur[v] {
-                cur[v] = cand;
-                counters.distance_updates += 1;
-            }
-        }
-    }
-}
-
 /// Karp2, λ only. Each row relaxation (both passes) charges one budget
 /// iteration, so a full run costs `2n − 1` charges.
 pub(crate) fn lambda_scc(
@@ -40,6 +23,7 @@ pub(crate) fn lambda_scc(
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<Ratio64, SolveError> {
+    check_magnitude(g)?;
     let n = g.num_nodes();
     let mut prev = vec![INF; n];
     let mut cur = vec![INF; n];
@@ -50,43 +34,29 @@ pub(crate) fn lambda_scc(
     for _k in 1..=n {
         scope.tick_iteration_and_time()?;
         scope.chaos_check("core.karp2.level")?;
-        relax_row(g, &prev, &mut cur, counters);
+        cur.fill(INF);
+        relax_level(g, &prev, &mut cur, None, counters);
         std::mem::swap(&mut prev, &mut cur);
     }
     let dn = prev.clone();
 
     // Pass 2: recompute D_k for k = 0..n-1, folding the formula's inner
-    // maximum as we go (unreduced fractions, i128 cross-comparison).
-    let mut inner_max: Vec<Option<(i64, i64)>> = vec![None; n];
+    // maximum as we go.
+    let mut inner = vec![None; n];
     prev.fill(INF);
     prev[0] = 0;
     for k in 0..n {
         if k > 0 {
             scope.tick_iteration_and_time()?;
             scope.chaos_check("core.karp2.level")?;
-            relax_row(g, &cur, &mut prev, counters);
+            prev.fill(INF);
+            relax_level(g, &cur, &mut prev, None, counters);
         }
-        for v in 0..n {
-            if dn[v] >= INF || prev[v] >= INF {
-                continue;
-            }
-            let cand = (dn[v] - prev[v], (n - k) as i64);
-            let bigger = inner_max[v].is_none_or(|(bn, bd)| {
-                cand.0 as i128 * (bd as i128) > bn as i128 * (cand.1 as i128)
-            });
-            if bigger {
-                inner_max[v] = Some(cand);
-            }
-        }
+        fold_row(&mut inner, &prev, &dn, (n - k) as i64);
         std::mem::swap(&mut prev, &mut cur);
         // After the swap, `cur` holds row k (input of the next round).
     }
-
-    Ok((0..n)
-        .filter_map(|v| inner_max[v])
-        .map(|(num, den)| Ratio64::new(num, den))
-        .min()
-        .expect("strongly connected cyclic graph has a finite cycle mean"))
+    karp_min(&inner, &dn)
 }
 
 /// Karp2 on one strongly connected, cyclic component.

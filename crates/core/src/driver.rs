@@ -301,7 +301,7 @@ pub(crate) fn reduce_outcomes(
             Err(e) => return Err(e.clone()),
         };
         debug_assert!(
-            crate::solution::check_cycle(&job.sub, &outcome.cycle).is_ok(),
+            crate::solution::is_closed_walk(&job.sub, &outcome.cycle),
             "solver returned a malformed cycle"
         );
         if best.is_none_or(|(_, b)| outcome.lambda < b.lambda) {
@@ -317,7 +317,7 @@ pub(crate) fn reduce_outcomes(
     let mapped: Vec<ArcId> = outcome
         .cycle
         .iter()
-        // lint: allow(panic) reason=cycle arcs are ids of job.sub, which index arc_map by construction (check_cycle pins this in debug builds)
+        // lint: allow(panic) reason=cycle arcs are ids of job.sub, which index arc_map by construction (is_closed_walk pins this in debug builds)
         .map(|&a| job.arc_map[a.index()])
         .collect();
     Ok(Solution {

@@ -118,6 +118,15 @@ pub fn cycle_totals(g: &Graph, cycle: &[ArcId]) -> (i128, i128) {
     (weight, transit)
 }
 
+/// Whether `cycle` is nonempty and closed: each arc's target is the next
+/// arc's source, wrapping around. Unlike [`check_cycle`] it accepts a
+/// cycle whose weight sum leaves `i64`, which an exact answer may have
+/// (its mean `w / len` can still fit).
+pub(crate) fn is_closed_walk(g: &Graph, cycle: &[ArcId]) -> bool {
+    let next = cycle.iter().cycle().skip(1);
+    !cycle.is_empty() && cycle.iter().zip(next).all(|(&a, &b)| g.target(a) == g.source(b))
+}
+
 /// Checks that `cycle` is a well-formed cycle in `g`: nonempty, each
 /// arc's target is the next arc's source, and the last arc returns to
 /// the first arc's source. Returns its `(weight, length, transit)`.

@@ -169,3 +169,66 @@ fn lambda_only_mode_matches_solve_and_skips_witness_work() {
         }
     }
 }
+
+/// Every `Counters` field of the Karp family, pinned on two fixed
+/// SPRAND instances (one with negative weights) and one multi-SCC
+/// circuit. `relaxations` and `distance_updates` count the two tests of
+/// the level loop, so a miscounted select in that loop shows here first.
+#[test]
+fn karp_family_counters_are_pinned() {
+    use mcr_gen::circuit::{circuit_graph, CircuitConfig};
+    use mcr_graph::heap::HeapCounters;
+
+    // (iterations, relaxations, distance_updates, arcs_visited,
+    // cycles_examined) per algorithm; oracle calls and heap counts are 0.
+    type Pin = (u64, u64, u64, u64, u64);
+    let cases: [(&str, Graph, [Pin; 4]); 3] = [
+        (
+            "sprand 60x240",
+            sprand(&SprandConfig::new(60, 240).seed(3)),
+            [
+                (0, 13563, 6215, 14400, 0),
+                (0, 26886, 12322, 28560, 0),
+                (0, 13563, 6215, 13563, 0),
+                (19, 3723, 1749, 4560, 6),
+            ],
+        ),
+        (
+            "sprand 50x200 ±50",
+            sprand(&SprandConfig::new(50, 200).seed(11).weight_range(-50, 50)),
+            [
+                (0, 9461, 4956, 10000, 0),
+                (0, 18722, 9805, 19800, 0),
+                (0, 9461, 4956, 9461, 0),
+                (16, 2661, 1431, 3200, 10),
+            ],
+        ),
+        (
+            "circuit 300",
+            circuit_graph(&CircuitConfig::new(300).seed(2)),
+            [
+                (0, 12570, 10258, 15736, 0),
+                (0, 24804, 20248, 31124, 0),
+                (0, 12570, 10258, 12570, 0),
+                (139, 4773, 3971, 7910, 75),
+            ],
+        ),
+    ];
+    let algs = [Algorithm::Karp, Algorithm::Karp2, Algorithm::Dg, Algorithm::Ho];
+    for (label, g, pins) in &cases {
+        for (alg, &(iterations, relaxations, distance_updates, arcs_visited, cycles_examined)) in
+            algs.iter().zip(pins)
+        {
+            let expected = Counters {
+                iterations,
+                relaxations,
+                distance_updates,
+                arcs_visited,
+                cycles_examined,
+                oracle_calls: 0,
+                heap: HeapCounters::default(),
+            };
+            assert_eq!(solve_counters(*alg, g), expected, "{} on {label}", alg.name());
+        }
+    }
+}

@@ -265,3 +265,37 @@ fn generous_budget_is_invisible() {
         assert_eq!(budgeted.solved_by, alg, "{}", alg.name());
     }
 }
+
+#[test]
+fn karp_family_weights_past_the_table_range_fail_typed_or_fall_back() {
+    // Karp, Karp2, DG and HO are exact while n · max|w| < 2^61 − 1, the
+    // table's "unreached" sentinel. Inside that range each answers alone;
+    // past it, alone each refuses with a typed overflow, and with the
+    // default chain the solve falls back and certifies. The second graph
+    // keeps every walk off the heavy chord small, so the refusal comes
+    // from the range check, not from a walk reaching the sentinel.
+    let edge = ((1i64 << 61) - 1) / 3 - 1;
+    for w in [edge, 1 << 60, 1 << 61, (1 << 62) - 1] {
+        let heavy_ring = [(0, 1, w), (1, 2, w), (2, 0, w), (1, 0, w)];
+        let heavy_chord = [(0, 1, 1), (1, 2, 1), (2, 0, 1), (1, 0, w)];
+        for (arcs, lambda) in [(heavy_ring, w), (heavy_chord, 1)] {
+            let g = mcr_graph::graph::from_arc_list(3, &arcs);
+            for alg in [Algorithm::Karp, Algorithm::Karp2, Algorithm::Dg, Algorithm::Ho] {
+                for fallback in [FallbackChain::NONE, FallbackChain::default()] {
+                    let opts = SolveOptions { fallback, ..SolveOptions::default() };
+                    let what = format!("{} w={w} λ={lambda} {fallback:?}", alg.name());
+                    match alg.solve_with_options(&g, &opts) {
+                        Ok(sol) => {
+                            certify(&sol, &g).unwrap_or_else(|e| panic!("{what}: {e}"));
+                            assert_eq!(sol.lambda, Ratio64::from(lambda), "{what}");
+                            assert_eq!(sol.solved_by == alg, w == edge, "{what}");
+                        }
+                        Err(SolveError::Overflow { .. })
+                            if w != edge && fallback == FallbackChain::NONE => {}
+                        Err(e) => panic!("{what}: {e}"),
+                    }
+                }
+            }
+        }
+    }
+}
