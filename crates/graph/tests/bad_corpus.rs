@@ -52,6 +52,30 @@ fn duplicate_header_is_detected() {
 }
 
 #[test]
+fn invalid_utf8_is_an_io_error_at_its_line() {
+    let err = parse("invalid_utf8.dimacs");
+    assert_eq!(err.kind(), ParseErrorKind::Io);
+    assert_eq!(err.line(), 4);
+    assert_eq!(err.message(), "io error: stream did not contain valid UTF-8");
+}
+
+#[test]
+fn weight_overflow_is_detected() {
+    let err = parse("weight_overflow.dimacs");
+    assert_eq!(err.kind(), ParseErrorKind::NonNumericField);
+    assert_eq!(err.line(), 3);
+    assert_eq!(err.message(), "invalid weight");
+}
+
+#[test]
+fn crlf_out_of_range_arc_is_detected() {
+    let err = parse("crlf_out_of_range.dimacs");
+    assert_eq!(err.kind(), ParseErrorKind::OutOfRangeEndpoint);
+    assert_eq!(err.line(), 4);
+    assert_eq!(err.message(), "endpoint out of range 1..=3");
+}
+
+#[test]
 fn every_corpus_file_fails_without_panicking() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/bad");
     let mut seen = 0;
@@ -68,7 +92,7 @@ fn every_corpus_file_fails_without_panicking() {
         let _ = err.kind();
         assert!(err.to_string().contains("line"), "{err}");
     }
-    assert!(seen >= 4, "expected the four seeded corpus files, saw {seen}");
+    assert!(seen >= 7, "expected the seven seeded corpus files, saw {seen}");
 }
 
 #[test]
