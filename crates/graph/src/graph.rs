@@ -460,8 +460,10 @@ impl GraphBuilder {
         Self::default()
     }
 
-    /// Creates an empty builder with preallocated capacity.
-    pub fn with_capacity(nodes: usize, arcs: usize) -> Self {
+    /// Creates an empty builder with storage preallocated for `arcs`
+    /// arcs. Only arc storage is preallocated: nodes are a count, so
+    /// `nodes` is accepted for call-site symmetry and otherwise unused.
+    pub fn with_capacity(_nodes: usize, arcs: usize) -> Self {
         GraphBuilder {
             num_nodes: 0,
             sources: Vec::with_capacity(arcs),
@@ -469,11 +471,6 @@ impl GraphBuilder {
             weights: Vec::with_capacity(arcs),
             transits: Vec::with_capacity(arcs),
         }
-        .reserving(nodes)
-    }
-
-    fn reserving(self, _nodes: usize) -> Self {
-        self
     }
 
     /// Number of nodes added so far.
