@@ -232,3 +232,94 @@ fn karp_family_counters_are_pinned() {
         }
     }
 }
+
+/// Every `Counters` field, λ and the witness arc ids of both Howard
+/// variants, pinned on the Karp pin's three instances and one ratio
+/// instance (transits 1–5). `distance_updates` counts value-
+/// determination writes plus adoptions and `cycles_examined` the
+/// policy cycles each scan finds, so any change to the scan, the value
+/// sweep or the improvement pass that is not bit-identical shows here.
+#[test]
+fn howard_counters_are_pinned() {
+    use mcr_core::spec::solve_spec;
+    use mcr_core::{Ratio64, SolveOptions, SolveSpec};
+    use mcr_gen::circuit::{circuit_graph, CircuitConfig};
+    use mcr_gen::transit::with_random_transits;
+    use mcr_graph::heap::HeapCounters;
+
+    // (λ numerator, λ denominator, witness arc ids, (iterations,
+    // relaxations, distance_updates, cycles_examined)) for Howard then
+    // Howard-exact; arc visits, oracle calls and heap counts are 0.
+    type Pin = (i64, i64, &'static [usize], (u64, u64, u64, u64));
+    let ratio_instance = with_random_transits(
+        &sprand(&SprandConfig::new(60, 240).seed(5).weight_range(-50, 50)),
+        1,
+        5,
+        9,
+    );
+    let cases: [(&str, Graph, bool, [Pin; 2]); 4] = [
+        (
+            "sprand 60x240",
+            sprand(&SprandConfig::new(60, 240).seed(3)),
+            false,
+            [
+                (5677, 4, &[182, 221, 227, 95], (5, 1200, 242, 10)),
+                (5677, 4, &[182, 221, 227, 95], (4, 960, 369, 6)),
+            ],
+        ),
+        (
+            "sprand 50x200 ±50",
+            sprand(&SprandConfig::new(50, 200).seed(11).weight_range(-50, 50)),
+            false,
+            [
+                (-34, 1, &[84, 77, 167], (7, 1400, 540, 10)),
+                (-34, 1, &[84, 77, 167], (10, 2000, 762, 13)),
+            ],
+        ),
+        (
+            "circuit 300",
+            circuit_graph(&CircuitConfig::new(300).seed(2)),
+            false,
+            [
+                (70, 3, &[442, 0, 1], (23, 1256, 1043, 27)),
+                (70, 3, &[442, 0, 1], (25, 1462, 1130, 28)),
+            ],
+        ),
+        (
+            "sprand 60x240 ±50, transits 1-5",
+            ratio_instance,
+            true,
+            [
+                (-83, 4, &[181, 139], (6, 1440, 199, 13)),
+                (-83, 4, &[139, 181], (5, 1200, 400, 7)),
+            ],
+        ),
+    ];
+    for (label, g, ratio, pins) in &cases {
+        for (alg, &(p, q, witness, (iterations, relaxations, distance_updates, cycles_examined))) in
+            [Algorithm::Howard, Algorithm::HowardExact].iter().zip(pins)
+        {
+            let sol = if *ratio {
+                solve_spec(g, &SolveSpec::ratio(*alg), &SolveOptions::default())
+                    .expect("solvable")
+                    .expect("cyclic")
+            } else {
+                alg.solve(g).expect("cyclic")
+            };
+            let what = format!("{} on {label}", alg.name());
+            assert_eq!(sol.lambda, Ratio64::new(p, q), "{what}");
+            let ids: Vec<usize> = sol.cycle.iter().map(|a| a.index()).collect();
+            assert_eq!(ids, witness, "{what}");
+            let expected = Counters {
+                iterations,
+                relaxations,
+                distance_updates,
+                arcs_visited: 0,
+                cycles_examined,
+                oracle_calls: 0,
+                heap: HeapCounters::default(),
+            };
+            assert_eq!(sol.counters, expected, "{what}");
+        }
+    }
+}
