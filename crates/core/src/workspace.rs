@@ -1,30 +1,36 @@
 //! Reusable scratch workspaces for the per-SCC solvers.
 //!
-//! The hot loops of Howard's algorithm and the Bellman–Ford oracle used
-//! to allocate afresh on every iteration (a `settled` bitmap and a
-//! rebuilt `Vec<Vec<u32>>` reverse-policy adjacency per policy
-//! iteration; distance, parent and cost vectors per oracle call). A
-//! [`Workspace`] owns all of that scratch state once per solving thread:
-//! buffers grow to the largest component seen and are then reused, so
-//! steady-state solving performs no heap allocation beyond the returned
-//! witness cycles.
+//! The hot loops of Howard's algorithm, the Bellman–Ford oracle and the
+//! critical-cycle extraction would otherwise allocate afresh on every
+//! iteration or oracle call (policy, distance and scan arrays; distance,
+//! parent and cost vectors; the tight-arc adjacency). A [`Workspace`]
+//! owns all of that scratch state once per solving thread: buffers grow
+//! to the largest component seen and are then reused, so steady-state
+//! solving performs no heap allocation beyond the returned witness
+//! cycles.
 //!
-//! Two techniques keep the reuse cheap *and* bit-identical to the
-//! allocating code they replaced:
+//! Howard keeps `succ[v]`, the target of `v`'s policy arc, beside the
+//! policy, and its policy-cycle scan records the visit order of its
+//! walks ([`PolicyCycleScratch`]). Value determination is then one
+//! sweep over those walks, with an `INF` sentinel for nodes outside the
+//! basin, so Howard needs no marks, queue or reverse adjacency.
+//!
+//! Two techniques keep the reuse cheap *and* bit-identical elsewhere:
 //!
 //! * **Epoch-stamped marks** ([`Marks`]): a "visited/settled" flag is a
 //!   `u32` stamp compared against the current epoch, so clearing a mark
 //!   array is a single counter increment instead of an `O(n)` fill.
-//! * **Flat CSR adjacency** ([`RevCsr`]): the reverse-policy adjacency
-//!   is rebuilt per iteration by counting sort into one flat array.
-//!   Sources are placed in increasing node order, which is exactly the
-//!   push order of the `Vec<Vec<u32>>` it replaces — traversal order,
-//!   and therefore every downstream tie-break, is unchanged.
+//! * **Flat CSR adjacency** ([`RevCsr`]): the critical-cycle DFS's
+//!   tight-arc adjacency is rebuilt per call by counting sort into one
+//!   flat array. Items are placed in increasing insertion order, which
+//!   is exactly the push order of the `Vec<Vec<u32>>` it replaces —
+//!   traversal order, and therefore every downstream tie-break, is
+//!   unchanged.
 
 use mcr_graph::ArcId;
 
 /// Epoch-stamped mark array: `mark[v] == epoch` means "set in the
-/// current epoch". [`Marks::next`] starts a new epoch in `O(1)`
+/// current epoch". [`Marks::next_pair`] starts a new epoch in `O(1)`
 /// (amortized — the array is zeroed only on `u32` wrap-around).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Marks {
@@ -33,34 +39,21 @@ pub(crate) struct Marks {
 }
 
 impl Marks {
-    /// Starts a new epoch over `n` slots and returns its stamp; no slot
-    /// is marked in a fresh epoch.
-    pub(crate) fn next(&mut self, n: usize) -> u32 {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
-        self.advance(1)
-    }
-
-    /// Like [`Marks::next`] but reserves two consecutive stamps
-    /// (`(e, e + 1)`), for tri-state marking (unseen / first / second).
+    /// Starts a new epoch over `n` slots and reserves two consecutive
+    /// stamps (`(e, e + 1)`), for tri-state marking (unseen / first /
+    /// second); no slot carries either stamp in a fresh epoch.
     pub(crate) fn next_pair(&mut self, n: usize) -> (u32, u32) {
         if self.mark.len() < n {
             self.mark.resize(n, 0);
         }
-        let first = self.advance(2);
-        (first, first + 1)
-    }
-
-    fn advance(&mut self, stamps: u32) -> u32 {
-        if self.epoch >= u32::MAX - stamps {
+        if self.epoch >= u32::MAX - 2 {
             // Wrap-around: stale stamps could collide, so pay one full
-            // clear (once per ~4 billion epochs).
+            // clear (once per ~2 billion epochs).
             self.mark.fill(0);
             self.epoch = 0;
         }
-        self.epoch += stamps;
-        self.epoch - (stamps - 1)
+        self.epoch += 2;
+        (self.epoch - 1, self.epoch)
     }
 }
 
@@ -111,9 +104,18 @@ impl RevCsr {
 /// Scratch buffers for the policy-cycle scan of Howard's algorithm.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PolicyCycleScratch {
+    /// Per node, the 1-based id of the walk that visited it first.
     pub(crate) visited_by: Vec<u32>,
-    pub(crate) pos_in_walk: Vec<u32>,
-    pub(crate) walk: Vec<u32>,
+    /// Every node, in the order the scan's walks visited them.
+    pub(crate) order: Vec<u32>,
+    /// Per walk, the end of its nodes in `order` (each walk starts
+    /// where the previous one ended).
+    pub(crate) walk_end: Vec<u32>,
+    /// Per walk, the id of the walk that closed the cycle it drains
+    /// into.
+    pub(crate) walk_cycle: Vec<u32>,
+    /// The id of the walk that closed the best cycle.
+    pub(crate) best_walk: u32,
     /// The minimum-ratio policy cycle found by the latest scan.
     pub(crate) best_cycle: Vec<ArcId>,
 }
@@ -152,16 +154,21 @@ pub(crate) struct DfsScratch {
 pub struct Workspace {
     /// Howard: current policy (one out-arc per node).
     pub(crate) policy: Vec<ArcId>,
+    /// Howard: `succ[v]` is the target of `policy[v]`, kept in step
+    /// with it so the policy-cycle scan chases one array.
+    pub(crate) succ: Vec<u32>,
     /// Howard (fig. 1): `f64` node distances, persisted across
     /// iterations.
     pub(crate) dist_f64: Vec<f64>,
-    /// Howard (exact): scaled-integer node distances.
-    pub(crate) dist_scaled: Vec<i128>,
+    /// Howard (exact): the latest round's scaled-integer node distances
+    /// when it ran in `i64`; empty when it ran in `i128`. After a solve
+    /// they are the final round's dual potentials.
+    pub(crate) dist_i64: Vec<i64>,
+    /// Howard (exact): the same, when the latest round ran in `i128`.
+    pub(crate) dist_i128: Vec<i128>,
     pub(crate) cycles: PolicyCycleScratch,
-    /// Reverse-policy adjacency, rebuilt each policy iteration.
+    /// Tight-arc adjacency of the critical-cycle extraction.
     pub(crate) rev: RevCsr,
-    /// BFS queue.
-    pub(crate) queue: Vec<u32>,
     pub(crate) marks: Marks,
     pub(crate) bf: BellmanScratch,
     pub(crate) dfs: DfsScratch,
@@ -220,23 +227,24 @@ mod tests {
     #[test]
     fn marks_epochs_do_not_collide() {
         let mut m = Marks::default();
-        let e1 = m.next(4);
+        let (e1, f1) = m.next_pair(4);
         m.mark[2] = e1;
-        let e2 = m.next(4);
-        assert_ne!(e1, e2);
-        assert!(m.mark[2] != e2, "stale mark leaked into the new epoch");
+        m.mark[3] = f1;
         let (a, b) = m.next_pair(4);
         assert_eq!(b, a + 1);
-        assert!(m.mark[2] != a && m.mark[2] != b);
+        assert!(
+            [e1, f1].iter().all(|&x| x != a && x != b),
+            "stale mark leaked into the new epoch"
+        );
     }
 
     #[test]
     fn marks_survive_wraparound() {
         let mut m = Marks {
             mark: vec![0; 3],
-            epoch: u32::MAX - 2,
+            epoch: u32::MAX - 4,
         };
-        let e1 = m.next(3);
+        let (e1, _) = m.next_pair(3);
         m.mark[0] = e1;
         let (a, b) = m.next_pair(3); // forces the wrap path
         assert!(m.mark[0] != a && m.mark[0] != b, "wrap must clear stale stamps");
