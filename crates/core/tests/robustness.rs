@@ -5,8 +5,10 @@
 //! the layer emits — on random instances and on the full benchmark
 //! suite — survives independent certification.
 
+use mcr_core::spec::solve_spec;
 use mcr_core::{
-    certify, Algorithm, Budget, FallbackChain, Ratio64, SolveError, SolveOptions,
+    certify, Algorithm, Budget, FallbackChain, Ratio64, SolveError, SolveOptions, SolveSpec,
+    SpecError,
 };
 use mcr_gen::sprand::{sprand, SprandConfig};
 use mcr_graph::io::read_dimacs;
@@ -296,6 +298,42 @@ fn karp_family_weights_past_the_table_range_fail_typed_or_fall_back() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn exact_ratio_routes_fail_typed_at_extreme_magnitudes() {
+    // Eleven nodes: a self-loop at 0 of ratio −1/2^62 and the ring
+    // 0 → 10 → 9 → … → 0 of ratio 2^62. λ* = −1/2^62 is representable,
+    // but Howard-exact's first round needs scaled values near 2^128,
+    // Lawler's bisection bound n·max|w| leaves i64 and the expansion
+    // reduction would build a 2^62-arc chain. Each must fail typed, at
+    // once, never panic or spin.
+    let big = 1i64 << 62;
+    let mut b = GraphBuilder::new();
+    let v = b.add_nodes(11);
+    b.add_arc_with_transit(v[0], v[0], -1, big);
+    b.add_arc_with_transit(v[0], v[10], big, 1);
+    for i in 1..=10 {
+        b.add_arc_with_transit(v[i], v[i - 1], big, 1);
+    }
+    let g = b.build();
+    for fallback in [FallbackChain::NONE, FallbackChain::default()] {
+        let opts = SolveOptions { fallback, ..SolveOptions::default() };
+        for alg in [Algorithm::HowardExact, Algorithm::LawlerExact, Algorithm::Karp] {
+            let what = format!("{} {fallback:?}", alg.name());
+            let started = std::time::Instant::now();
+            match (alg, solve_spec(&g, &SolveSpec::ratio(alg), &opts)) {
+                (Algorithm::HowardExact | Algorithm::LawlerExact, Err(SpecError::Solve(e))) => {
+                    assert!(matches!(e, SolveError::Overflow { .. }), "{what}: {e}");
+                }
+                (Algorithm::Karp, Err(SpecError::Input(msg))) => {
+                    assert!(msg.contains("past the cap"), "{what}: {msg}");
+                }
+                (_, other) => panic!("{what}: {other:?}"),
+            }
+            assert!(started.elapsed().as_secs() < 5, "{what} spun before failing");
         }
     }
 }
