@@ -323,3 +323,108 @@ fn howard_counters_are_pinned() {
         }
     }
 }
+
+#[test]
+fn parametric_counters_are_pinned() {
+    use mcr_core::spec::solve_spec;
+    use mcr_core::{Ratio64, SolveOptions, SolveSpec};
+    use mcr_gen::circuit::{circuit_graph, CircuitConfig};
+    use mcr_gen::transit::{rebuild_with, with_random_transits};
+    use mcr_graph::heap::HeapCounters;
+
+    // (λ numerator, λ denominator, witness arc ids, iterations, (inserts,
+    // decrease_keys, delete_mins, removals)) for KO then YTO; the other
+    // counters are 0.
+    type Pin = (i64, i64, &'static [usize], u64, (u64, u64, u64, u64));
+    let ratio_instance = with_random_transits(
+        &sprand(&SprandConfig::new(60, 240).seed(5).weight_range(-50, 50)),
+        1,
+        5,
+        9,
+    );
+    // Every third arc has zero transit, so the λ → −∞ tree needs the
+    // lexicographic Bellman–Ford start.
+    let zero_transit_instance = rebuild_with(
+        &sprand(&SprandConfig::new(40, 160).seed(7).weight_range(-50, 50)),
+        |i| if i % 3 == 0 { 0 } else { 1 + (i % 4) as i64 },
+    );
+    let cases: [(&str, Graph, bool, [Pin; 2]); 5] = [
+        (
+            "sprand 60x240",
+            sprand(&SprandConfig::new(60, 240).seed(3)),
+            false,
+            [
+                (5677, 4, &[221, 227, 95, 182], 39, (466, 0, 39, 302)),
+                (5677, 4, &[221, 227, 95, 182], 39, (93, 84, 39, 9)),
+            ],
+        ),
+        (
+            "sprand 50x200 ±50",
+            sprand(&SprandConfig::new(50, 200).seed(11).weight_range(-50, 50)),
+            false,
+            [
+                (-34, 1, &[167, 84, 77], 45, (436, 0, 45, 297)),
+                (-34, 1, &[167, 84, 77], 44, (90, 106, 44, 7)),
+            ],
+        ),
+        (
+            "circuit 300",
+            circuit_graph(&CircuitConfig::new(300).seed(2)),
+            false,
+            [
+                (70, 3, &[0, 1, 442], 214, (675, 0, 214, 366)),
+                (70, 3, &[0, 1, 442], 214, (307, 225, 214, 13)),
+            ],
+        ),
+        (
+            "sprand 60x240 ±50, transits 1-5",
+            ratio_instance,
+            true,
+            [
+                (-83, 4, &[181, 139], 26, (433, 0, 26, 231)),
+                (-83, 4, &[181, 139], 26, (86, 59, 26, 3)),
+            ],
+        ),
+        (
+            "sprand 40x160 ±50, zero transits",
+            zero_transit_instance,
+            true,
+            [
+                (-123, 1, &[159, 114, 117, 0, 141, 28], 5, (174, 0, 5, 68)),
+                (-123, 1, &[159, 114, 117, 0, 141, 28], 5, (50, 19, 5, 8)),
+            ],
+        ),
+    ];
+    for (label, g, ratio, pins) in &cases {
+        for (alg, &(p, q, witness, iterations, (inserts, decrease_keys, delete_mins, removals))) in
+            [Algorithm::Ko, Algorithm::Yto].iter().zip(pins)
+        {
+            let sol = if *ratio {
+                solve_spec(g, &SolveSpec::ratio(*alg), &SolveOptions::default())
+                    .expect("solvable")
+                    .expect("cyclic")
+            } else {
+                alg.solve(g).expect("cyclic")
+            };
+            let what = format!("{} on {label}", alg.name());
+            let ids: Vec<usize> = sol.cycle.iter().map(|a| a.index()).collect();
+            assert_eq!(sol.lambda, Ratio64::new(p, q), "{what}");
+            assert_eq!(ids, witness, "{what}");
+            let expected = Counters {
+                iterations,
+                relaxations: 0,
+                distance_updates: 0,
+                arcs_visited: 0,
+                cycles_examined: 0,
+                oracle_calls: 0,
+                heap: HeapCounters {
+                    inserts,
+                    decrease_keys,
+                    delete_mins,
+                    removals,
+                },
+            };
+            assert_eq!(sol.counters, expected, "{what}");
+        }
+    }
+}
