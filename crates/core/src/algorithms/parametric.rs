@@ -37,6 +37,7 @@ use crate::solution::Guarantee;
 use mcr_graph::idx32;
 use mcr_graph::heap::{AddressableHeap, FibonacciHeap};
 use mcr_graph::{ArcId, Graph, NodeId};
+use std::cmp::Ordering;
 
 const ROOT: u32 = u32::MAX;
 
@@ -49,6 +50,64 @@ pub(crate) enum HeapGranularity {
     PerNode,
 }
 
+/// An event value `num/den` with `den > 0`, kept unreduced.
+///
+/// Events are compared far more often than they become λ, so the heap
+/// keys skip [`Ratio64::new`]'s gcd: equality and order are by value,
+/// with the same `i128` cross-multiply [`Ratio64`]'s order uses, and
+/// only the event that closes the optimal cycle is ever reduced.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Event {
+    num: i64,
+    den: i64,
+}
+
+impl Event {
+    /// The event in lowest terms.
+    fn reduce(self) -> Ratio64 {
+        Ratio64::new(self.num, self.den)
+    }
+}
+
+impl Ord for Event {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        let lhs = self.num as i128 * other.den as i128;
+        let rhs = other.num as i128 * self.den as i128;
+        lhs.cmp(&rhs)
+    }
+}
+
+impl PartialOrd for Event {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Event {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Event {}
+
+/// What every checked step of the tree arithmetic fails with: a
+/// tree-path weight or transit, or an event built from them, left i64.
+const OVERFLOW: SolveError = SolveError::Overflow {
+    context: "parametric tree-path arithmetic",
+};
+
+/// `x + y − z`, added first, each step checked.
+#[inline]
+fn add_sub(x: i64, y: i64, z: i64) -> Result<i64, SolveError> {
+    x.checked_add(y)
+        .and_then(|s| s.checked_sub(z))
+        .ok_or(OVERFLOW)
+}
+
 struct Tree<'g> {
     g: &'g Graph,
     parent_arc: Vec<Option<ArcId>>,
@@ -58,8 +117,12 @@ struct Tree<'g> {
     a: Vec<i64>,
     /// Tree-path transit from the artificial root.
     k: Vec<i64>,
+    /// `stamp[v] == epoch` iff `v` is in the subtree of the last pivot.
     stamp: Vec<u32>,
     epoch: u32,
+    /// The subtree of the last pivot, in breadth-first order; one
+    /// buffer for the whole solve.
+    sub: Vec<u32>,
 }
 
 impl<'g> Tree<'g> {
@@ -78,6 +141,7 @@ impl<'g> Tree<'g> {
             k: vec![0; n],
             stamp: vec![0; n],
             epoch: 0,
+            sub: Vec::with_capacity(n),
         };
         if g.arc_ids().any(|e| g.transit(e) == 0) {
             tree.lexicographic_init()?;
@@ -101,7 +165,10 @@ impl<'g> Tree<'g> {
             for e in g.arc_ids() {
                 let u = g.source(e).index();
                 let v = g.target(e).index();
-                let cand = (self.k[u] + g.transit(e), self.a[u] + g.weight(e));
+                let cand = (
+                    self.k[u].checked_add(g.transit(e)).ok_or(OVERFLOW)?,
+                    self.a[u].checked_add(g.weight(e)).ok_or(OVERFLOW)?,
+                );
                 if cand < (self.k[v], self.a[v]) {
                     self.k[v] = cand.0;
                     self.a[v] = cand.1;
@@ -121,7 +188,7 @@ impl<'g> Tree<'g> {
 
     /// The event value of arc `e`, if increasing λ can ever make it
     /// preferable to the current tree path of its target.
-    fn event(&self, e: ArcId) -> Option<Ratio64> {
+    fn event(&self, e: ArcId) -> Result<Option<Event>, SolveError> {
         self.event_parts(
             self.g.source(e).index(),
             self.g.target(e).index(),
@@ -133,25 +200,15 @@ impl<'g> Tree<'g> {
     /// [`Tree::event`] with the arc's endpoints/weight/transit already
     /// at hand (the hot path reads them from the aligned adjacency).
     #[inline]
-    fn event_parts(&self, u: usize, v: usize, w: i64, t: i64) -> Option<Ratio64> {
-        let den = self.k[u] + t - self.k[v];
+    fn event_parts(&self, u: usize, v: usize, w: i64, t: i64) -> Result<Option<Event>, SolveError> {
+        let den = add_sub(self.k[u], t, self.k[v])?;
         if den <= 0 {
-            return None;
+            return Ok(None);
         }
-        Some(Ratio64::new(self.a[u] + w - self.a[v], den))
-    }
-
-    /// Whether `anc` is `node` itself or one of its tree ancestors.
-    fn is_ancestor(&self, anc: usize, mut node: usize) -> bool {
-        loop {
-            if node == anc {
-                return true;
-            }
-            match self.parent_node[node] {
-                ROOT => return false,
-                p => node = p as usize,
-            }
-        }
+        Ok(Some(Event {
+            num: add_sub(self.a[u], w, self.a[v])?,
+            den,
+        }))
     }
 
     /// Tree path from `anc` down to `node` (inclusive), as arcs.
@@ -167,36 +224,43 @@ impl<'g> Tree<'g> {
         arcs
     }
 
-    /// Collects the subtree rooted at `v` (including `v`), stamping
-    /// membership for O(1) queries until the next pivot.
-    fn collect_subtree(&mut self, v: usize) -> Vec<u32> {
-        self.epoch += 1;
-        let mut sub = vec![idx32(v)];
-        self.stamp[v] = self.epoch;
-        let mut head = 0;
-        while head < sub.len() {
-            let x = sub[head] as usize;
-            head += 1;
-            for &c in &self.children[x] {
-                self.stamp[c as usize] = self.epoch;
-                sub.push(c);
-            }
-        }
-        sub
-    }
-
     #[inline]
     fn in_subtree(&self, v: usize) -> bool {
         self.stamp[v] == self.epoch
     }
 
-    /// Re-hangs `v` under `u` via arc `e` and shifts the subtree's
-    /// linear coefficients. Returns the stamped subtree.
-    fn pivot(&mut self, e: ArcId) -> Vec<u32> {
+    /// Pivots on the popped event arc `e = (u, v)`.
+    ///
+    /// Collects and stamps `v`'s subtree into [`Tree::sub`] first. If
+    /// `u` lies in it, `e` closes a zero-cost cycle in `G_λ`, which is
+    /// returned and the tree is left as it was. Otherwise `v` is
+    /// re-hung under `u` via `e` and the collected subtree's linear
+    /// coefficients shift by the event's numerator and denominator. No
+    /// child list in the subtree moves, so its collection order is the
+    /// same before and after the re-hang.
+    fn pivot(&mut self, e: ArcId) -> Result<Option<Vec<ArcId>>, SolveError> {
         let u = self.g.source(e).index();
         let v = self.g.target(e).index();
-        let delta_a = self.a[u] + self.g.weight(e) - self.a[v];
-        let delta_k = self.k[u] + self.g.transit(e) - self.k[v];
+        self.epoch += 1;
+        self.sub.clear();
+        self.sub.push(idx32(v));
+        self.stamp[v] = self.epoch;
+        let mut head = 0;
+        while head < self.sub.len() {
+            let x = self.sub[head] as usize;
+            head += 1;
+            for &c in &self.children[x] {
+                self.stamp[c as usize] = self.epoch;
+                self.sub.push(c);
+            }
+        }
+        if self.in_subtree(u) {
+            let mut cycle = self.path_arcs(v, u);
+            cycle.push(e);
+            return Ok(Some(cycle));
+        }
+        let delta_a = add_sub(self.a[u], self.g.weight(e), self.a[v])?;
+        let delta_k = add_sub(self.k[u], self.g.transit(e), self.k[v])?;
         debug_assert!(delta_k > 0, "pivot on an invalid crossing");
         // Detach from the old parent.
         match self.parent_node[v] {
@@ -213,12 +277,12 @@ impl<'g> Tree<'g> {
         self.parent_node[v] = idx32(u);
         self.parent_arc[v] = Some(e);
         self.children[u].push(idx32(v));
-        let sub = self.collect_subtree(v);
-        for &x in &sub {
-            self.a[x as usize] += delta_a;
-            self.k[x as usize] += delta_k;
+        for &x in &self.sub {
+            let x = x as usize;
+            self.a[x] = self.a[x].checked_add(delta_a).ok_or(OVERFLOW)?;
+            self.k[x] = self.k[x].checked_add(delta_k).ok_or(OVERFLOW)?;
         }
-        sub
+        Ok(None)
     }
 }
 
@@ -231,12 +295,16 @@ pub(crate) fn solve_scc(
     granularity: HeapGranularity,
     scope: &mut BudgetScope,
 ) -> Result<SccOutcome, SolveError> {
-    solve_scc_with::<FibonacciHeap<Ratio64>>(g, counters, granularity, scope)
+    solve_scc_with::<FibonacciHeap<Event>>(g, counters, granularity, scope)
 }
 
 /// Heap-generic engine, for the Fibonacci-vs-binary ablation bench.
 /// Every pivot charges one budget iteration.
-pub(crate) fn solve_scc_with<H: AddressableHeap<Ratio64>>(
+///
+/// All path arithmetic is checked: a tree-path weight or transit that
+/// leaves `i64` fails the solve with [`SolveError::Overflow`] rather
+/// than wrapping into a wrong λ.
+pub(crate) fn solve_scc_with<H: AddressableHeap<Event>>(
     g: &Graph,
     counters: &mut Counters,
     granularity: HeapGranularity,
@@ -250,7 +318,7 @@ pub(crate) fn solve_scc_with<H: AddressableHeap<Ratio64>>(
         HeapGranularity::PerArc => {
             let mut heap: H = H::with_capacity(m);
             for e in g.arc_ids() {
-                if let Some(ev) = tree.event(e) {
+                if let Some(ev) = tree.event(e)? {
                     heap.push(e.index(), ev);
                 }
             }
@@ -263,27 +331,22 @@ pub(crate) fn solve_scc_with<H: AddressableHeap<Ratio64>>(
                 counters.iterations += 1;
                 scope.tick_iteration_and_time()?;
                 scope.chaos_check("core.ko-yto.pivot")?;
-                let u = g.source(e).index();
-                let v = g.target(e).index();
-                if tree.is_ancestor(v, u) {
-                    let mut cycle = tree.path_arcs(v, u);
-                    cycle.push(e);
+                if let Some(cycle) = tree.pivot(e)? {
                     break (lam, cycle);
                 }
-                let sub = tree.pivot(e);
                 // Refresh every arc with exactly one endpoint in the
                 // moved subtree (events with both endpoints inside are
                 // unchanged: both linear coefficients shift equally).
-                for &x in &sub {
+                for &x in &tree.sub {
                     let xv = NodeId::new(x as usize);
                     for (f, y, w, t) in g.out_adj(xv) {
                         if !tree.in_subtree(y.index()) {
-                            refresh_arc(&tree, &mut heap, f, x as usize, y.index(), w, t);
+                            refresh_arc(&tree, &mut heap, f, x as usize, y.index(), w, t)?;
                         }
                     }
                     for (f, z, w, t) in g.in_adj(xv) {
                         if !tree.in_subtree(z.index()) {
-                            refresh_arc(&tree, &mut heap, f, z.index(), x as usize, w, t);
+                            refresh_arc(&tree, &mut heap, f, z.index(), x as usize, w, t)?;
                         }
                     }
                 }
@@ -294,8 +357,12 @@ pub(crate) fn solve_scc_with<H: AddressableHeap<Ratio64>>(
         HeapGranularity::PerNode => {
             let mut heap: H = H::with_capacity(n);
             let mut best_arc: Vec<Option<ArcId>> = vec![None; n];
+            // `recomputed[y] == tree.epoch` once boundary node `y` has
+            // been recomputed in this pivot: a repeat would see the same
+            // tree, pick the same arc and key, and count nothing.
+            let mut recomputed = vec![0u32; n];
             for v in 0..n {
-                recompute_node(&tree, &mut heap, &mut best_arc, v);
+                recompute_node(&tree, &mut heap, &mut best_arc, v)?;
             }
             scope.loop_metrics("core.ko-yto.pivot");
             let outcome = loop {
@@ -306,23 +373,21 @@ pub(crate) fn solve_scc_with<H: AddressableHeap<Ratio64>>(
                 counters.iterations += 1;
                 scope.tick_iteration_and_time()?;
                 scope.chaos_check("core.ko-yto.pivot")?;
-                let u = g.source(e).index();
-                if tree.is_ancestor(vi, u) {
-                    let mut cycle = tree.path_arcs(vi, u);
-                    cycle.push(e);
+                if let Some(cycle) = tree.pivot(e)? {
                     break (lam, cycle);
                 }
-                let sub = tree.pivot(e);
                 // Nodes whose key may change: everything in the subtree
                 // (their tree path moved) plus targets of arcs leaving
                 // the subtree (their candidate events moved).
-                for &x in &sub {
-                    recompute_node(&tree, &mut heap, &mut best_arc, x as usize);
+                for &x in &tree.sub {
+                    recompute_node(&tree, &mut heap, &mut best_arc, x as usize)?;
                 }
-                for &x in &sub {
+                for &x in &tree.sub {
                     for (_f, y, _w, _t) in g.out_adj(NodeId::new(x as usize)) {
-                        if !tree.in_subtree(y.index()) {
-                            recompute_node(&tree, &mut heap, &mut best_arc, y.index());
+                        let y = y.index();
+                        if !tree.in_subtree(y) && recomputed[y] != tree.epoch {
+                            recomputed[y] = tree.epoch;
+                            recompute_node(&tree, &mut heap, &mut best_arc, y)?;
                         }
                     }
                 }
@@ -333,7 +398,7 @@ pub(crate) fn solve_scc_with<H: AddressableHeap<Ratio64>>(
     }
 }
 
-fn refresh_arc<H: AddressableHeap<Ratio64>>(
+fn refresh_arc<H: AddressableHeap<Event>>(
     tree: &Tree<'_>,
     heap: &mut H,
     f: ArcId,
@@ -341,23 +406,24 @@ fn refresh_arc<H: AddressableHeap<Ratio64>>(
     v: usize,
     w: i64,
     t: i64,
-) {
+) -> Result<(), SolveError> {
     heap.remove(f.index());
-    if let Some(ev) = tree.event_parts(u, v, w, t) {
+    if let Some(ev) = tree.event_parts(u, v, w, t)? {
         heap.push(f.index(), ev);
     }
+    Ok(())
 }
 
-fn recompute_node<H: AddressableHeap<Ratio64>>(
+fn recompute_node<H: AddressableHeap<Event>>(
     tree: &Tree<'_>,
     heap: &mut H,
     best_arc: &mut [Option<ArcId>],
     v: usize,
-) {
+) -> Result<(), SolveError> {
     let g = tree.g;
-    let mut best: Option<(Ratio64, ArcId)> = None;
+    let mut best: Option<(Event, ArcId)> = None;
     for (f, u, w, t) in g.in_adj(NodeId::new(v)) {
-        if let Some(ev) = tree.event_parts(u.index(), v, w, t) {
+        if let Some(ev) = tree.event_parts(u.index(), v, w, t)? {
             if best.is_none_or(|(b, _)| ev < b) {
                 best = Some((ev, f));
             }
@@ -373,21 +439,23 @@ fn recompute_node<H: AddressableHeap<Ratio64>>(
             heap.remove(v);
         }
     }
+    Ok(())
 }
 
 fn finish(
     g: &Graph,
-    (lam, cycle): (Ratio64, Vec<ArcId>),
+    (lam, cycle): (Event, Vec<ArcId>),
     solved_by: crate::Algorithm,
 ) -> Result<SccOutcome, SolveError> {
+    let lam = lam.reduce();
     debug_assert!(crate::solution::check_cycle(g, &cycle).is_ok());
     debug_assert_eq!(
         {
-            let w: i64 = cycle.iter().map(|&a| g.weight(a)).sum();
-            let t: i64 = cycle.iter().map(|&a| g.transit(a)).sum();
-            Ratio64::new(w, t)
+            let w: i128 = cycle.iter().map(|&a| i128::from(g.weight(a))).sum();
+            let t: i128 = cycle.iter().map(|&a| i128::from(g.transit(a))).sum();
+            Ratio64::try_from_i128(w, t)
         },
-        lam,
+        Some(lam),
         "pivot cycle ratio must equal the event value"
     );
     Ok(SccOutcome {
@@ -415,6 +483,65 @@ mod tests {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Yto);
         let s = solve_scc(g, &mut c, HeapGranularity::PerNode, &mut scope).expect("unlimited");
         (s.lambda, c)
+    }
+
+    #[test]
+    fn events_compare_and_reduce_like_ratios() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let extreme_nums = [
+            i64::MIN + 1,
+            -(1 << 62),
+            -3,
+            -1,
+            0,
+            1,
+            2,
+            1 << 62,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let extreme_dens = [1, 2, 3, 4, 6, 1 << 31, 1 << 62, i64::MAX - 1, i64::MAX];
+        let mut events: Vec<Event> = Vec::new();
+        for &num in &extreme_nums {
+            for &den in &extreme_dens {
+                events.push(Event { num, den });
+            }
+        }
+        // Equal values in different forms.
+        for (num, den) in [
+            (1, 2),
+            (2, 4),
+            (-3, 6),
+            (-1, 2),
+            (0, 7),
+            (i64::MAX, i64::MAX),
+            (5, 5),
+        ] {
+            events.push(Event { num, den });
+        }
+        let mut rng = StdRng::seed_from_u64(18);
+        for _ in 0..200 {
+            let num = rng.gen_range(i64::MIN + 1..=i64::MAX);
+            let den = rng.gen_range(1..=i64::MAX);
+            events.push(Event { num, den });
+            let (small_num, small_den) = (rng.gen_range(-12..=12), rng.gen_range(1..=12));
+            events.push(Event {
+                num: small_num,
+                den: small_den,
+            });
+        }
+        for &x in &events {
+            let rx = Ratio64::new(x.num, x.den);
+            assert_eq!(x.reduce(), rx, "{x:?}");
+            for &y in &events {
+                let ry = Ratio64::new(y.num, y.den);
+                assert_eq!(x < y, rx < ry, "{x:?} < {y:?}");
+                assert_eq!(x == y, rx == ry, "{x:?} == {y:?}");
+                assert_eq!(x.partial_cmp(&y), rx.partial_cmp(&ry), "{x:?} vs {y:?}");
+            }
+        }
+        assert_eq!(Event { num: 2, den: 4 }, Event { num: 1, den: 2 });
     }
 
     #[test]
@@ -497,13 +624,9 @@ mod tests {
                 let mut s1 = BudgetScope::unlimited(crate::Algorithm::Ko);
                 let mut s2 = BudgetScope::unlimited(crate::Algorithm::Ko);
                 let fib = solve_scc(&g, &mut c1, granularity, &mut s1).expect("unlimited");
-                let bin = solve_scc_with::<IndexedBinaryHeap<Ratio64>>(
-                    &g,
-                    &mut c2,
-                    granularity,
-                    &mut s2,
-                )
-                .expect("unlimited");
+                let bin =
+                    solve_scc_with::<IndexedBinaryHeap<Event>>(&g, &mut c2, granularity, &mut s2)
+                        .expect("unlimited");
                 assert_eq!(fib.lambda, bin.lambda, "seed {seed} {granularity:?}");
                 // Tie-breaking may differ between heaps, but both
                 // engines must do real work and agree on the optimum.

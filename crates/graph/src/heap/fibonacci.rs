@@ -56,8 +56,11 @@ pub struct FibonacciHeap<K> {
     min: u32,
     len: usize,
     counters: HeapCounters,
-    // Scratch buffer for consolidation, sized ~log_phi(capacity) + 2.
+    // Scratch buffers for consolidation, kept across calls so a pop
+    // allocates nothing: one root per degree, sized ~log_phi(capacity)
+    // + 2, and the root list being consolidated.
     degree_slots: Vec<u32>,
+    roots: Vec<u32>,
 }
 
 impl<K: PartialOrd + Clone> FibonacciHeap<K> {
@@ -157,7 +160,8 @@ impl<K: PartialOrd + Clone> FibonacciHeap<K> {
             return;
         }
         // Collect the current roots.
-        let mut roots = Vec::with_capacity(16);
+        let mut roots = std::mem::take(&mut self.roots);
+        roots.clear();
         let start = self.min;
         let mut cur = start;
         loop {
@@ -167,9 +171,7 @@ impl<K: PartialOrd + Clone> FibonacciHeap<K> {
                 break;
             }
         }
-        for slot in self.degree_slots.iter_mut() {
-            *slot = NIL;
-        }
+        self.degree_slots.fill(NIL);
         for &root in &roots {
             let mut x = root;
             self.unlink(x);
@@ -194,16 +196,14 @@ impl<K: PartialOrd + Clone> FibonacciHeap<K> {
                 x = small;
             }
         }
-        // Rebuild the root list from the slots.
+        self.roots = roots;
+        // Rebuild the root list from the slots, in degree order.
         self.min = NIL;
-        let slots: Vec<u32> = self
-            .degree_slots
-            .iter()
-            .copied()
-            .filter(|&s| s != NIL)
-            .collect();
-        for s in slots {
-            self.add_root(s);
+        for d in 0..self.degree_slots.len() {
+            let s = self.degree_slots[d];
+            if s != NIL {
+                self.add_root(s);
+            }
         }
     }
 }
@@ -217,6 +217,7 @@ impl<K: PartialOrd + Clone> AddressableHeap<K> for FibonacciHeap<K> {
             len: 0,
             counters: HeapCounters::default(),
             degree_slots: vec![NIL; 2 * log_cap + 4],
+            roots: Vec::new(),
         }
     }
 

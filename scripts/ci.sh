@@ -128,6 +128,10 @@ echo "=== dynamic solver: quick differential tier + golden-edits smoke ==="
 # the trimmed sweep under the env knob so the knob itself stays
 # exercised).
 MCR_DYNAMIC_QUICK=1 cargo test -q -p mcr-core --test dynamic_differential
+# The robustness suite again in release: integer wraps that a debug
+# build traps (and so never shows as a wrong answer) only surface with
+# overflow checks off, where a kernel must still fail typed.
+cargo test -q --release -p mcr-core --test robustness
 # CLI smoke: replaying the committed golden edit script must print the
 # pinned λ* trajectory, byte-identical at 1 and 4 driver threads (the
 # per-batch hit/miss split is fingerprint-based, so it is
