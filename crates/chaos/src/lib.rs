@@ -349,6 +349,8 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// FNV-1a over the pattern bytes, so trigger points differ per site.
+/// A private copy of `mcr_graph::hash::fnv1a`: `mcr-graph` depends on
+/// this crate (for its own fault sites), so this crate cannot use it.
 fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for b in s.bytes() {

@@ -38,6 +38,7 @@
 pub mod chaos;
 pub mod compact;
 pub mod graph;
+pub mod hash;
 pub mod heap;
 #[cfg(feature = "serde")]
 mod serde_impls;

@@ -14,6 +14,7 @@
 //! Regenerate after an intended change with
 //! `UPDATE_GOLDENS=1 cargo test -p mcr-graph --test parse_contract`.
 
+use mcr_graph::hash::{fnv1a_word, FNV1A_OFFSET};
 use mcr_graph::io::read_dimacs;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::PathBuf;
@@ -24,20 +25,12 @@ fn data_dir() -> PathBuf {
 
 /// FNV-1a over the arc table, in arc order.
 fn digest(g: &mcr_graph::Graph) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for a in g.arc_ids() {
-        let words = [
-            g.source(a).index() as u64,
-            g.target(a).index() as u64,
-            g.weight(a) as u64,
-            g.transit(a) as u64,
-        ];
-        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    g.arc_ids().fold(FNV1A_OFFSET, |h, a| {
+        let h = fnv1a_word(h, g.source(a).index() as u64);
+        let h = fnv1a_word(h, g.target(a).index() as u64);
+        let h = fnv1a_word(h, g.weight(a) as u64);
+        fnv1a_word(h, g.transit(a) as u64)
+    })
 }
 
 fn outcome<R: BufRead>(reader: &mut R) -> String {

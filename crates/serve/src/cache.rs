@@ -31,16 +31,9 @@ use mcr_graph::Graph;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// FNV-1a, 64-bit: the wire format's content hash. Stable across
-/// platforms and trivially re-implementable by non-Rust clients.
-pub fn fnv1a(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a, 64-bit: the wire format's content hash (re-exported from
+/// `mcr-graph`, so every crate hashes with one implementation).
+pub use mcr_graph::hash::fnv1a;
 
 struct Entry {
     graph: Arc<Graph>,
