@@ -332,3 +332,20 @@ pub(crate) fn dynamic_solve(
     _rebuilt: bool,
 ) {
 }
+
+/// Records how one incremental-solver topology rebuild got its
+/// component jobs: `dynamic.jobs.reused` counts the jobs carried over
+/// unchanged from the state before the batch, `dynamic.jobs.extracted`
+/// the ones extracted from the new graph.
+#[cfg(feature = "obs")]
+pub(crate) fn dynamic_rebuild(reused: u64, extracted: u64) {
+    if !mcr_obs::active() {
+        return;
+    }
+    mcr_obs::counter_add("dynamic.jobs.reused", reused);
+    mcr_obs::counter_add("dynamic.jobs.extracted", extracted);
+}
+
+#[cfg(not(feature = "obs"))]
+#[inline(always)]
+pub(crate) fn dynamic_rebuild(_reused: u64, _extracted: u64) {}

@@ -414,7 +414,17 @@ fn dynamic_apply_fault_falls_back_to_a_full_solve_with_the_answer_unchanged() {
     clean.solve().expect("reference initial solve");
     let reference: Vec<_> = dynamic_edits()
         .iter()
-        .map(|batch| clean.apply(batch).expect("reference batch"))
+        .map(|batch| {
+            let out = clean.apply(batch).expect("reference batch");
+            let topology = batch
+                .iter()
+                .any(|e| matches!(e, mcr_core::Edit::InsertArc { .. } | mcr_core::Edit::DeleteArc { .. }));
+            if topology {
+                // Unfaulted, a topology batch reuses the untouched jobs.
+                assert!(clean.rebuild_jobs().0 > 0, "reference topology batch reused no job");
+            }
+            out
+        })
         .collect();
     for seed in seeds() {
         let mut faulted =
@@ -431,6 +441,13 @@ fn dynamic_apply_fault_falls_back_to_a_full_solve_with_the_answer_unchanged() {
                 out.mode,
                 mcr_core::SolveMode::Full,
                 "seed={seed} batch={i}: apply fault must force the full path"
+            );
+            // ...and drops the state a topology batch keeps for reuse:
+            // every job is extracted again.
+            assert_eq!(
+                faulted.rebuild_jobs().0,
+                0,
+                "seed={seed} batch={i}: a faulted rebuild must reuse no job"
             );
             let exp = reference[i].solution.as_ref().expect("cyclic");
             let got = out.solution.as_ref().expect("cyclic");
@@ -456,7 +473,17 @@ fn dynamic_certify_fault_rejects_the_incremental_answer_and_resolves() {
     clean.solve().expect("reference initial solve");
     let reference: Vec<_> = dynamic_edits()
         .iter()
-        .map(|batch| clean.apply(batch).expect("reference batch"))
+        .map(|batch| {
+            let out = clean.apply(batch).expect("reference batch");
+            let topology = batch
+                .iter()
+                .any(|e| matches!(e, mcr_core::Edit::InsertArc { .. } | mcr_core::Edit::DeleteArc { .. }));
+            if topology {
+                // Unfaulted, a topology batch reuses the untouched jobs.
+                assert!(clean.rebuild_jobs().0 > 0, "reference topology batch reused no job");
+            }
+            out
+        })
         .collect();
     for seed in seeds() {
         let mut faulted =

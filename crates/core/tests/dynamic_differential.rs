@@ -663,7 +663,9 @@ fn metrics_pair_reports_incremental_vs_full_modes() {
 
     // The `dynamic.topology.patched` / `.rebuilt` pair and the event's
     // `rebuilt` flag: a reweight batch patches the topology state in
-    // place, an insert batch rebuilds it. Other tests in this binary
+    // place, an insert batch rebuilds it, reusing the untouched jobs
+    // (`dynamic.jobs.reused`) and extracting the edited one
+    // (`dynamic.jobs.extracted`). Other tests in this binary
     // may run solvers while the recorder is installed, so look for this
     // solver's own events rather than asserting exact totals.
     #[cfg(feature = "obs")]
@@ -679,7 +681,12 @@ fn metrics_pair_reports_incremental_vs_full_modes() {
             .expect("applies");
         assert_eq!((outcome.cache_hits, outcome.cache_misses), (2, 1));
         let report = guard.finish();
-        for name in ["dynamic.topology.patched", "dynamic.topology.rebuilt"] {
+        for name in [
+            "dynamic.topology.patched",
+            "dynamic.topology.rebuilt",
+            "dynamic.jobs.reused",
+            "dynamic.jobs.extracted",
+        ] {
             assert!(
                 report.counters.get(name).is_some_and(|&n| n >= 1),
                 "{name} not counted"
