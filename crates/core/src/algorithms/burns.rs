@@ -199,10 +199,13 @@ fn initial_pair(g: &Graph) -> Result<(Rat, Vec<Rat>), SolveError> {
         for e in g.arc_ids() {
             let u = g.source(e).index();
             let v = g.target(e).index();
-            let cand = (k[u] + g.transit(e), a[u] + g.weight(e));
-            if cand < (k[v], a[v]) {
-                k[v] = cand.0;
-                a[v] = cand.1;
+            let cand = (
+                i128::from(k[u]) + i128::from(g.transit(e)),
+                i128::from(a[u]) + i128::from(g.weight(e)),
+            );
+            if cand < (i128::from(k[v]), i128::from(a[v])) {
+                k[v] = i64::try_from(cand.0).map_err(|_| PATH_OVERFLOW)?;
+                a[v] = i64::try_from(cand.1).map_err(|_| PATH_OVERFLOW)?;
                 changed = true;
             }
         }
@@ -214,9 +217,10 @@ fn initial_pair(g: &Graph) -> Result<(Rat, Vec<Rat>), SolveError> {
     for e in g.arc_ids() {
         let u = g.source(e).index();
         let v = g.target(e).index();
-        let den = k[u] + g.transit(e) - k[v];
+        let den = i128::from(k[u]) + i128::from(g.transit(e)) - i128::from(k[v]);
         if den > 0 {
-            let ev = Ratio64::new(a[u] + g.weight(e) - a[v], den);
+            let num = i128::from(a[u]) + i128::from(g.weight(e)) - i128::from(a[v]);
+            let ev = Ratio64::try_from_i128(num, den).ok_or(PATH_OVERFLOW)?;
             if lambda.is_none_or(|l| ev < l) {
                 lambda = Some(ev);
             }
@@ -232,6 +236,61 @@ fn initial_pair(g: &Graph) -> Result<(Rat, Vec<Rat>), SolveError> {
     }
     Ok((lam, d))
 }
+
+/// Critical heights ρ(u) = max over tight out-arcs of ρ(v) + t(e), via
+/// a reverse topological sweep of the (acyclic) critical subgraph. A
+/// height past `i64` is [`SolveError::Overflow`].
+fn critical_heights(g: &Graph, tight: &[ArcId]) -> Result<Vec<i64>, SolveError> {
+    let n = g.num_nodes();
+    let mut tight_out: Vec<Vec<ArcId>> = vec![Vec::new(); n];
+    let mut indeg = vec![0usize; n];
+    for &e in tight {
+        tight_out[g.source(e).index()].push(e);
+        indeg[g.target(e).index()] += 1;
+    }
+    let mut order: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    let mut head = 0;
+    while head < order.len() {
+        let v = order[head];
+        head += 1;
+        for &e in &tight_out[v] {
+            let w = g.target(e).index();
+            indeg[w] -= 1;
+            if indeg[w] == 0 {
+                order.push(w);
+            }
+        }
+    }
+    debug_assert_eq!(order.len(), n, "critical subgraph must be acyclic here");
+    let mut rho = vec![0i64; n];
+    for &v in order.iter().rev() {
+        for &e in &tight_out[v] {
+            let cand = rho[g.target(e).index()]
+                .checked_add(g.transit(e))
+                .ok_or(HEIGHT_OVERFLOW)?;
+            if cand > rho[v] {
+                rho[v] = cand;
+            }
+        }
+    }
+    Ok(rho)
+}
+
+/// The rate `ρ(v) + t(e) − ρ(u)` at which arc `e = (u, v)`'s slack
+/// shrinks per unit step.
+fn step_coefficient(g: &Graph, rho: &[i64], e: ArcId) -> Result<i64, SolveError> {
+    let rate = i128::from(rho[g.target(e).index()]) + i128::from(g.transit(e))
+        - i128::from(rho[g.source(e).index()]);
+    i64::try_from(rate).map_err(|_| HEIGHT_OVERFLOW)
+}
+
+const PATH_OVERFLOW: SolveError = SolveError::Overflow {
+    context: "Burns initial shortest paths leave the i64 range",
+};
+
+const HEIGHT_OVERFLOW: SolveError = SolveError::Overflow {
+    context: "Burns critical heights leave the i64 range",
+};
 
 /// Burns' algorithm on one strongly connected, cyclic component.
 pub(crate) fn solve_scc(
@@ -283,44 +342,12 @@ pub(crate) fn solve_scc(
             });
         }
 
-        // Heights: ρ(u) = max over tight out-arcs of ρ(v) + t(e), via a
-        // reverse topological sweep of the (acyclic) critical subgraph.
-        let mut tight_out: Vec<Vec<ArcId>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for &e in &tight {
-            tight_out[g.source(e).index()].push(e);
-            indeg[g.target(e).index()] += 1;
-        }
-        let mut order: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut head = 0;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            for &e in &tight_out[v] {
-                let w = g.target(e).index();
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    order.push(w);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), n, "critical subgraph must be acyclic here");
-        let mut rho = vec![0i64; n];
-        for &v in order.iter().rev() {
-            for &e in &tight_out[v] {
-                let cand = rho[g.target(e).index()] + g.transit(e);
-                if cand > rho[v] {
-                    rho[v] = cand;
-                }
-            }
-        }
+        let rho = critical_heights(g, &tight)?;
 
         // Largest feasible step θ.
         let mut theta: Option<Rat> = None;
         for e in g.arc_ids() {
-            let u = g.source(e).index();
-            let v = g.target(e).index();
-            let coeff = rho[v] + g.transit(e) - rho[u];
+            let coeff = step_coefficient(g, &rho, e)?;
             if coeff > 0 && !slack[e.index()].is_zero() {
                 let cand = slack[e.index()].div_int(coeff)?;
                 let smaller = match theta {
@@ -426,39 +453,10 @@ pub(crate) fn solve_scc_f64(
                 solved_by: crate::Algorithm::Burns,
             });
         }
-        let mut tight_out: Vec<Vec<ArcId>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for &e in &tight {
-            tight_out[g.source(e).index()].push(e);
-            indeg[g.target(e).index()] += 1;
-        }
-        let mut order: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut head = 0;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            for &e in &tight_out[v] {
-                let w = g.target(e).index();
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    order.push(w);
-                }
-            }
-        }
-        let mut rho = vec![0i64; n];
-        for &v in order.iter().rev() {
-            for &e in &tight_out[v] {
-                let cand = rho[g.target(e).index()] + g.transit(e);
-                if cand > rho[v] {
-                    rho[v] = cand;
-                }
-            }
-        }
+        let rho = critical_heights(g, &tight)?;
         let mut theta = f64::INFINITY;
         for e in g.arc_ids() {
-            let u = g.source(e).index();
-            let v = g.target(e).index();
-            let coeff = rho[v] + g.transit(e) - rho[u];
+            let coeff = step_coefficient(g, &rho, e)?;
             if coeff > 0 && slack[e.index()] > tol {
                 theta = theta.min(slack[e.index()] / coeff as f64);
             }

@@ -43,14 +43,23 @@ struct Interval {
 }
 
 impl Interval {
-    fn width_below(&self, target: Ratio64) -> bool {
-        self.pinned || self.hi - self.lo < target
+    fn width_below(&self, target: Ratio64) -> Result<bool, SolveError> {
+        if self.pinned {
+            return Ok(true);
+        }
+        let width = self.hi.checked_sub(self.lo).ok_or(RANGE_OVERFLOW)?;
+        Ok(width < target)
     }
 }
 
-/// Evaluates `f(x) = num − den·x` exactly.
-fn eval(num: i64, den: i64, x: Ratio64) -> Ratio64 {
-    Ratio64::from(num) - Ratio64::from(den) * x
+const RANGE_OVERFLOW: SolveError = SolveError::Overflow {
+    context: "Megiddo interval arithmetic leaves the i64 range",
+};
+
+/// Whether `f(x) = num − den·x` is negative. With `x = p/q`, `q > 0`,
+/// that is the sign of `num·q − den·p`, which `i128` holds exactly.
+fn negative_at(num: i64, den: i64, x: Ratio64) -> bool {
+    i128::from(num) * i128::from(x.denom()) < i128::from(den) * i128::from(x.numer())
 }
 
 /// Decides whether `cand < cur` holds at λ*, resolving crossings with
@@ -66,15 +75,15 @@ fn less_at_optimum(
     ws: &mut Workspace,
     scope: &mut BudgetScope,
 ) -> Result<bool, SolveError> {
-    let num = cand.a - cur.a;
-    let den = cand.b - cur.b;
+    let num = cand.a.checked_sub(cur.a).ok_or(RANGE_OVERFLOW)?;
+    let den = cand.b.checked_sub(cur.b).ok_or(RANGE_OVERFLOW)?;
     // f(λ) = num − den·λ; cand < cur at λ* ⟺ f(λ*) < 0.
-    let f_lo = eval(num, den, iv.lo);
-    let f_hi = eval(num, den, iv.hi);
-    if f_lo < Ratio64::ZERO && f_hi < Ratio64::ZERO {
+    let lo_negative = negative_at(num, den, iv.lo);
+    let hi_negative = negative_at(num, den, iv.hi);
+    if lo_negative && hi_negative {
         return Ok(true);
     }
-    if f_lo >= Ratio64::ZERO && f_hi >= Ratio64::ZERO {
+    if !lo_negative && !hi_negative {
         // Nonnegative across the interval: a tie at λ* is "not less",
         // and f can only vanish at one point of a closed interval
         // unless it is identically zero (then num = den = 0).
@@ -89,11 +98,11 @@ fn less_at_optimum(
     }
     scope.tick_refinement()?;
     scope.chaos_check("core.megiddo.resolve")?;
-    let cross = Ratio64::new(num, den);
+    let cross = Ratio64::try_new(num, den).ok_or(RANGE_OVERFLOW)?;
     if has_cycle_below_ws(g, cross, counters, ws, scope)? {
         // λ* < cross.
         iv.hi = cross;
-        Ok(f_lo < Ratio64::ZERO)
+        Ok(lo_negative)
     } else if cycle_at_or_below_ws(g, cross, counters, ws, scope)? {
         // No cycle below but one at cross: λ* == cross, pinned.
         iv.lo = cross;
@@ -103,7 +112,7 @@ fn less_at_optimum(
     } else {
         // λ* > cross.
         iv.lo = cross;
-        Ok(f_hi < Ratio64::ZERO)
+        Ok(hi_negative)
     }
 }
 
@@ -118,13 +127,15 @@ pub(crate) fn solve_scc(
     scope: &mut BudgetScope,
 ) -> Result<SccOutcome, SolveError> {
     let n = g.num_nodes();
+    // |λ*| ≤ n·max|w| since t(C) ≥ 1 for every cycle.
     let wabs = g
-        .arc_ids()
-        .map(|a| g.weight(a).abs())
+        .weights()
+        .iter()
+        .map(|w| w.unsigned_abs())
         .max()
-        .expect("component has arcs")
+        .unwrap_or(0)
         .max(1);
-    let bound = wabs.saturating_mul(n as i64) + 1;
+    let bound = i64::try_from(i128::from(wabs) * n as i128 + 1).map_err(|_| RANGE_OVERFLOW)?;
     let mut iv = Interval {
         lo: Ratio64::from(-bound),
         hi: Ratio64::from(bound),
@@ -147,8 +158,8 @@ pub(crate) fn solve_scc(
             let v = g.target(e).index();
             counters.relaxations += 1;
             let cand = Lin {
-                a: dist[u].a + g.weight(e),
-                b: dist[u].b + g.transit(e),
+                a: dist[u].a.checked_add(g.weight(e)).ok_or(RANGE_OVERFLOW)?,
+                b: dist[u].b.checked_add(g.transit(e)).ok_or(RANGE_OVERFLOW)?,
             };
             if less_at_optimum(g, cand, dist[v], &mut iv, counters, ws, scope)? {
                 dist[v] = cand;
@@ -166,10 +177,14 @@ pub(crate) fn solve_scc(
 
     // Finish: bisect any residual interval down to the uniqueness
     // width, then snap to the single representable optimum inside.
-    let total_t: i64 = g.arc_ids().map(|a| g.transit(a)).sum();
+    let total_t = i64::try_from(g.transits().iter().map(|&t| i128::from(t)).sum::<i128>())
+        .map_err(|_| RANGE_OVERFLOW)?;
     let t_bound = total_t.max(1);
-    let target = Ratio64::new(1, t_bound.saturating_mul(t_bound - 1).max(1) + 1);
-    while !iv.width_below(target) {
+    let target = Ratio64::new(
+        1,
+        t_bound.saturating_mul(t_bound - 1).max(1).saturating_add(1),
+    );
+    while !iv.width_below(target)? {
         if iv.hi.denom() >= i64::MAX / 8 || iv.lo.denom() >= i64::MAX / 8 {
             return Err(SolveError::NumericRange {
                 context: "Megiddo residual bisection exhausted the i64 range",
@@ -177,7 +192,7 @@ pub(crate) fn solve_scc(
         }
         scope.tick_refinement()?;
         scope.chaos_check("core.megiddo.resolve")?;
-        let mid = iv.lo.midpoint(iv.hi);
+        let mid = iv.lo.checked_midpoint(iv.hi).ok_or(RANGE_OVERFLOW)?;
         if has_cycle_below_ws(g, mid, counters, ws, scope)? {
             iv.hi = mid;
         } else {

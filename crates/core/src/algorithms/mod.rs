@@ -18,11 +18,12 @@ pub(crate) mod parametric;
 
 use crate::budget::{BudgetScope, Deadline};
 use crate::checkpoint::JobProgress;
-use crate::driver::{solve_per_scc, solve_per_scc_opts, solve_value_per_scc_opts, SccOutcome};
+use crate::driver::{solve_per_scc, solve_value_per_scc_opts, SccOutcome};
 use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::options::SolveOptions;
 use crate::rational::Ratio64;
+use crate::route::Route;
 use crate::solution::Solution;
 use crate::workspace::Workspace;
 use mcr_graph::Graph;
@@ -30,8 +31,9 @@ use parametric::HeapGranularity;
 
 /// Runs one algorithm on one strongly connected, cyclic component
 /// under a budget scope. This is the single dispatch point shared by
-/// the primary attempt and every fallback attempt.
-fn solve_scc_budgeted(
+/// the primary attempt, every fallback attempt and the ratio route
+/// ([`crate::route`]).
+pub(crate) fn solve_scc_budgeted(
     alg: Algorithm,
     sub: &Graph,
     counters: &mut Counters,
@@ -347,30 +349,7 @@ impl Algorithm {
     /// λ-refinement allowance, but all attempts share the solve-wide
     /// wall-clock deadline.
     pub fn solve_with_options(self, g: &Graph, opts: &SolveOptions) -> Result<Solution, SolveError> {
-        crate::obs::solve_start(self.name(), g, opts.effective_threads());
-        let result = self.solve_with_options_inner(g, opts);
-        match &result {
-            Ok(sol) => crate::obs::solve_end_ok(&sol.lambda, sol.solved_by.name(), &sol.counters),
-            Err(err) => crate::obs::solve_end_err(err.kind()),
-        }
-        result
-    }
-
-    fn solve_with_options_inner(
-        self,
-        g: &Graph,
-        opts: &SolveOptions,
-    ) -> Result<Solution, SolveError> {
-        let epsilon = match opts.epsilon {
-            Some(e) if e > 0.0 && e.is_finite() => e,
-            Some(e) => return Err(SolveError::InvalidEpsilon { epsilon: e }),
-            None => Self::default_epsilon(g),
-        };
-        let deadline = opts.effective_deadline();
-        let chain = opts.fallback.chain_for(self);
-        solve_per_scc_opts(g, opts, |job, sub, counters, ws| {
-            run_fallback_chain(job, &chain, sub, counters, epsilon, ws, opts, deadline)
-        })
+        crate::route::solve(g, &Route::Mean(opts.fallback.chain_for(self)), opts)
     }
 }
 
@@ -421,11 +400,12 @@ impl Algorithm {
             Algorithm::Karp2 => solve_value_per_scc_opts(g, opts, scoped(karp2::lambda_scc)),
             Algorithm::Dg => solve_value_per_scc_opts(g, opts, scoped(dg::lambda_scc)),
             Algorithm::Ho => solve_value_per_scc_opts(g, opts, scoped(ho::lambda_scc)),
-            // The inner variant, so the solve span opened above is not
-            // doubled by the delegation.
-            other => other
-                .solve_with_options_inner(g, opts)
-                .map(|s| (s.lambda, s.counters)),
+            // Untraced, so the solve span opened above is not doubled by
+            // the delegation.
+            other => {
+                let route = Route::Mean(opts.fallback.chain_for(other));
+                crate::route::solve_untraced(g, &route, opts).map(|s| (s.lambda, s.counters))
+            }
         }
     }
 }

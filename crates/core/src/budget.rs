@@ -289,9 +289,9 @@ impl BudgetScope {
         self.obs_refines_mark.set(self.refines_spent);
     }
 
-    /// Reports the charges since the last [`loop_metrics`]
-    /// (BudgetScope::loop_metrics) mark to the registry and clears the
-    /// mark. Saturating subtraction, since a clone of a marked scope
+    /// Reports the charges since the last
+    /// [`loop_metrics`](BudgetScope::loop_metrics) mark to the registry
+    /// and clears the mark. Saturating subtraction, since a clone of a marked scope
     /// restarts its own charge counters.
     fn flush_loop_metrics(&self) {
         if let Some(site) = self.obs_site.take() {

@@ -3,7 +3,7 @@
 //! With the feature off (the default) every helper here is an empty
 //! `#[inline(always)]` function and the crate contains no injection
 //! code at all. With `--features chaos` the helpers report to the
-//! [`mcr_chaos`] registry, so a seeded [`mcr_chaos::FaultSchedule`]
+//! `mcr_chaos` registry, so a seeded `mcr_chaos::FaultSchedule`
 //! can deterministically fail any layer of a solve.
 //!
 //! # Site naming
@@ -28,12 +28,12 @@
 //! `core.lawler.exact.bisect`, `core.megiddo.resolve`, `core.oa1.refine`,
 //! `core.ratio.bisect`. Error-capable sites are reached through
 //! [`crate::BudgetScope::chaos_check`], which maps the injected
-//! [`mcr_chaos::FaultKind`] onto the layer's typed
+//! `mcr_chaos::FaultKind` onto the layer's typed
 //! [`crate::SolveError`]; unit sites only count hits and honor
-//! [`mcr_chaos::FaultKind::Delay`].
+//! `mcr_chaos::FaultKind::Delay`.
 //!
 //! The authoritative list of site names lives in
-//! `crates/chaos/sites.txt` ([`mcr_chaos::declared_sites`]); the chaos
+//! `crates/chaos/sites.txt` (`mcr_chaos::declared_sites`); the chaos
 //! suite asserts every fired site is declared there, and `mcr-lint`
 //! rule MCRL002 statically checks every call site against it.
 

@@ -8,7 +8,7 @@
 //! # How incrementality works
 //!
 //! The per-SCC driver already decomposes every solve into independent
-//! component jobs ([`crate::driver`]). An edit batch usually touches a
+//! component jobs (`driver.rs`). An edit batch usually touches a
 //! few arcs, so most components of the edited graph are **byte-identical**
 //! to components of the previous graph — and a component job's outcome
 //! is a deterministic function of its subgraph bytes alone (job indices
@@ -36,20 +36,23 @@
 //!    so the CSR, the job order and every subgraph stay byte-equal to a
 //!    rebuild, and only the patched components are re-fingerprinted;
 //! 3. looks each component's fingerprint (FNV-1a over its arc table)
-//!    up in the cache and reuses the cached [`SccOutcome`] + per-job
+//!    up in the cache and reuses the cached component outcome + per-job
 //!    [`Counters`] on a hit,
-//! 4. solves only the missed components, with the *exact* per-SCC
-//!    closure [`crate::spec::solve_spec`] would have used for the same
-//!    [`SolveSpec`], and
-//! 5. re-enters the driver's reduction ([`reduce_outcomes`]) in job
+//! 4. solves only the missed components, each with the kernel call the
+//!    crate's route table (`route.rs`) picks for the [`SolveSpec`] —
+//!    the same table [`crate::spec::solve_spec`]'s driver calls, under
+//!    the same budget, deadline and cancel token, with the same typed
+//!    errors — and
+//! 5. re-enters the driver's reduction stage in job
 //!    order, so tie-breaks, error precedence, witness arc mapping and
 //!    counter totals are bit-identical to a from-scratch solve.
 //!
-//! Because cached outcomes are replayed byte-for-byte and the reduction
-//! is shared with the driver, the returned [`Solution`] is
-//! **bit-identical** to `solve_spec` on the edited graph — λ*, witness,
-//! guarantee, `solved_by`, and counters (`dynamic_differential.rs`
-//! pins this after every edit of every script, at 1/2/8 threads).
+//! Because cached outcomes are replayed byte-for-byte and both the
+//! route table and the reduction are shared with `solve_spec`, the
+//! returned [`Solution`] is **bit-identical** to `solve_spec` on the
+//! edited graph — λ*, witness, guarantee, `solved_by`, and counters —
+//! and so is every typed error (`dynamic_differential.rs` pins this
+//! after every edit of every script, at 1/2/8 threads).
 //!
 //! # Full-solve fallback
 //!
@@ -57,9 +60,10 @@
 //! back to a full [`solve_spec`] run (tracked by the
 //! `dynamic.solve.full` vs `dynamic.solve.incremental` counter pair):
 //!
-//! * ratio specs solved by expansion-based algorithms (Karp family) —
-//!   the expansion graph is derived, so component caching does not
-//!   apply;
+//! * a ratio spec whose algorithm has no ratio kernel (the Karp family
+//!   and OA1): the route table has no per-component route for it, and
+//!   `solve_spec` solves the transit expansion of the whole graph, a
+//!   derived graph the component cache cannot key;
 //! * a chaos fault at `core.dynamic.apply` (cache and topology state,
 //!   including any kept for reuse, dropped before the solve) or
 //!   `core.dynamic.certify` (incremental answer rejected);
@@ -70,15 +74,14 @@
 //! Every returned solution — incremental or full — is re-validated by
 //! [`certify`] against the current caller-orientation graph.
 
-use crate::algorithms::Algorithm;
-use crate::budget::BudgetScope;
+use crate::certify::certify;
 use crate::driver::{cyclic_component_jobs, reduce_outcomes, Job, SccOutcome};
 use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::options::SolveOptions;
+use crate::route::{self, route_for, Route};
 use crate::solution::Solution;
 use crate::spec::{solve_spec, Objective, SolveSpec, SpecError};
-use crate::certify::certify;
 use crate::workspace::Workspace;
 use mcr_graph::hash::{fnv1a_word, FNV1A_OFFSET};
 use mcr_graph::{idx32, ArcId, Graph, GraphBuilder, NodeId, SubgraphExtractor};
@@ -154,40 +157,6 @@ pub struct DynamicOutcome {
     pub cache_misses: usize,
 }
 
-/// How a spec's per-SCC work is replicated (see [`route_for`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Route {
-    /// `Objective::Mean`: the fallback chain, exactly as
-    /// `Algorithm::solve_with_options` runs it. Errors are typed.
-    Mean,
-    /// Exact ratio entry points (`HowardExact` / `LawlerExact`): typed
-    /// errors, budget/deadline/cancel honored per attempt.
-    RatioStrict(Algorithm),
-    /// The `Option`-returning native ratio solvers: any error folds to
-    /// "no answer" (`Ok(None)`), matching `solve_spec`'s `.ok()` path.
-    RatioNative(Algorithm),
-    /// Ratio via transit expansion (Karp family): no per-SCC path on
-    /// the original graph, always a full solve.
-    Expansion,
-}
-
-fn route_for(spec: &SolveSpec) -> Route {
-    match spec.objective {
-        Objective::Mean => Route::Mean,
-        Objective::Ratio => match spec.algorithm {
-            Algorithm::HowardExact | Algorithm::LawlerExact => Route::RatioStrict(spec.algorithm),
-            Algorithm::Howard
-            | Algorithm::Burns
-            | Algorithm::BurnsExact
-            | Algorithm::Ko
-            | Algorithm::Yto
-            | Algorithm::Lawler
-            | Algorithm::Megiddo => Route::RatioNative(spec.algorithm),
-            _ => Route::Expansion,
-        },
-    }
-}
-
 /// A cached component outcome plus the counters its solve accumulated
 /// (merged back in job order on reuse, so totals match from-scratch).
 #[derive(Clone, Debug)]
@@ -246,7 +215,8 @@ struct Topo {
     /// `graph.negated()` when a maximizing spec solves per component.
     negated: Option<Graph>,
     /// Cyclic components of the solved orientation, in Tarjan order
-    /// (none for [`Route::Expansion`], which never solves per component).
+    /// (none for a spec with no per-component route, which always
+    /// solves in full).
     jobs: Vec<Job>,
     /// Host arc → (job, local arc) for arcs inside a cyclic component,
     /// `(NO_JOB, _)` for the rest. Job indices are below the node count,
@@ -267,20 +237,21 @@ struct Topo {
 }
 
 impl Topo {
-    /// Builds the state of `arcs`: the CSR graph (and its negated twin
-    /// when maximizing), then one Tarjan pass. A cyclic component whose
-    /// job `reuse` can supply keeps that job's subgraph, fingerprint and
+    /// Builds the state of `arcs`: the CSR graph, then, when
+    /// `per_component`, its negated twin if `maximize` and one Tarjan
+    /// pass over the solved orientation. A cyclic component whose job
+    /// `reuse` can supply keeps that job's subgraph, fingerprint and
     /// flags; every other one is extracted and marked stale. Returns the
     /// state and the number of jobs reused.
     fn build(
         nodes: usize,
         arcs: &[ArcSpec],
-        spec: &SolveSpec,
+        per_component: bool,
+        maximize: bool,
         reuse: Option<Reuse>,
     ) -> (Topo, usize) {
         let graph = build_graph(nodes, arcs);
-        let per_component = route_for(spec) != Route::Expansion;
-        let negated = (per_component && spec.maximize).then(|| graph.negated());
+        let negated = (per_component && maximize).then(|| graph.negated());
         let mut prev = reuse.map(|r| Previous::new(r, nodes));
         let mut hashes = Vec::new();
         let mut zero_transit = Vec::new();
@@ -461,6 +432,9 @@ pub struct DynamicSolver {
     arcs: Vec<ArcSpec>,
     spec: SolveSpec,
     opts: SolveOptions,
+    /// The per-component route of `spec`; `None` for a ratio spec
+    /// solved by transit expansion, which always solves in full.
+    route: Option<Route>,
     cache: BTreeMap<u64, CacheEntry>,
     epoch: u64,
     /// Topology-derived state of `arcs`; `None` until the next solve
@@ -499,6 +473,7 @@ impl DynamicSolver {
         DynamicSolver {
             nodes,
             arcs,
+            route: route_for(&spec, &opts),
             spec,
             opts,
             cache: BTreeMap::new(),
@@ -712,7 +687,9 @@ impl DynamicSolver {
     /// Builds the topology state of the current arc list, reusing what
     /// `reuse` can supply, and records the reused/extracted split.
     fn rebuild(&mut self, reuse: Option<Reuse>) -> Topo {
-        let (topo, reused) = Topo::build(self.nodes, &self.arcs, &self.spec, reuse);
+        let per_component = self.route.is_some();
+        let (topo, reused) =
+            Topo::build(self.nodes, &self.arcs, per_component, self.spec.maximize, reuse);
         self.rebuild_jobs = (reused, topo.jobs.len() - reused);
         crate::obs::dynamic_rebuild(self.rebuild_jobs.0 as u64, self.rebuild_jobs.1 as u64);
         topo
@@ -739,10 +716,7 @@ impl DynamicSolver {
             Some(topo) => topo,
             None => self.rebuild(reuse),
         };
-        let solved = match route_for(&self.spec) {
-            Route::Expansion => full_solve(&topo.graph, &self.spec, &self.opts),
-            route => self.component_solve(&mut topo, route),
-        };
+        let solved = self.component_solve(&mut topo);
         // A failed solve still committed its edits, so the state stays.
         let mut topo = self.topo.insert(topo);
         let mut outcome = solved?;
@@ -780,45 +754,23 @@ impl DynamicSolver {
     }
 
     /// The incremental path: fingerprint the components of the edited
-    /// graph, reuse cached outcomes, solve only the misses, and reduce
-    /// exactly as the driver would.
-    fn component_solve(
-        &mut self,
-        topo: &mut Topo,
-        route: Route,
-    ) -> Result<DynamicOutcome, SpecError> {
+    /// graph, reuse cached outcomes, solve only the misses by the route
+    /// [`solve_spec`] would take, and reduce exactly as the driver
+    /// would. A spec with no per-component route solves in full.
+    fn component_solve(&mut self, topo: &mut Topo) -> Result<DynamicOutcome, SpecError> {
+        let Some(route) = &self.route else {
+            return full_solve(&topo.graph, &self.spec, &self.opts);
+        };
         topo.refresh(self.spec.objective == Objective::Ratio);
-        // Mirror solve_spec's up-front validation order: epsilon
-        // first, then the ratio zero-transit-cycle guard.
-        let epsilon = match self.opts.epsilon {
-            Some(e) if e > 0.0 && e.is_finite() => e,
-            Some(e) => return Err(SolveError::InvalidEpsilon { epsilon: e }.into()),
-            None => Algorithm::default_epsilon(topo.target()),
-        };
-        if topo.zero_transit.contains(&true) {
-            return Err(SolveError::ZeroTransitCycle.into());
-        }
+        let epsilon = route::preflight(self.spec.objective, topo.target(), &self.opts, || {
+            topo.zero_transit.contains(&true)
+        })?;
         let jobs = &topo.jobs;
-        if jobs.is_empty() {
-            return Ok(DynamicOutcome {
-                solution: None,
-                mode: SolveMode::Incremental,
-                cache_hits: 0,
-                cache_misses: 0,
-            });
-        }
-        let chain = self.opts.fallback.chain_for(self.spec.algorithm);
         let deadline = self.opts.effective_deadline();
-        // Only ε-terminated solvers consume epsilon; folding it into
-        // the fingerprint when irrelevant would needlessly invalidate
-        // the cache whenever `default_epsilon` shifts with the global
-        // weight range.
-        let epsilon_matters = match route {
-            Route::Mean => chain.iter().any(|a| a.is_approximate()),
-            Route::RatioNative(alg) => matches!(alg, Algorithm::Howard | Algorithm::Lawler),
-            Route::RatioStrict(_) => false,
-            Route::Expansion => false,
-        };
+        // Folding epsilon into the fingerprint when no kernel reads it
+        // would needlessly invalidate the cache whenever
+        // `default_epsilon` shifts with the global weight range.
+        let epsilon_matters = route.consumes_epsilon();
 
         let mut ws = Workspace::new();
         let mut results: Vec<Result<SccOutcome, SolveError>> = Vec::with_capacity(jobs.len());
@@ -845,8 +797,16 @@ impl DynamicSolver {
             }
             misses += 1;
             let mut job_counters = Counters::new();
-            let result =
-                self.solve_job(route, i, &job.sub, &mut job_counters, &mut ws, epsilon, &chain, deadline);
+            let result = route::solve_component(
+                route,
+                i,
+                &job.sub,
+                &mut job_counters,
+                &mut ws,
+                epsilon,
+                &self.opts,
+                deadline,
+            );
             counters.merge(&job_counters);
             if let Ok(out) = &result {
                 self.cache.insert(
@@ -863,24 +823,18 @@ impl DynamicSolver {
             results.push(result);
         }
 
-        let reduced = reduce_outcomes(jobs, &results, counters);
-        let solution = match route {
-            // The native ratio entry points fold *any* failure into
-            // "no answer" (`solve_per_scc(..).ok()`); replicate that.
-            Route::RatioNative(_) => reduced.ok(),
-            _ => match reduced {
-                Ok(sol) => Some(sol),
-                Err(SolveError::Acyclic) => None,
-                Err(e) => return Err(e.into()),
-            },
-        };
-        let solution = solution.map(|mut sol| {
-            if self.spec.maximize {
-                sol.lambda = -sol.lambda;
+        let solution = match reduce_outcomes(jobs, &results, counters) {
+            Ok(mut sol) => {
+                if self.spec.maximize {
+                    sol.lambda = -sol.lambda;
+                }
+                Some(sol)
             }
-            sol
-        });
-        let mode = if hits > 0 {
+            Err(SolveError::Acyclic) => None,
+            Err(e) => return Err(e.into()),
+        };
+        // An acyclic graph has nothing to solve, so nothing was missed.
+        let mode = if hits > 0 || jobs.is_empty() {
             SolveMode::Incremental
         } else {
             SolveMode::Full
@@ -891,77 +845,6 @@ impl DynamicSolver {
             cache_hits: hits,
             cache_misses: misses,
         })
-    }
-
-    /// Solves one missed component with the same per-SCC closure a
-    /// from-scratch [`solve_spec`] run would apply to it.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_job(
-        &self,
-        route: Route,
-        job: usize,
-        sub: &Graph,
-        counters: &mut Counters,
-        ws: &mut Workspace,
-        epsilon: f64,
-        chain: &[Algorithm],
-        deadline: Option<crate::budget::Deadline>,
-    ) -> Result<SccOutcome, SolveError> {
-        let opts = &self.opts;
-        match route {
-            Route::Mean => crate::algorithms::run_fallback_chain(
-                job, chain, sub, counters, epsilon, ws, opts, deadline,
-            ),
-            Route::RatioStrict(Algorithm::HowardExact) => {
-                let mut scope = BudgetScope::new(&opts.budget, deadline, Algorithm::HowardExact)
-                    .with_cancel(opts.cancel.clone());
-                crate::algorithms::howard::solve_scc_exact(sub, counters, ws, &mut scope)
-            }
-            Route::RatioStrict(_) => {
-                let mut scope = BudgetScope::new(&opts.budget, deadline, Algorithm::LawlerExact)
-                    .with_cancel(opts.cancel.clone());
-                crate::ratio::ratio_bisection(sub, counters, None, ws, &mut scope)
-            }
-            Route::RatioNative(Algorithm::Howard) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Howard);
-                crate::algorithms::howard::solve_scc_fig1(sub, counters, epsilon, ws, &mut scope)
-            }
-            Route::RatioNative(Algorithm::Burns | Algorithm::BurnsExact) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::BurnsExact);
-                crate::algorithms::burns::solve_scc(sub, counters, &mut scope)
-            }
-            Route::RatioNative(Algorithm::Ko) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Ko);
-                crate::algorithms::parametric::solve_scc(
-                    sub,
-                    counters,
-                    crate::algorithms::parametric::HeapGranularity::PerArc,
-                    &mut scope,
-                )
-            }
-            Route::RatioNative(Algorithm::Yto) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Yto);
-                crate::algorithms::parametric::solve_scc(
-                    sub,
-                    counters,
-                    crate::algorithms::parametric::HeapGranularity::PerNode,
-                    &mut scope,
-                )
-            }
-            Route::RatioNative(Algorithm::Lawler) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Lawler);
-                crate::ratio::ratio_bisection(sub, counters, Some(epsilon), ws, &mut scope)
-            }
-            Route::RatioNative(Algorithm::Megiddo) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Megiddo);
-                crate::algorithms::megiddo::solve_scc(sub, counters, ws, &mut scope)
-            }
-            // Unreachable: route_for sends every other spec to
-            // Route::Expansion, which never calls solve_job.
-            Route::RatioNative(_) | Route::Expansion => Err(SolveError::NumericRange {
-                context: "dynamic solver routed a non-per-SCC spec to the component path",
-            }),
-        }
     }
 
     fn evict_stale(&mut self) {
@@ -1085,6 +968,7 @@ fn fingerprint(sub: &Graph) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::Algorithm;
     use mcr_graph::graph::from_arc_list;
 
     fn mean_spec() -> SolveSpec {
@@ -1240,7 +1124,8 @@ mod tests {
     /// [`Topo::build`] + `refresh` on its current arc list, field by field.
     fn assert_state_is_fresh(s: &DynamicSolver, ctx: &str) {
         let got = s.topo.as_ref().expect("a solve leaves the state built");
-        let (mut want, _) = Topo::build(s.nodes, &s.arcs, &s.spec, None);
+        let (mut want, _) =
+            Topo::build(s.nodes, &s.arcs, s.route.is_some(), s.spec.maximize, None);
         want.refresh(s.spec.objective == Objective::Ratio);
         assert_eq!(graph_key(&got.graph), graph_key(&want.graph), "{ctx}: graph");
         assert_eq!(

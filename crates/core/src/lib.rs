@@ -71,6 +71,7 @@ pub mod obs;
 pub mod options;
 pub mod ratio;
 pub mod rational;
+mod route;
 pub mod reference;
 pub mod register_graph;
 pub mod solution;

@@ -4,7 +4,7 @@
 //! `#[inline(always)]` function and the crate links no recording code
 //! at all — the same compile-out contract as [`crate::chaos`], asserted
 //! by a `cargo tree` check in CI. With `--features obs` the helpers
-//! report to the [`mcr_obs`] global recorder, producing the structured
+//! report to the `mcr_obs` global recorder, producing the structured
 //! spans and unified metrics described in DESIGN.md ("Observability"):
 //!
 //! | event               | emitted by                                  |

@@ -19,10 +19,11 @@
 
 use crate::algorithms::Algorithm;
 use crate::budget::BudgetScope;
-use crate::driver::{solve_per_scc, solve_per_scc_opts};
 use crate::error::SolveError;
 use crate::options::SolveOptions;
+use crate::route::{self, Route};
 use crate::solution::Solution;
+use crate::spec::SpecError;
 use crate::workspace::Workspace;
 use mcr_graph::compact::MAX_INDEX;
 use mcr_graph::{ArcId, Graph, GraphBuilder, SccDecomposition};
@@ -53,59 +54,36 @@ pub fn has_zero_transit_cycle(g: &Graph) -> bool {
 /// Minimum cycle ratio with Howard's exact policy iteration (the
 /// default recommendation).
 ///
-/// Returns `None` if `g` is acyclic or if a zero-transit cycle makes
-/// the ratio undefined; use [`howard_ratio_exact_opts`] for the typed
-/// error.
+/// Returns `None` if `g` is acyclic or on any failure (a zero-transit
+/// cycle, a value past the `i64` range); use
+/// [`howard_ratio_exact_opts`] for the typed error.
 pub fn howard_ratio_exact(g: &Graph) -> Option<Solution> {
     howard_ratio_exact_opts(g, &SolveOptions::default()).ok()
 }
 
 /// [`howard_ratio_exact`] with explicit [`SolveOptions`] (thread count
 /// for the per-SCC driver — results are bit-identical at every count —
-/// plus the work [`Budget`](crate::Budget); the fallback chain does not
-/// apply to the algorithm-specific ratio entry points).
+/// plus the work [`Budget`](crate::Budget), deadline and cancel token;
+/// the fallback chain does not apply to the ratio objective).
 pub fn howard_ratio_exact_opts(g: &Graph, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    crate::obs::solve_start(Algorithm::HowardExact.name(), g, opts.effective_threads());
-    let deadline = opts.effective_deadline();
-    let result = solve_per_scc_opts(g, opts, |_job, s, c, ws| {
-        let mut scope = BudgetScope::new(&opts.budget, deadline, Algorithm::HowardExact)
-            .with_cancel(opts.cancel.clone());
-        crate::algorithms::howard::solve_scc_exact(s, c, ws, &mut scope)
-    });
-    match &result {
-        Ok(sol) => crate::obs::solve_end_ok(&sol.lambda, sol.solved_by.name(), &sol.counters),
-        Err(err) => crate::obs::solve_end_err(err.kind()),
-    }
-    result
+    route::solve(g, &Route::Ratio(Algorithm::HowardExact), opts)
 }
 
 /// Minimum cycle ratio with the paper's Figure-1 Howard (ε-terminated).
 ///
 /// Returns `None` if `g` is acyclic, if `epsilon` is not positive and
-/// finite, or if a zero-transit cycle makes the ratio undefined.
+/// finite, or on any failure.
 pub fn howard_ratio(g: &Graph, epsilon: f64) -> Option<Solution> {
-    if !(epsilon > 0.0 && epsilon.is_finite()) {
-        return None;
-    }
-    solve_per_scc(g, |_job, s, c, ws| {
-        let mut scope = BudgetScope::unlimited(Algorithm::Howard);
-        crate::algorithms::howard::solve_scc_fig1(s, c, epsilon, ws, &mut scope)
-    })
-    .ok()
+    solve_or_none(g, Algorithm::Howard, Some(epsilon))
 }
 
 /// Minimum cycle ratio with Burns' exact primal-dual algorithm (the
 /// algorithm's original formulation — Burns developed it for
 /// asynchronous circuit performance, a ratio problem).
 ///
-/// Returns `None` if `g` is acyclic or if a zero-transit cycle makes
-/// the ratio undefined.
+/// Returns `None` if `g` is acyclic or on any failure.
 pub fn burns_ratio(g: &Graph) -> Option<Solution> {
-    solve_per_scc(g, |_job, s, c, _ws| {
-        let mut scope = BudgetScope::unlimited(Algorithm::BurnsExact);
-        crate::algorithms::burns::solve_scc(s, c, &mut scope)
-    })
-    .ok()
+    solve_or_none(g, Algorithm::BurnsExact, None)
 }
 
 /// Minimum cycle ratio with the parametric shortest path algorithms.
@@ -115,46 +93,16 @@ pub fn burns_ratio(g: &Graph) -> Option<Solution> {
 /// Returns `None` if `g` is acyclic or on any failure;
 /// [`crate::spec::solve_spec`] reports the failure typed.
 pub fn parametric_ratio(g: &Graph, node_keyed: bool) -> Option<Solution> {
-    parametric_ratio_opts(g, node_keyed, &SolveOptions::default()).ok()
-}
-
-/// [`parametric_ratio`] with explicit [`SolveOptions`] (threads and
-/// budget; no fallback chain on the ratio entry points). A tree-path
-/// weight past `i64` is [`SolveError::Overflow`].
-pub(crate) fn parametric_ratio_opts(
-    g: &Graph,
-    node_keyed: bool,
-    opts: &SolveOptions,
-) -> Result<Solution, SolveError> {
-    use crate::algorithms::parametric::{solve_scc, HeapGranularity};
-    let (granularity, alg) = if node_keyed {
-        (HeapGranularity::PerNode, Algorithm::Yto)
-    } else {
-        (HeapGranularity::PerArc, Algorithm::Ko)
-    };
-    crate::obs::solve_start(alg.name(), g, opts.effective_threads());
-    let deadline = opts.effective_deadline();
-    let result = solve_per_scc_opts(g, opts, |_job, s, c, _ws| {
-        let mut scope =
-            BudgetScope::new(&opts.budget, deadline, alg).with_cancel(opts.cancel.clone());
-        solve_scc(s, c, granularity, &mut scope)
-    });
-    match &result {
-        Ok(sol) => crate::obs::solve_end_ok(&sol.lambda, sol.solved_by.name(), &sol.counters),
-        Err(err) => crate::obs::solve_end_err(err.kind()),
-    }
-    result
+    solve_or_none(g, if node_keyed { Algorithm::Yto } else { Algorithm::Ko }, None)
 }
 
 /// Minimum cycle ratio with Megiddo's parametric search (Table 1 row
 /// 12): exact, with oracle calls only at the master algorithm's own
 /// decision points.
+///
+/// Returns `None` if `g` is acyclic or on any failure.
 pub fn megiddo_ratio(g: &Graph) -> Option<Solution> {
-    solve_per_scc(g, |_job, s, c, ws| {
-        let mut scope = BudgetScope::unlimited(Algorithm::Megiddo);
-        crate::algorithms::megiddo::solve_scc(s, c, ws, &mut scope)
-    })
-    .ok()
+    solve_or_none(g, Algorithm::Megiddo, None)
 }
 
 /// Minimum cycle ratio via the Ito–Parhi register-graph reduction
@@ -165,17 +113,10 @@ pub use crate::register_graph::minimum_ratio_via_registers;
 /// Minimum cycle ratio by ε-precision binary search (Lawler's method on
 /// the ratio formulation).
 ///
-/// Returns `None` if `g` is acyclic or if `epsilon` is not positive and
-/// finite.
+/// Returns `None` if `g` is acyclic, if `epsilon` is not positive and
+/// finite, or on any failure.
 pub fn lawler_ratio(g: &Graph, epsilon: f64) -> Option<Solution> {
-    if !(epsilon > 0.0 && epsilon.is_finite()) {
-        return None;
-    }
-    solve_per_scc(g, |_job, s, c, ws| {
-        let mut scope = BudgetScope::unlimited(Algorithm::Lawler);
-        ratio_bisection(s, c, Some(epsilon), ws, &mut scope)
-    })
-    .ok()
+    solve_or_none(g, Algorithm::Lawler, Some(epsilon))
 }
 
 /// Exact minimum cycle ratio by binary search plus a rational snap
@@ -184,21 +125,22 @@ pub fn lawler_ratio_exact(g: &Graph) -> Option<Solution> {
     lawler_ratio_exact_opts(g, &SolveOptions::default()).ok()
 }
 
-/// [`lawler_ratio_exact`] with explicit [`SolveOptions`] (threads and
-/// budget; no fallback chain on the ratio entry points).
+/// [`lawler_ratio_exact`] with explicit [`SolveOptions`] (threads,
+/// budget, deadline and cancel token; no fallback chain on the ratio
+/// objective).
 pub fn lawler_ratio_exact_opts(g: &Graph, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    crate::obs::solve_start(Algorithm::LawlerExact.name(), g, opts.effective_threads());
-    let deadline = opts.effective_deadline();
-    let result = solve_per_scc_opts(g, opts, |_job, s, c, ws| {
-        let mut scope = BudgetScope::new(&opts.budget, deadline, Algorithm::LawlerExact)
-            .with_cancel(opts.cancel.clone());
-        ratio_bisection(s, c, None, ws, &mut scope)
-    });
-    match &result {
-        Ok(sol) => crate::obs::solve_end_ok(&sol.lambda, sol.solved_by.name(), &sol.counters),
-        Err(err) => crate::obs::solve_end_err(err.kind()),
-    }
-    result
+    route::solve(g, &Route::Ratio(Algorithm::LawlerExact), opts)
+}
+
+/// The ratio route of `alg` under default options at precision
+/// `epsilon` (the default one when `None`), any failure folded into
+/// `None`.
+fn solve_or_none(g: &Graph, alg: Algorithm, epsilon: Option<f64>) -> Option<Solution> {
+    let opts = SolveOptions {
+        epsilon,
+        ..SolveOptions::default()
+    };
+    route::solve(g, &Route::Ratio(alg), &opts).ok()
 }
 
 /// Every bisection step charges an iteration and a λ-refinement, like
@@ -233,7 +175,10 @@ pub(crate) fn ratio_bisection(
     let t_bound = total_t.max(1);
     let target = match epsilon {
         Some(_) => None,
-        None => Some(Ratio64::new(1, t_bound.saturating_mul(t_bound - 1).max(1) + 1)),
+        None => Some(Ratio64::new(
+            1,
+            t_bound.saturating_mul(t_bound - 1).max(1).saturating_add(1),
+        )),
     };
     scope.loop_metrics("core.ratio.bisect");
     loop {
@@ -345,21 +290,44 @@ pub fn expand_transits(g: &Graph) -> Result<(Graph, Vec<(ArcId, i64)>), String> 
 /// [`Algorithm`] (the Hartmann–Orlin `O(Tm)` route when combined with a
 /// linear-time-per-level MCM method).
 ///
+/// Returns `Ok(None)` if `g` is acyclic or on any solver failure;
+/// [`crate::spec::solve_spec`] reports the failure typed.
+///
 /// # Errors
 ///
-/// Returns `Err` if any arc has transit time 0.
+/// Returns `Err` if any arc has transit time 0, or if the expansion
+/// would pass the [`MAX_INDEX`] cap.
 pub fn ratio_via_expansion(g: &Graph, algorithm: Algorithm) -> Result<Option<Solution>, String> {
-    let (expanded, origin) = expand_transits(g)?;
-    let sol = match algorithm.solve(&expanded) {
-        None => return Ok(None),
-        Some(s) => s,
+    match solve_by_expansion(g, algorithm, &SolveOptions::default()) {
+        Err(SpecError::Input(msg)) => Err(msg),
+        result => Ok(result.ok().flatten()),
+    }
+}
+
+/// [`ratio_via_expansion`] under `opts` — budget, deadline, cancel
+/// token, precision, threads and fallback chain — with solver failures
+/// typed. `opts.plan` describes `g`, not its expansion, so it is
+/// dropped.
+pub(crate) fn solve_by_expansion(
+    g: &Graph,
+    algorithm: Algorithm,
+    opts: &SolveOptions,
+) -> Result<Option<Solution>, SpecError> {
+    let (expanded, origin) = expand_transits(g).map_err(SpecError::Input)?;
+    let opts = SolveOptions { plan: None, ..opts.clone() };
+    let sol = match algorithm.solve_with_options(&expanded, &opts) {
+        Ok(sol) => sol,
+        Err(SolveError::Acyclic) => return Ok(None),
+        Err(e) => return Err(e.into()),
     };
     // Map the witness back: keep each original arc once (its segment 0),
     // preserving traversal order.
     let mut cycle: Vec<ArcId> = Vec::new();
     for &a in &sol.cycle {
         let Some(&(orig, seg)) = origin.get(a.index()) else {
-            return Err("witness references an arc outside the expansion".to_string());
+            return Err(SpecError::Input(
+                "witness references an arc outside the expansion".to_string(),
+            ));
         };
         if seg == 0 {
             cycle.push(orig);

@@ -140,6 +140,20 @@ impl Ratio64 {
         Self::from_i128(num, den)
     }
 
+    /// Fallible [`Ratio64::midpoint`]: `None` if the reduced midpoint
+    /// does not fit `i64/i64`. Every product and sum fits `i128`.
+    pub(crate) fn checked_midpoint(self, other: Self) -> Option<Self> {
+        let num = self.num as i128 * other.den as i128 + other.num as i128 * self.den as i128;
+        Self::try_from_i128(num, 2 * self.den as i128 * other.den as i128)
+    }
+
+    /// Fallible subtraction: `None` if the reduced difference does not
+    /// fit `i64/i64`. Every product and difference fits `i128`.
+    pub(crate) fn checked_sub(self, rhs: Self) -> Option<Self> {
+        let num = self.num as i128 * rhs.den as i128 - rhs.num as i128 * self.den as i128;
+        Self::try_from_i128(num, self.den as i128 * rhs.den as i128)
+    }
+
     /// The simplest rational (smallest denominator, then smallest
     /// absolute numerator) in the closed interval `[lo, hi]`, via
     /// Stern–Brocot / continued-fraction descent.

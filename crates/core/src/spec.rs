@@ -3,11 +3,11 @@
 //! The CLI's `mcr solve` and the `mcrd` daemon accept the same logical
 //! request — algorithm, objective (mean or ratio), minimize/maximize,
 //! precision — and must produce **bit-identical** answers for it. That
-//! only holds if they share one dispatch: the objective-specific entry
-//! points differ per algorithm (the ratio problem has native solvers
-//! for some algorithms and an expansion reduction for the rest), and
-//! duplicating that match would let the two front ends drift. This
-//! module owns it.
+//! only holds if they share one dispatch: [`solve_spec`] is it. The
+//! per-component kernel it runs comes from the crate's route table,
+//! shared with the incremental [`crate::DynamicSolver`]; the ratio
+//! objective on an algorithm with no ratio kernel solves the whole
+//! graph by transit expansion instead.
 
 // Request dispatch must stay panic-free whatever the request says;
 // CI runs clippy with -D warnings, so these lints are a gate.
@@ -18,6 +18,7 @@ use crate::budget::Budget;
 use crate::error::SolveError;
 use crate::options::{FallbackChain, SolveOptions};
 use crate::ratio;
+use crate::route::{self, route_for};
 use crate::solution::Solution;
 use crate::status::SolveStatus;
 use mcr_graph::Graph;
@@ -139,7 +140,7 @@ impl From<SolveError> for SpecError {
 /// is no cycle mean or ratio to report). For `maximize` the solve runs
 /// on the negated graph and the returned λ is negated back, so the
 /// solution is in the caller's orientation; the witness cycle indexes
-/// `g`'s arcs either way, and [`crate::certify`] against `g` works
+/// `g`'s arcs either way, and [`crate::certify()`] against `g` works
 /// unchanged (negation commutes with both objectives).
 ///
 /// **Plan orientation.** [`SolveOptions::plan`] must be prepared from
@@ -149,9 +150,10 @@ impl From<SolveError> for SpecError {
 /// size fingerprint cannot tell the two orientations apart. The `mcrd`
 /// graph cache keeps one plan per orientation for exactly this reason.
 ///
-/// This is exactly the dispatch the CLI has always applied; the `mcrd`
-/// daemon calls the same function, which is what makes daemon answers
-/// bit-identical to one-shot CLI answers for the same request.
+/// The per-component kernel comes from the crate's one route table,
+/// which [`crate::DynamicSolver`] shares; the `mcrd` daemon calls this
+/// same function, which is what makes daemon answers bit-identical to
+/// one-shot CLI answers for the same request.
 pub fn solve_spec(
     g: &Graph,
     spec: &SolveSpec,
@@ -164,34 +166,13 @@ pub fn solve_spec(
     } else {
         g
     };
-    // Validate the precision up front: the Option-returning ratio
-    // entries would otherwise fold a bad epsilon into "acyclic".
-    let epsilon = match opts.epsilon {
-        Some(e) if e > 0.0 && e.is_finite() => e,
-        Some(e) => return Err(SolveError::InvalidEpsilon { epsilon: e }.into()),
-        None => Algorithm::default_epsilon(target),
-    };
-    let sol: Option<Solution> = match spec.objective {
-        Objective::Mean => flatten_acyclic(spec.algorithm.solve_with_options(target, opts))?,
-        Objective::Ratio => {
-            if ratio::has_zero_transit_cycle(target) {
-                return Err(SolveError::ZeroTransitCycle.into());
-            }
-            match spec.algorithm {
-                Algorithm::Howard => ratio::howard_ratio(target, epsilon),
-                Algorithm::HowardExact => {
-                    flatten_acyclic(ratio::howard_ratio_exact_opts(target, opts))?
-                }
-                Algorithm::Burns | Algorithm::BurnsExact => ratio::burns_ratio(target),
-                Algorithm::Ko => flatten_acyclic(ratio::parametric_ratio_opts(target, false, opts))?,
-                Algorithm::Yto => flatten_acyclic(ratio::parametric_ratio_opts(target, true, opts))?,
-                Algorithm::Lawler => ratio::lawler_ratio(target, epsilon),
-                Algorithm::LawlerExact => {
-                    flatten_acyclic(ratio::lawler_ratio_exact_opts(target, opts))?
-                }
-                Algorithm::Megiddo => ratio::megiddo_ratio(target),
-                other => ratio::ratio_via_expansion(target, other).map_err(SpecError::Input)?,
-            }
+    let sol = match route_for(spec, opts) {
+        Some(route) => flatten_acyclic(route::solve(target, &route, opts))?,
+        None => {
+            route::preflight(Objective::Ratio, target, opts, || {
+                ratio::has_zero_transit_cycle(target)
+            })?;
+            ratio::solve_by_expansion(target, spec.algorithm, opts)?
         }
     };
     Ok(sol.map(|mut sol| {

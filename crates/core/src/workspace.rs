@@ -11,16 +11,16 @@
 //!
 //! Howard keeps `succ[v]`, the target of `v`'s policy arc, beside the
 //! policy, and its policy-cycle scan records the visit order of its
-//! walks ([`PolicyCycleScratch`]). Value determination is then one
+//! walks (`PolicyCycleScratch`). Value determination is then one
 //! sweep over those walks, with an `INF` sentinel for nodes outside the
 //! basin, so Howard needs no marks, queue or reverse adjacency.
 //!
 //! Two techniques keep the reuse cheap *and* bit-identical elsewhere:
 //!
-//! * **Epoch-stamped marks** ([`Marks`]): a "visited/settled" flag is a
+//! * **Epoch-stamped marks** (`Marks`): a "visited/settled" flag is a
 //!   `u32` stamp compared against the current epoch, so clearing a mark
 //!   array is a single counter increment instead of an `O(n)` fill.
-//! * **Flat CSR adjacency** ([`RevCsr`]): the critical-cycle DFS's
+//! * **Flat CSR adjacency** (`RevCsr`): the critical-cycle DFS's
 //!   tight-arc adjacency is rebuilt per call by counting sort into one
 //!   flat array. Items are placed in increasing insertion order, which
 //!   is exactly the push order of the `Vec<Vec<u32>>` it replaces —
@@ -206,8 +206,7 @@ impl Workspace {
     }
 
     /// Whether the workspace holds state from an attempt that did not
-    /// complete cleanly (no [`Workspace::end_use`] after the last
-    /// [`Workspace::begin_use`]).
+    /// complete cleanly (no `end_use` after the last `begin_use`).
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }

@@ -21,11 +21,12 @@
 
 use mcr_core::spec::{solve_spec, SolveSpec};
 use mcr_core::{
-    certify, parse_edit_script, render_edit_script, Algorithm, ArcSpec, DynamicSolver, Edit,
-    EditScript, Solution, SolveOptions,
+    certify, parse_edit_script, render_edit_script, Algorithm, ArcSpec, Budget, DynamicSolver,
+    Edit, EditScript, Solution, SolveOptions,
 };
 use mcr_gen::circuit::{circuit_graph, CircuitConfig};
 use mcr_gen::edits::{edit_script, EditScriptConfig};
+use mcr_graph::GraphBuilder;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -297,6 +298,61 @@ fn weight_only_scripts_match_from_scratch_solves_at_every_thread_count() {
                 threads,
                 &format!("weight-only seed={seed} threads={threads}"),
             );
+        }
+    }
+}
+
+#[test]
+fn first_solve_matches_solve_spec_for_every_spec_and_failure() {
+    // Both paths take their per-component kernel from one route table,
+    // so every algorithm × objective × orientation must give the same
+    // answer (λ, witness, solved_by, counters) or the same typed error:
+    // on a small multi-component graph, on a 2-ring whose transits of
+    // 2^62 overflow the parametric kernels, and under a one-iteration
+    // budget that starves some kernels and not others.
+    let multi = mcr_graph::graph::from_arc_list(
+        7,
+        &[
+            (0, 1, 5),
+            (1, 0, 5),
+            (1, 2, 1),
+            (2, 3, 1),
+            (3, 4, 2),
+            (4, 2, 3),
+            (4, 5, -1),
+            (5, 6, 7),
+            (6, 5, 1),
+        ],
+    );
+    let mut b = GraphBuilder::new();
+    let v = b.add_nodes(2);
+    b.add_arc_with_transit(v[0], v[1], 1, 1 << 62);
+    b.add_arc_with_transit(v[1], v[0], 1, 1 << 62);
+    let ring = b.build();
+    let starved = SolveOptions::new().budget(Budget::default().max_iterations(1));
+    let cases = [
+        ("multi", &multi, SolveOptions::new()),
+        ("ring 2^62", &ring, SolveOptions::new()),
+        ("multi iters=1", &multi, starved),
+    ];
+    for (name, g, opts) in cases {
+        for alg in Algorithm::ALL {
+            for base in [SolveSpec::mean(alg), SolveSpec::ratio(alg)] {
+                for spec in [base, base.maximize()] {
+                    let ctx = format!("{name} {spec:?}");
+                    let dynamic = DynamicSolver::new(g, spec, opts.clone())
+                        .solve()
+                        .map(|outcome| outcome.solution);
+                    match (dynamic, solve_spec(g, &spec, &opts)) {
+                        (Ok(Some(inc)), Ok(Some(fresh))) => {
+                            assert_same_solution(&inc, &fresh, &ctx)
+                        }
+                        (Ok(None), Ok(None)) => {}
+                        (Err(inc), Err(fresh)) => assert_eq!(inc, fresh, "{ctx}"),
+                        (inc, fresh) => panic!("{ctx}: dynamic {inc:?} vs solve_spec {fresh:?}"),
+                    }
+                }
+            }
         }
     }
 }

@@ -396,3 +396,117 @@ fn parametric_ratio_route_never_falls_back_to_a_mean_solver() {
         }
     }
 }
+
+/// The ring 0 → 1 → 2 → 0 (weights 1, 1, 0) plus the chord 1 → 0
+/// (weight 1), every transit 2^62: λ* = 2/(3·2^62) = 1/(3·2^61), but the
+/// ring's total transit leaves `i64`.
+fn transit_2_62_ring() -> Graph {
+    let t = 1i64 << 62;
+    let mut b = GraphBuilder::new();
+    let v = b.add_nodes(3);
+    b.add_arc_with_transit(v[0], v[1], 1, t);
+    b.add_arc_with_transit(v[1], v[2], 1, t);
+    b.add_arc_with_transit(v[2], v[0], 0, t);
+    b.add_arc_with_transit(v[1], v[0], 1, t);
+    b.build()
+}
+
+/// The 3-ring 0 → 1 → 2 → 0 of weight `w` and transit `t` per arc.
+fn uniform_ring(w: i64, t: i64) -> Graph {
+    let mut b = GraphBuilder::new();
+    let v = b.add_nodes(3);
+    for i in 0..3 {
+        b.add_arc_with_transit(v[i], v[(i + 1) % 3], w, t);
+    }
+    b.build()
+}
+
+#[test]
+fn native_ratio_kernels_fail_typed_past_i64() {
+    // Burns' critical heights sum transits: two arcs of 2^62 leave i64.
+    // Wrapped, Burns stopped at the 2-cycle's 1/2^62, which certifies
+    // but is not optimal. Megiddo's symbolic path lengths and its
+    // interval bound n·max|w| leave i64 on the same ring and on a ring
+    // of weights 2^62; so does Lawler's bisection bound at
+    // w = 2^62 − 1, where the ε route used to answer "acyclic".
+    let cases = [
+        (transit_2_62_ring(), vec![Algorithm::Burns, Algorithm::BurnsExact, Algorithm::Megiddo]),
+        (uniform_ring(1 << 62, 1), vec![Algorithm::Megiddo, Algorithm::LawlerExact]),
+        (uniform_ring((1 << 62) - 1, 3), vec![Algorithm::Megiddo, Algorithm::Lawler]),
+    ];
+    let opts = SolveOptions { fallback: FallbackChain::NONE, ..SolveOptions::default() };
+    for (g, algs) in cases {
+        for alg in algs {
+            match solve_spec(&g, &SolveSpec::ratio(alg), &opts) {
+                Err(SpecError::Solve(SolveError::Overflow { .. })) => {}
+                other => panic!("{}: {other:?}", alg.name()),
+            }
+        }
+    }
+    // Howard-exact answers the last ring exactly: (2^62 − 1)/3.
+    let g = uniform_ring((1 << 62) - 1, 3);
+    let sol = solve_spec(&g, &SolveSpec::ratio(Algorithm::HowardExact), &opts)
+        .expect("ok")
+        .expect("cyclic");
+    assert_eq!(sol.lambda, Ratio64::new((1 << 62) - 1, 3));
+    certify(&sol, &g).expect("certifies");
+}
+
+#[test]
+fn exact_ratio_bisection_fails_typed_on_huge_transit_totals() {
+    // Transits of 2^40: the snap target 1/(T(T − 1) + 1) saturates.
+    // Lawler-exact's blind bisection then runs out of denominator range
+    // and must say so typed instead of overflowing the target's
+    // arithmetic; Megiddo pins λ* = 3/2^41 at an oracle crossing.
+    let mut b = GraphBuilder::new();
+    let v = b.add_nodes(2);
+    b.add_arc_with_transit(v[0], v[1], 1, 1 << 40);
+    b.add_arc_with_transit(v[1], v[0], 2, 1 << 40);
+    let g = b.build();
+    let opts = SolveOptions { fallback: FallbackChain::NONE, ..SolveOptions::default() };
+    match solve_spec(&g, &SolveSpec::ratio(Algorithm::LawlerExact), &opts) {
+        Err(SpecError::Solve(SolveError::NumericRange { .. })) => {}
+        other => panic!("Lawler-exact: {other:?}"),
+    }
+    let sol = solve_spec(&g, &SolveSpec::ratio(Algorithm::Megiddo), &opts)
+        .expect("ok")
+        .expect("cyclic");
+    assert_eq!(sol.lambda, Ratio64::new(3, 1 << 41));
+    certify(&sol, &g).expect("certifies");
+}
+
+#[test]
+fn every_ratio_route_honours_budget_and_cancel() {
+    // The ratio routes share the mean route's budget scope: a
+    // zero-iteration budget exhausts every kernel before its first
+    // round, and a cancelled token stops it, through `solve_spec` and
+    // through `DynamicSolver` alike. Before, only Howard-exact,
+    // Lawler-exact, KO and YTO saw either; the transit expansion (Karp
+    // family, OA1) solved under default options.
+    let mut b = GraphBuilder::new();
+    let v = b.add_nodes(3);
+    b.add_arc_with_transit(v[0], v[1], 4, 1);
+    b.add_arc_with_transit(v[1], v[2], -1, 2);
+    b.add_arc_with_transit(v[2], v[0], 3, 1);
+    b.add_arc_with_transit(v[1], v[0], 2, 3);
+    let g = b.build();
+    let token = mcr_core::CancelToken::new();
+    token.cancel();
+    let starved = SolveOptions::new().budget(Budget::default().max_iterations(0));
+    let cancelled = SolveOptions::new().cancel(token);
+    for alg in Algorithm::ALL {
+        let spec = SolveSpec::ratio(alg);
+        for (opts, what) in [(&starved, "iters=0"), (&cancelled, "cancelled")] {
+            let fresh = solve_spec(&g, &spec, opts);
+            let dynamic = mcr_core::DynamicSolver::new(&g, spec, opts.clone())
+                .solve()
+                .map(|outcome| outcome.solution);
+            match &fresh {
+                Err(SpecError::Solve(SolveError::BudgetExhausted { .. })) if what == "iters=0" => {}
+                Err(SpecError::Solve(SolveError::Cancelled)) if what == "cancelled" => {}
+                other => panic!("{} {what}: {other:?}", alg.name()),
+            }
+            assert_eq!(dynamic.map(|_| ()), fresh.map(|_| ()), "{} {what}", alg.name());
+        }
+    }
+}

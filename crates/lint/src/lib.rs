@@ -62,9 +62,10 @@ use std::path::{Path, PathBuf};
 /// Files whose production code must not contain `unwrap`/`expect`/
 /// `panic!`/`unreachable!`/`todo!`/`unimplemented!` (parser, solver
 /// surface, driver, fallback, and error layers).
-pub const PANIC_SCOPE: [&str; 14] = [
+pub const PANIC_SCOPE: [&str; 15] = [
     "crates/graph/src/io.rs",
     "crates/core/src/driver.rs",
+    "crates/core/src/route.rs",
     "crates/core/src/ratio.rs",
     "crates/core/src/maximum.rs",
     "crates/core/src/reference.rs",
@@ -83,9 +84,10 @@ pub const PANIC_SCOPE: [&str; 14] = [
 /// (`x[i]`): layers that consume externally-shaped data, where an
 /// out-of-bounds index means a malformed input rather than a broken
 /// internal invariant.
-pub const INDEX_SCOPE: [&str; 5] = [
+pub const INDEX_SCOPE: [&str; 6] = [
     "crates/graph/src/io.rs",
     "crates/core/src/driver.rs",
+    "crates/core/src/route.rs",
     "crates/core/src/ratio.rs",
     "crates/core/src/maximum.rs",
     "crates/core/src/algorithms/mod.rs",

@@ -5,7 +5,8 @@
 # property-based differential harness), clippy with warnings denied on
 # the crates the solver stack touches (which enforces the module-level
 # `deny(clippy::unwrap_used, clippy::panic)` gates on the parser and
-# the error/budget/certify layer), a CLI smoke test of the exit
+# the error/budget/certify layer), rustdoc with warnings denied on
+# mcr-core, a CLI smoke test of the exit
 # code contract against the bad-input corpus, a byte-compare of the
 # static solve across per-SCC driver thread counts, a kill -9
 # crash-recovery drill of the mcrd solve daemon, and a two-shard fleet
@@ -52,6 +53,11 @@ cargo test -q --workspace
 echo "=== cargo clippy -D warnings (solver stack) ==="
 cargo clippy -q -p mcr-graph -p mcr-core -p mcr-cli -p mcr-bench \
     -p mcr-serve --all-targets -- -D warnings
+
+echo "=== rustdoc -D warnings (mcr-core, private items) ==="
+# Broken intra-doc links and public docs that point at private items
+# fail the gate, so the module docs stay navigable.
+RUSTDOCFLAGS="-D warnings" cargo doc -q -p mcr-core --no-deps --document-private-items
 
 echo "=== CLI smoke: exit-code contract ==="
 MCR=target/release/mcr
