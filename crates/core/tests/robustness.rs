@@ -425,21 +425,36 @@ fn uniform_ring(w: i64, t: i64) -> Graph {
 fn native_ratio_kernels_fail_typed_past_i64() {
     // Burns' critical heights sum transits: two arcs of 2^62 leave i64.
     // Wrapped, Burns stopped at the 2-cycle's 1/2^62, which certifies
-    // but is not optimal. Megiddo's symbolic path lengths and its
-    // interval bound n·max|w| leave i64 on the same ring and on a ring
-    // of weights 2^62; so does Lawler's bisection bound at
-    // w = 2^62 − 1, where the ε route used to answer "acyclic".
+    // but is not optimal. KO/YTO's tree-path transits and Megiddo's
+    // symbolic path lengths leave i64 on the same ring, and Megiddo's
+    // interval bound n·max|w| on a ring of weights 2^62; so does
+    // Lawler's bisection bound at w = 2^62 − 1, where the ε route used
+    // to answer "acyclic". `DynamicSolver` used to fold each of these
+    // into "acyclic" too.
     let cases = [
-        (transit_2_62_ring(), vec![Algorithm::Burns, Algorithm::BurnsExact, Algorithm::Megiddo]),
+        (
+            transit_2_62_ring(),
+            vec![
+                Algorithm::Burns,
+                Algorithm::BurnsExact,
+                Algorithm::Ko,
+                Algorithm::Yto,
+                Algorithm::Megiddo,
+            ],
+        ),
         (uniform_ring(1 << 62, 1), vec![Algorithm::Megiddo, Algorithm::LawlerExact]),
         (uniform_ring((1 << 62) - 1, 3), vec![Algorithm::Megiddo, Algorithm::Lawler]),
     ];
     let opts = SolveOptions { fallback: FallbackChain::NONE, ..SolveOptions::default() };
     for (g, algs) in cases {
         for alg in algs {
-            match solve_spec(&g, &SolveSpec::ratio(alg), &opts) {
-                Err(SpecError::Solve(SolveError::Overflow { .. })) => {}
-                other => panic!("{}: {other:?}", alg.name()),
+            let spec = SolveSpec::ratio(alg);
+            let dynamic = mcr_core::DynamicSolver::new(&g, spec, opts.clone()).solve();
+            for result in [solve_spec(&g, &spec, &opts), dynamic.map(|o| o.solution)] {
+                match result {
+                    Err(SpecError::Solve(SolveError::Overflow { .. })) => {}
+                    other => panic!("{}: {other:?}", alg.name()),
+                }
             }
         }
     }
