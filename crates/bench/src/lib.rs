@@ -221,9 +221,11 @@ pub mod table2 {
 
     use super::{average_lambda_over_seeds, fits_in_memory, HarnessConfig};
     use mcr_core::{Algorithm, Ratio64};
-    use mcr_obs::json::Obj;
-    use mcr_obs::TABLE2_SCHEMA;
+    use mcr_graph::json::ObjWriter;
     use std::time::Duration;
+
+    /// Version tag stamped on every `table2 --jsonl` line.
+    pub const TABLE2_SCHEMA: &str = "mcr-table2 v1";
 
     /// One measured Table-2 cell: the mean λ-only wall time of one
     /// algorithm at one grid point, plus the first seed's λ for the
@@ -283,7 +285,7 @@ pub mod table2 {
     /// `normalize_times` zeroes the wall-clock field so the output is
     /// bit-stable across machines — the mode the committed goldens use.
     pub fn cell_jsonl(cell: &Cell, normalize_times: bool) -> String {
-        let base = Obj::new()
+        let base = ObjWriter::new()
             .str("schema", TABLE2_SCHEMA)
             .str("kind", "cell")
             .u64("n", cell.n as u64)
@@ -308,7 +310,7 @@ pub mod table2 {
     /// Renders the full per-cell report: a header line carrying the run
     /// configuration, then one line per cell in grid-major order.
     pub fn jsonl_report(cells: &[Cell], cfg: &HarnessConfig, normalize_times: bool) -> String {
-        let mut out = Obj::new()
+        let mut out = ObjWriter::new()
             .str("schema", TABLE2_SCHEMA)
             .str("kind", "table2.header")
             .u64("cells", cells.len() as u64)

@@ -181,7 +181,6 @@ pub(crate) fn run_fallback_chain(
 /// }
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Algorithm {
     /// Burns' primal-dual algorithm (`f64` duals, as in the original
     /// study's implementation; the reported λ is the exact mean of the

@@ -34,9 +34,7 @@
 //! [`Checkpoint::to_text`] / [`Checkpoint::from_text`] give a versioned,
 //! line-oriented text encoding ("`mcr-checkpoint v1`" header, one
 //! `job …` line per saved component) used by the CLI and usable
-//! without any serialization framework; with the `serde` feature the
-//! [`Checkpoint`] additionally implements `Serialize`/`Deserialize` as
-//! that same text document.
+//! without any serialization framework.
 
 // Parsing/validation surfaces must stay panic-free whatever the
 // input; CI runs clippy with -D warnings, so these lints are a gate.
@@ -313,25 +311,6 @@ impl Checkpoint {
             return Err(CheckpointError::new(0, "missing `mcr-checkpoint` header"));
         }
         Ok(Checkpoint { jobs })
-    }
-}
-
-/// With the `serde` feature, a [`Checkpoint`] serializes as its
-/// versioned text document (one string), so any serde format can carry
-/// it while the parsing and validation stay in [`Checkpoint::from_text`].
-#[cfg(feature = "serde")]
-impl serde::Serialize for Checkpoint {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.to_text().serialize(serializer)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for Checkpoint {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error as _;
-        let text = String::deserialize(deserializer)?;
-        Checkpoint::from_text(&text).map_err(D::Error::custom)
     }
 }
 

@@ -3,8 +3,8 @@
 //! A versioned JSONL format describing a base graph plus a sequence of
 //! edit batches for the incremental [`crate::DynamicSolver`] — what
 //! `mcr dynamic --edits FILE` consumes and `mcr gen edits` emits. Every
-//! line is one flat JSON object (scalar fields only, no nesting), in
-//! this order:
+//! line is one flat JSON object (string or integer values, each key
+//! once; read with [`mcr_graph::json`]), in this order:
 //!
 //! ```text
 //! {"schema":"mcr-edits v1","kind":"header","nodes":4,"arcs":2,"batches":1,"seed":7}
@@ -29,8 +29,8 @@
 //! is the committed golden script guarding the byte format.
 
 use crate::dynamic::{ArcSpec, Edit};
+use mcr_graph::json::{self, Value};
 use mcr_graph::{Graph, GraphBuilder, NodeId};
-use std::collections::BTreeMap;
 
 /// The schema tag every `mcr-edits v1` header carries.
 pub const EDITS_SCHEMA: &str = "mcr-edits v1";
@@ -63,197 +63,122 @@ impl EditScript {
     }
 }
 
-/// One scalar JSON value of a flat object line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Scalar {
-    Str(String),
-    Num(i128),
+/// One script line: a flat JSON object whose values are strings or
+/// integers, each key at most once.
+struct Line<'a> {
+    text: &'a str,
+    obj: Value,
 }
 
-/// Parses one flat JSON object (`{"key":value,...}`, string or integer
-/// values, no nesting / escapes / duplicates).
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Scalar>, String> {
-    let inner = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("line is not a JSON object: {line}"))?;
-    let mut fields = BTreeMap::new();
-    let mut chars = inner.chars().peekable();
-    loop {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace() || *c == ',') {
-            chars.next();
-        }
-        if chars.peek().is_none() {
-            return Ok(fields);
-        }
-        if chars.next() != Some('"') {
-            return Err(format!("expected a quoted key in: {line}"));
-        }
-        let mut key = String::new();
-        for c in chars.by_ref() {
-            if c == '"' {
-                break;
-            }
-            if c == '\\' {
-                return Err(format!("escapes are not part of mcr-edits v1: {line}"));
-            }
-            key.push(c);
-        }
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        if chars.next() != Some(':') {
-            return Err(format!("missing `:` after key `{key}` in: {line}"));
-        }
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        let value = match chars.peek() {
-            Some('"') => {
-                chars.next();
-                let mut s = String::new();
-                for c in chars.by_ref() {
-                    if c == '"' {
-                        break;
-                    }
-                    if c == '\\' {
-                        return Err(format!("escapes are not part of mcr-edits v1: {line}"));
-                    }
-                    s.push(c);
-                }
-                Scalar::Str(s)
-            }
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let mut num = String::new();
-                while matches!(chars.peek(), Some(c) if *c == '-' || c.is_ascii_digit()) {
-                    num.push(chars.next().unwrap_or('0'));
-                }
-                Scalar::Num(
-                    num.parse::<i128>()
-                        .map_err(|_| format!("invalid number `{num}` in: {line}"))?,
-                )
-            }
-            _ => return Err(format!("unsupported value for key `{key}` in: {line}")),
+impl<'a> Line<'a> {
+    fn parse(text: &'a str) -> Result<Self, String> {
+        let obj = json::parse(text).map_err(|e| format!("{e} in: {text}"))?;
+        let Value::Obj(pairs) = &obj else {
+            return Err(format!("line is not a JSON object: {text}"));
         };
-        if fields.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate key `{key}` in: {line}"));
+        for (i, (key, value)) in pairs.iter().enumerate() {
+            if !matches!(value, Value::Str(_) | Value::Int(_)) {
+                return Err(format!("unsupported value for key `{key}` in: {text}"));
+            }
+            if pairs.iter().take(i).any(|(k, _)| k == key) {
+                return Err(format!("duplicate key `{key}` in: {text}"));
+            }
+        }
+        Ok(Line { text, obj })
+    }
+
+    /// The integer field `key`, converted to the caller's type.
+    fn int<T: TryFrom<i128>>(&self, key: &str) -> Result<T, String> {
+        let text = self.text;
+        match self.obj.get(key) {
+            Some(Value::Int(n)) => {
+                T::try_from(*n).map_err(|_| format!("field `{key}` is out of range in: {text}"))
+            }
+            Some(_) => Err(format!("field `{key}` must be a number in: {text}")),
+            None => Err(format!("missing field `{key}` in: {text}")),
         }
     }
-}
 
-fn get_num(
-    fields: &BTreeMap<String, Scalar>,
-    key: &str,
-    line: &str,
-) -> Result<i128, String> {
-    match fields.get(key) {
-        Some(Scalar::Num(n)) => Ok(*n),
-        Some(Scalar::Str(_)) => Err(format!("field `{key}` must be a number in: {line}")),
-        None => Err(format!("missing field `{key}` in: {line}")),
-    }
-}
-
-fn get_usize(
-    fields: &BTreeMap<String, Scalar>,
-    key: &str,
-    line: &str,
-) -> Result<usize, String> {
-    usize::try_from(get_num(fields, key, line)?)
-        .map_err(|_| format!("field `{key}` is out of range in: {line}"))
-}
-
-fn get_i64(fields: &BTreeMap<String, Scalar>, key: &str, line: &str) -> Result<i64, String> {
-    i64::try_from(get_num(fields, key, line)?)
-        .map_err(|_| format!("field `{key}` is out of range in: {line}"))
-}
-
-fn get_str<'a>(
-    fields: &'a BTreeMap<String, Scalar>,
-    key: &str,
-    line: &str,
-) -> Result<&'a str, String> {
-    match fields.get(key) {
-        Some(Scalar::Str(s)) => Ok(s),
-        Some(Scalar::Num(_)) => Err(format!("field `{key}` must be a string in: {line}")),
-        None => Err(format!("missing field `{key}` in: {line}")),
+    /// The string field `key`.
+    fn str(&self, key: &str) -> Result<&str, String> {
+        let text = self.text;
+        match self.obj.get(key) {
+            Some(Value::Str(s)) => Ok(s),
+            Some(_) => Err(format!("field `{key}` must be a string in: {text}")),
+            None => Err(format!("missing field `{key}` in: {text}")),
+        }
     }
 }
 
 /// Parses a whole `mcr-edits v1` script. Blank lines are ignored.
 pub fn parse_edit_script(text: &str) -> Result<EditScript, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header_line = lines.next().ok_or("empty edit script")?;
-    let header = parse_flat_object(header_line)?;
-    let schema = get_str(&header, "schema", header_line)?;
+    let header = Line::parse(lines.next().ok_or("empty edit script")?)?;
+    let schema = header.str("schema")?;
     if schema != EDITS_SCHEMA {
         return Err(format!("unsupported schema `{schema}` (want `{EDITS_SCHEMA}`)"));
     }
-    if get_str(&header, "kind", header_line)? != "header" {
-        return Err(format!("first line must be the header: {header_line}"));
+    if header.str("kind")? != "header" {
+        return Err(format!("first line must be the header: {}", header.text));
     }
-    let nodes = get_usize(&header, "nodes", header_line)?;
-    let arcs = get_usize(&header, "arcs", header_line)?;
-    let batches = get_usize(&header, "batches", header_line)?;
-    let seed = u64::try_from(get_num(&header, "seed", header_line)?)
-        .map_err(|_| format!("field `seed` is out of range in: {header_line}"))?;
+    let nodes = header.int("nodes")?;
+    let arcs = header.int("arcs")?;
+    let batches = header.int("batches")?;
 
     let mut script = EditScript {
         nodes,
         base_arcs: Vec::with_capacity(arcs),
         batches: vec![Vec::new(); batches],
-        seed,
+        seed: header.int("seed")?,
     };
     let mut last_batch = 0usize;
-    for line in lines {
-        let fields = parse_flat_object(line)?;
-        match get_str(&fields, "kind", line)? {
+    for text in lines {
+        let line = Line::parse(text)?;
+        match line.str("kind")? {
             "arc" => {
                 if !script.batches.iter().all(Vec::is_empty) || last_batch != 0 {
-                    return Err(format!("arc line after the first edit line: {line}"));
+                    return Err(format!("arc line after the first edit line: {text}"));
                 }
                 script.base_arcs.push(ArcSpec {
-                    src: get_usize(&fields, "src", line)?,
-                    dst: get_usize(&fields, "dst", line)?,
-                    weight: get_i64(&fields, "weight", line)?,
-                    transit: get_i64(&fields, "transit", line)?,
+                    src: line.int("src")?,
+                    dst: line.int("dst")?,
+                    weight: line.int("weight")?,
+                    transit: line.int("transit")?,
                 });
             }
             "edit" => {
-                let batch = get_usize(&fields, "batch", line)?;
+                let batch: usize = line.int("batch")?;
                 if batch == 0 || batch > batches {
-                    return Err(format!(
-                        "batch {batch} is outside 1..={batches}: {line}"
-                    ));
+                    return Err(format!("batch {batch} is outside 1..={batches}: {text}"));
                 }
                 if batch < last_batch {
-                    return Err(format!("batch numbers must be nondecreasing: {line}"));
+                    return Err(format!("batch numbers must be nondecreasing: {text}"));
                 }
                 last_batch = batch;
-                let edit = match get_str(&fields, "op", line)? {
+                let edit = match line.str("op")? {
                     "insert" => Edit::InsertArc {
-                        src: get_usize(&fields, "src", line)?,
-                        dst: get_usize(&fields, "dst", line)?,
-                        weight: get_i64(&fields, "weight", line)?,
-                        transit: get_i64(&fields, "transit", line)?,
+                        src: line.int("src")?,
+                        dst: line.int("dst")?,
+                        weight: line.int("weight")?,
+                        transit: line.int("transit")?,
                     },
                     "delete" => Edit::DeleteArc {
-                        arc: get_usize(&fields, "arc", line)?,
+                        arc: line.int("arc")?,
                     },
                     "reweight" => Edit::Reweight {
-                        arc: get_usize(&fields, "arc", line)?,
-                        weight: get_i64(&fields, "weight", line)?,
+                        arc: line.int("arc")?,
+                        weight: line.int("weight")?,
                     },
                     "retime" => Edit::Retime {
-                        arc: get_usize(&fields, "arc", line)?,
-                        transit: get_i64(&fields, "transit", line)?,
+                        arc: line.int("arc")?,
+                        transit: line.int("transit")?,
                     },
-                    other => return Err(format!("unknown op `{other}`: {line}")),
+                    other => return Err(format!("unknown op `{other}`: {text}")),
                 };
                 // lint: allow(panic) reason=batch is validated to lie in 1..=batches just above
                 script.batches[batch - 1].push(edit);
             }
-            other => return Err(format!("unknown kind `{other}`: {line}")),
+            other => return Err(format!("unknown kind `{other}`: {text}")),
         }
     }
     if script.base_arcs.len() != arcs {
@@ -366,9 +291,21 @@ mod tests {
             &good.replace("\"kind\":\"arc\"", "\"kind\":\"blob\""),
             &good.replace("\"batch\":3", "\"batch\":9"),
             &good.replace("\"arcs\":2", "\"arcs\":5"),
+            // Not flat string/integer objects, or a key given twice.
+            &good.replace("\"arc\":1}", "\"arc\":1,\"arc\":0}"),
+            &good.replace("\"seed\":42", "\"seed\":42,\"seed\":42"),
+            &good.replace("\"weight\":7", "\"weight\":[7]"),
+            &good.replace("\"weight\":7", "\"weight\":{\"w\":7}"),
+            &good.replace("\"weight\":7", "\"weight\":7.0"),
+            &good.replace("\"weight\":7", "\"weight\":true"),
+            &good.replace("\"weight\":7", "\"weight\":9223372036854775808"),
         ] {
             assert!(parse_edit_script(bad).is_err(), "accepted: {bad:?}");
         }
+        // Standard string escapes are part of the format.
+        let escaped = good.replacen("\"kind\":\"arc\"", "\"kind\":\"\\u0061rc\"", 1);
+        assert_ne!(escaped, good);
+        assert_eq!(parse_edit_script(&escaped).expect("parses"), sample());
     }
 
     #[test]

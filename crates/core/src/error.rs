@@ -19,7 +19,6 @@ use std::fmt;
 
 /// Which budgeted resource ran out (see [`crate::Budget`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BudgetResource {
     /// [`crate::Budget::max_iterations`]: outer-loop passes of the
     /// algorithm (policy improvements, pivots, table levels, bisection

@@ -15,7 +15,6 @@ use mcr_graph::heap::HeapCounters;
 /// do not have the same kind of operations" (§3). Unused fields stay
 /// zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Counters {
     /// Main-loop iterations (Burns, KO, YTO, Howard) or, for the HO
     /// algorithm, the level `k` reached at termination.

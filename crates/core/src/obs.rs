@@ -31,7 +31,7 @@ use mcr_graph::Graph;
 
 #[cfg(feature = "obs")]
 pub use mcr_obs::{
-    active, install, ObsGuard, Report, Timestamps, METRICS_SCHEMA, TABLE2_SCHEMA, TRACE_SCHEMA,
+    active, install, ObsGuard, Report, Timestamps, METRICS_SCHEMA, TRACE_SCHEMA,
     TRACE_SCHEMA_VERSION,
 };
 

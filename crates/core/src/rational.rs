@@ -299,29 +299,6 @@ impl Default for Ratio64 {
     }
 }
 
-/// With the `serde` feature, a [`Ratio64`] serializes as the pair
-/// `[num, den]` of its reduced form; deserialization re-reduces and
-/// rejects a zero denominator, so every deserialized value upholds the
-/// type's invariants.
-#[cfg(feature = "serde")]
-impl serde::Serialize for Ratio64 {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (self.num, self.den).serialize(serializer)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for Ratio64 {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error as _;
-        let (num, den) = <(i64, i64)>::deserialize(deserializer)?;
-        if den == 0 {
-            return Err(D::Error::custom("rational with zero denominator"));
-        }
-        Ok(Ratio64::new(num, den))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

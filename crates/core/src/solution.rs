@@ -8,7 +8,6 @@ use mcr_graph::{ArcId, Graph, NodeId};
 
 /// What a solver promises about the [`Solution::lambda`] it returned.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Guarantee {
     /// `lambda` is exactly the optimum cycle mean/ratio.
     Exact,
@@ -31,7 +30,6 @@ impl Guarantee {
 /// witness `cycle`; for approximate algorithms the optimum may be up to
 /// the guarantee's epsilon below it.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Solution {
     /// The optimum (or near-optimum) cycle mean or cost-to-time ratio.
     pub lambda: Ratio64,

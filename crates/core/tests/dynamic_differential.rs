@@ -26,7 +26,7 @@ use mcr_core::{
 };
 use mcr_gen::circuit::{circuit_graph, CircuitConfig};
 use mcr_gen::edits::{edit_script, EditScriptConfig};
-use mcr_graph::GraphBuilder;
+use mcr_graph::{json, GraphBuilder};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -616,25 +616,12 @@ fn checkpoint_restore_mid_script_answers_bit_identically() {
 const GOLDEN: &str = include_str!("data/golden_edits.jsonl");
 const GOLDEN_EXPECTED: &str = include_str!("data/golden_edits_expected.txt");
 
-/// Every `"key":` occurrence in a JSONL line.
-fn json_keys(line: &str) -> Vec<&str> {
-    let bytes = line.as_bytes();
-    let mut keys = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            if let Some(j) = line[i + 1..].find('"') {
-                let end = i + 1 + j;
-                if bytes.get(end + 1) == Some(&b':') {
-                    keys.push(&line[i + 1..end]);
-                }
-                i = end + 1;
-                continue;
-            }
-        }
-        i += 1;
+/// The keys of one JSONL line, in order.
+fn json_keys(line: &str) -> Vec<String> {
+    match json::parse(line).expect("golden line is JSON") {
+        json::Value::Obj(pairs) => pairs.into_iter().map(|(key, _)| key).collect(),
+        other => panic!("golden line is not an object: {other:?}"),
     }
-    keys
 }
 
 #[test]
@@ -657,7 +644,7 @@ fn golden_script_regenerates_parses_and_replays_to_the_pinned_trajectory() {
     for line in GOLDEN.lines() {
         for key in json_keys(line) {
             assert!(
-                declared.contains(&key),
+                declared.contains(&key.as_str()),
                 "key `{key}` is not declared in schemas/mcr-edits-v1.txt"
             );
         }

@@ -14,7 +14,7 @@ use mcr_core::checkpoint::CheckpointStore;
 use mcr_core::obs::{install, Timestamps, TRACE_SCHEMA, TRACE_SCHEMA_VERSION};
 use mcr_core::{Algorithm, Budget, FallbackChain, SolveOptions};
 use mcr_graph::graph::from_arc_list;
-use mcr_graph::Graph;
+use mcr_graph::{json, Graph};
 
 /// Two cyclic SCCs (means 5 and 2) plus a connecting arc: the driver
 /// runs two jobs, in a stable Tarjan order.
@@ -148,49 +148,12 @@ fn schema_version_bump_requires_regenerating_goldens() {
     }
 }
 
-/// The top-level object keys of one JSONL line: a string that starts
-/// right after `{` or a depth-1 `,` and is followed by `:`. Tracks
-/// string/escape state, so quotes inside values (error messages) and
-/// nested structures cannot confuse it.
+/// The top-level object keys of one JSONL line, in order.
 fn top_level_keys(line: &str) -> Vec<String> {
-    let mut keys = Vec::new();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut key_start: Option<usize> = None;
-    let mut expecting_key = false;
-    for (i, c) in line.char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-                if let Some(s) = key_start.take() {
-                    keys.push(line[s..i].to_string());
-                }
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_str = true;
-                if depth == 1 && expecting_key {
-                    key_start = Some(i + 1);
-                    expecting_key = false;
-                }
-            }
-            '{' | '[' => {
-                depth += 1;
-                expecting_key = c == '{' && depth == 1;
-            }
-            '}' | ']' => depth -= 1,
-            ',' if depth == 1 => expecting_key = true,
-            _ => {}
-        }
+    match json::parse(line).expect("golden line is JSON") {
+        json::Value::Obj(pairs) => pairs.into_iter().map(|(key, _)| key).collect(),
+        other => panic!("golden line is not an object: {other:?}"),
     }
-    keys
 }
 
 /// The committed `schemas/<name>` manifest's field set (workspace root

@@ -15,14 +15,15 @@
 //!   exit taxonomy 2) — so a replay asserts the failure statuses too,
 //!   not just the happy path.
 //!
-//! The emitter hand-rolls its JSON (string escaping included) instead
-//! of depending on `mcr-serve`: the generator crate sits below the
-//! service in the dependency order, and the service's tests depend on
-//! it in turn.
+//! The emitter writes its lines with `format!` and
+//! [`mcr_graph::json::escape`] rather than through `mcr-serve`: the
+//! generator crate sits below the service in the dependency order, and
+//! the service's tests depend on it in turn.
 
 use crate::sprand::{sprand, SprandConfig};
 use crate::transit::with_random_transits;
 use mcr_graph::io::write_dimacs;
+use mcr_graph::json::escape;
 use mcr_graph::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,23 +48,6 @@ impl RequestLogConfig {
         self.rng_seed = seed;
         self
     }
-}
-
-/// Escapes `s` as the *contents* of a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn dimacs(g: &Graph) -> String {

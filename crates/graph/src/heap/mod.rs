@@ -23,7 +23,6 @@ pub use fibonacci::FibonacciHeap;
 /// These are the "representative operation counts" advocated by Ahuja,
 /// Magnanti and Orlin that the paper reports for KO vs YTO.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HeapCounters {
     /// Number of `push` operations.
     pub inserts: u64,

@@ -40,9 +40,8 @@ pub mod compact;
 pub mod graph;
 pub mod hash;
 pub mod heap;
-#[cfg(feature = "serde")]
-mod serde_impls;
 pub mod io;
+pub mod json;
 pub mod scc;
 pub mod traverse;
 

@@ -59,6 +59,7 @@ fn diag(
 fn in_nondet_scope(rel: &str) -> bool {
     (rel.starts_with("crates/serve/src/") && rel != "crates/serve/src/cache.rs")
         || rel.starts_with("crates/obs/src/")
+        || rel == "crates/graph/src/json.rs"
         || rel == "crates/core/src/driver.rs"
         || rel == "crates/core/src/solution.rs"
 }
@@ -171,6 +172,7 @@ const WIRE_FIELD_SCOPE: &[(&str, &[&str])] = &[
         &["mcr-req-v1", "mcr-resp-v1", "mcr-metrics-v1"],
     ),
     ("crates/serve/src/metrics.rs", &["mcr-metrics-v1"]),
+    ("crates/core/src/edits.rs", &["mcr-edits-v1"]),
     ("crates/obs/src/lib.rs", &["mcr-trace-v1", "mcr-metrics-v1"]),
 ];
 
@@ -201,9 +203,9 @@ const WIRE_PRESENCE: &[(&str, &[&str])] = &[
 ];
 
 /// The writer/parser methods whose first string-literal argument is a
-/// JSON field name (the hand-rolled `ObjWriter` and `json::Value`
-/// surfaces).
-const FIELD_METHODS: [&str; 6] = ["str", "u64", "f64", "bool", "raw", "get"];
+/// JSON field name (the `mcr_graph::json` `ObjWriter` and `Value`
+/// surfaces, and the edit-script reader's `str`/`int` field getters).
+const FIELD_METHODS: [&str; 7] = ["str", "u64", "f64", "bool", "raw", "get", "int"];
 
 /// One parsed manifest: `schemas/<format>.txt`, one field per line.
 pub struct WireManifest {

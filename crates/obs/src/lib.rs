@@ -3,7 +3,8 @@
 //! This crate is the recording half of the observability layer described
 //! in DESIGN.md. It is linked into `mcr-core` only when core's `obs`
 //! feature is on (the same compile-out contract as `mcr-chaos`, asserted
-//! by `cargo tree` in CI), and it is deliberately dependency-free.
+//! by `cargo tree` in CI). Its only dependency is `mcr-graph`, for the
+//! workspace's one JSON writer ([`mcr_graph::json::ObjWriter`]).
 //!
 //! # Model
 //!
@@ -40,19 +41,16 @@
 //! human summary table. Goldens use [`Timestamps::Normalized`], which
 //! zeroes every wall-clock field while keeping the deterministic parts.
 
+use mcr_graph::json::ObjWriter;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-pub mod json;
-
 /// Version tag stamped on every trace JSONL line.
 pub const TRACE_SCHEMA: &str = "mcr-trace v1";
 /// Version tag stamped on every metrics JSONL line.
 pub const METRICS_SCHEMA: &str = "mcr-metrics v1";
-/// Version tag stamped on every per-cell bench JSONL line.
-pub const TABLE2_SCHEMA: &str = "mcr-table2 v1";
 /// Numeric trace schema version; bump together with [`TRACE_SCHEMA`].
 /// The golden suite pins this so schema drift fails loudly with
 /// instructions instead of silently rewriting snapshots.
@@ -246,6 +244,10 @@ static INSTALL: Mutex<()> = Mutex::new(());
 static STATE: Mutex<Option<State>> = Mutex::new(None);
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
+fn install_lock() -> MutexGuard<'static, ()> {
+    INSTALL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn state_lock() -> MutexGuard<'static, Option<State>> {
     // A panic while holding the lock poisons it; the state itself stays
     // coherent (every mutation is a single guarded section), so recover
@@ -273,7 +275,7 @@ pub struct ObsGuard {
 /// Blocks if another recorder is currently installed (tests in one
 /// process serialize on this, like chaos tests do).
 pub fn install() -> ObsGuard {
-    let install = INSTALL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let install = install_lock();
     *state_lock() = Some(State::new());
     ACTIVE.store(true, Ordering::SeqCst);
     ObsGuard {
@@ -400,7 +402,7 @@ impl Report {
     pub fn trace_jsonl(&self, timestamps: Timestamps) -> String {
         let mut out = String::new();
         out.push_str(
-            &json::Obj::new()
+            &ObjWriter::new()
                 .str("schema", TRACE_SCHEMA)
                 .str("kind", "trace.header")
                 .u64("version", u64::from(TRACE_SCHEMA_VERSION))
@@ -413,7 +415,7 @@ impl Report {
                 Timestamps::Wall => event.elapsed_ns,
                 Timestamps::Normalized => 0,
             };
-            let mut obj = json::Obj::new()
+            let mut obj = ObjWriter::new()
                 .str("schema", TRACE_SCHEMA)
                 .u64("i", i as u64)
                 .str("kind", event.kind)
@@ -442,7 +444,7 @@ impl Report {
     pub fn metrics_jsonl(&self, timestamps: Timestamps) -> String {
         let mut out = String::new();
         out.push_str(
-            &json::Obj::new()
+            &ObjWriter::new()
                 .str("schema", METRICS_SCHEMA)
                 .str("kind", "metrics.header")
                 .u64("counters", self.counters.len() as u64)
@@ -452,7 +454,7 @@ impl Report {
         out.push('\n');
         for (name, value) in &self.counters {
             out.push_str(
-                &json::Obj::new()
+                &ObjWriter::new()
                     .str("schema", METRICS_SCHEMA)
                     .str("kind", "counter")
                     .str("name", name)
@@ -467,7 +469,7 @@ impl Report {
                 Timestamps::Normalized => (0, 0, 0),
             };
             out.push_str(
-                &json::Obj::new()
+                &ObjWriter::new()
                     .str("schema", METRICS_SCHEMA)
                     .str("kind", "timing")
                     .str("name", name)
@@ -541,10 +543,15 @@ mod tests {
 
     #[test]
     fn inactive_hooks_are_noops() {
-        assert!(!active());
-        counter_add("x", 1);
-        timing_record("t", 10);
-        job_event(0, "job.start", Vec::new());
+        // Hold the install lock so no sibling test's recorder is live
+        // (or picks up these calls) between the check and the hooks.
+        {
+            let _no_recorder = install_lock();
+            assert!(!active());
+            counter_add("x", 1);
+            timing_record("t", 10);
+            job_event(0, "job.start", Vec::new());
+        }
         let report = {
             let guard = install();
             guard.finish()
@@ -658,6 +665,9 @@ mod tests {
             let _guard = install();
             assert!(active());
         }
+        // Any sibling recorder installed since has been uninstalled
+        // again by the time this lock is free.
+        let _no_recorder = install_lock();
         assert!(!active());
     }
 }

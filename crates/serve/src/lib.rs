@@ -5,8 +5,8 @@
 //! or a dead process.** The pieces, each its own module:
 //!
 //! * [`frame`] — length-prefixed framing with a hard payload cap;
-//! * [`json`] — a dependency-free JSON parser/writer (the vendored
-//!   `serde_json` stand-in is deliberately nonfunctional);
+//! * [`json`] — the workspace's JSON codec, re-exported from
+//!   [`mcr_graph::json`];
 //! * [`protocol`] — `mcr-req v1` / `mcr-resp v1`, statuses mapped
 //!   one-to-one onto the CLI's [`mcr_core::SolveStatus`] exit taxonomy;
 //! * [`guard`] — the per-request [`guard::RequestGuard`] every handler
@@ -40,7 +40,7 @@ pub mod client;
 pub mod frame;
 pub mod guard;
 pub mod journal;
-pub mod json;
+pub use mcr_graph::json;
 pub mod metrics;
 pub mod protocol;
 pub mod retry;

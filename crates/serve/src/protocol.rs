@@ -269,21 +269,10 @@ fn parse_solve(id: u64, obj: &Value) -> Result<SolveJob, RequestError> {
     })
 }
 
-/// JSON integers arrive as [`Value::Num`]; accept exactly those that
-/// are whole and fit `i64` (weights may be negative on the wire).
-fn as_i64(v: &Value) -> Option<i64> {
-    match v.as_f64() {
-        Some(n) if n.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(&n) => {
-            Some(n as i64)
-        }
-        _ => None,
-    }
-}
-
 fn parse_one_edit(id: u64, idx: usize, v: &Value) -> Result<Edit, RequestError> {
     let num = |key: &'static str| {
         v.get(key)
-            .and_then(as_i64)
+            .and_then(Value::as_i64)
             .ok_or_else(|| fail(id, format!("edit {idx}: missing or non-integer {key:?}")))
     };
     let index = |key: &'static str| {

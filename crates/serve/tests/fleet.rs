@@ -154,11 +154,13 @@ fn kill_minus_nine_mid_replay_settles_every_request_exactly_once() {
     // No duplicate solves: the victim admits but never solves, so its
     // journal must not contain a single settled outcome...
     assert_eq!(done_ids(&victim_dir), Vec::<u64>::new());
-    // ...and the survivor settles each id exactly once.
+    // ...and the survivor settles each id exactly once. A worker sends
+    // its response before it journals `done`, so stop the survivor (its
+    // workers join) before reading the journal.
+    survivor.shutdown();
     let mut survivor_done = done_ids(&survivor_dir);
     survivor_done.sort_unstable();
     assert_eq!(survivor_done, (1..=12).collect::<Vec<u64>>());
-    survivor.shutdown();
     let _ = std::fs::remove_dir_all(&base);
 }
 

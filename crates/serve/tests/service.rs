@@ -342,6 +342,48 @@ fn cold_start_edit_with_inline_graph_seeds_the_cache_and_answers() {
 }
 
 #[test]
+fn edit_weights_and_request_ids_are_read_as_exact_integers() {
+    use mcr_core::{DynamicSolver, Edit};
+    // Two 2-rings sharing node 2. Maximizing, the ring through arc 0 is
+    // critical once arc 0 weighs 2^53 + 1, and its mean tells 2^53 + 1
+    // from the 2^53 an f64 reading would give.
+    let text = "p mcr 3 4\na 1 2 1\na 2 1 1\na 2 3 5\na 3 2 5\n";
+    let g = mcr_graph::io::read_dimacs(&mut text.as_bytes()).expect("parse");
+    let weight: i64 = (1 << 53) + 1;
+    let edit = |id: u64, weight: &str| {
+        format!(
+            "{{\"schema\":\"mcr-req v1\",\"id\":{id},\"op\":\"edit\",\"graph\":\"{}\",\
+             \"maximize\":true,\"edits\":[{{\"op\":\"reweight\",\"arc\":0,\"weight\":{weight}}}]}}",
+            json::escape(text)
+        )
+    };
+    let id = (1u64 << 53) + 1;
+    let handle = start(serial());
+    let resp = roundtrip(&handle, &[edit(id, &weight.to_string())]);
+    let answer = resp.get(&id).expect("the id comes back unchanged");
+    assert_eq!(status_of(answer), ("ok", 0));
+    let spec = SolveSpec::mean(mcr_core::Algorithm::HowardExact).maximize();
+    let mut reference = DynamicSolver::new(&g, spec, SolveOptions::new());
+    let expected = reference
+        .apply(&[Edit::Reweight { arc: 0, weight }])
+        .expect("reference edit applies")
+        .solution
+        .expect("cyclic");
+    assert_eq!(expected.lambda, mcr_core::Ratio64::new(weight + 1, 2));
+    assert_eq!(
+        answer.get("lambda").and_then(Value::as_str),
+        Some(expected.lambda.to_string().as_str())
+    );
+    // 2^63 does not fit a weight: a typed input error, not a saturated
+    // i64::MAX.
+    let resp = roundtrip(&handle, &[edit(2, "9223372036854775808")]);
+    assert_eq!(status_of(&resp[&2]), ("input-error", 1));
+    let error = resp[&2].get("error").and_then(Value::as_str).expect("error");
+    assert!(error.contains("\"weight\""), "{error}");
+    handle.shutdown();
+}
+
+#[test]
 fn maximize_reuses_a_separate_negated_plan() {
     // Two maximize solves of a cached instance: the second must hit
     // the cache's negated-orientation plan, and both must agree with
@@ -498,7 +540,7 @@ fn golden_request_log_is_what_the_generator_emits() {
         let Value::Obj(obj) = json::parse(line).expect("golden line is JSON") else {
             panic!("golden line {} is not an object", n + 1);
         };
-        for key in obj.keys() {
+        for (key, _) in &obj {
             assert!(
                 declared.contains(key),
                 "golden_requests.jsonl:{} key `{key}` is not declared in schemas/mcr-req-v1.txt",

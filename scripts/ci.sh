@@ -209,9 +209,8 @@ cargo clippy -q -p mcr-core -p mcr-cli -p mcr-obs --features mcr-core/obs \
 
 echo "=== obs-off assertion: mcr-obs absent from the default build ==="
 # Same link-level contract as chaos: without the feature, mcr-obs must
-# not appear in mcr-core's dependency graph at all. (mcr-bench depends
-# on mcr-obs unconditionally, but only for the JSON writer — it never
-# installs a recorder, and mcr-core is what the hot paths link.)
+# not appear in mcr-core's dependency graph at all. (No crate links
+# mcr-obs unconditionally: the JSON writer it uses lives in mcr-graph.)
 if cargo tree -p mcr-core -e normal | grep -q "mcr-obs"; then
     echo "FAIL: mcr-obs is linked into the default (obs-off) build"
     cargo tree -p mcr-core -e normal | grep "mcr-obs"
