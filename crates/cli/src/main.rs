@@ -90,6 +90,7 @@
 //! silently ignored.
 
 use mcr_core::critical::critical_subgraph;
+use mcr_core::obs::Recorder;
 use mcr_core::spec::{parse_budget_spec, parse_duration_spec, parse_fallback_spec, solve_spec, SpecError};
 use mcr_core::{
     certify, parse_edit_script, Algorithm, DynamicOutcome, DynamicSolver, Guarantee, Objective,
@@ -243,14 +244,20 @@ fn load_graph(path: Option<&str>) -> Result<Graph, String> {
 }
 
 /// `--threads N` / `--budget SPEC` / `--fallback CHAIN` →
-/// [`SolveOptions`]. The CLI defaults to `--threads 0` (auto-detect
-/// available parallelism); `--threads 1` forces the sequential legacy
-/// path. Results are identical either way.
-fn solve_options(args: &Args, epsilon: f64) -> Result<SolveOptions, String> {
+/// [`SolveOptions`], recording into `recorder` (see [`with_obs`]). The
+/// CLI defaults to `--threads 0` (auto-detect available parallelism);
+/// `--threads 1` forces the sequential legacy path. Results are
+/// identical either way.
+fn solve_options(
+    args: &Args,
+    epsilon: f64,
+    recorder: Option<Recorder>,
+) -> Result<SolveOptions, String> {
     let threads: usize = args.value_parsed("threads", 0)?;
     let mut opts = SolveOptions {
         threads,
         epsilon: Some(epsilon),
+        recorder,
         ..SolveOptions::default()
     };
     if let Some(spec) = args.value("budget") {
@@ -294,54 +301,50 @@ impl ObsRequest {
     }
 }
 
-/// Runs `f` under an installed trace recorder, then writes the
-/// requested outputs. The solve's own result passes through unchanged —
-/// traces of failed solves are written too (that is when you want
-/// them). Wall-clock timestamps are real here; the golden tests
-/// normalize via [`mcr_core::obs::Timestamps::Normalized`] instead.
-#[cfg(feature = "obs")]
-fn with_obs<T>(
-    req: &ObsRequest,
-    f: impl FnOnce() -> Result<T, CliError>,
-) -> Result<T, CliError> {
-    use mcr_core::obs::Timestamps;
-    if !req.any() {
-        return f();
-    }
-    let guard = mcr_core::obs::install();
-    let out = f();
-    let report = guard.finish();
-    if let Some(path) = &req.trace_out {
-        std::fs::write(path, report.trace_jsonl(Timestamps::Wall))
-            .map_err(|e| CliError::from(format!("writing trace to {path}: {e}")))?;
-    }
-    if let Some(path) = &req.metrics_out {
-        std::fs::write(path, report.metrics_jsonl(Timestamps::Wall))
-            .map_err(|e| CliError::from(format!("writing metrics to {path}: {e}")))?;
-    }
-    if req.summary {
-        print!("{}", report.summary(Timestamps::Wall));
-    }
-    out
-}
-
+/// Runs `f` with one fresh recorder for the options it builds (none
+/// when no output is requested), then writes the requested outputs
+/// from that recorder's report. The solve's own result passes through
+/// unchanged — traces of failed solves are written too (that is when
+/// you want them). Wall-clock timestamps are real here; the golden
+/// tests normalize via `Timestamps::Normalized` instead.
+///
 /// Without the `obs` feature the observability flags fail loudly:
 /// recording code is compiled out of this binary, so honoring the flag
 /// by writing an empty file would be silent data loss.
-#[cfg(not(feature = "obs"))]
 fn with_obs<T>(
     req: &ObsRequest,
-    f: impl FnOnce() -> Result<T, CliError>,
+    f: impl FnOnce(Option<Recorder>) -> Result<T, CliError>,
 ) -> Result<T, CliError> {
-    if req.any() {
-        return Err(CliError::from(
+    if !req.any() {
+        return f(None);
+    }
+    #[cfg(not(feature = "obs"))]
+    {
+        Err(CliError::from(
             "this build has no observability support; rebuild with \
              `cargo build -p mcr-cli --features obs` to use --trace-out, \
-             --metrics-out, or --summary"
-                .to_string(),
-        ));
+             --metrics-out, or --summary",
+        ))
     }
-    f()
+    #[cfg(feature = "obs")]
+    {
+        use mcr_core::obs::Timestamps;
+        let recorder = Recorder::new();
+        let out = f(Some(recorder.clone()));
+        let report = recorder.report();
+        if let Some(path) = &req.trace_out {
+            std::fs::write(path, report.trace_jsonl(Timestamps::Wall))
+                .map_err(|e| CliError::from(format!("writing trace to {path}: {e}")))?;
+        }
+        if let Some(path) = &req.metrics_out {
+            std::fs::write(path, report.metrics_jsonl(Timestamps::Wall))
+                .map_err(|e| CliError::from(format!("writing metrics to {path}: {e}")))?;
+        }
+        if req.summary {
+            print!("{}", report.summary(Timestamps::Wall));
+        }
+        out
+    }
 }
 
 fn print_solution(g: &Graph, sol: &Solution, maximize: bool, args: &Args) {
@@ -393,7 +396,7 @@ fn print_solution(g: &Graph, sol: &Solution, maximize: bool, args: &Args) {
     }
 }
 
-fn cmd_solve(args: &Args) -> Result<(), CliError> {
+fn cmd_solve(args: &Args, recorder: Option<Recorder>) -> Result<(), CliError> {
     let g = load_graph(args.positional.get(1).map(|s| s.as_str()))?;
     let alg_name = args.value("algorithm").unwrap_or("howard-exact");
     let alg = Algorithm::by_name(alg_name)
@@ -404,7 +407,7 @@ fn cmd_solve(args: &Args) -> Result<(), CliError> {
     if epsilon <= 0.0 {
         return Err("epsilon must be positive".into());
     }
-    let opts = solve_options(args, epsilon)?;
+    let opts = solve_options(args, epsilon, recorder)?;
 
     // The dispatch itself — objective match, maximize negation, the
     // acyclic fold — lives in `mcr_core::spec`, shared verbatim with
@@ -478,7 +481,7 @@ fn describe_batch(i: usize, outcome: &DynamicOutcome) {
 
 /// `mcr dynamic --edits FILE`: replay an `mcr-edits v1` script with the
 /// persistent incremental solver, printing the λ trajectory.
-fn cmd_dynamic(args: &Args) -> Result<(), CliError> {
+fn cmd_dynamic(args: &Args, recorder: Option<Recorder>) -> Result<(), CliError> {
     let source = args
         .value("edits")
         .ok_or("usage: mcr dynamic --edits FILE [solve flags] (see crate docs)")?;
@@ -504,7 +507,7 @@ fn cmd_dynamic(args: &Args) -> Result<(), CliError> {
     if epsilon <= 0.0 {
         return Err("epsilon must be positive".into());
     }
-    let opts = solve_options(args, epsilon)?;
+    let opts = solve_options(args, epsilon, recorder)?;
     let spec = SolveSpec {
         algorithm: alg,
         objective: if ratio_mode {
@@ -742,9 +745,9 @@ fn cmd_dot(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &Args) -> Result<(), CliError> {
+fn cmd_bench(args: &Args, recorder: Option<Recorder>) -> Result<(), CliError> {
     let g = load_graph(args.positional.get(1).map(|s| s.as_str()))?;
-    let opts = solve_options(args, Algorithm::default_epsilon(&g))?;
+    let opts = solve_options(args, Algorithm::default_epsilon(&g), recorder)?;
     println!(
         "instance: {} nodes, {} arcs, weights [{}, {}]",
         g.num_nodes(),
@@ -788,12 +791,12 @@ fn main() -> ExitCode {
     let result = Args::parse(&raw).map_err(CliError::from).and_then(|args| {
         let obs_req = ObsRequest::from_args(&args);
         match args.positional.first().map(|s| s.as_str()) {
-            Some("solve") => with_obs(&obs_req, || cmd_solve(&args)),
-            Some("dynamic") => with_obs(&obs_req, || cmd_dynamic(&args)),
+            Some("solve") => with_obs(&obs_req, |rec| cmd_solve(&args, rec)),
+            Some("dynamic") => with_obs(&obs_req, |rec| cmd_dynamic(&args, rec)),
             Some("gen") => cmd_gen(&args).map_err(CliError::from),
             Some("client") => cmd_client(&args).map_err(CliError::from),
             Some("dot") => cmd_dot(&args).map_err(CliError::from),
-            Some("bench") => with_obs(&obs_req, || cmd_bench(&args)),
+            Some("bench") => with_obs(&obs_req, |rec| cmd_bench(&args, rec)),
             _ => Err(CliError::from(USAGE.to_string())),
         }
     });

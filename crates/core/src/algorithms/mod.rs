@@ -114,23 +114,23 @@ pub(crate) fn run_fallback_chain(
     opts: &SolveOptions,
     deadline: Option<Deadline>,
 ) -> Result<SccOutcome, SolveError> {
+    let recorder = opts.recorder.as_ref();
     let mut last_err = None;
     let mut hop_from: Option<Algorithm> = None;
     for &alg in chain {
         if let Some(from) = hop_from.take() {
-            crate::obs::fallback_hop(job, from.name(), alg.name());
+            crate::obs::fallback_hop(recorder, job, from.name(), alg.name());
         }
-        let mut scope =
-            BudgetScope::new(&opts.budget, deadline, alg).with_cancel(opts.cancel.clone());
-        ws.begin_use();
+        let mut scope = BudgetScope::for_solve(opts, deadline, alg);
+        ws.begin_use(recorder);
         let resume = opts
             .checkpoints
             .as_ref()
             .and_then(|store| store.get(job as u64, alg));
         if resume.is_some() {
-            crate::obs::checkpoint_resumed(job, alg.name());
+            crate::obs::checkpoint_resumed(recorder, job, alg.name());
         }
-        crate::obs::attempt_start(job, alg.name());
+        crate::obs::attempt_start(recorder, job, alg.name());
         let mut saved = None;
         let attempt = scope.chaos_check("core.fallback.attempt").and_then(|()| {
             solve_scc_resumable(alg, sub, counters, epsilon, ws, &mut scope, resume.as_ref(), &mut saved)
@@ -139,7 +139,7 @@ pub(crate) fn run_fallback_chain(
         drop(scope);
         match attempt {
             Ok(outcome) => {
-                crate::obs::attempt_end(job, alg.name(), "ok");
+                crate::obs::attempt_end(recorder, job, alg.name(), "ok");
                 ws.end_use();
                 if let Some(store) = &opts.checkpoints {
                     store.clear(job as u64);
@@ -149,9 +149,9 @@ pub(crate) fn run_fallback_chain(
             // A failed attempt leaves the workspace poisoned; the next
             // begin_use resets it before reuse.
             Err(err) => {
-                crate::obs::attempt_end(job, alg.name(), err.kind());
+                crate::obs::attempt_end(recorder, job, alg.name(), err.kind());
                 if let (Some(store), Some(progress)) = (&opts.checkpoints, saved) {
-                    crate::obs::checkpoint_saved(job, alg.name());
+                    crate::obs::checkpoint_saved(recorder, job, alg.name());
                     store.save(job as u64, alg, progress);
                 }
                 if err.is_recoverable() {
@@ -163,7 +163,7 @@ pub(crate) fn run_fallback_chain(
             }
         }
     }
-    ws.reset();
+    ws.reset(recorder);
     Err(last_err.unwrap_or(SolveError::NumericRange {
         context: "fallback chain was empty",
     }))
@@ -371,11 +371,14 @@ impl Algorithm {
         g: &Graph,
         opts: &SolveOptions,
     ) -> Result<(Ratio64, Counters), SolveError> {
-        crate::obs::solve_start(self.name(), g, opts.effective_threads());
+        let recorder = opts.recorder.as_ref();
+        crate::obs::solve_start(recorder, self.name(), g, opts.effective_threads());
         let result = self.solve_lambda_only_opts_inner(g, opts);
         match &result {
-            Ok((lambda, counters)) => crate::obs::solve_end_ok(lambda, self.name(), counters),
-            Err(err) => crate::obs::solve_end_err(err.kind()),
+            Ok((lambda, counters)) => {
+                crate::obs::solve_end_ok(recorder, lambda, self.name(), counters)
+            }
+            Err(err) => crate::obs::solve_end_err(recorder, err.kind()),
         }
         result
     }
@@ -389,8 +392,7 @@ impl Algorithm {
         let scoped =
             |f: fn(&Graph, &mut Counters, &mut BudgetScope) -> Result<Ratio64, SolveError>| {
                 move |_job: usize, s: &Graph, c: &mut Counters, _ws: &mut Workspace| {
-                    let mut scope = BudgetScope::new(&opts.budget, deadline, self)
-                        .with_cancel(opts.cancel.clone());
+                    let mut scope = BudgetScope::for_solve(opts, deadline, self);
                     f(s, c, &mut scope)
                 }
             };
@@ -678,7 +680,7 @@ mod tests {
         );
         // The same workspace must serve a clean follow-up solve.
         let mut scope = BudgetScope::unlimited(Algorithm::HowardExact);
-        ws.begin_use();
+        ws.begin_use(None);
         let outcome = howard::solve_scc_exact(&g, &mut counters, &mut ws, &mut scope)
             .expect("clean solve after exhaustion");
         ws.end_use();

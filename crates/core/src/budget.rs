@@ -22,6 +22,8 @@
 use crate::algorithms::Algorithm;
 use crate::cancel::CancelToken;
 use crate::error::{BudgetResource, SolveError};
+use crate::obs::Recorder;
+use crate::options::SolveOptions;
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
@@ -193,6 +195,9 @@ pub struct BudgetScope {
     refines_spent: u64,
     deadline: Option<Deadline>,
     cancel: Option<CancelToken>,
+    /// The solve's recorder: loop metrics, cancellation and fault
+    /// events of this scope go there.
+    recorder: Option<Recorder>,
     /// `check_time` calls between clock reads; adapted so clock reads
     /// land roughly every [`TARGET_POLL_INTERVAL`] of wall time.
     poll_stride: Cell<u32>,
@@ -225,6 +230,7 @@ impl BudgetScope {
             refines_spent: 0,
             deadline,
             cancel: None,
+            recorder: None,
             poll_stride: Cell::new(1),
             polls_until_clock: Cell::new(0),
             last_clock: Cell::new(None),
@@ -240,6 +246,20 @@ impl BudgetScope {
     pub fn with_cancel(mut self, cancel: Option<CancelToken>) -> Self {
         self.cancel = cancel;
         self
+    }
+
+    /// The scope of one attempt of `algorithm` within a solve under
+    /// `opts`: its budget, the solve-wide `deadline`, its cancel token
+    /// and its recorder.
+    pub(crate) fn for_solve(
+        opts: &SolveOptions,
+        deadline: Option<Deadline>,
+        algorithm: Algorithm,
+    ) -> Self {
+        let mut scope =
+            BudgetScope::new(&opts.budget, deadline, algorithm).with_cancel(opts.cancel.clone());
+        scope.recorder = opts.recorder.clone();
+        scope
     }
 
     /// A scope that never trips — for the legacy `Option`-returning
@@ -274,7 +294,7 @@ impl BudgetScope {
 
     /// Marks the budgeted loop named `site` (a chaos-site name like
     /// `"core.karp.level"`) as the current charge attribution for this
-    /// scope. With the `obs` feature on and a recorder installed, the
+    /// scope. With the `obs` feature on and a recorder attached, the
     /// charges accumulated between this mark and the next one (or the
     /// scope's drop) are recorded as `loop.<site>.iterations` /
     /// `loop.<site>.refinements`, plus a `loop.<site>.visits` count —
@@ -296,6 +316,7 @@ impl BudgetScope {
     fn flush_loop_metrics(&self) {
         if let Some(site) = self.obs_site.take() {
             crate::obs::loop_flush(
+                self.recorder.as_ref(),
                 site,
                 self.iters_spent.saturating_sub(self.obs_iters_mark.get()),
                 self.refines_spent.saturating_sub(self.obs_refines_mark.get()),
@@ -339,7 +360,7 @@ impl BudgetScope {
     pub fn check_time(&self) -> Result<(), SolveError> {
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
-                crate::obs::cancel_observed(self.algorithm.name());
+                crate::obs::cancel_observed(self.recorder.as_ref(), self.algorithm.name());
                 return Err(SolveError::Cancelled);
             }
         }
@@ -386,7 +407,7 @@ impl BudgetScope {
                     Err(self.exhausted(BudgetResource::WallTime, self.iters_spent))
                 }
                 DeadlineKind::Cancel => {
-                    crate::obs::cancel_observed(self.algorithm.name());
+                    crate::obs::cancel_observed(self.recorder.as_ref(), self.algorithm.name());
                     Err(SolveError::Cancelled)
                 }
             }
@@ -407,26 +428,17 @@ impl BudgetScope {
     #[cfg(feature = "chaos")]
     pub fn chaos_check(&self, site: &'static str) -> Result<(), SolveError> {
         use mcr_chaos::FaultKind;
-        match mcr_chaos::hit(site) {
-            None => Ok(()),
-            Some(FaultKind::Delay { .. }) => {
-                crate::obs::fault_injected(site, "delay");
-                Ok(())
-            }
-            Some(FaultKind::BudgetExhaust) => {
-                crate::obs::fault_injected(site, "budget-exhaust");
+        let Some(kind) = mcr_chaos::hit(site) else {
+            return Ok(());
+        };
+        crate::obs::fault_injected(self.recorder.as_ref(), site, crate::chaos::fault_name(&kind));
+        match kind {
+            FaultKind::Delay { .. } => Ok(()),
+            FaultKind::BudgetExhaust => {
                 Err(self.exhausted(BudgetResource::Iterations, self.iters_spent))
             }
-            Some(FaultKind::Overflow) => {
-                crate::obs::fault_injected(site, "overflow");
-                Err(SolveError::Overflow { context: site })
-            }
-            Some(FaultKind::NumericRange) => {
-                crate::obs::fault_injected(site, "numeric-range");
-                Err(SolveError::NumericRange { context: site })
-            }
-            Some(FaultKind::Transient) => {
-                crate::obs::fault_injected(site, "transient");
+            FaultKind::Overflow => Err(SolveError::Overflow { context: site }),
+            FaultKind::NumericRange | FaultKind::Transient => {
                 Err(SolveError::NumericRange { context: site })
             }
         }

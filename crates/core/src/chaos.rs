@@ -37,64 +37,53 @@
 //! suite asserts every fired site is declared there, and `mcr-lint`
 //! rule MCRL002 statically checks every call site against it.
 
+use crate::obs::Recorder;
+
 #[cfg(feature = "chaos")]
 pub use mcr_chaos::{
     active, declared_sites, faults_fired, hit_sites, hits, total_hits, ChaosGuard, FaultKind,
     FaultSchedule,
 };
 
-/// Unit failpoint: counts the hit and applies delay faults; error kinds
-/// scheduled on a unit site are ignored (the site has no error path).
+/// The name a fired fault is reported under (`fault.injected` events).
 #[cfg(feature = "chaos")]
-#[inline]
-pub(crate) fn pulse(site: &'static str) {
-    if let Some(kind) = mcr_chaos::hit(site) {
-        // With `obs` also enabled, even faults on unit sites (which
-        // have no error path) become trace events.
-        crate::obs::fault_injected(
-            site,
-            match kind {
-                mcr_chaos::FaultKind::Delay { .. } => "delay",
-                mcr_chaos::FaultKind::BudgetExhaust => "budget-exhaust",
-                mcr_chaos::FaultKind::Overflow => "overflow",
-                mcr_chaos::FaultKind::NumericRange => "numeric-range",
-                mcr_chaos::FaultKind::Transient => "transient",
-            },
-        );
+pub(crate) fn fault_name(kind: &mcr_chaos::FaultKind) -> &'static str {
+    match kind {
+        mcr_chaos::FaultKind::Delay { .. } => "delay",
+        mcr_chaos::FaultKind::BudgetExhaust => "budget-exhaust",
+        mcr_chaos::FaultKind::Overflow => "overflow",
+        mcr_chaos::FaultKind::NumericRange => "numeric-range",
+        mcr_chaos::FaultKind::Transient => "transient",
     }
 }
 
-/// Compiled-out unit failpoint: nothing at all.
-#[cfg(not(feature = "chaos"))]
-#[inline(always)]
-pub(crate) fn pulse(_site: &'static str) {}
+/// Unit failpoint: counts the hit and applies delay faults; error kinds
+/// scheduled on a unit site are ignored (the site has no error path).
+/// With `obs` also enabled, a fault that fires is still reported to
+/// `recorder`.
+#[inline]
+pub(crate) fn pulse(site: &'static str, recorder: Option<&Recorder>) {
+    fail_hit(site, recorder);
+}
 
 /// Boolean failpoint: `true` when a fault fires at `site`, for code
 /// with its own degradation path rather than a typed error (the
 /// incremental solver falls back to a full solve). Any scheduled fault
-/// kind trips it; the fault is reported like [`pulse`] does.
+/// kind trips it; the fault is reported to `recorder` like [`pulse`]
+/// does.
 #[cfg(feature = "chaos")]
 #[inline]
-pub(crate) fn fail_hit(site: &'static str) -> bool {
-    if let Some(kind) = mcr_chaos::hit(site) {
-        crate::obs::fault_injected(
-            site,
-            match kind {
-                mcr_chaos::FaultKind::Delay { .. } => "delay",
-                mcr_chaos::FaultKind::BudgetExhaust => "budget-exhaust",
-                mcr_chaos::FaultKind::Overflow => "overflow",
-                mcr_chaos::FaultKind::NumericRange => "numeric-range",
-                mcr_chaos::FaultKind::Transient => "transient",
-            },
-        );
-        return true;
-    }
-    false
+pub(crate) fn fail_hit(site: &'static str, recorder: Option<&Recorder>) -> bool {
+    let Some(kind) = mcr_chaos::hit(site) else {
+        return false;
+    };
+    crate::obs::fault_injected(recorder, site, fault_name(&kind));
+    true
 }
 
 /// Compiled-out boolean failpoint: never fires.
 #[cfg(not(feature = "chaos"))]
 #[inline(always)]
-pub(crate) fn fail_hit(_site: &'static str) -> bool {
+pub(crate) fn fail_hit(_site: &'static str, _recorder: Option<&Recorder>) -> bool {
     false
 }

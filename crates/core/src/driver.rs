@@ -39,6 +39,7 @@
 use crate::algorithms::Algorithm;
 use crate::error::SolveError;
 use crate::instrument::Counters;
+use crate::obs::Recorder;
 use crate::options::SolveOptions;
 use crate::rational::Ratio64;
 use crate::solution::{Guarantee, Solution};
@@ -183,10 +184,12 @@ const PARALLEL_ARC_THRESHOLD: usize = 256;
 ///
 /// `solve` receives the job's index as its first argument — a stable,
 /// scheduling-independent key (the component's position in Tarjan
-/// order) used for checkpoint/resume bookkeeping.
+/// order) used for checkpoint/resume bookkeeping. Each job's span goes
+/// to `recorder`.
 fn run_jobs<R: Send>(
     jobs: &[Job],
     threads: usize,
+    recorder: Option<&Recorder>,
     solve: impl Fn(usize, &Graph, &mut Counters, &mut Workspace) -> R + Sync,
 ) -> (Vec<R>, Counters) {
     let total_arcs: usize = jobs.iter().map(|j| j.sub.num_arcs()).sum();
@@ -197,8 +200,10 @@ fn run_jobs<R: Send>(
             .iter()
             .enumerate()
             .map(|(i, j)| {
-                crate::chaos::pulse("core.driver.job");
-                crate::obs::job_span(i, &j.sub, || solve(i, &j.sub, &mut counters, &mut ws))
+                crate::chaos::pulse("core.driver.job", recorder);
+                crate::obs::job_span(recorder, i, &j.sub, || {
+                    solve(i, &j.sub, &mut counters, &mut ws)
+                })
             })
             .collect();
         return (results, counters);
@@ -219,8 +224,8 @@ fn run_jobs<R: Send>(
                         let Some(job) = jobs.get(i) else {
                             break; // queue drained
                         };
-                        crate::chaos::pulse("core.driver.job");
-                        let r = crate::obs::job_span(i, &job.sub, || {
+                        crate::chaos::pulse("core.driver.job", recorder);
+                        let r = crate::obs::job_span(recorder, i, &job.sub, || {
                             solve(i, &job.sub, &mut local, &mut ws)
                         });
                         done.push((i, r));
@@ -285,7 +290,7 @@ pub(crate) fn solve_per_scc_opts(
         return Err(SolveError::Acyclic);
     }
     let threads = opts.effective_threads().clamp(1, jobs.len());
-    let (results, counters) = run_jobs(jobs, threads, solve_scc);
+    let (results, counters) = run_jobs(jobs, threads, opts.recorder.as_ref(), solve_scc);
     reduce_outcomes(jobs, &results, counters)
 }
 
@@ -353,7 +358,7 @@ pub(crate) fn solve_value_per_scc_opts(
         return Err(SolveError::Acyclic);
     }
     let threads = opts.effective_threads().clamp(1, jobs.len());
-    let (lambdas, counters) = run_jobs(jobs, threads, lambda_scc);
+    let (lambdas, counters) = run_jobs(jobs, threads, opts.recorder.as_ref(), lambda_scc);
     let mut best: Option<Ratio64> = None;
     for result in lambdas {
         let lambda = result?;

@@ -691,7 +691,11 @@ impl DynamicSolver {
         let (topo, reused) =
             Topo::build(self.nodes, &self.arcs, per_component, self.spec.maximize, reuse);
         self.rebuild_jobs = (reused, topo.jobs.len() - reused);
-        crate::obs::dynamic_rebuild(self.rebuild_jobs.0 as u64, self.rebuild_jobs.1 as u64);
+        crate::obs::dynamic_rebuild(
+            self.opts.recorder.as_ref(),
+            self.rebuild_jobs.0 as u64,
+            self.rebuild_jobs.1 as u64,
+        );
         topo
     }
 
@@ -701,16 +705,18 @@ impl DynamicSolver {
         mut reuse: Option<Reuse>,
     ) -> Result<DynamicOutcome, SpecError> {
         self.epoch += 1;
+        let recorder = self.opts.recorder.clone();
+        let recorder = recorder.as_ref();
         // A fault at the apply site simulates corrupted incremental
         // state: drop the cache and the topology state, including any
         // kept for reuse, forcing this batch down the full path. The
         // answer must be unchanged (chaos suite pins this).
-        if crate::chaos::fail_hit("core.dynamic.apply") {
+        if crate::chaos::fail_hit("core.dynamic.apply", recorder) {
             self.cache.clear();
             self.topo = None;
             reuse = None;
         }
-        crate::chaos::pulse("core.dynamic.rebuild");
+        crate::chaos::pulse("core.dynamic.rebuild", recorder);
         let mut rebuilt = self.topo.is_none();
         let mut topo = match self.topo.take() {
             Some(topo) => topo,
@@ -725,7 +731,7 @@ impl DynamicSolver {
         // discarded, and the batch is re-answered from scratch on state
         // rebuilt from the arc list.
         if let Some(sol) = &outcome.solution {
-            let rejected = crate::chaos::fail_hit("core.dynamic.certify")
+            let rejected = crate::chaos::fail_hit("core.dynamic.certify", recorder)
                 || certify(sol, &topo.graph).is_err();
             if rejected {
                 self.cache.clear();
@@ -744,6 +750,7 @@ impl DynamicSolver {
         }
         self.evict_stale();
         crate::obs::dynamic_solve(
+            recorder,
             outcome.mode.name(),
             edits,
             outcome.cache_hits as u64,

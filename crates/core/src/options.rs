@@ -9,6 +9,7 @@ use crate::budget::{Budget, Deadline};
 use crate::cancel::CancelToken;
 use crate::checkpoint::CheckpointStore;
 use crate::driver::SccPlan;
+use crate::obs::Recorder;
 use std::time::Instant;
 
 /// The ordered list of alternate algorithms the driver tries when the
@@ -151,6 +152,12 @@ pub struct SolveOptions {
     /// same-graph contract. Job indices (the checkpoint keys) are
     /// identical with and without a plan.
     pub plan: Option<SccPlan>,
+    /// Where the solve's trace events and metrics go (`obs` feature):
+    /// each solve records into the recorder it carries, so concurrent
+    /// solves with their own recorders never mix. `None` (the default,
+    /// and the only value without the feature) records nothing, at the
+    /// cost of one branch per hook.
+    pub recorder: Option<Recorder>,
 }
 
 impl Default for SolveOptions {
@@ -164,6 +171,7 @@ impl Default for SolveOptions {
             deadline: None,
             checkpoints: None,
             plan: None,
+            recorder: None,
         }
     }
 }
@@ -224,6 +232,13 @@ impl SolveOptions {
     /// runs on.
     pub fn plan(mut self, plan: SccPlan) -> Self {
         self.plan = Some(plan);
+        self
+    }
+
+    /// Attaches a recorder for the solve's trace and metrics (see
+    /// [`SolveOptions::recorder`]).
+    pub fn recorder(mut self, recorder: Recorder) -> Self {
+        self.recorder = Some(recorder);
         self
     }
 

@@ -131,8 +131,7 @@ pub(crate) fn solve_component(
             run_fallback_chain(job, chain, sub, counters, epsilon, ws, opts, deadline)
         }
         &Route::Ratio(alg) => {
-            let mut scope =
-                BudgetScope::new(&opts.budget, deadline, alg).with_cancel(opts.cancel.clone());
+            let mut scope = BudgetScope::for_solve(opts, deadline, alg);
             match alg {
                 Algorithm::Lawler => ratio_bisection(sub, counters, Some(epsilon), ws, &mut scope),
                 Algorithm::LawlerExact => ratio_bisection(sub, counters, None, ws, &mut scope),
@@ -147,11 +146,14 @@ pub(crate) fn solve_component(
 /// Solves `g` by `route`: the up-front checks, then every cyclic
 /// component and the minimum, inside one trace span.
 pub(crate) fn solve(g: &Graph, route: &Route, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    crate::obs::solve_start(route.name(), g, opts.effective_threads());
+    let recorder = opts.recorder.as_ref();
+    crate::obs::solve_start(recorder, route.name(), g, opts.effective_threads());
     let result = solve_untraced(g, route, opts);
     match &result {
-        Ok(sol) => crate::obs::solve_end_ok(&sol.lambda, sol.solved_by.name(), &sol.counters),
-        Err(err) => crate::obs::solve_end_err(err.kind()),
+        Ok(sol) => {
+            crate::obs::solve_end_ok(recorder, &sol.lambda, sol.solved_by.name(), &sol.counters)
+        }
+        Err(err) => crate::obs::solve_end_err(recorder, err.kind()),
     }
     result
 }

@@ -27,6 +27,7 @@
 //!   traversal order, and therefore every downstream tie-break, is
 //!   unchanged.
 
+use crate::obs::Recorder;
 use mcr_graph::ArcId;
 
 /// Epoch-stamped mark array: `mark[v] == epoch` means "set in the
@@ -192,9 +193,9 @@ impl Workspace {
     /// [`Workspace::reset`] first — a fresh workspace is bit-identical
     /// to a cleanly-reused one, so determinism is preserved at the cost
     /// of re-growing the buffers once.
-    pub(crate) fn begin_use(&mut self) {
+    pub(crate) fn begin_use(&mut self, recorder: Option<&Recorder>) {
         if self.poisoned {
-            self.reset();
+            self.reset(recorder);
         }
         self.poisoned = true;
     }
@@ -212,9 +213,10 @@ impl Workspace {
     }
 
     /// Discards all scratch state, returning the workspace to its
-    /// freshly-constructed (unpoisoned, empty) state.
-    pub fn reset(&mut self) {
-        crate::chaos::pulse("core.workspace.reset");
+    /// freshly-constructed (unpoisoned, empty) state. A chaos fault at
+    /// the reset site goes to `recorder`.
+    pub(crate) fn reset(&mut self, recorder: Option<&Recorder>) {
+        crate::chaos::pulse("core.workspace.reset", recorder);
         *self = Workspace::default();
     }
 }
@@ -281,12 +283,12 @@ mod tests {
     #[test]
     fn abandoned_use_resets_on_next_begin() {
         let mut ws = Workspace::new();
-        ws.begin_use();
+        ws.begin_use(None);
         ws.dist_f64.push(1.5); // simulate mid-solve state
         assert!(ws.is_poisoned());
         // No end_use: the attempt was aborted. The next begin_use must
         // not see the stale state.
-        ws.begin_use();
+        ws.begin_use(None);
         assert!(ws.dist_f64.is_empty(), "stale scratch leaked past reset");
         ws.end_use();
         assert!(!ws.is_poisoned());
@@ -295,10 +297,10 @@ mod tests {
     #[test]
     fn clean_use_preserves_buffers() {
         let mut ws = Workspace::new();
-        ws.begin_use();
+        ws.begin_use(None);
         ws.dist_f64.resize(8, 0.0);
         ws.end_use();
-        ws.begin_use();
+        ws.begin_use(None);
         assert_eq!(ws.dist_f64.len(), 8, "clean reuse must keep grown buffers");
         ws.end_use();
     }

@@ -385,6 +385,58 @@ fn unit_sites_count_hits_without_failing() {
     assert!(mcr_core::chaos::hits("graph.scc.root") > 0);
 }
 
+#[cfg(feature = "obs")]
+#[test]
+fn faults_land_only_in_the_faulted_solves_own_report() {
+    use mcr_core::obs::{Recorder, Timestamps};
+    let _serial = serial();
+    // Two rings (means 5 and 2), so the driver runs two jobs.
+    let g = from_arc_list(4, &[(0, 1, 5), (1, 0, 5), (2, 3, 1), (3, 2, 3)]);
+    // Every Howard-exact round fails (a fallible site); Karp answers
+    // instead, and its attempt first resets the poisoned workspace (a
+    // unit site). That is two faults per job.
+    let _guard = FaultSchedule::new(7)
+        .inject_always("core.howard.exact.improve", FaultKind::Overflow)
+        .inject_always("core.workspace.reset", FaultKind::Overflow)
+        .install();
+    let (faulted, bystander) = (Recorder::new(), Recorder::new());
+    let (sol, other) = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            let opts = SolveOptions::new().recorder(faulted.clone());
+            Algorithm::HowardExact.solve_with_options(&g, &opts)
+        });
+        // Karp alone reaches neither faulted site.
+        let b = s.spawn(|| {
+            let opts = SolveOptions::new()
+                .fallback(FallbackChain::NONE)
+                .recorder(bystander.clone());
+            Algorithm::Karp.solve_with_options(&g, &opts)
+        });
+        (a.join().expect("no panic"), b.join().expect("no panic"))
+    });
+    let (sol, other) = (sol.expect("Karp answers"), other.expect("unfaulted"));
+    assert_eq!((sol.lambda, other.lambda), (2.into(), 2.into()));
+    assert_eq!(sol.solved_by, Algorithm::Karp);
+
+    let report = faulted.report();
+    let trace = report.trace_jsonl(Timestamps::Normalized);
+    let faults = |site: &str| {
+        let fields = format!("\"site\":\"{site}\",\"fault\":\"overflow\"}}");
+        trace
+            .lines()
+            .filter(|l| l.contains("\"kind\":\"fault.injected\"") && l.ends_with(&fields))
+            .count()
+    };
+    assert_eq!(faults("core.howard.exact.improve"), 2, "{trace}");
+    assert_eq!(faults("core.workspace.reset"), 2, "{trace}");
+    assert_eq!(report.counters.get("chaos.faults_injected"), Some(&4));
+    assert_eq!(mcr_core::chaos::faults_fired(), 4);
+
+    let report = bystander.report();
+    assert!(report.events.iter().all(|e| e.kind != "fault.injected"));
+    assert!(!report.counters.contains_key("chaos.faults_injected"));
+}
+
 // ---- incremental (dynamic) solver sites ---------------------------
 
 /// A deterministic edit sequence for the dynamic-solver chaos tests:

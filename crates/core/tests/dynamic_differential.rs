@@ -708,13 +708,17 @@ fn metrics_pair_reports_incremental_vs_full_modes() {
     // `rebuilt` flag: a reweight batch patches the topology state in
     // place, an insert batch rebuilds it, reusing the untouched jobs
     // (`dynamic.jobs.reused`) and extracting the edited one
-    // (`dynamic.jobs.extracted`). Other tests in this binary
-    // may run solvers while the recorder is installed, so look for this
-    // solver's own events rather than asserting exact totals.
+    // (`dynamic.jobs.extracted`). A solver that carries its own
+    // recorder reports exactly its own batches: the initial full solve
+    // (a rebuild that extracts all three jobs), one reweight and one
+    // insert.
     #[cfg(feature = "obs")]
     {
-        use mcr_core::obs::{install, Timestamps};
-        let guard = install();
+        use mcr_core::obs::{Recorder, Timestamps};
+        let recorder = Recorder::new();
+        let opts = SolveOptions::new().recorder(recorder.clone());
+        let mut solver = DynamicSolver::new(&script.base_graph(), spec, opts);
+        solver.solve().expect("solves");
         solver
             .apply(&[Edit::Reweight { arc: 0, weight: 61 }])
             .expect("applies");
@@ -723,17 +727,17 @@ fn metrics_pair_reports_incremental_vs_full_modes() {
             .apply(&[Edit::InsertArc { src: a.src, dst: a.dst, weight: 70, transit: 1 }])
             .expect("applies");
         assert_eq!((outcome.cache_hits, outcome.cache_misses), (2, 1));
-        let report = guard.finish();
-        for name in [
-            "dynamic.topology.patched",
-            "dynamic.topology.rebuilt",
-            "dynamic.jobs.reused",
-            "dynamic.jobs.extracted",
+        let report = recorder.report();
+        for (name, value) in [
+            ("dynamic.solve.full", 1),
+            ("dynamic.solve.incremental", 2),
+            ("dynamic.topology.patched", 1),
+            ("dynamic.topology.rebuilt", 2),
+            ("dynamic.jobs.reused", 2),
+            ("dynamic.jobs.extracted", 4),
+            ("dynamic.edits.applied", 2),
         ] {
-            assert!(
-                report.counters.get(name).is_some_and(|&n| n >= 1),
-                "{name} not counted"
-            );
+            assert_eq!(report.counters.get(name), Some(&value), "{name}");
         }
         let trace = report.trace_jsonl(Timestamps::Normalized);
         for rebuilt in [0, 1] {

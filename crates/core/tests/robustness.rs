@@ -491,6 +491,27 @@ fn exact_ratio_bisection_fails_typed_on_huge_transit_totals() {
 }
 
 #[test]
+fn lawler_exact_mean_route_answers_non_unit_transits_as_in_release() {
+    // Three rings with transits 1–3 under the mean objective. The
+    // exact bisection tests w − λ·t, so it snaps to a ring's ratio
+    // while the witness is measured by its mean, and the two differ.
+    // Debug and release builds both answer the witness mean, here the
+    // minimum mean 3/2, without a debug assertion firing.
+    let text = "p mcr 7 8\na 1 2 1 1\na 2 3 2 2\na 3 1 3 3\na 3 4 1 1\n\
+                a 4 5 2 3\na 5 4 1 1\na 6 7 4 2\na 7 6 2 3\n";
+    let g = read_dimacs(&mut text.as_bytes()).expect("parses");
+    for fallback in [FallbackChain::NONE, FallbackChain::default()] {
+        let opts = SolveOptions { fallback, ..SolveOptions::default() };
+        let sol = solve_spec(&g, &SolveSpec::mean(Algorithm::LawlerExact), &opts)
+            .expect("ok")
+            .expect("cyclic");
+        assert_eq!(sol.lambda, Ratio64::new(3, 2));
+        assert_eq!(sol.solved_by, Algorithm::LawlerExact);
+        certify(&sol, &g).expect("certifies");
+    }
+}
+
+#[test]
 fn every_ratio_route_honours_budget_and_cancel() {
     // The ratio routes share the mean route's budget scope: a
     // zero-iteration budget exhausts every kernel before its first

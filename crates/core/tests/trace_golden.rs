@@ -3,7 +3,9 @@
 //! and `--summary` table of a fixed two-solve scenario are pinned
 //! byte-for-byte, and must come out identical at 1, 2, and 8 worker
 //! threads. A schema guard ties the goldens to `TRACE_SCHEMA_VERSION`
-//! so any wire-format change is a deliberate, documented bump.
+//! so any wire-format change is a deliberate, documented bump. Each
+//! solve records into the recorder its options carry, so solves running
+//! at the same time on other threads leave a report untouched.
 //!
 //! Regenerate after an intentional format change with:
 //! `UPDATE_GOLDENS=1 cargo test -p mcr-core --features obs --test trace_golden`
@@ -11,7 +13,7 @@
 #![cfg(feature = "obs")]
 
 use mcr_core::checkpoint::CheckpointStore;
-use mcr_core::obs::{install, Timestamps, TRACE_SCHEMA, TRACE_SCHEMA_VERSION};
+use mcr_core::obs::{Recorder, Report, Timestamps, TRACE_SCHEMA, TRACE_SCHEMA_VERSION};
 use mcr_core::{Algorithm, Budget, FallbackChain, SolveOptions};
 use mcr_graph::graph::from_arc_list;
 use mcr_graph::{json, Graph};
@@ -25,24 +27,44 @@ fn two_scc_graph() -> Graph {
     )
 }
 
-/// The pinned scenario: one clean solve, then one solve whose primary
-/// exhausts a one-iteration budget and falls back — covering solve,
-/// job, attempt, checkpoint.save, and fallback.hop events.
-fn run_scenario(threads: usize) -> mcr_core::obs::Report {
-    let g = two_scc_graph();
-    let guard = install();
+/// The clean solve of the scenario.
+fn clean_solve(g: &Graph, threads: usize, recorder: &Recorder) {
     Algorithm::HowardExact
-        .solve_with_options(&g, &SolveOptions::new().threads(threads))
+        .solve_with_options(g, &SolveOptions::new().threads(threads).recorder(recorder.clone()))
         .expect("cyclic");
+}
+
+/// The scenario's second solve: its primary exhausts a one-iteration
+/// budget and falls back.
+fn fallback_solve(g: &Graph, threads: usize, recorder: &Recorder) {
     let _ = Algorithm::Lawler.solve_with_options(
-        &g,
+        g,
         &SolveOptions::new()
             .threads(threads)
             .budget(Budget::default().max_iterations(1))
             .fallback(FallbackChain::new(&[Algorithm::Karp]))
-            .checkpoints(CheckpointStore::new()),
+            .checkpoints(CheckpointStore::new())
+            .recorder(recorder.clone()),
     );
-    guard.finish()
+}
+
+/// The pinned scenario: one clean solve, then one solve that falls back
+/// — covering solve, job, attempt, checkpoint.save, and fallback.hop
+/// events — both recorded by one recorder (solve indices 0 and 1).
+fn run_scenario(threads: usize) -> Report {
+    let g = two_scc_graph();
+    let recorder = Recorder::new();
+    clean_solve(&g, threads, &recorder);
+    fallback_solve(&g, threads, &recorder);
+    recorder.report()
+}
+
+/// The normalized trace and metrics JSONL of `report`.
+fn normalized(report: &Report) -> (String, String) {
+    (
+        report.trace_jsonl(Timestamps::Normalized),
+        report.metrics_jsonl(Timestamps::Normalized),
+    )
 }
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -118,6 +140,29 @@ fn normalized_metrics_match_golden_at_every_thread_count() {
 fn normalized_summary_matches_golden() {
     let summary = run_scenario(1).summary(Timestamps::Normalized);
     assert_golden("summary_two_solves.txt", &summary);
+}
+
+#[test]
+fn concurrent_solves_each_keep_their_own_report() {
+    // Each scenario solve alone, with its own recorder...
+    let g = two_scc_graph();
+    let alone = |solve: fn(&Graph, usize, &Recorder)| {
+        let recorder = Recorder::new();
+        solve(&g, 2, &recorder);
+        normalized(&recorder.report())
+    };
+    let (clean, fallback) = (alone(clean_solve), alone(fallback_solve));
+    // ...must report the same bytes when the two run at once on two
+    // threads, each with its own recorder.
+    for round in 0..20 {
+        let (a, b) = (Recorder::new(), Recorder::new());
+        std::thread::scope(|s| {
+            s.spawn(|| clean_solve(&g, 2, &a));
+            s.spawn(|| fallback_solve(&g, 2, &b));
+        });
+        assert_eq!(normalized(&a.report()), clean, "clean solve, round {round}");
+        assert_eq!(normalized(&b.report()), fallback, "fallback solve, round {round}");
+    }
 }
 
 #[test]

@@ -38,7 +38,7 @@ pub struct EditScriptConfig {
     /// Disjoint SPRAND components in the base graph. More than one
     /// makes the script a real incremental workload: an edit inside one
     /// component leaves the others' fingerprints — and therefore the
-    /// [`mcr_core::DynamicSolver`] cache entries — untouched.
+    /// `mcr_core::DynamicSolver` cache entries — untouched.
     pub components: usize,
 }
 

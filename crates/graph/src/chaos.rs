@@ -3,16 +3,16 @@
 //! With the feature off (the default) every helper here is an empty
 //! `#[inline(always)]` function, so release builds carry no injection
 //! overhead whatsoever. With `--features chaos` the helpers report to
-//! the [`mcr_chaos`] registry and surface scheduled faults.
+//! the `mcr_chaos` registry and surface scheduled faults.
 //!
 //! Two flavors of site exist in this crate:
 //!
-//! * **fallible sites** ([`fail_hit`]) — places with an error path
+//! * **fallible sites** (`fail_hit`) — places with an error path
 //!   (the DIMACS parser). An injected error-kind fault makes the caller
 //!   return its layer's typed error.
-//! * **unit sites** ([`pulse`]) — places that cannot fail by
+//! * **unit sites** (`pulse`) — places that cannot fail by
 //!   construction (heap operations, SCC roots). These honor only
-//!   [`mcr_chaos::FaultKind::Delay`] (the registry applies it in
+//!   `mcr_chaos::FaultKind::Delay` (the registry applies it in
 //!   place) and count the hit for coverage assertions.
 
 #[cfg(feature = "chaos")]

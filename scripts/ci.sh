@@ -6,7 +6,7 @@
 # the crates the solver stack touches (which enforces the module-level
 # `deny(clippy::unwrap_used, clippy::panic)` gates on the parser and
 # the error/budget/certify layer), rustdoc with warnings denied on
-# mcr-core, a CLI smoke test of the exit
+# mcr-core, mcr-graph, mcr-gen and mcr-obs, a CLI smoke test of the exit
 # code contract against the bad-input corpus, a byte-compare of the
 # static solve across per-SCC driver thread counts, a kill -9
 # crash-recovery drill of the mcrd solve daemon, and a two-shard fleet
@@ -54,10 +54,11 @@ echo "=== cargo clippy -D warnings (solver stack) ==="
 cargo clippy -q -p mcr-graph -p mcr-core -p mcr-cli -p mcr-bench \
     -p mcr-serve --all-targets -- -D warnings
 
-echo "=== rustdoc -D warnings (mcr-core, private items) ==="
+echo "=== rustdoc -D warnings (mcr-core private items; graph, gen, obs) ==="
 # Broken intra-doc links and public docs that point at private items
 # fail the gate, so the module docs stay navigable.
 RUSTDOCFLAGS="-D warnings" cargo doc -q -p mcr-core --no-deps --document-private-items
+RUSTDOCFLAGS="-D warnings" cargo doc -q -p mcr-graph -p mcr-gen -p mcr-obs --no-deps
 
 echo "=== CLI smoke: exit-code contract ==="
 MCR=target/release/mcr
@@ -202,6 +203,10 @@ echo "=== obs suite (--features obs: golden traces, metrics, summary) ==="
 # at 1/2/8 worker threads, plus the schema-version-bump guard.
 cargo test -q -p mcr-core --features obs
 cargo test -q -p mcr-obs
+# Both features: a fault lands in the report of the solve that hit it
+# and in no concurrent solve's (chaos.rs,
+# faults_land_only_in_the_faulted_solves_own_report).
+cargo test -q -p mcr-core --features obs,chaos
 
 echo "=== obs clippy (-D warnings, obs configuration) ==="
 cargo clippy -q -p mcr-core -p mcr-cli -p mcr-obs --features mcr-core/obs \
