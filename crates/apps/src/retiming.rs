@@ -195,7 +195,7 @@ impl Netlist {
             .map(|a| p * g.transit(a) as i128 - g.weight(a) as i128 * q)
             .collect();
         let mut counters = mcr_core::Counters::new();
-        match bellman_ford(&g, &costs, true, &mut counters) {
+        match bellman_ford(&g, &costs, true, &mut counters).map_err(|e| e.to_string())? {
             CycleCheck::Feasible(dist) => Ok(dist
                 .into_iter()
                 .map(|d| -Ratio64::from_i128(d, q))

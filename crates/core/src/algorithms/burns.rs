@@ -440,7 +440,7 @@ pub(crate) fn solve_scc_f64(
             // cycle. One exact negative-cycle test (O(nm), the cost of
             // a single Burns iteration) catches that; fall back to the
             // exact-rational variant in the rare failure case.
-            if crate::bellman::has_cycle_below(g, candidate, counters).is_some() {
+            if crate::bellman::has_cycle_below(g, candidate, counters)?.is_some() {
                 let mut fresh = Counters::new();
                 let outcome = solve_scc(g, &mut fresh, scope);
                 *counters += fresh;

@@ -57,10 +57,20 @@ pub(crate) fn scaled_costs_into(g: &Graph, lambda: Ratio64, out: &mut Vec<i128>)
 /// reported (used to extract a witness cycle at `λ = λ*`, where minimum
 /// mean cycles have scaled cost exactly zero).
 ///
+/// # Errors
+///
+/// The run has no budget, so only a chaos fault injected at the
+/// `core.bellman.round` site fails it, with that fault's typed error.
+///
 /// # Panics
 ///
 /// Panics if `cost.len() != g.num_arcs()`.
-pub fn bellman_ford(g: &Graph, cost: &[i128], strict: bool, counters: &mut Counters) -> CycleCheck {
+pub fn bellman_ford(
+    g: &Graph,
+    cost: &[i128],
+    strict: bool,
+    counters: &mut Counters,
+) -> Result<CycleCheck, SolveError> {
     assert_eq!(cost.len(), g.num_arcs());
     counters.oracle_calls += 1;
     if !strict {
@@ -85,11 +95,11 @@ pub fn bellman_ford(g: &Graph, cost: &[i128], strict: bool, counters: &mut Count
         &mut cycle,
         &scope,
     );
-    match found {
-        Ok(true) => CycleCheck::NegativeCycle(cycle),
-        Ok(false) => CycleCheck::Feasible(dist),
-        Err(_) => unreachable!("an unlimited scope never trips"),
-    }
+    Ok(if found? {
+        CycleCheck::NegativeCycle(cycle)
+    } else {
+        CycleCheck::Feasible(dist)
+    })
 }
 
 /// The strict-mode Bellman–Ford loop over caller-provided buffers.
@@ -252,26 +262,31 @@ pub(crate) fn cycle_at_or_below_ws(
 
 /// Tests whether `G_λ` (costs `w − λ·t`) has a strictly negative cycle,
 /// i.e. whether some cycle of `g` has ratio (mean, for unit transits)
-/// strictly below `lambda`.
-pub fn has_cycle_below(g: &Graph, lambda: Ratio64, counters: &mut Counters) -> Option<Vec<ArcId>> {
+/// strictly below `lambda`. Fails only as [`bellman_ford`] does.
+pub fn has_cycle_below(
+    g: &Graph,
+    lambda: Ratio64,
+    counters: &mut Counters,
+) -> Result<Option<Vec<ArcId>>, SolveError> {
     let cost = scaled_costs(g, lambda);
-    match bellman_ford(g, &cost, true, counters) {
+    Ok(match bellman_ford(g, &cost, true, counters)? {
         CycleCheck::Feasible(_) => None,
         CycleCheck::NegativeCycle(c) => Some(c),
-    }
+    })
 }
 
-/// Finds a cycle with ratio (mean) at most `lambda`, if any.
+/// Finds a cycle with ratio (mean) at most `lambda`, if any. Fails only
+/// as [`bellman_ford`] does.
 pub fn cycle_at_or_below(
     g: &Graph,
     lambda: Ratio64,
     counters: &mut Counters,
-) -> Option<Vec<ArcId>> {
+) -> Result<Option<Vec<ArcId>>, SolveError> {
     let cost = scaled_costs(g, lambda);
-    match bellman_ford(g, &cost, false, counters) {
+    Ok(match bellman_ford(g, &cost, false, counters)? {
         CycleCheck::Feasible(_) => None,
         CycleCheck::NegativeCycle(c) => Some(c),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -288,7 +303,9 @@ mod tests {
         // Ring with mean 2; at λ = 1 no negative cycle.
         let g = from_arc_list(3, &[(0, 1, 2), (1, 2, 2), (2, 0, 2)]);
         let mut c = counters();
-        assert!(has_cycle_below(&g, Ratio64::from(1), &mut c).is_none());
+        assert!(has_cycle_below(&g, Ratio64::from(1), &mut c)
+            .expect("no fault")
+            .is_none());
         assert_eq!(c.oracle_calls, 1);
     }
 
@@ -296,7 +313,9 @@ mod tests {
     fn negative_cycle_found_and_valid() {
         let g = from_arc_list(3, &[(0, 1, 2), (1, 2, 2), (2, 0, 2)]);
         let mut c = counters();
-        let cyc = has_cycle_below(&g, Ratio64::from(3), &mut c).expect("mean 2 < 3");
+        let cyc = has_cycle_below(&g, Ratio64::from(3), &mut c)
+            .expect("no fault")
+            .expect("mean 2 < 3");
         let (w, len, _) = crate::solution::check_cycle(&g, &cyc).expect("well-formed");
         assert_eq!(Ratio64::new(w, len as i64), Ratio64::from(2));
     }
@@ -307,8 +326,12 @@ mod tests {
         let g = from_arc_list(2, &[(0, 1, 2), (1, 0, 3)]);
         let lam = Ratio64::new(5, 2);
         let mut c = counters();
-        assert!(has_cycle_below(&g, lam, &mut c).is_none());
-        let cyc = cycle_at_or_below(&g, lam, &mut c).expect("zero-cost cycle");
+        assert!(has_cycle_below(&g, lam, &mut c)
+            .expect("no fault")
+            .is_none());
+        let cyc = cycle_at_or_below(&g, lam, &mut c)
+            .expect("no fault")
+            .expect("zero-cost cycle");
         let (w, len, _) = crate::solution::check_cycle(&g, &cyc).expect("well-formed");
         assert_eq!(Ratio64::new(w, len as i64), lam);
     }
@@ -322,15 +345,21 @@ mod tests {
         b.add_arc_with_transit(v[1], v[0], 6, 3);
         let g = b.build();
         let mut c = counters();
-        assert!(has_cycle_below(&g, Ratio64::new(5, 2), &mut c).is_none());
-        assert!(has_cycle_below(&g, Ratio64::new(26, 10), &mut c).is_some());
+        assert!(has_cycle_below(&g, Ratio64::new(5, 2), &mut c)
+            .expect("no fault")
+            .is_none());
+        assert!(has_cycle_below(&g, Ratio64::new(26, 10), &mut c)
+            .expect("no fault")
+            .is_some());
     }
 
     #[test]
     fn picks_up_self_loop() {
         let g = from_arc_list(2, &[(0, 1, 10), (1, 0, 10), (1, 1, 3)]);
         let mut c = counters();
-        let cyc = has_cycle_below(&g, Ratio64::from(4), &mut c).expect("self loop mean 3");
+        let cyc = has_cycle_below(&g, Ratio64::from(4), &mut c)
+            .expect("no fault")
+            .expect("self loop mean 3");
         assert_eq!(cyc.len(), 1);
     }
 
@@ -342,7 +371,7 @@ mod tests {
         for num in -10..10 {
             let lam = Ratio64::new(num, 3);
             let mut c1 = counters();
-            let plain = has_cycle_below(&g, lam, &mut c1);
+            let plain = has_cycle_below(&g, lam, &mut c1).expect("no fault");
             let mut c2 = counters();
             let found = has_cycle_below_ws(&g, lam, &mut c2, &mut ws, &scope).expect("unlimited");
             assert_eq!(plain.is_some(), found, "lambda {lam}");
@@ -352,7 +381,7 @@ mod tests {
             assert_eq!(c1, c2, "counters must match for lambda {lam}");
 
             let mut c3 = counters();
-            let plain = cycle_at_or_below(&g, lam, &mut c3);
+            let plain = cycle_at_or_below(&g, lam, &mut c3).expect("no fault");
             let mut c4 = counters();
             let found =
                 cycle_at_or_below_ws(&g, lam, &mut c4, &mut ws, &scope).expect("unlimited");
@@ -390,7 +419,7 @@ mod tests {
         let lam = Ratio64::new(2, 1);
         let cost = scaled_costs(&g, lam);
         let mut c = counters();
-        match bellman_ford(&g, &cost, true, &mut c) {
+        match bellman_ford(&g, &cost, true, &mut c).expect("no fault") {
             CycleCheck::Feasible(d) => {
                 for a in g.arc_ids() {
                     let u = g.source(a).index();

@@ -43,7 +43,8 @@ impl CriticalSubgraph {
 /// # Errors
 ///
 /// Returns `Err` if `lambda` exceeds the optimum (then `G_λ` has a
-/// negative cycle and no shortest-path potentials exist).
+/// negative cycle and no shortest-path potentials exist), or with the
+/// fault's message when a chaos fault fails the Bellman–Ford pass.
 ///
 /// ```
 /// use mcr_core::{critical::critical_subgraph, Ratio64};
@@ -57,7 +58,7 @@ impl CriticalSubgraph {
 pub fn critical_subgraph(g: &Graph, lambda: Ratio64) -> Result<CriticalSubgraph, String> {
     let cost = scaled_costs(g, lambda);
     let mut counters = Counters::new();
-    let dist = match bellman_ford(g, &cost, true, &mut counters) {
+    let dist = match bellman_ford(g, &cost, true, &mut counters).map_err(|e| e.to_string())? {
         CycleCheck::Feasible(d) => d,
         CycleCheck::NegativeCycle(_) => {
             return Err(format!("lambda {lambda} exceeds the optimum"));

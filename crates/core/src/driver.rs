@@ -44,7 +44,7 @@ use crate::options::SolveOptions;
 use crate::rational::Ratio64;
 use crate::solution::{Guarantee, Solution};
 use crate::workspace::Workspace;
-use mcr_graph::{ArcId, Graph, NodeId, SccDecomposition, SubgraphExtractor};
+use mcr_graph::{ArcId, Graph, SccDecomposition, SubgraphExtractor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -146,25 +146,14 @@ fn plan_or_extract(g: &Graph, opts: &SolveOptions) -> Arc<Vec<Job>> {
 /// component (reverse topological) order, reusing one translation table
 /// across extractions.
 pub(crate) fn extract_jobs(g: &Graph) -> Vec<Job> {
-    let mut ex = SubgraphExtractor::new(g.num_nodes());
-    cyclic_component_jobs(g, |nodes| {
-        let (sub, arc_map) = ex.extract(g, nodes);
-        Job { sub, arc_map }
-    })
-}
-
-/// Runs Tarjan once on `g` and turns each cyclic component's node list
-/// into a job with `job`, in component (reverse topological) order.
-/// [`extract_jobs`] extracts every one; the incremental solver reuses
-/// the jobs of components an edit batch left unchanged.
-pub(crate) fn cyclic_component_jobs(
-    g: &Graph,
-    mut job: impl FnMut(&[NodeId]) -> Job,
-) -> Vec<Job> {
     let scc = SccDecomposition::new(g);
+    let mut ex = SubgraphExtractor::new(g.num_nodes());
     (0..scc.num_components())
         .filter(|&c| scc.is_cyclic_component(g, c))
-        .map(|c| job(scc.component(c)))
+        .map(|c| {
+            let (sub, arc_map) = ex.extract(g, scc.component(c));
+            Job { sub, arc_map }
+        })
         .collect()
 }
 

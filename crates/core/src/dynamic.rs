@@ -16,19 +16,36 @@
 //! The solver therefore:
 //!
 //! 1. keeps the topology-derived state alive across batches: the CSR
-//!    graph (and its negated twin when maximizing), Tarjan's component
-//!    jobs with their node lists, a host-arc → component-arc map, and
-//!    each component's fingerprint. The first solve builds it in
-//!    `O(n + m)`, exactly as a from-scratch solve would. A batch that
-//!    inserts or deletes an arc rebuilds the CSR graph and re-runs
-//!    Tarjan, but a new cyclic component keeps its previous job —
-//!    subgraph, fingerprint and flags, with the arc map rewritten to the
-//!    new arc ids — when the previous job had exactly the same node list
-//!    and the batch touched (inserted, deleted, reweighted or retimed) no
-//!    arc with both endpoints inside it. Such a job is byte-equal to a
-//!    fresh extraction: its internal arcs are unchanged, and deletes and
-//!    appends keep their relative id order. Only the other components
-//!    are extracted and re-fingerprinted;
+//!    graph (and its negated twin when maximizing), Tarjan's components
+//!    and depth-first forest (pre-order index `pre`, subtree end `end`,
+//!    a tree bit per arc), the cyclic component jobs, a host-arc →
+//!    component-arc map, and each component's fingerprint. The first
+//!    solve builds it in `O(n + m)`, exactly as a from-scratch solve
+//!    would. An insert or delete patches the CSR graph in place
+//!    ([`Graph::append_arc`], [`Graph::remove_arc`]; byte-equal to a
+//!    rebuild) and renumbers the arc maps, then asks whether a fresh
+//!    Tarjan run would give the same output — the same forest and the
+//!    same components:
+//!    * an insert `u → v` keeps it when `pre[v] < end[u]` (the arc,
+//!      scanned last at `u`, finds `v` already discovered) and `v`'s
+//!      component is `u`'s or an earlier one in Tarjan order (`v`
+//!      cannot reach `u`, so nothing merges);
+//!    * a delete of a non-tree arc keeps it between two components, and
+//!      inside component `C` when `u` still reaches `v` inside `C` (one
+//!      bounded search) and `C` keeps a cycle.
+//!
+//!    A kept edit re-extracts only the job holding the arc. The first
+//!    edit of a batch that fails the test (including a self-loop on an
+//!    acyclic singleton) sends the rest of the batch down the rerun
+//!    path: Tarjan re-runs on the patched graph before the solve, and a
+//!    new cyclic component keeps its previous job — subgraph,
+//!    fingerprint and flags — when the previous job had exactly the same
+//!    node list and the batch edited (inserted, deleted, reweighted or
+//!    retimed) no arc with both endpoints inside it. Such a job is
+//!    byte-equal to a fresh extraction: its internal arcs are unchanged,
+//!    and deletes and appends keep their relative id order. Either way
+//!    job order, every subgraph and every fingerprint equal a
+//!    from-scratch build;
 //! 2. patches that state in place for a batch made only of
 //!    [`Edit::Reweight`] / [`Edit::Retime`]: each edit rewrites one arc
 //!    of the host graph and of its component's subgraph in
@@ -64,18 +81,19 @@
 //!   and OA1): the route table has no per-component route for it, and
 //!   `solve_spec` solves the transit expansion of the whole graph, a
 //!   derived graph the component cache cannot key;
-//! * a chaos fault at `core.dynamic.apply` (cache and topology state,
-//!   including any kept for reuse, dropped before the solve) or
-//!   `core.dynamic.certify` (incremental answer rejected);
+//! * a chaos fault at `core.dynamic.apply` (cache and patched topology
+//!   state dropped before the solve) or `core.dynamic.certify`
+//!   (incremental answer rejected);
 //! * a witness that fails [`certify`] — the cache is cleared, the
 //!   topology state is rebuilt from the arc list, and the batch is
 //!   re-answered from scratch, never returned unverified.
 //!
-//! Every returned solution — incremental or full — is re-validated by
-//! [`certify`] against the current caller-orientation graph.
+//! Every returned solution — incremental or full — is certified exactly
+//! once against the current caller-orientation graph: the incremental
+//! answer at the gate, or the from-scratch answer that replaces it.
 
 use crate::certify::certify;
-use crate::driver::{cyclic_component_jobs, reduce_outcomes, Job, SccOutcome};
+use crate::driver::{reduce_outcomes, Job, SccOutcome};
 use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::options::SolveOptions;
@@ -84,7 +102,9 @@ use crate::solution::Solution;
 use crate::spec::{solve_spec, Objective, SolveSpec, SpecError};
 use crate::workspace::Workspace;
 use mcr_graph::hash::{fnv1a_word, FNV1A_OFFSET};
-use mcr_graph::{idx32, ArcId, Graph, GraphBuilder, NodeId, SubgraphExtractor};
+use mcr_graph::{
+    idx32, ArcId, DfsForest, Graph, GraphBuilder, NodeId, SccDecomposition, SubgraphExtractor,
+};
 use std::collections::BTreeMap;
 
 /// One graph mutation. Arc indices refer to the solver's *current*
@@ -174,53 +194,41 @@ struct CacheEntry {
 /// Entries unused for this many consecutive batches are evicted.
 const RETAIN_EPOCHS: u64 = 16;
 
-/// The `Topo::owner` job slot of an arc outside every cyclic component.
+/// The `Split::owner` job slot of an arc outside every cyclic component.
 const NO_JOB: u32 = u32::MAX;
 
-/// An arc with no id on the other side of a topology batch: the old id
-/// of an inserted arc, the new id of a deleted one.
-const NO_ARC: u32 = u32::MAX;
-
-/// The previous topology state, kept across a batch that inserts or
-/// deletes arcs so the rebuild can reuse the jobs the batch left
-/// unchanged (module docs, step 1).
-struct Reuse {
-    prev: Topo,
-    /// Per arc of the edited list, its id before the batch, or `NO_ARC`
-    /// for an inserted arc: the batch replayed on an identity list.
-    old_ids: Vec<u32>,
-    /// Endpoints of every arc the batch inserted, deleted, reweighted or
-    /// retimed.
-    touched: Vec<(usize, usize)>,
-}
-
-impl Reuse {
-    fn new(prev: Topo, arcs: usize) -> Reuse {
-        Reuse {
-            prev,
-            old_ids: (0..idx32(arcs)).collect(),
-            touched: Vec::new(),
-        }
-    }
-}
-
 /// The topology-derived state of the current graph (module docs, steps
-/// 1–2). Every field is a function of the arc list. A weight-only batch
-/// keeps it that way by patching in place; a batch that inserts or
-/// deletes an arc rebuilds it, moving over the jobs it left unchanged.
+/// 1–2). Every edit patches it in place. After a topology batch whose
+/// edits all passed the DFS test it is again a function of the arc
+/// list; otherwise the next solve re-runs Tarjan first
+/// ([`Topo::settle`]).
 #[derive(Debug)]
 struct Topo {
     /// The current graph, caller orientation.
     graph: Graph,
     /// `graph.negated()` when a maximizing spec solves per component.
     negated: Option<Graph>,
-    /// Cyclic components of the solved orientation, in Tarjan order
-    /// (none for a spec with no per-component route, which always
-    /// solves in full).
+    /// Tarjan's split of the solved orientation into component jobs;
+    /// `None` for a spec with no per-component route, which always
+    /// solves in full.
+    split: Option<Split>,
+}
+
+/// One Tarjan run over the solved orientation, and the component jobs
+/// taken from it.
+#[derive(Debug)]
+struct Split {
+    /// Tarjan's components, in emission order.
+    scc: SccDecomposition,
+    /// The depth-first forest of that run.
+    dfs: DfsForest,
+    /// The cyclic components, in Tarjan order.
     jobs: Vec<Job>,
+    /// Per job: its component in `scc` (strictly increasing).
+    job_comp: Vec<u32>,
     /// Host arc → (job, local arc) for arcs inside a cyclic component,
     /// `(NO_JOB, _)` for the rest. Job indices are below the node count,
-    /// so a `u32` holds them, and a rebuild fills half the memory an
+    /// so a `u32` holds them, and a build fills half the memory an
     /// `Option<(usize, ArcId)>` table would take.
     owner: Vec<(u32, ArcId)>,
     /// Per job: the epsilon-free FNV-1a state of its subgraph.
@@ -231,74 +239,25 @@ struct Topo {
     zero_transit: Vec<bool>,
     /// Per job: patched since `hashes`/`zero_transit` were computed.
     stale: Vec<bool>,
-    /// Job `j`'s Tarjan node list is `nodes[node_start[j]..node_start[j + 1]]`.
-    nodes: Vec<NodeId>,
-    node_start: Vec<usize>,
+    /// Set by a topology edit the DFS test could not keep. From then on
+    /// `scc`, `dfs` and `job_comp` describe the graph before that edit,
+    /// later inserts and deletes only patch the graphs and keep `owner`
+    /// and the arc maps numbered, and Tarjan re-runs before the next
+    /// solve.
+    rerun: bool,
+    /// Translation table for re-extracting one job.
+    ex: SubgraphExtractor,
 }
 
 impl Topo {
-    /// Builds the state of `arcs`: the CSR graph, then, when
-    /// `per_component`, its negated twin if `maximize` and one Tarjan
-    /// pass over the solved orientation. A cyclic component whose job
-    /// `reuse` can supply keeps that job's subgraph, fingerprint and
-    /// flags; every other one is extracted and marked stale. Returns the
-    /// state and the number of jobs reused.
-    fn build(
-        nodes: usize,
-        arcs: &[ArcSpec],
-        per_component: bool,
-        maximize: bool,
-        reuse: Option<Reuse>,
-    ) -> (Topo, usize) {
+    /// Builds the state of `arcs` from scratch: the CSR graph, then,
+    /// when `per_component`, its negated twin if `maximize` and one
+    /// Tarjan pass over the solved orientation.
+    fn build(nodes: usize, arcs: &[ArcSpec], per_component: bool, maximize: bool) -> Topo {
         let graph = build_graph(nodes, arcs);
         let negated = (per_component && maximize).then(|| graph.negated());
-        let mut prev = reuse.map(|r| Previous::new(r, nodes));
-        let mut hashes = Vec::new();
-        let mut zero_transit = Vec::new();
-        let mut stale = Vec::new();
-        let mut job_nodes = Vec::new();
-        let mut node_start = vec![0];
-        let mut reused = 0;
-        let jobs = if per_component {
-            let target = negated.as_ref().unwrap_or(&graph);
-            let mut ex = SubgraphExtractor::new(nodes);
-            cyclic_component_jobs(target, |c| {
-                job_nodes.extend_from_slice(c);
-                node_start.push(job_nodes.len());
-                if let Some(kept) = prev.as_mut().and_then(|p| p.take(c)) {
-                    reused += 1;
-                    hashes.push(kept.hash);
-                    zero_transit.push(kept.zero_transit);
-                    stale.push(kept.stale);
-                    return kept.job;
-                }
-                hashes.push(0);
-                zero_transit.push(false);
-                stale.push(true);
-                let (sub, arc_map) = ex.extract(target, c);
-                Job { sub, arc_map }
-            })
-        } else {
-            Vec::new()
-        };
-        let mut owner = vec![(NO_JOB, ArcId::new(0)); arcs.len()];
-        for (j, job) in jobs.iter().enumerate() {
-            for (local, host) in job.arc_map.iter().enumerate() {
-                owner[host.index()] = (idx32(j), ArcId::new(local));
-            }
-        }
-        let topo = Topo {
-            graph,
-            negated,
-            jobs,
-            owner,
-            hashes,
-            zero_transit,
-            stale,
-            nodes: job_nodes,
-            node_start,
-        };
-        (topo, reused)
+        let split = per_component.then(|| Split::build(negated.as_ref().unwrap_or(&graph), None).0);
+        Topo { graph, negated, split }
     }
 
     /// The orientation the components are solved in.
@@ -318,27 +277,225 @@ impl Topo {
             }
             None => weight,
         };
-        let (job, local) = self.owner[arc];
+        let Some(split) = &mut self.split else { return };
+        let (job, local) = split.owner[arc];
         if job != NO_JOB {
             let j = job as usize;
-            self.jobs[j].sub.set_arc_values(local, solved_weight, transit);
-            self.stale[j] = true;
+            split.jobs[j].sub.set_arc_values(local, solved_weight, transit);
+            split.stale[j] = true;
         }
+    }
+
+    /// Appends an arc to every graph in place. An arc appended last in
+    /// `src`'s out-list is scanned once every node with `pre < end[src]`
+    /// has been discovered, so when `pre[dst] < end[src]` the depth-first
+    /// forest is unchanged; when `dst`'s component is also `src`'s or an
+    /// earlier one in Tarjan order, `dst` cannot reach `src` and nothing
+    /// merges. Then Tarjan's output is unchanged, and only the job that
+    /// gains the arc is re-extracted. Any other insert (or a self-loop
+    /// that makes an acyclic singleton cyclic) sets `rerun`.
+    fn append_arc(&mut self, src: usize, dst: usize, weight: i64, transit: i64) {
+        let (u, v) = (NodeId::new(src), NodeId::new(dst));
+        self.graph.append_arc(u, v, weight, transit);
+        if let Some(neg) = &mut self.negated {
+            neg.append_arc(u, v, -weight, transit);
+        }
+        let Topo { graph, negated, split } = self;
+        let Some(split) = split else { return };
+        split.owner.push((NO_JOB, ArcId::new(0)));
+        split.dfs.tree.push(false);
+        if split.rerun {
+            return;
+        }
+        let (cu, cv) = (split.scc.component_of(u), split.scc.component_of(v));
+        if split.dfs.pre[dst] >= split.dfs.end[src] || cv > cu {
+            split.rerun = true;
+        } else if cu == cv {
+            match split.job_of_comp(cu) {
+                Some(j) => split.extract(negated.as_ref().unwrap_or(graph), j),
+                None => split.rerun = true,
+            }
+        }
+    }
+
+    /// Removes an arc from every graph in place, and renumbers `owner`
+    /// and the arc maps. Deleting a non-tree arc leaves the depth-first
+    /// forest unchanged. Between two components it cannot change them
+    /// either; inside component `C` it splits nothing while `src` still
+    /// reaches `dst` inside `C` (one bounded search) and `C` keeps a
+    /// cycle. Then only the job that loses the arc is re-extracted. Any
+    /// other delete sets `rerun`.
+    fn remove_arc(&mut self, arc: usize) {
+        let id = ArcId::new(arc);
+        let (u, v) = (self.graph.source(id), self.graph.target(id));
+        self.graph.remove_arc(id);
+        if let Some(neg) = &mut self.negated {
+            neg.remove_arc(id);
+        }
+        let Topo { graph, negated, split } = self;
+        let Some(split) = split else { return };
+        let (job, _) = split.owner.remove(arc);
+        let tree = split.dfs.tree.remove(arc);
+        for (host, &(j, local)) in split.owner.iter().enumerate().skip(arc) {
+            if j != NO_JOB {
+                split.jobs[j as usize].arc_map[local.index()] = ArcId::new(host);
+            }
+        }
+        if split.rerun || job == NO_JOB && !tree {
+            return;
+        }
+        let target = negated.as_ref().unwrap_or(graph);
+        let c = split.scc.component_of(u);
+        if tree
+            || !reaches_within(target, &split.scc, u, v)
+            || !split.scc.is_cyclic_component(target, c)
+        {
+            split.rerun = true;
+        } else {
+            split.extract(target, job as usize);
+        }
+    }
+
+    /// Ends a topology batch whose edited arcs had the endpoints
+    /// `touched`: re-runs Tarjan if an edit set `rerun`, moving over
+    /// every job the batch left unchanged. Returns the batch's
+    /// `(reused, extracted)` split of the jobs and whether Tarjan ran.
+    fn settle(&mut self, touched: &[(usize, usize)]) -> ((usize, usize), bool) {
+        let Some(split) = self.split.take() else { return ((0, 0), false) };
+        if !split.rerun {
+            let changed = split.touched(touched).iter().filter(|&&t| t).count();
+            let count = (split.jobs.len() - changed, changed);
+            self.split = Some(split);
+            return (count, false);
+        }
+        let (split, reused) = Split::build(self.target(), Some(Previous::new(split, touched)));
+        let count = (reused, split.jobs.len() - reused);
+        self.split = Some(split);
+        (count, true)
     }
 
     /// Re-fingerprints (and, for the ratio objective, re-checks for a
     /// zero-transit cycle) every job patched since the last call.
     fn refresh(&mut self, ratio: bool) {
-        for (j, job) in self.jobs.iter().enumerate() {
-            if std::mem::take(&mut self.stale[j]) {
-                self.hashes[j] = fingerprint(&job.sub);
-                self.zero_transit[j] = ratio && crate::ratio::has_zero_transit_cycle(&job.sub);
+        let Some(split) = &mut self.split else { return };
+        for (j, job) in split.jobs.iter().enumerate() {
+            if std::mem::take(&mut split.stale[j]) {
+                split.hashes[j] = fingerprint(&job.sub);
+                split.zero_transit[j] = ratio && crate::ratio::has_zero_transit_cycle(&job.sub);
             }
         }
     }
 }
 
-/// One job of the previous state, moved into the rebuilt one.
+impl Split {
+    /// Runs Tarjan on `target` and makes one job per cyclic component.
+    /// A component whose job `prev` can supply keeps that job's
+    /// subgraph, fingerprint and flags; every other one is extracted and
+    /// marked stale. Returns the split and the number of jobs reused.
+    fn build(target: &Graph, mut prev: Option<Previous>) -> (Split, usize) {
+        let (scc, dfs) = SccDecomposition::with_dfs(target);
+        let mut split = Split {
+            scc,
+            dfs,
+            jobs: Vec::new(),
+            job_comp: Vec::new(),
+            owner: vec![(NO_JOB, ArcId::new(0)); target.num_arcs()],
+            hashes: Vec::new(),
+            zero_transit: Vec::new(),
+            stale: Vec::new(),
+            rerun: false,
+            ex: SubgraphExtractor::new(target.num_nodes()),
+        };
+        let mut reused = 0;
+        for c in 0..split.scc.num_components() {
+            if !split.scc.is_cyclic_component(target, c) {
+                continue;
+            }
+            let nodes = split.scc.component(c);
+            let kept = match prev.as_mut().and_then(|p| p.take(nodes)) {
+                Some(kept) => {
+                    reused += 1;
+                    kept
+                }
+                None => {
+                    let (sub, arc_map) = split.ex.extract(target, nodes);
+                    KeptJob {
+                        job: Job { sub, arc_map },
+                        hash: 0,
+                        zero_transit: false,
+                        stale: true,
+                    }
+                }
+            };
+            split.job_comp.push(idx32(c));
+            split.jobs.push(kept.job);
+            split.hashes.push(kept.hash);
+            split.zero_transit.push(kept.zero_transit);
+            split.stale.push(kept.stale);
+        }
+        for (j, job) in split.jobs.iter().enumerate() {
+            for (local, host) in job.arc_map.iter().enumerate() {
+                split.owner[host.index()] = (idx32(j), ArcId::new(local));
+            }
+        }
+        (split, reused)
+    }
+
+    /// The job of component `c`, if `c` is cyclic.
+    fn job_of_comp(&self, c: usize) -> Option<usize> {
+        self.job_comp.binary_search(&idx32(c)).ok()
+    }
+
+    /// Per job: whether it holds both endpoints of a pair in `pairs`.
+    fn touched(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
+        let mut touched = vec![false; self.jobs.len()];
+        for &(src, dst) in pairs {
+            let c = self.scc.component_of(NodeId::new(src));
+            if c == self.scc.component_of(NodeId::new(dst)) {
+                if let Some(j) = self.job_of_comp(c) {
+                    touched[j] = true;
+                }
+            }
+        }
+        touched
+    }
+
+    /// Re-extracts job `j` from `target`, its node list unchanged, and
+    /// marks it stale.
+    fn extract(&mut self, target: &Graph, j: usize) {
+        let (sub, arc_map) = self
+            .ex
+            .extract(target, self.scc.component(self.job_comp[j] as usize));
+        for (local, host) in arc_map.iter().enumerate() {
+            self.owner[host.index()] = (idx32(j), ArcId::new(local));
+        }
+        self.jobs[j] = Job { sub, arc_map };
+        self.stale[j] = true;
+    }
+}
+
+/// Whether `from` reaches `to` along arcs of `g` that stay inside
+/// `from`'s component of `scc`.
+fn reaches_within(g: &Graph, scc: &SccDecomposition, from: NodeId, to: NodeId) -> bool {
+    let c = scc.component_of(from);
+    let mut seen = vec![false; g.num_nodes()];
+    seen[from.index()] = true;
+    let mut stack = vec![from];
+    while let Some(x) = stack.pop() {
+        for (_, w) in g.out_neighbors(x) {
+            if w == to {
+                return true;
+            }
+            if !seen[w.index()] && scc.component_of(w) == c {
+                seen[w.index()] = true;
+                stack.push(w);
+            }
+        }
+    }
+    from == to
+}
+
+/// One job of the previous split, moved into the new one.
 struct KeptJob {
     job: Job,
     hash: u64,
@@ -346,64 +503,35 @@ struct KeptJob {
     stale: bool,
 }
 
-/// A [`Reuse`] indexed for [`Topo::build`]'s reuse test.
+/// The split before a Tarjan re-run, indexed for [`Split::build`]'s
+/// reuse test.
 struct Previous {
-    prev: Topo,
-    /// Per node: the previous job that held it, or `NO_JOB`.
-    job_of: Vec<u32>,
-    /// Per previous job: whether a touched arc has both endpoints in it.
+    prev: Split,
+    /// Per previous job: whether an arc the batch edited has both
+    /// endpoints in it.
     touched: Vec<bool>,
-    /// Old arc id → new arc id, `NO_ARC` for a deleted arc.
-    new_ids: Vec<u32>,
 }
 
 impl Previous {
-    fn new(reuse: Reuse, nodes: usize) -> Previous {
-        let Reuse { prev, old_ids, touched: pairs } = reuse;
-        let mut job_of = vec![NO_JOB; nodes];
-        for (j, w) in prev.node_start.windows(2).enumerate() {
-            for v in &prev.nodes[w[0]..w[1]] {
-                job_of[v.index()] = idx32(j);
-            }
-        }
-        let mut touched = vec![false; prev.jobs.len()];
-        for (src, dst) in pairs {
-            if job_of[src] != NO_JOB && job_of[src] == job_of[dst] {
-                touched[job_of[src] as usize] = true;
-            }
-        }
-        let mut new_ids = vec![NO_ARC; prev.graph.num_arcs()];
-        for (new, &old) in old_ids.iter().enumerate() {
-            if old != NO_ARC {
-                new_ids[old as usize] = idx32(new);
-            }
-        }
-        Previous { prev, job_of, touched, new_ids }
+    fn new(prev: Split, pairs: &[(usize, usize)]) -> Previous {
+        Previous { touched: prev.touched(pairs), prev }
     }
 
     /// The previous job of component `c` (a Tarjan node list of the new
     /// graph), if it is byte-equal to a fresh extraction: it held `c`'s
-    /// first node, no touched arc lies inside it, and its node list is
+    /// first node, no edited arc lies inside it, and its node list is
     /// `c` exactly. Then `c`'s internal arcs are the job's, unchanged,
-    /// in the same relative id order (deletes and appends keep it), so
-    /// only the arc map needs the new ids.
+    /// in the same relative id order (deletes and appends keep it), and
+    /// the edits have kept its arc map numbered.
     fn take(&mut self, c: &[NodeId]) -> Option<KeptJob> {
-        let j = self.job_of[c[0].index()];
-        if j == NO_JOB || self.touched[j as usize] {
-            return None;
-        }
-        let j = j as usize;
         let prev = &mut self.prev;
-        if prev.nodes[prev.node_start[j]..prev.node_start[j + 1]] != *c {
+        let j = prev.job_of_comp(prev.scc.component_of(c[0]))?;
+        if self.touched[j] || prev.scc.component(prev.job_comp[j] as usize) != c {
             return None;
         }
         let empty = Job { sub: Graph::default(), arc_map: Vec::new() };
-        let mut job = std::mem::replace(&mut prev.jobs[j], empty);
-        for a in &mut job.arc_map {
-            *a = ArcId::new(self.new_ids[a.index()] as usize);
-        }
         Some(KeptJob {
-            job,
+            job: std::mem::replace(&mut prev.jobs[j], empty),
             hash: prev.hashes[j],
             zero_transit: prev.zero_transit[j],
             stale: prev.stale[j],
@@ -437,11 +565,13 @@ pub struct DynamicSolver {
     route: Option<Route>,
     cache: BTreeMap<u64, CacheEntry>,
     epoch: u64,
-    /// Topology-derived state of `arcs`; `None` until the next solve
-    /// builds it (at the start, and after an insert or delete).
+    /// Topology-derived state of `arcs`; `None` until the first solve
+    /// builds it (and after a chaos fault drops it).
     topo: Option<Topo>,
-    /// Jobs the most recent rebuild of `topo` reused and extracted.
+    /// Jobs the most recent topology update reused and extracted.
     rebuild_jobs: (usize, usize),
+    /// Tarjan runs so far.
+    tarjan_runs: u64,
 }
 
 impl DynamicSolver {
@@ -480,6 +610,7 @@ impl DynamicSolver {
             epoch: 0,
             topo: None,
             rebuild_jobs: (0, 0),
+            tarjan_runs: 0,
         }
     }
 
@@ -498,13 +629,22 @@ impl DynamicSolver {
         &self.arcs
     }
 
-    /// How the most recent topology rebuild (the first solve, a batch
+    /// How the most recent topology update (the first solve, a batch
     /// that inserts or deletes arcs, or a fallback to a full solve) got
     /// its component jobs: `(reused, extracted)`, where a reused job is
     /// carried over unchanged from the state before the batch. `(0, 0)`
     /// before the first solve.
     pub fn rebuild_jobs(&self) -> (usize, usize) {
         self.rebuild_jobs
+    }
+
+    /// How many times the solver has run Tarjan: once for each build
+    /// from the arc list (the first solve, a fallback to a full solve)
+    /// and once for each topology batch with an insert or delete that
+    /// could change the components. Every other topology batch keeps
+    /// Tarjan's output and patches its state in place.
+    pub fn tarjan_runs(&self) -> u64 {
+        self.tarjan_runs
     }
 
     /// Materializes the current graph (caller orientation). Arc ids in
@@ -616,15 +756,11 @@ impl DynamicSolver {
     pub fn apply(&mut self, edits: &[Edit]) -> Result<DynamicOutcome, SpecError> {
         let weight_only =
             validate_edits(self.nodes, self.arcs.len(), edits).map_err(SpecError::Input)?;
-        // A batch that inserts or deletes keeps the previous state for
-        // the rebuild to reuse, and records which arcs it touched.
-        let mut reuse = if weight_only {
-            None
-        } else {
-            self.topo.take().map(|prev| Reuse::new(prev, self.arcs.len()))
-        };
+        // A topology batch records the endpoints of every arc it edits:
+        // the jobs holding both are the ones it changed.
+        let mut touched = Vec::new();
         for edit in edits {
-            let (src, dst) = match *edit {
+            let ends = match *edit {
                 Edit::InsertArc {
                     src,
                     dst,
@@ -637,16 +773,16 @@ impl DynamicSolver {
                         weight,
                         transit,
                     });
-                    if let Some(r) = &mut reuse {
-                        r.old_ids.push(NO_ARC);
+                    if let Some(topo) = &mut self.topo {
+                        topo.append_arc(src, dst, weight, transit);
                     }
                     (src, dst)
                 }
                 Edit::DeleteArc { arc } => {
-                    if let Some(r) = &mut reuse {
-                        r.old_ids.remove(arc);
-                    }
                     let a = self.arcs.remove(arc);
+                    if let Some(topo) = &mut self.topo {
+                        topo.remove_arc(arc);
+                    }
                     (a.src, a.dst)
                 }
                 Edit::Reweight { arc, weight } => {
@@ -656,17 +792,15 @@ impl DynamicSolver {
                     self.set_arc_values(arc, self.arcs[arc].weight, transit)
                 }
             };
-            if let Some(r) = &mut reuse {
-                r.touched.push((src, dst));
+            if !weight_only {
+                touched.push(ends);
             }
         }
-        self.solve_batch(edits.len() as u64, reuse)
+        self.solve_batch(edits.len() as u64, (!weight_only).then_some(touched))
     }
 
-    /// Writes one arc's new values. Only a weight-only batch finds the
-    /// topology state in place to patch; a topology batch has moved it
-    /// into its [`Reuse`] and records the arc as touched instead.
-    /// Returns the arc's endpoints.
+    /// Writes one arc's new values, patching the topology state in
+    /// place when it is built. Returns the arc's endpoints.
     fn set_arc_values(&mut self, arc: usize, weight: i64, transit: i64) -> (usize, usize) {
         let a = &mut self.arcs[arc];
         a.weight = weight;
@@ -684,68 +818,81 @@ impl DynamicSolver {
         self.solve_batch(0, None)
     }
 
-    /// Builds the topology state of the current arc list, reusing what
-    /// `reuse` can supply, and records the reused/extracted split.
-    fn rebuild(&mut self, reuse: Option<Reuse>) -> Topo {
-        let per_component = self.route.is_some();
-        let (topo, reused) =
-            Topo::build(self.nodes, &self.arcs, per_component, self.spec.maximize, reuse);
-        self.rebuild_jobs = (reused, topo.jobs.len() - reused);
-        crate::obs::dynamic_rebuild(
-            self.opts.recorder.as_ref(),
-            self.rebuild_jobs.0 as u64,
-            self.rebuild_jobs.1 as u64,
-        );
+    /// Builds the topology state of the current arc list from scratch.
+    fn rebuild(&mut self) -> Topo {
+        let topo = Topo::build(self.nodes, &self.arcs, self.route.is_some(), self.spec.maximize);
+        self.tarjan_runs += u64::from(topo.split.is_some());
+        self.record_jobs((0, topo.split.as_ref().map_or(0, |s| s.jobs.len())));
         topo
     }
 
+    /// Records how the latest topology update got its jobs.
+    fn record_jobs(&mut self, split: (usize, usize)) {
+        self.rebuild_jobs = split;
+        crate::obs::dynamic_rebuild(self.opts.recorder.as_ref(), split.0 as u64, split.1 as u64);
+    }
+
+    /// Solves the state the batch's edits left behind. `touched` holds
+    /// the endpoints of every arc a topology batch edited, and is `None`
+    /// for a weight-only batch or a plain re-solve.
     fn solve_batch(
         &mut self,
         edits: u64,
-        mut reuse: Option<Reuse>,
+        touched: Option<Vec<(usize, usize)>>,
     ) -> Result<DynamicOutcome, SpecError> {
         self.epoch += 1;
         let recorder = self.opts.recorder.clone();
         let recorder = recorder.as_ref();
         // A fault at the apply site simulates corrupted incremental
-        // state: drop the cache and the topology state, including any
-        // kept for reuse, forcing this batch down the full path. The
-        // answer must be unchanged (chaos suite pins this).
+        // state: drop the cache and the patched topology state, forcing
+        // this batch down the full path. The answer must be unchanged
+        // (chaos suite pins this).
         if crate::chaos::fail_hit("core.dynamic.apply", recorder) {
             self.cache.clear();
             self.topo = None;
-            reuse = None;
         }
         crate::chaos::pulse("core.dynamic.rebuild", recorder);
-        let mut rebuilt = self.topo.is_none();
+        let mut rebuilt = false;
         let mut topo = match self.topo.take() {
-            Some(topo) => topo,
-            None => self.rebuild(reuse),
+            Some(mut topo) => {
+                if let Some(touched) = &touched {
+                    let (split, rerun) = topo.settle(touched);
+                    self.tarjan_runs += u64::from(rerun);
+                    self.record_jobs(split);
+                    rebuilt = rerun;
+                }
+                topo
+            }
+            None => {
+                rebuilt = true;
+                self.rebuild()
+            }
         };
         let solved = self.component_solve(&mut topo);
         // A failed solve still committed its edits, so the state stays.
         let mut topo = self.topo.insert(topo);
         let mut outcome = solved?;
-        // Certification gate: an incremental answer that does not
-        // re-certify (or that a fault at the certify site rejects) is
-        // discarded, and the batch is re-answered from scratch on state
-        // rebuilt from the arc list.
+        // Certification gate, one certification per returned answer: an
+        // incremental answer that does not certify (or that a fault at
+        // the certify site rejects) is discarded, and the batch is
+        // re-answered from scratch on state rebuilt from the arc list.
+        // That answer is certified in turn, never returned unverified.
         if let Some(sol) = &outcome.solution {
             let rejected = crate::chaos::fail_hit("core.dynamic.certify", recorder)
                 || certify(sol, &topo.graph).is_err();
             if rejected {
                 self.cache.clear();
-                let fresh = self.rebuild(None);
+                let fresh = self.rebuild();
                 topo = self.topo.insert(fresh);
                 rebuilt = true;
                 outcome = full_solve(&topo.graph, &self.spec, &self.opts)?;
-            }
-        }
-        if let Some(sol) = &outcome.solution {
-            if let Err(e) = certify(sol, &topo.graph) {
-                return Err(SpecError::Input(format!(
-                    "dynamic solve produced an uncertifiable witness: {e}"
-                )));
+                if let Some(sol) = &outcome.solution {
+                    certify(sol, &topo.graph).map_err(|e| {
+                        SpecError::Input(format!(
+                            "dynamic solve produced an uncertifiable witness: {e}"
+                        ))
+                    })?;
+                }
             }
         }
         self.evict_stale();
@@ -769,10 +916,11 @@ impl DynamicSolver {
             return full_solve(&topo.graph, &self.spec, &self.opts);
         };
         topo.refresh(self.spec.objective == Objective::Ratio);
+        let split = topo.split.as_ref().expect("a per-component route keeps a split");
         let epsilon = route::preflight(self.spec.objective, topo.target(), &self.opts, || {
-            topo.zero_transit.contains(&true)
+            split.zero_transit.contains(&true)
         })?;
-        let jobs = &topo.jobs;
+        let jobs = &split.jobs;
         let deadline = self.opts.effective_deadline();
         // Folding epsilon into the fingerprint when no kernel reads it
         // would needlessly invalidate the cache whenever
@@ -788,9 +936,9 @@ impl DynamicSolver {
             // FNV-1a streams, so folding epsilon into the stored state
             // equals hashing it after the arc table.
             let fp = if epsilon_matters {
-                fnv1a_word(topo.hashes[i], epsilon.to_bits())
+                fnv1a_word(split.hashes[i], epsilon.to_bits())
             } else {
-                topo.hashes[i]
+                split.hashes[i]
             };
             let cached = self.cache.get_mut(&fp).filter(|e| {
                 e.nodes == job.sub.num_nodes() && e.arcs == job.sub.num_arcs()
@@ -1113,44 +1261,32 @@ mod tests {
         assert_eq!(sa.counters, sb.counters);
     }
 
-    /// A graph's arc table plus its out/in CSR lists (`Graph` has no
-    /// `PartialEq`; the aligned adjacency copies derive from these).
-    type GraphKey = (Vec<(usize, usize, i64, i64)>, Vec<Vec<ArcId>>, Vec<Vec<ArcId>>);
-
-    fn graph_key(g: &Graph) -> GraphKey {
-        let arcs = g
-            .arc_ids()
-            .map(|a| (g.source(a).index(), g.target(a).index(), g.weight(a), g.transit(a)))
-            .collect();
-        let out = g.node_ids().map(|v| g.out_arcs(v).to_vec()).collect();
-        let inn = g.node_ids().map(|v| g.in_arcs(v).to_vec()).collect();
-        (arcs, out, inn)
-    }
-
     /// Asserts the solver's maintained topology state equals
-    /// [`Topo::build`] + `refresh` on its current arc list, field by field.
+    /// [`Topo::build`] + `refresh` on its current arc list: whole graphs,
+    /// Tarjan's output and depth-first forest, and every job.
     fn assert_state_is_fresh(s: &DynamicSolver, ctx: &str) {
         let got = s.topo.as_ref().expect("a solve leaves the state built");
-        let (mut want, _) =
-            Topo::build(s.nodes, &s.arcs, s.route.is_some(), s.spec.maximize, None);
+        let mut want = Topo::build(s.nodes, &s.arcs, s.route.is_some(), s.spec.maximize);
         want.refresh(s.spec.objective == Objective::Ratio);
-        assert_eq!(graph_key(&got.graph), graph_key(&want.graph), "{ctx}: graph");
-        assert_eq!(
-            got.negated.as_ref().map(graph_key),
-            want.negated.as_ref().map(graph_key),
-            "{ctx}: negated graph"
-        );
+        assert!(got.graph == want.graph, "{ctx}: graph");
+        assert!(got.negated == want.negated, "{ctx}: negated graph");
+        let (Some(got), Some(want)) = (&got.split, &want.split) else {
+            assert!(got.split.is_none() && want.split.is_none(), "{ctx}: split");
+            return;
+        };
+        assert!(!got.rerun, "{ctx}: a solve leaves no Tarjan run pending");
+        assert!(got.scc == want.scc, "{ctx}: components");
+        assert!(got.dfs == want.dfs, "{ctx}: depth-first forest");
+        assert_eq!(got.job_comp, want.job_comp, "{ctx}: job components");
         assert_eq!(got.jobs.len(), want.jobs.len(), "{ctx}: job count");
         for (j, (a, b)) in got.jobs.iter().zip(&want.jobs).enumerate() {
-            assert_eq!(graph_key(&a.sub), graph_key(&b.sub), "{ctx}: job {j} subgraph");
+            assert!(a.sub == b.sub, "{ctx}: job {j} subgraph");
             assert_eq!(a.arc_map, b.arc_map, "{ctx}: job {j} arc_map");
         }
         assert_eq!(got.owner, want.owner, "{ctx}: owner");
         assert_eq!(got.hashes, want.hashes, "{ctx}: hashes");
         assert_eq!(got.zero_transit, want.zero_transit, "{ctx}: zero_transit");
         assert_eq!(got.stale, want.stale, "{ctx}: stale");
-        assert_eq!(got.nodes, want.nodes, "{ctx}: node lists");
-        assert_eq!(got.node_start, want.node_start, "{ctx}: node list offsets");
     }
 
     /// Solves `g`, then applies each batch and checks the state after
@@ -1244,32 +1380,98 @@ mod tests {
 
     #[test]
     fn topology_batches_keep_the_state_equal_to_a_fresh_build() {
-        let insert = |src, dst| Edit::InsertArc { src, dst, weight: 3, transit: 2 };
-        // Each batch on the four base jobs A, B, {4} and C, with the
-        // (reused, extracted) split of its rebuild.
-        let hand: [(&str, Vec<Edit>, (usize, usize)); 7] = [
-            ("merge A and B", vec![insert(3, 0)], (2, 1)),
-            ("split C", vec![Edit::DeleteArc { arc: 8 }], (3, 1)),
-            ("drop the self-loop", vec![Edit::DeleteArc { arc: 5 }], (3, 0)),
-            ("reorder A before B", vec![Edit::DeleteArc { arc: 4 }], (4, 0)),
-            ("chord deleted, C kept", vec![Edit::DeleteArc { arc: 9 }], (3, 1)),
+        let insert = |src, dst| Edit::InsertArc {
+            src,
+            dst,
+            weight: 3,
+            transit: 2,
+        };
+        let delete = |arc| Edit::DeleteArc { arc };
+        // Batches on the four base jobs B, A, {4} and C (Tarjan order),
+        // with the (reused, extracted) split of the last batch and the
+        // Tarjan runs in all, the first solve's included. The
+        // depth-first forest has the roots 0, 4 and 5 and the tree arcs
+        // 0 → 1, 1 → 2, 2 → 3, 5 → 6 and 6 → 7.
+        type Case = (&'static str, Vec<Vec<Edit>>, (usize, usize), u64);
+        let hand: Vec<Case> = vec![
+            ("merge A and B", vec![vec![insert(3, 0)]], (2, 1), 2),
+            ("split C", vec![vec![delete(8)]], (3, 1), 2),
+            ("drop the self-loop", vec![vec![delete(5)]], (3, 0), 2),
+            ("reorder A before B", vec![vec![delete(4)]], (4, 0), 2),
+            ("chord deleted, C kept", vec![vec![delete(9)]], (3, 1), 1),
             (
                 "reweight and insert in C",
-                vec![Edit::Reweight { arc: 7, weight: -4 }, insert(7, 6)],
+                vec![vec![Edit::Reweight { arc: 7, weight: -4 }, insert(7, 6)]],
                 (3, 1),
+                1,
             ),
             (
                 "two deletes, the first shifting the second",
-                vec![Edit::DeleteArc { arc: 1 }, Edit::DeleteArc { arc: 5 }],
+                vec![vec![delete(1), delete(5)]],
                 (2, 0),
+                2,
+            ),
+            (
+                "second bridge, downstream",
+                vec![vec![insert(1, 3)]],
+                (4, 0),
+                1,
+            ),
+            (
+                "tree arc to a later root",
+                vec![vec![insert(3, 5)]],
+                (4, 0),
+                2,
+            ),
+            (
+                "self-loops on cyclic components",
+                vec![vec![insert(4, 4), insert(7, 7)]],
+                (2, 2),
+                1,
+            ),
+            (
+                "acyclic singleton gains a self-loop",
+                vec![vec![delete(5)], vec![insert(4, 4)]],
+                (3, 1),
+                3,
+            ),
+            (
+                "kept delete, then a split",
+                vec![vec![delete(9), delete(7)]],
+                (3, 0),
+                2,
+            ),
+            (
+                "kept inserts and deletes, ids shifting",
+                vec![vec![
+                    insert(2, 2),
+                    insert(1, 3),
+                    delete(10),
+                    insert(0, 0),
+                    delete(11),
+                ]],
+                (2, 2),
+                1,
+            ),
+            (
+                "kept inserts and deletes, then a split",
+                vec![vec![
+                    insert(2, 2),
+                    insert(1, 3),
+                    delete(10),
+                    insert(0, 0),
+                    delete(0),
+                ]],
+                (2, 2),
+                2,
             ),
         ];
         for spec in state_specs() {
-            for (name, batch, split) in &hand {
+            for (name, batches, split, runs) in &hand {
                 let ctx = format!("{spec:?} {name}");
-                let s =
-                    replay_checking_state(&hand_graph(), spec, std::slice::from_ref(batch), &ctx);
+                let s = replay_checking_state(&hand_graph(), spec, batches, &ctx);
                 assert_eq!(s.rebuild_jobs(), *split, "{ctx}: reused/extracted");
+                assert_eq!(s.tarjan_runs(), *runs, "{ctx}: Tarjan runs");
             }
             for seed in 0..6u64 {
                 let text = mcr_gen::edits::edit_script(
@@ -1284,6 +1486,87 @@ mod tests {
                 let ctx = format!("{spec:?} circuit seed {seed}");
                 replay_checking_state(&g, spec, &circuit_batches(&g, seed), &ctx);
             }
+        }
+    }
+
+    /// An `edit_stream`-shaped stream: 40% reweights, 40% retimes, 10%
+    /// inserts of a local arc (head within ±12 nodes of the tail, as
+    /// circuit arcs are) and 10% deletes, one edit a batch with every
+    /// seventh batch three edits long.
+    fn stream_batches(g: &Graph, count: usize, seed: u64) -> Vec<Vec<Edit>> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = g.num_nodes();
+        let mut m = g.num_arcs();
+        let mut edit = || match rng.gen_range(0..10) {
+            0..=3 => Edit::Reweight {
+                arc: rng.gen_range(0..m),
+                weight: rng.gen_range(1..=100),
+            },
+            4..=7 => Edit::Retime {
+                arc: rng.gen_range(0..m),
+                transit: rng.gen_range(1..=3),
+            },
+            8 => {
+                let src = rng.gen_range(0..n);
+                m += 1;
+                Edit::InsertArc {
+                    src,
+                    dst: (src + n - 12 + rng.gen_range(0..25)) % n,
+                    weight: rng.gen_range(1..=100),
+                    transit: 1,
+                }
+            }
+            _ => {
+                m -= 1;
+                Edit::DeleteArc {
+                    arc: rng.gen_range(0..=m),
+                }
+            }
+        };
+        (0..count)
+            .map(|i| {
+                (0..if i % 7 == 6 { 3 } else { 1 })
+                    .map(|_| edit())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_edit_stream_on_a_thousand_gate_circuit_keeps_the_state_fresh() {
+        let g =
+            mcr_gen::circuit::circuit_graph(&mcr_gen::circuit::CircuitConfig::new(1000).seed(5));
+        let specs = [
+            SolveSpec::mean(Algorithm::HowardExact),
+            SolveSpec::mean(Algorithm::HowardExact).maximize(),
+            SolveSpec::ratio(Algorithm::HowardExact),
+        ];
+        for (spec, seed) in specs.into_iter().zip(1u64..) {
+            let batches = stream_batches(&g, 160, seed);
+            let mut s = DynamicSolver::new(&g, spec, SolveOptions::new());
+            let _ = s.solve();
+            assert_state_is_fresh(&s, &format!("{spec:?} initial"));
+            let (mut kept, mut rerun) = (0, 0);
+            for (i, batch) in batches.iter().enumerate() {
+                let runs = s.tarjan_runs();
+                if let Err(SpecError::Input(e)) = s.apply(batch) {
+                    panic!("{spec:?} batch {i}: rejected: {e}");
+                }
+                assert_state_is_fresh(&s, &format!("{spec:?} batch {i}"));
+                let topology = batch
+                    .iter()
+                    .any(|e| matches!(e, Edit::InsertArc { .. } | Edit::DeleteArc { .. }));
+                match s.tarjan_runs() - runs {
+                    0 if topology => kept += 1,
+                    0 => {}
+                    _ => rerun += 1,
+                }
+            }
+            assert!(
+                kept > 0 && rerun > 0,
+                "{spec:?}: {kept} kept, {rerun} re-run"
+            );
         }
     }
 

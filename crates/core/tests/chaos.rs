@@ -236,6 +236,34 @@ fn every_algorithm_survives_faults_at_its_own_sites() {
 }
 
 #[test]
+fn bellman_round_faults_fail_typed_under_an_unbudgeted_oracle() {
+    let _serial = serial();
+    // Burns' exact certification and the critical-structure helpers run
+    // Bellman–Ford with no budget, so only a fault at its round site
+    // fails them: typed, never as a panic.
+    let g = multi_scc_graph();
+    let reference = reference(&g);
+    for seed in seeds() {
+        for kind in [FaultKind::BudgetExhaust, FaultKind::Overflow, FaultKind::NumericRange] {
+            let _guard = FaultSchedule::new(seed)
+                .inject_always("core.bellman.round", kind)
+                .install();
+            let ctx = format!("seed={seed} kind={kind:?}");
+            let burns = Algorithm::Burns
+                .solve_with_options(&g, &SolveOptions::new().fallback(FallbackChain::NONE));
+            assert!(burns.is_err(), "{ctx}: Burns certified through a faulted oracle");
+            assert_sound(burns, &g, &reference, &ctx);
+            let err = mcr_core::critical::critical_subgraph(&g, reference.lambda)
+                .expect_err("the potentials pass is faulted");
+            assert!(err.contains("core.bellman.round") || err.contains("budget"), "{ctx}: {err}");
+            let err = mcr_core::critical::critical_cycle(&g, reference.lambda)
+                .expect_err("the potentials pass is faulted");
+            assert_sound(Err(err), &g, &reference, &ctx);
+        }
+    }
+}
+
+#[test]
 fn delays_do_not_change_results_across_thread_counts() {
     let _serial = serial();
     let g = multi_scc_graph();

@@ -43,7 +43,7 @@ fn every_critical_arc_is_tight() {
         let (lambda, _) = brute_force_min_mean(&g).expect("cyclic");
         let cost = scaled_costs(&g, lambda);
         let mut c = Counters::new();
-        let dist = match bellman_ford(&g, &cost, true, &mut c) {
+        let dist = match bellman_ford(&g, &cost, true, &mut c).expect("no fault") {
             CycleCheck::Feasible(d) => d,
             CycleCheck::NegativeCycle(_) => panic!("lambda is optimal"),
         };

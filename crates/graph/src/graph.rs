@@ -144,7 +144,10 @@ impl fmt::Display for ArcId {
 /// assert_eq!(g.out_degree(v[0]), 1);
 /// assert_eq!(g.in_degree(v[0]), 1);
 /// ```
-#[derive(Clone, Debug, Default)]
+///
+/// Equality compares every array, so two graphs are equal exactly when
+/// they are byte-equal: same arc list in the same id order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Graph {
     // CSR over arcs sorted by source; `out_arcs[first_out[v]..first_out[v+1]]`
     // are the arcs leaving `v`. The `out_targets`/`out_weights`/
@@ -419,6 +422,122 @@ impl Graph {
             .expect("an arc is in its target's in-list");
         self.in_weights[at] = weight;
         self.in_transits[at] = transit;
+    }
+
+    /// Appends the arc `source -> target` in place and returns its id,
+    /// `num_arcs()` before the call. The new arc has the largest id, so
+    /// it goes last in its source's out-list and last in its target's
+    /// in-list, which leaves the graph equal to a fresh [`GraphBuilder`]
+    /// build of the arc list with the arc pushed on its end. Costs
+    /// `O(n + m)` (two array shifts), against a rebuild's `O(n + m)`
+    /// passes and allocations.
+    ///
+    /// ```
+    /// use mcr_graph::{graph::from_arc_list, ArcId, NodeId};
+    /// let mut g = from_arc_list(2, &[(0, 1, 4)]);
+    /// let a = g.append_arc(NodeId::new(1), NodeId::new(0), 6, 1);
+    /// assert_eq!(a, ArcId::new(1));
+    /// assert_eq!(g, from_arc_list(2, &[(0, 1, 4), (1, 0, 6)]));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not a node of the graph, if `transit` is
+    /// negative, or if the graph already holds
+    /// [`crate::compact::MAX_INDEX`] arcs.
+    pub fn append_arc(
+        &mut self,
+        source: NodeId,
+        target: NodeId,
+        weight: i64,
+        transit: i64,
+    ) -> ArcId {
+        let n = self.num_nodes();
+        assert!(
+            source.index() < n && target.index() < n,
+            "arc endpoints must be nodes of the graph"
+        );
+        assert!(transit >= 0, "transit times must be nonnegative");
+        assert!(
+            self.num_arcs() < crate::compact::MAX_INDEX,
+            "graph capacity exceeded (ids are u32)"
+        );
+        let id = ArcId::new(self.num_arcs());
+        let s = source.index();
+        let at = self.first_out[s + 1] as usize;
+        self.out_arcs.insert(at, id);
+        self.out_targets.insert(at, target);
+        self.out_weights.insert(at, weight);
+        self.out_transits.insert(at, transit);
+        for f in &mut self.first_out[s + 1..] {
+            *f += 1;
+        }
+        let t = target.index();
+        let at = self.first_in[t + 1] as usize;
+        self.in_arcs.insert(at, id);
+        self.in_sources.insert(at, source);
+        self.in_weights.insert(at, weight);
+        self.in_transits.insert(at, transit);
+        for f in &mut self.first_in[t + 1..] {
+            *f += 1;
+        }
+        self.sources.push(source);
+        self.targets.push(target);
+        self.weights.push(weight);
+        self.transits.push(transit);
+        id
+    }
+
+    /// Removes `arc` in place; every higher arc id shifts down by one.
+    /// The remaining arcs keep their relative order in every list, which
+    /// leaves the graph equal to a fresh [`GraphBuilder`] build of the arc
+    /// list with the arc taken out. Costs `O(n + m)`.
+    ///
+    /// ```
+    /// use mcr_graph::{graph::from_arc_list, ArcId};
+    /// let mut g = from_arc_list(2, &[(0, 1, 4), (1, 0, 6), (1, 1, 2)]);
+    /// g.remove_arc(ArcId::new(0));
+    /// assert_eq!(g, from_arc_list(2, &[(1, 0, 6), (1, 1, 2)]));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arc` is out of range.
+    pub fn remove_arc(&mut self, arc: ArcId) {
+        let i = arc.index();
+        let s = self.sources.remove(i).index();
+        let t = self.targets.remove(i).index();
+        self.weights.remove(i);
+        self.transits.remove(i);
+        let (lo, hi) = (self.first_out[s] as usize, self.first_out[s + 1] as usize);
+        let at = lo
+            + self.out_arcs[lo..hi]
+                .iter()
+                .position(|&a| a == arc)
+                .expect("an arc is in its source's out-list");
+        self.out_arcs.remove(at);
+        self.out_targets.remove(at);
+        self.out_weights.remove(at);
+        self.out_transits.remove(at);
+        for f in &mut self.first_out[s + 1..] {
+            *f -= 1;
+        }
+        let (lo, hi) = (self.first_in[t] as usize, self.first_in[t + 1] as usize);
+        let at = lo
+            + self.in_arcs[lo..hi]
+                .iter()
+                .position(|&a| a == arc)
+                .expect("an arc is in its target's in-list");
+        self.in_arcs.remove(at);
+        self.in_sources.remove(at);
+        self.in_weights.remove(at);
+        self.in_transits.remove(at);
+        for f in &mut self.first_in[t + 1..] {
+            *f -= 1;
+        }
+        for a in self.out_arcs.iter_mut().chain(&mut self.in_arcs) {
+            a.0 -= u32::from(a.0 > arc.0);
+        }
     }
 
     /// Returns the reverse graph: every arc `(u, v)` becomes `(v, u)`
@@ -792,13 +911,79 @@ mod tests {
             arcs[a].3 = tr;
             g.set_arc_values(ArcId::new(a), w, tr);
         }
-        let fresh = build(&arcs);
-        assert_eq!(g.weights(), fresh.weights());
-        assert_eq!(g.transits(), fresh.transits());
-        for v in g.node_ids() {
-            assert!(g.out_adj(v).eq(fresh.out_adj(v)), "out_adj of {v:?}");
-            assert!(g.in_adj(v).eq(fresh.in_adj(v)), "in_adj of {v:?}");
+        assert_eq!(g, build(&arcs));
+    }
+
+    #[test]
+    fn appends_and_removes_match_a_fresh_build_of_the_edited_arcs() {
+        // Random append/remove sequences over 5 nodes (self-loops and
+        // parallel arcs turn up often), checked against a rebuild after
+        // every step. The forced cases cover node 0, node n - 1, arc 0
+        // and the last arc.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let n = 5usize;
+        let build = |arcs: &[(usize, usize, i64, i64)]| {
+            let mut b = GraphBuilder::new();
+            b.add_nodes(n);
+            for &(s, t, w, tr) in arcs {
+                b.add_arc_with_transit(NodeId::new(s), NodeId::new(t), w, tr);
+            }
+            b.build()
+        };
+        let mut arcs: Vec<(usize, usize, i64, i64)> = Vec::new();
+        let mut g = build(&arcs);
+        let forced = [
+            (0, 0),         // self-loop on node 0
+            (n - 1, n - 1), // self-loop on node n - 1
+            (0, n - 1),
+            (n - 1, 0),
+            (0, n - 1), // parallel to the arc two steps back
+        ];
+        for (step, &(s, t)) in forced.iter().enumerate() {
+            let (w, tr) = (step as i64 - 2, step as i64 % 3);
+            arcs.push((s, t, w, tr));
+            assert_eq!(
+                g.append_arc(NodeId::new(s), NodeId::new(t), w, tr),
+                ArcId::new(step)
+            );
+            assert_eq!(g, build(&arcs), "forced append {step}");
         }
+        for step in 0..400 {
+            let remove = !arcs.is_empty() && next(5) < 2;
+            if remove {
+                let a = match next(4) {
+                    0 => 0,
+                    1 => arcs.len() - 1,
+                    _ => next(arcs.len() as u64) as usize,
+                };
+                arcs.remove(a);
+                g.remove_arc(ArcId::new(a));
+            } else {
+                let (s, t) = (next(n as u64) as usize, next(n as u64) as usize);
+                let (w, tr) = (next(41) as i64 - 20, next(4) as i64);
+                arcs.push((s, t, w, tr));
+                g.append_arc(NodeId::new(s), NodeId::new(t), w, tr);
+            }
+            assert_eq!(g, build(&arcs), "step {step} (remove: {remove})");
+        }
+        while !arcs.is_empty() {
+            arcs.remove(0);
+            g.remove_arc(ArcId::new(0));
+            assert_eq!(g, build(&arcs), "draining at {} arcs", arcs.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoints")]
+    fn append_arc_rejects_an_unknown_endpoint() {
+        let mut g = from_arc_list(2, &[(0, 1, 1)]);
+        g.append_arc(NodeId::new(0), NodeId::new(2), 1, 1);
     }
 
     #[test]

@@ -48,4 +48,4 @@ pub mod traverse;
 pub use compact::idx32;
 pub use graph::{ArcId, Graph, GraphBuilder, GraphError, NodeId};
 pub use io::{ParseErrorKind, ParseGraphError};
-pub use scc::{condensation, SccDecomposition, SubgraphExtractor};
+pub use scc::{condensation, DfsForest, SccDecomposition, SubgraphExtractor};

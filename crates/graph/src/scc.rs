@@ -26,10 +26,41 @@ use crate::graph::{ArcId, Graph, GraphBuilder, NodeId};
 /// assert_eq!(scc.component_of(mcr_graph::NodeId::new(0)),
 ///            scc.component_of(mcr_graph::NodeId::new(1)));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SccDecomposition {
     comp_of: Vec<u32>,
-    comp_nodes: Vec<Vec<NodeId>>,
+    /// Every node, grouped by component in emission order: component `c`
+    /// is `nodes[start[c]..start[c + 1]]`, in Tarjan's pop order.
+    nodes: Vec<NodeId>,
+    start: Vec<u32>,
+}
+
+/// The depth-first forest of one Tarjan run, as recorded by
+/// [`SccDecomposition::with_dfs`].
+///
+/// Together with the component order these records decide whether an
+/// arc edit can change Tarjan's output. An arc `u -> v` appended last in
+/// `u`'s out-list is scanned when every node with `pre < end[u]` has been
+/// discovered, so it is a non-tree arc exactly when `pre[v] < end[u]`;
+/// deleting a non-tree arc leaves the forest as it was.
+///
+/// ```
+/// use mcr_graph::{graph::from_arc_list, NodeId, SccDecomposition};
+/// let g = from_arc_list(3, &[(0, 1, 1), (1, 0, 1), (1, 2, 1)]);
+/// let (_, dfs) = SccDecomposition::with_dfs(&g);
+/// assert_eq!(dfs.pre, [0, 1, 2]);
+/// assert_eq!(dfs.end, [3, 3, 3]);
+/// assert_eq!(dfs.tree, [true, false, true]);
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DfsForest {
+    /// Per node: its pre-order (discovery) index.
+    pub pre: Vec<u32>,
+    /// Per node: the next pre-order index when it finishes, so its
+    /// subtree is the nodes whose `pre` lies in `pre[v]..end[v]`.
+    pub end: Vec<u32>,
+    /// Per arc: whether the search discovered the arc's target through it.
+    pub tree: Vec<bool>,
 }
 
 impl SccDecomposition {
@@ -37,6 +68,24 @@ impl SccDecomposition {
     /// iterative Tarjan algorithm (no recursion, safe for n in the
     /// hundreds of thousands).
     pub fn new(g: &Graph) -> Self {
+        Self::tarjan(g, None)
+    }
+
+    /// [`SccDecomposition::new`], also recording the depth-first forest
+    /// the run walked (roots in node order, arcs in out-list order).
+    pub fn with_dfs(g: &Graph) -> (Self, DfsForest) {
+        let mut dfs = DfsForest {
+            pre: Vec::new(),
+            end: vec![0; g.num_nodes()],
+            tree: vec![false; g.num_arcs()],
+        };
+        let scc = Self::tarjan(g, Some(&mut dfs));
+        (scc, dfs)
+    }
+
+    /// Iterative Tarjan over `g`, filling `dfs` (whose `end` and `tree`
+    /// arrive sized and zeroed) when given.
+    fn tarjan(g: &Graph, mut dfs: Option<&mut DfsForest>) -> SccDecomposition {
         let n = g.num_nodes();
         const UNVISITED: u32 = u32::MAX;
         let mut index = vec![UNVISITED; n];
@@ -44,7 +93,8 @@ impl SccDecomposition {
         let mut on_stack = vec![false; n];
         let mut comp_of = vec![0u32; n];
         let mut stack: Vec<u32> = Vec::new();
-        let mut comp_nodes: Vec<Vec<NodeId>> = Vec::new();
+        let mut nodes: Vec<NodeId> = Vec::with_capacity(n);
+        let mut start: Vec<u32> = vec![0];
         let mut next_index = 0u32;
 
         // Explicit DFS call stack: (node, position in its out-arc list).
@@ -66,9 +116,13 @@ impl SccDecomposition {
                 let vu = v as usize;
                 let out = g.out_arcs(NodeId::new(vu));
                 if *pos < out.len() {
-                    let w = g.target(out[*pos]).index();
+                    let a = out[*pos];
+                    let w = g.target(a).index();
                     *pos += 1;
                     if index[w] == UNVISITED {
+                        if let Some(d) = dfs.as_deref_mut() {
+                            d.tree[a.index()] = true;
+                        }
                         index[w] = next_index;
                         lowlink[w] = next_index;
                         next_index += 1;
@@ -80,34 +134,39 @@ impl SccDecomposition {
                     }
                 } else {
                     call.pop();
+                    if let Some(d) = dfs.as_deref_mut() {
+                        d.end[vu] = next_index;
+                    }
                     if let Some(&(parent, _)) = call.last() {
                         let p = parent as usize;
                         lowlink[p] = lowlink[p].min(lowlink[vu]);
                     }
                     if lowlink[vu] == index[vu] {
-                        let comp_id = idx32(comp_nodes.len());
-                        let mut members = Vec::new();
+                        let comp_id = idx32(start.len() - 1);
                         loop {
                             let w = stack.pop().expect("tarjan stack underflow");
                             on_stack[w as usize] = false;
                             comp_of[w as usize] = comp_id;
-                            members.push(NodeId::new(w as usize));
+                            nodes.push(NodeId::new(w as usize));
                             if w == v {
                                 break;
                             }
                         }
-                        comp_nodes.push(members);
+                        start.push(idx32(nodes.len()));
                     }
                 }
             }
         }
 
-        SccDecomposition { comp_of, comp_nodes }
+        if let Some(d) = dfs {
+            d.pre = index;
+        }
+        SccDecomposition { comp_of, nodes, start }
     }
 
     /// Number of strongly connected components.
     pub fn num_components(&self) -> usize {
-        self.comp_nodes.len()
+        self.start.len() - 1
     }
 
     /// Component id of `v`.
@@ -122,18 +181,18 @@ impl SccDecomposition {
     ///
     /// Panics if `c >= self.num_components()`.
     pub fn component(&self, c: usize) -> &[NodeId] {
-        &self.comp_nodes[c]
+        &self.nodes[self.start[c] as usize..self.start[c + 1] as usize]
     }
 
     /// Iterates over all components as node slices.
     pub fn components(&self) -> impl Iterator<Item = &[NodeId]> {
-        self.comp_nodes.iter().map(|v| v.as_slice())
+        (0..self.num_components()).map(|c| self.component(c))
     }
 
     /// Whether component `c` can contain a cycle: it has more than one
     /// node, or its single node has a self-loop.
     pub fn is_cyclic_component(&self, g: &Graph, c: usize) -> bool {
-        let nodes = &self.comp_nodes[c];
+        let nodes = self.component(c);
         if nodes.len() > 1 {
             return true;
         }
@@ -151,10 +210,10 @@ impl SccDecomposition {
     /// Allocates a fresh node-translation table per call; batch callers
     /// extracting many components should use a [`SubgraphExtractor`].
     pub fn component_subgraph(&self, g: &Graph, c: usize) -> (Graph, Vec<NodeId>, Vec<ArcId>) {
-        let nodes = &self.comp_nodes[c];
+        let nodes = self.component(c);
         let mut ex = SubgraphExtractor::new(g.num_nodes());
         let (sub, arc_map) = ex.extract(g, nodes);
-        (sub, nodes.clone(), arc_map)
+        (sub, nodes.to_vec(), arc_map)
     }
 }
 
@@ -410,6 +469,58 @@ mod tests {
         let (sub, arcs) = ex.extract(&big, &[NodeId::new(8), NodeId::new(9)]);
         assert_eq!(sub.num_nodes(), 2);
         assert_eq!(arcs.len(), 2);
+    }
+
+    #[test]
+    fn recorded_forest_is_a_depth_first_forest_of_the_same_run() {
+        // Random graphs over 9 nodes: the recording run must give the
+        // plain run's components, and its records must satisfy the
+        // depth-first invariants the incremental solver relies on.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for _ in 0..200 {
+            let n = 1 + next(9) as usize;
+            let m = next(20) as usize;
+            let arcs: Vec<(usize, usize, i64)> = (0..m)
+                .map(|_| (next(n as u64) as usize, next(n as u64) as usize, 1))
+                .collect();
+            let g = from_arc_list(n, &arcs);
+            let (scc, dfs) = SccDecomposition::with_dfs(&g);
+            assert_eq!(scc, SccDecomposition::new(&g));
+            let mut by_pre = dfs.pre.clone();
+            by_pre.sort_unstable();
+            assert_eq!(
+                by_pre,
+                (0..idx32(n)).collect::<Vec<_>>(),
+                "pre is a permutation"
+            );
+            let mut parents = vec![0; n];
+            for a in g.arc_ids() {
+                let (u, v) = (g.source(a).index(), g.target(a).index());
+                // Every out-neighbour is discovered before its tail finishes.
+                assert!(dfs.pre[v] < dfs.end[u], "arc {a:?}");
+                if dfs.tree[a.index()] {
+                    parents[v] += 1;
+                    assert!(
+                        dfs.pre[u] < dfs.pre[v] && dfs.end[v] <= dfs.end[u],
+                        "tree arc {a:?}"
+                    );
+                }
+            }
+            for (v, &p) in parents.iter().enumerate() {
+                // A node has at most one tree parent, and its subtree is
+                // a pre-order interval.
+                assert!(p <= 1);
+                assert!(dfs.pre[v] < dfs.end[v] && dfs.end[v] <= idx32(n));
+            }
+            let nodes: usize = scc.components().map(<[NodeId]>::len).sum();
+            assert_eq!(nodes, n);
+        }
     }
 
     #[test]

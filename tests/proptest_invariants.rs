@@ -69,7 +69,7 @@ proptest! {
         let (w, len, _) = check_cycle(&g, &sol.cycle).expect("valid witness");
         prop_assert_eq!(Ratio64::new(w, len as i64), sol.lambda);
         let mut c = mcr::Counters::new();
-        prop_assert!(has_cycle_below(&g, sol.lambda, &mut c).is_none());
+        prop_assert!(has_cycle_below(&g, sol.lambda, &mut c).expect("no fault").is_none());
     }
 
     /// All exact algorithms return identical λ*.
