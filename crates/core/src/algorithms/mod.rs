@@ -29,6 +29,14 @@ use crate::workspace::Workspace;
 use mcr_graph::Graph;
 use parametric::HeapGranularity;
 
+/// The precision an approximate kernel reads. A route computes one only
+/// when some kernel of it reads it (`route::preflight`), so `None` here
+/// is a routing fault: it fails typed rather than solving under a
+/// made-up precision.
+pub(crate) fn read_epsilon(epsilon: Option<f64>) -> Result<f64, SolveError> {
+    epsilon.ok_or(SolveError::InvalidEpsilon { epsilon: f64::NAN })
+}
+
 /// Runs one algorithm on one strongly connected, cyclic component
 /// under a budget scope. This is the single dispatch point shared by
 /// the primary attempt, every fallback attempt and the ratio route
@@ -37,7 +45,7 @@ pub(crate) fn solve_scc_budgeted(
     alg: Algorithm,
     sub: &Graph,
     counters: &mut Counters,
-    epsilon: f64,
+    epsilon: Option<f64>,
     ws: &mut Workspace,
     scope: &mut BudgetScope,
 ) -> Result<SccOutcome, SolveError> {
@@ -46,16 +54,20 @@ pub(crate) fn solve_scc_budgeted(
         Algorithm::BurnsExact => burns::solve_scc(sub, counters, scope),
         Algorithm::Ko => parametric::solve_scc(sub, counters, HeapGranularity::PerArc, scope),
         Algorithm::Yto => parametric::solve_scc(sub, counters, HeapGranularity::PerNode, scope),
-        Algorithm::Howard => howard::solve_scc_fig1(sub, counters, epsilon, ws, scope),
+        Algorithm::Howard => {
+            howard::solve_scc_fig1(sub, counters, read_epsilon(epsilon)?, ws, scope)
+        }
         Algorithm::HowardExact => howard::solve_scc_exact(sub, counters, ws, scope),
         Algorithm::Ho => ho::solve_scc(sub, counters, ws, scope),
         Algorithm::Karp => karp::solve_scc(sub, counters, ws, scope),
         Algorithm::Karp2 => karp2::solve_scc(sub, counters, ws, scope),
         Algorithm::Dg => dg::solve_scc(sub, counters, ws, scope),
-        Algorithm::Lawler => lawler::solve_scc_eps(sub, counters, epsilon, ws, scope),
+        Algorithm::Lawler => {
+            lawler::solve_scc_eps(sub, counters, read_epsilon(epsilon)?, ws, scope)
+        }
         Algorithm::LawlerExact => lawler::solve_scc_exact(sub, counters, ws, scope),
         Algorithm::Megiddo => megiddo::solve_scc(sub, counters, ws, scope),
-        Algorithm::Oa1 => oa1::solve_scc(sub, counters, epsilon, ws, scope),
+        Algorithm::Oa1 => oa1::solve_scc(sub, counters, read_epsilon(epsilon)?, ws, scope),
     }
 }
 
@@ -69,7 +81,7 @@ fn solve_scc_resumable(
     alg: Algorithm,
     sub: &Graph,
     counters: &mut Counters,
-    epsilon: f64,
+    epsilon: Option<f64>,
     ws: &mut Workspace,
     scope: &mut BudgetScope,
     resume: Option<&JobProgress>,
@@ -77,12 +89,14 @@ fn solve_scc_resumable(
 ) -> Result<SccOutcome, SolveError> {
     match alg {
         Algorithm::Howard => {
+            let epsilon = read_epsilon(epsilon)?;
             howard::solve_scc_fig1_ckpt(sub, counters, epsilon, ws, scope, resume, saved)
         }
         Algorithm::HowardExact => {
             howard::solve_scc_exact_ckpt(sub, counters, ws, scope, resume, saved)
         }
         Algorithm::Lawler => {
+            let epsilon = read_epsilon(epsilon)?;
             lawler::solve_scc_eps_ckpt(sub, counters, epsilon, ws, scope, resume, saved)
         }
         Algorithm::LawlerExact => {
@@ -109,7 +123,7 @@ pub(crate) fn run_fallback_chain(
     chain: &[Algorithm],
     sub: &Graph,
     counters: &mut Counters,
-    epsilon: f64,
+    epsilon: Option<f64>,
     ws: &mut Workspace,
     opts: &SolveOptions,
     deadline: Option<Deadline>,
@@ -660,6 +674,25 @@ mod tests {
     }
 
     #[test]
+    fn only_approximate_kernels_read_the_precision() {
+        let g = from_arc_list(2, &[(0, 1, 1), (1, 0, 100)]);
+        for alg in Algorithm::ALL {
+            let (mut scope, mut ws) = (BudgetScope::unlimited(alg), Workspace::new());
+            let result =
+                solve_scc_budgeted(alg, &g, &mut Counters::new(), None, &mut ws, &mut scope);
+            let name = alg.name();
+            if alg.is_approximate() {
+                assert!(
+                    matches!(result, Err(SolveError::InvalidEpsilon { epsilon }) if epsilon.is_nan()),
+                    "{name} ran without a precision"
+                );
+            } else {
+                assert_eq!(result.expect(name).lambda, Ratio64::new(101, 2), "{name}");
+            }
+        }
+    }
+
+    #[test]
     fn exhausted_chain_leaves_the_workspace_reset_not_poisoned() {
         use crate::Budget;
         let g = from_arc_list(2, &[(0, 1, 1), (1, 0, 100)]);
@@ -667,7 +700,7 @@ mod tests {
         let chain = opts.fallback.chain_for(Algorithm::HowardExact);
         let mut ws = Workspace::new();
         let mut counters = Counters::new();
-        let err = run_fallback_chain(0, &chain, &g, &mut counters, 1e-6, &mut ws, &opts, None)
+        let err = run_fallback_chain(0, &chain, &g, &mut counters, None, &mut ws, &opts, None)
             .expect_err("every attempt exhausts");
         assert!(matches!(err, crate::SolveError::BudgetExhausted { .. }));
         assert!(

@@ -50,7 +50,7 @@ use std::sync::Arc;
 
 /// Result of solving one strongly connected, cyclic component: the
 /// optimum value and a witness cycle in the *component's local* arc ids.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct SccOutcome {
     pub lambda: Ratio64,
     pub cycle: Vec<ArcId>,
@@ -280,29 +280,26 @@ pub(crate) fn solve_per_scc_opts(
     }
     let threads = opts.effective_threads().clamp(1, jobs.len());
     let (results, counters) = run_jobs(jobs, threads, opts.recorder.as_ref(), solve_scc);
-    reduce_outcomes(jobs, &results, counters)
+    reduce_outcomes(jobs, results.iter().map(Result::as_ref), counters)
 }
 
 /// The driver's reduction stage, split out so it can be re-entered with
 /// per-component results that did not all come from [`run_jobs`] (the
-/// incremental [`crate::dynamic::DynamicSolver`] feeds it a mix of
-/// cached and freshly solved outcomes).
+/// incremental [`crate::dynamic::DynamicSolver`] feeds it the outcome
+/// it keeps for each job, most of them from earlier batches).
 ///
 /// Walks the slots in job (= component) order with a strict `<`: on
 /// equal λ the lowest component index wins, as in the sequential loop.
 /// Errors propagate the same way — the failure of the lowest component
 /// index is reported, regardless of which worker hit it.
-pub(crate) fn reduce_outcomes(
+pub(crate) fn reduce_outcomes<'a>(
     jobs: &[Job],
-    results: &[Result<SccOutcome, SolveError>],
+    results: impl IntoIterator<Item = Result<&'a SccOutcome, &'a SolveError>>,
     counters: Counters,
 ) -> Result<Solution, SolveError> {
     let mut best: Option<(&Job, &SccOutcome)> = None;
-    for (job, result) in jobs.iter().zip(results.iter()) {
-        let outcome = match result {
-            Ok(outcome) => outcome,
-            Err(e) => return Err(e.clone()),
-        };
+    for (job, result) in jobs.iter().zip(results) {
+        let outcome = result.map_err(Clone::clone)?;
         debug_assert!(
             crate::solution::is_closed_walk(&job.sub, &outcome.cycle),
             "solver returned a malformed cycle"

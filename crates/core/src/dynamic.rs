@@ -52,19 +52,34 @@
 //!    `O(degree)` ([`Graph::set_arc_values`]). The arc set is unchanged,
 //!    so the CSR, the job order and every subgraph stay byte-equal to a
 //!    rebuild, and only the patched components are re-fingerprinted;
-//! 3. looks each component's fingerprint (FNV-1a over its arc table)
-//!    up in the cache and reuses the cached component outcome + per-job
-//!    [`Counters`] on a hit,
+//! 3. keeps, per job, its last successful result next to its
+//!    fingerprint: the outcome, its per-job [`Counters`] and its cache
+//!    key. Every patch, re-extraction or failed solve puts the job on a
+//!    stale list, and a batch re-fingerprints and visits only that list,
+//!    in job order; every other job counts as a cache hit without a
+//!    lookup. A visited job whose fingerprint (plus size) is in the
+//!    fingerprint cache reuses that outcome (a component edited back,
+//!    or a byte-identical twin); an error is never kept or cached. A
+//!    cache entry named by a live job is in use and never evicted; once
+//!    its last user lets go it ages from the last batch that visited the
+//!    jobs, so hit and miss totals equal a lookup of every job on every
+//!    batch;
 //! 4. solves only the missed components, each with the kernel call the
 //!    crate's route table (`route.rs`) picks for the [`SolveSpec`] —
 //!    the same table [`crate::spec::solve_spec`]'s driver calls, under
 //!    the same budget, deadline and cancel token, with the same typed
-//!    errors — and
-//! 5. re-enters the driver's reduction stage in job
-//!    order, so tie-breaks, error precedence, witness arc mapping and
-//!    counter totals are bit-identical to a from-scratch solve.
+//!    errors. The precision is computed only when a kernel of the route
+//!    reads it (the default chain is exact); then it joins every key, and
+//!    a batch that moves it (the default follows the weight range) stales
+//!    every job. An explicit invalid precision still fails first; and
+//! 5. keeps the counter total as a running sum (the old counters of a
+//!    re-solved job out, its new ones in, exact in `u128` and clamped to
+//!    `u64`, which equals the saturating merge), and re-enters the
+//!    driver's reduction over the kept outcomes in job order, so
+//!    tie-breaks, error precedence, witness arc mapping and counter
+//!    totals are bit-identical to a from-scratch solve.
 //!
-//! Because cached outcomes are replayed byte-for-byte and both the
+//! Because kept and cached outcomes are replayed byte-for-byte and both the
 //! route table and the reduction are shared with `solve_spec`, the
 //! returned [`Solution`] is **bit-identical** to `solve_spec` on the
 //! edited graph — λ*, witness, guarantee, `solved_by`, and counters —
@@ -101,45 +116,13 @@ use crate::route::{self, route_for, Route};
 use crate::solution::Solution;
 use crate::spec::{solve_spec, Objective, SolveSpec, SpecError};
 use crate::workspace::Workspace;
+pub use mcr_graph::edit::{ArcSpec, Edit};
 use mcr_graph::hash::{fnv1a_word, FNV1A_OFFSET};
+use mcr_graph::heap::HeapCounters;
 use mcr_graph::{
     idx32, ArcId, DfsForest, Graph, GraphBuilder, NodeId, SccDecomposition, SubgraphExtractor,
 };
-use std::collections::BTreeMap;
-
-/// One graph mutation. Arc indices refer to the solver's *current*
-/// dense arc numbering (insertion order, the same ids
-/// [`Graph::arc_ids`] exposes); [`Edit::DeleteArc`] shifts every
-/// higher index down by one, and [`Edit::InsertArc`] appends at index
-/// `num_arcs()`. Within a batch, edits apply sequentially against the
-/// evolving arc list.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Edit {
-    /// Append an arc `src -> dst`. The new arc's index is the arc count
-    /// at the moment of insertion.
-    InsertArc {
-        src: usize,
-        dst: usize,
-        weight: i64,
-        transit: i64,
-    },
-    /// Remove the arc at `arc`; higher indices shift down by one.
-    DeleteArc { arc: usize },
-    /// Replace the weight of the arc at `arc`.
-    Reweight { arc: usize, weight: i64 },
-    /// Replace the transit time of the arc at `arc` (must stay
-    /// nonnegative, like every transit).
-    Retime { arc: usize, transit: i64 },
-}
-
-/// One arc of the solver's editable graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArcSpec {
-    pub src: usize,
-    pub dst: usize,
-    pub weight: i64,
-    pub transit: i64,
-}
+use std::collections::{BTreeMap, VecDeque};
 
 /// Whether a batch was answered from the component cache or by a full
 /// from-scratch solve.
@@ -177,22 +160,193 @@ pub struct DynamicOutcome {
     pub cache_misses: usize,
 }
 
-/// A cached component outcome plus the counters its solve accumulated
-/// (merged back in job order on reuse, so totals match from-scratch).
+/// The fingerprint cache's key: a job's fingerprint, with the precision
+/// folded in when the route reads one, and the job's size, so two jobs
+/// share an entry only as byte-identical subproblems (the size guards
+/// against fingerprint collisions, like [`crate::SccPlan`]'s node/arc
+/// check).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct CacheKey {
+    fingerprint: u64,
+    nodes: usize,
+    arcs: usize,
+}
+
+/// A cached component outcome plus the counters its solve accumulated.
 #[derive(Clone, Debug)]
 struct CacheEntry {
     outcome: SccOutcome,
     counters: Counters,
-    /// Size guard against fingerprint collisions, like
-    /// [`crate::SccPlan`]'s node/arc check.
-    nodes: usize,
-    arcs: usize,
-    /// Last epoch (batch number) this entry was produced or reused.
+    /// Live jobs whose kept result names this entry. An entry in use is
+    /// never evicted.
+    users: u32,
+    /// While unused: the last batch that visited the jobs while one of
+    /// them still named this entry.
     epoch: u64,
 }
 
 /// Entries unused for this many consecutive batches are evicted.
 const RETAIN_EPOCHS: u64 = 16;
+
+/// The fingerprint cache, for components whose bytes come back: a job
+/// edited away and then restored, or a byte-identical twin of another
+/// job. An entry ages only once no live job names it, so eviction sees
+/// the ages a cache stamped by every job on every batch would.
+#[derive(Debug, Default)]
+struct Cache {
+    entries: BTreeMap<CacheKey, CacheEntry>,
+    /// Entries whose last user let go, with the epoch stamped then,
+    /// oldest first. A record goes stale when its entry is used again.
+    released: VecDeque<(u64, CacheKey)>,
+    /// The last batch that visited the jobs (reached the solve loop).
+    visited: u64,
+}
+
+impl Cache {
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.released.clear();
+    }
+
+    /// A hit: one more job names `key`'s entry. Returns its outcome and
+    /// counters.
+    fn acquire(&mut self, key: CacheKey) -> Option<(SccOutcome, Counters)> {
+        let entry = self.entries.get_mut(&key)?;
+        entry.users += 1;
+        Some((entry.outcome.clone(), entry.counters))
+    }
+
+    /// A solved miss: a new entry, named by the job that solved it.
+    fn insert(&mut self, key: CacheKey, outcome: SccOutcome, counters: Counters) {
+        let entry = CacheEntry {
+            outcome,
+            counters,
+            users: 1,
+            epoch: 0,
+        };
+        self.entries.insert(key, entry);
+    }
+
+    /// A job stops naming `key`'s entry. The last user to let go stamps
+    /// it with the last visit, the batch that last saw a job name it.
+    fn release(&mut self, key: CacheKey) {
+        let Some(entry) = self.entries.get_mut(&key) else { return };
+        entry.users -= 1;
+        if entry.users == 0 {
+            entry.epoch = self.visited;
+            self.released.push_back((self.visited, key));
+        }
+    }
+
+    /// Drops the entries unused for [`RETAIN_EPOCHS`] batches as of
+    /// batch `epoch`. Stamps only grow, so the oldest come first.
+    fn evict(&mut self, epoch: u64) {
+        while let Some(&(stamp, key)) = self.released.front() {
+            if stamp.saturating_add(RETAIN_EPOCHS) > epoch {
+                break;
+            }
+            self.released.pop_front();
+            if self
+                .entries
+                .get(&key)
+                .is_some_and(|e| e.users == 0 && e.epoch == stamp)
+            {
+                self.entries.remove(&key);
+            }
+        }
+    }
+}
+
+/// One job's last successful result, kept next to its fingerprint until
+/// an edit, a new precision or a Tarjan run that drops the job stales it.
+#[derive(Clone, Debug, PartialEq)]
+struct Kept {
+    /// The cache entry holding the same result.
+    key: CacheKey,
+    outcome: SccOutcome,
+    counters: Counters,
+}
+
+/// The exact field-by-field sum of a set of [`Counters`], in a width no
+/// run of `u64` terms overflows, so a term can be taken back out. Its
+/// clamp to `u64` equals the saturating [`Counters::merge`] of the same
+/// terms in any order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct CounterSum([u128; 10]);
+
+impl CounterSum {
+    fn fields(c: &Counters) -> [u64; 10] {
+        let Counters {
+            iterations,
+            relaxations,
+            distance_updates,
+            arcs_visited,
+            cycles_examined,
+            oracle_calls,
+            heap:
+                HeapCounters {
+                    inserts,
+                    decrease_keys,
+                    delete_mins,
+                    removals,
+                },
+        } = *c;
+        [
+            iterations,
+            relaxations,
+            distance_updates,
+            arcs_visited,
+            cycles_examined,
+            oracle_calls,
+            inserts,
+            decrease_keys,
+            delete_mins,
+            removals,
+        ]
+    }
+
+    fn add(&mut self, c: &Counters) {
+        for (sum, v) in self.0.iter_mut().zip(Self::fields(c)) {
+            *sum += u128::from(v);
+        }
+    }
+
+    /// Takes back a term added earlier.
+    fn sub(&mut self, c: &Counters) {
+        for (sum, v) in self.0.iter_mut().zip(Self::fields(c)) {
+            *sum -= u128::from(v);
+        }
+    }
+
+    fn total(&self) -> Counters {
+        let [
+            iterations,
+            relaxations,
+            distance_updates,
+            arcs_visited,
+            cycles_examined,
+            oracle_calls,
+            inserts,
+            decrease_keys,
+            delete_mins,
+            removals,
+        ] = self.0.map(|v| u64::try_from(v).unwrap_or(u64::MAX));
+        Counters {
+            iterations,
+            relaxations,
+            distance_updates,
+            arcs_visited,
+            cycles_examined,
+            oracle_calls,
+            heap: HeapCounters {
+                inserts,
+                decrease_keys,
+                delete_mins,
+                removals,
+            },
+        }
+    }
+}
 
 /// The `Split::owner` job slot of an arc outside every cyclic component.
 const NO_JOB: u32 = u32::MAX;
@@ -214,8 +368,8 @@ struct Topo {
     split: Option<Split>,
 }
 
-/// One Tarjan run over the solved orientation, and the component jobs
-/// taken from it.
+/// One Tarjan run over the solved orientation, the component jobs taken
+/// from it, and each job's kept result.
 #[derive(Debug)]
 struct Split {
     /// Tarjan's components, in emission order.
@@ -237,8 +391,21 @@ struct Split {
     /// cycle. Such a cycle lies inside one cyclic component, so these
     /// flags together answer `has_zero_transit_cycle` for the graph.
     zero_transit: Vec<bool>,
-    /// Per job: patched since `hashes`/`zero_transit` were computed.
+    /// Per job: on `queue`.
     stale: Vec<bool>,
+    /// The jobs the next solve re-fingerprints and visits, in no order:
+    /// each patched, extracted or left without a kept result since the
+    /// last visit. Every other job holds a kept result for its current
+    /// bytes.
+    queue: Vec<usize>,
+    /// Per job: its kept result, `None` while it is stale or its last
+    /// solve failed (an error is never kept).
+    kept: Vec<Option<Kept>>,
+    /// The sum of the kept results' counters.
+    total: CounterSum,
+    /// The bits of the precision the kept keys fold in, `None` for a
+    /// route that reads none.
+    epsilon: Option<u64>,
     /// Set by a topology edit the DFS test could not keep. From then on
     /// `scc`, `dfs` and `job_comp` describe the graph before that edit,
     /// later inserts and deletes only patch the graphs and keep `owner`
@@ -266,7 +433,7 @@ impl Topo {
     }
 
     /// Rewrites one arc's weight and transit in every graph that holds
-    /// it, and marks its component for re-fingerprinting.
+    /// it, and marks its component stale.
     fn set_arc_values(&mut self, arc: usize, weight: i64, transit: i64) {
         let id = ArcId::new(arc);
         self.graph.set_arc_values(id, weight, transit);
@@ -282,7 +449,7 @@ impl Topo {
         if job != NO_JOB {
             let j = job as usize;
             split.jobs[j].sub.set_arc_values(local, solved_weight, transit);
-            split.stale[j] = true;
+            split.mark(j);
         }
     }
 
@@ -358,41 +525,53 @@ impl Topo {
 
     /// Ends a topology batch whose edited arcs had the endpoints
     /// `touched`: re-runs Tarjan if an edit set `rerun`, moving over
-    /// every job the batch left unchanged. Returns the batch's
-    /// `(reused, extracted)` split of the jobs and whether Tarjan ran.
-    fn settle(&mut self, touched: &[(usize, usize)]) -> ((usize, usize), bool) {
+    /// every job the batch left unchanged, with its kept result, and
+    /// releasing the cache entries the dropped jobs named. Returns the
+    /// batch's `(reused, extracted)` split of the jobs and whether
+    /// Tarjan ran.
+    fn settle(&mut self, touched: &[(usize, usize)], cache: &mut Cache) -> ((usize, usize), bool) {
         let Some(split) = self.split.take() else { return ((0, 0), false) };
         if !split.rerun {
-            let changed = split.touched(touched).iter().filter(|&&t| t).count();
+            let changed = split.touched_jobs(touched).len();
             let count = (split.jobs.len() - changed, changed);
             self.split = Some(split);
             return (count, false);
         }
-        let (split, reused) = Split::build(self.target(), Some(Previous::new(split, touched)));
+        let mut prev = Previous::new(split, touched);
+        let (split, reused) = Split::build(self.target(), Some(&mut prev));
+        for kept in prev.prev.kept.into_iter().flatten() {
+            cache.release(kept.key);
+        }
         let count = (reused, split.jobs.len() - reused);
         self.split = Some(split);
         (count, true)
     }
 
     /// Re-fingerprints (and, for the ratio objective, re-checks for a
-    /// zero-transit cycle) every job patched since the last call.
-    fn refresh(&mut self, ratio: bool) {
+    /// zero-transit cycle) every stale job, and lets go of its kept
+    /// result.
+    fn refresh(&mut self, ratio: bool, cache: &mut Cache) {
         let Some(split) = &mut self.split else { return };
-        for (j, job) in split.jobs.iter().enumerate() {
-            if std::mem::take(&mut split.stale[j]) {
-                split.hashes[j] = fingerprint(&job.sub);
-                split.zero_transit[j] = ratio && crate::ratio::has_zero_transit_cycle(&job.sub);
+        let queue = std::mem::take(&mut split.queue);
+        for &j in &queue {
+            let sub = &split.jobs[j].sub;
+            split.hashes[j] = fingerprint(sub);
+            split.zero_transit[j] = ratio && crate::ratio::has_zero_transit_cycle(sub);
+            if let Some(old) = split.set_kept(j, None) {
+                cache.release(old.key);
             }
         }
+        split.queue = queue;
     }
 }
 
 impl Split {
     /// Runs Tarjan on `target` and makes one job per cyclic component.
     /// A component whose job `prev` can supply keeps that job's
-    /// subgraph, fingerprint and flags; every other one is extracted and
-    /// marked stale. Returns the split and the number of jobs reused.
-    fn build(target: &Graph, mut prev: Option<Previous>) -> (Split, usize) {
+    /// subgraph, fingerprint, flags and kept result; every other one is
+    /// extracted and marked stale. Returns the split and the number of
+    /// jobs reused.
+    fn build(target: &Graph, mut prev: Option<&mut Previous>) -> (Split, usize) {
         let (scc, dfs) = SccDecomposition::with_dfs(target);
         let mut split = Split {
             scc,
@@ -403,6 +582,10 @@ impl Split {
             hashes: Vec::new(),
             zero_transit: Vec::new(),
             stale: Vec::new(),
+            queue: Vec::new(),
+            kept: Vec::new(),
+            total: CounterSum::default(),
+            epsilon: prev.as_ref().and_then(|p| p.prev.epsilon),
             rerun: false,
             ex: SubgraphExtractor::new(target.num_nodes()),
         };
@@ -424,14 +607,23 @@ impl Split {
                         hash: 0,
                         zero_transit: false,
                         stale: true,
+                        kept: None,
                     }
                 }
             };
+            let j = split.jobs.len();
+            if kept.stale {
+                split.queue.push(j);
+            }
+            if let Some(k) = &kept.kept {
+                split.total.add(&k.counters);
+            }
             split.job_comp.push(idx32(c));
             split.jobs.push(kept.job);
             split.hashes.push(kept.hash);
             split.zero_transit.push(kept.zero_transit);
             split.stale.push(kept.stale);
+            split.kept.push(kept.kept);
         }
         for (j, job) in split.jobs.iter().enumerate() {
             for (local, host) in job.arc_map.iter().enumerate() {
@@ -446,18 +638,40 @@ impl Split {
         self.job_comp.binary_search(&idx32(c)).ok()
     }
 
-    /// Per job: whether it holds both endpoints of a pair in `pairs`.
-    fn touched(&self, pairs: &[(usize, usize)]) -> Vec<bool> {
-        let mut touched = vec![false; self.jobs.len()];
-        for &(src, dst) in pairs {
-            let c = self.scc.component_of(NodeId::new(src));
-            if c == self.scc.component_of(NodeId::new(dst)) {
-                if let Some(j) = self.job_of_comp(c) {
-                    touched[j] = true;
-                }
-            }
+    /// The jobs holding both endpoints of a pair in `pairs`, ascending.
+    fn touched_jobs(&self, pairs: &[(usize, usize)]) -> Vec<usize> {
+        let mut jobs: Vec<usize> = pairs
+            .iter()
+            .filter_map(|&(src, dst)| {
+                let c = self.scc.component_of(NodeId::new(src));
+                (c == self.scc.component_of(NodeId::new(dst)))
+                    .then(|| self.job_of_comp(c))
+                    .flatten()
+            })
+            .collect();
+        jobs.sort_unstable();
+        jobs.dedup();
+        jobs
+    }
+
+    /// Queues job `j` for the next solve.
+    fn mark(&mut self, j: usize) {
+        if !std::mem::replace(&mut self.stale[j], true) {
+            self.queue.push(j);
         }
-        touched
+    }
+
+    /// Replaces job `j`'s kept result, keeping `total` its counters' sum.
+    /// Returns the old one, whose cache entry the caller releases.
+    fn set_kept(&mut self, j: usize, kept: Option<Kept>) -> Option<Kept> {
+        if let Some(new) = &kept {
+            self.total.add(&new.counters);
+        }
+        let old = std::mem::replace(&mut self.kept[j], kept);
+        if let Some(old) = &old {
+            self.total.sub(&old.counters);
+        }
+        old
     }
 
     /// Re-extracts job `j` from `target`, its node list unchanged, and
@@ -470,7 +684,7 @@ impl Split {
             self.owner[host.index()] = (idx32(j), ArcId::new(local));
         }
         self.jobs[j] = Job { sub, arc_map };
-        self.stale[j] = true;
+        self.mark(j);
     }
 }
 
@@ -501,6 +715,7 @@ struct KeptJob {
     hash: u64,
     zero_transit: bool,
     stale: bool,
+    kept: Option<Kept>,
 }
 
 /// The split before a Tarjan re-run, indexed for [`Split::build`]'s
@@ -514,7 +729,11 @@ struct Previous {
 
 impl Previous {
     fn new(prev: Split, pairs: &[(usize, usize)]) -> Previous {
-        Previous { touched: prev.touched(pairs), prev }
+        let mut touched = vec![false; prev.jobs.len()];
+        for j in prev.touched_jobs(pairs) {
+            touched[j] = true;
+        }
+        Previous { touched, prev }
     }
 
     /// The previous job of component `c` (a Tarjan node list of the new
@@ -535,6 +754,7 @@ impl Previous {
             hash: prev.hashes[j],
             zero_transit: prev.zero_transit[j],
             stale: prev.stale[j],
+            kept: prev.kept[j].take(),
         })
     }
 }
@@ -563,7 +783,8 @@ pub struct DynamicSolver {
     /// The per-component route of `spec`; `None` for a ratio spec
     /// solved by transit expansion, which always solves in full.
     route: Option<Route>,
-    cache: BTreeMap<u64, CacheEntry>,
+    cache: Cache,
+    /// Batches so far, this one included.
     epoch: u64,
     /// Topology-derived state of `arcs`; `None` until the first solve
     /// builds it (and after a chaos fault drops it).
@@ -606,7 +827,7 @@ impl DynamicSolver {
             route: route_for(&spec, &opts),
             spec,
             opts,
-            cache: BTreeMap::new(),
+            cache: Cache::default(),
             epoch: 0,
             topo: None,
             rebuild_jobs: (0, 0),
@@ -856,7 +1077,7 @@ impl DynamicSolver {
         let mut topo = match self.topo.take() {
             Some(mut topo) => {
                 if let Some(touched) = &touched {
-                    let (split, rerun) = topo.settle(touched);
+                    let (split, rerun) = topo.settle(touched, &mut self.cache);
                     self.tarjan_runs += u64::from(rerun);
                     self.record_jobs(split);
                     rebuilt = rerun;
@@ -895,7 +1116,7 @@ impl DynamicSolver {
                 }
             }
         }
-        self.evict_stale();
+        self.cache.evict(self.epoch);
         crate::obs::dynamic_solve(
             recorder,
             outcome.mode.name(),
@@ -907,78 +1128,111 @@ impl DynamicSolver {
         Ok(outcome)
     }
 
-    /// The incremental path: fingerprint the components of the edited
-    /// graph, reuse cached outcomes, solve only the misses by the route
-    /// [`solve_spec`] would take, and reduce exactly as the driver
-    /// would. A spec with no per-component route solves in full.
+    /// The incremental path: re-fingerprint the stale jobs, look each
+    /// one up in the cache, solve only the misses by the route
+    /// [`solve_spec`] would take, and reduce every job's kept result
+    /// exactly as the driver would. A spec with no per-component route
+    /// solves in full.
     fn component_solve(&mut self, topo: &mut Topo) -> Result<DynamicOutcome, SpecError> {
         let Some(route) = &self.route else {
             return full_solve(&topo.graph, &self.spec, &self.opts);
         };
-        topo.refresh(self.spec.objective == Objective::Ratio);
-        let split = topo.split.as_ref().expect("a per-component route keeps a split");
-        let epsilon = route::preflight(self.spec.objective, topo.target(), &self.opts, || {
-            split.zero_transit.contains(&true)
-        })?;
-        let jobs = &split.jobs;
+        let cache = &mut self.cache;
+        topo.refresh(self.spec.objective == Objective::Ratio, cache);
+        let target = topo.negated.as_ref().unwrap_or(&topo.graph);
+        let split = topo.split.as_mut().expect("a per-component route keeps a split");
+        let zero_transit = &split.zero_transit;
+        let epsilon = route::preflight(
+            self.spec.objective,
+            target,
+            &self.opts,
+            route.consumes_epsilon(),
+            || zero_transit.contains(&true),
+        )?;
+        // A route that reads the precision folds it into every key, so a
+        // new one stales every job.
+        let bits = epsilon.map(f64::to_bits);
+        if bits != split.epsilon {
+            split.epsilon = bits;
+            for j in 0..split.jobs.len() {
+                if let Some(old) = split.set_kept(j, None) {
+                    cache.release(old.key);
+                }
+                split.mark(j);
+            }
+        }
+        cache.visited = self.epoch;
         let deadline = self.opts.effective_deadline();
-        // Folding epsilon into the fingerprint when no kernel reads it
-        // would needlessly invalidate the cache whenever
-        // `default_epsilon` shifts with the global weight range.
-        let epsilon_matters = route.consumes_epsilon();
-
         let mut ws = Workspace::new();
-        let mut results: Vec<Result<SccOutcome, SolveError>> = Vec::with_capacity(jobs.len());
-        let mut counters = Counters::new();
-        let mut hits = 0usize;
+        let mut queue = std::mem::take(&mut split.queue);
+        queue.sort_unstable();
+        // Every job off the queue kept its result: a hit, as a lookup of
+        // its unchanged fingerprint would be.
+        let mut hits = split.jobs.len() - queue.len();
         let mut misses = 0usize;
-        for (i, job) in jobs.iter().enumerate() {
+        let mut failed = None;
+        for &j in &queue {
+            split.stale[j] = false;
+            let sub = &split.jobs[j].sub;
             // FNV-1a streams, so folding epsilon into the stored state
             // equals hashing it after the arc table.
-            let fp = if epsilon_matters {
-                fnv1a_word(split.hashes[i], epsilon.to_bits())
-            } else {
-                split.hashes[i]
+            let hash = split.hashes[j];
+            let key = CacheKey {
+                fingerprint: epsilon.map_or(hash, |e| fnv1a_word(hash, e.to_bits())),
+                nodes: sub.num_nodes(),
+                arcs: sub.num_arcs(),
             };
-            let cached = self.cache.get_mut(&fp).filter(|e| {
-                e.nodes == job.sub.num_nodes() && e.arcs == job.sub.num_arcs()
-            });
-            if let Some(entry) = cached {
-                entry.epoch = self.epoch;
-                counters.merge(&entry.counters);
-                hits += 1;
-                results.push(Ok(entry.outcome.clone()));
-                continue;
-            }
-            misses += 1;
-            let mut job_counters = Counters::new();
-            let result = route::solve_component(
-                route,
-                i,
-                &job.sub,
-                &mut job_counters,
-                &mut ws,
-                epsilon,
-                &self.opts,
-                deadline,
-            );
-            counters.merge(&job_counters);
-            if let Ok(out) = &result {
-                self.cache.insert(
-                    fp,
-                    CacheEntry {
-                        outcome: out.clone(),
-                        counters: job_counters,
-                        nodes: job.sub.num_nodes(),
-                        arcs: job.sub.num_arcs(),
-                        epoch: self.epoch,
-                    },
-                );
-            }
-            results.push(result);
+            let (outcome, counters) = match cache.acquire(key) {
+                Some(hit) => {
+                    hits += 1;
+                    hit
+                }
+                None => {
+                    misses += 1;
+                    let mut counters = Counters::new();
+                    let result = route::solve_component(
+                        route,
+                        j,
+                        sub,
+                        &mut counters,
+                        &mut ws,
+                        epsilon,
+                        &self.opts,
+                        deadline,
+                    );
+                    match result {
+                        Ok(outcome) => {
+                            cache.insert(key, outcome.clone(), counters);
+                            (outcome, counters)
+                        }
+                        // Not kept: the job stays queued and is solved
+                        // again next batch.
+                        Err(e) => {
+                            failed.get_or_insert(e);
+                            split.mark(j);
+                            continue;
+                        }
+                    }
+                }
+            };
+            let old = split.set_kept(j, Some(Kept { key, outcome, counters }));
+            debug_assert!(old.is_none(), "a stale job let go of its kept result");
         }
 
-        let solution = match reduce_outcomes(jobs, &results, counters) {
+        // The queue is visited in job order, so the first failure is the
+        // one the driver's reduce reports: every earlier job kept a
+        // result.
+        let reduced = match failed {
+            Some(e) => Err(e),
+            None => reduce_outcomes(
+                &split.jobs,
+                split.kept.iter().map(|k| {
+                    Ok(&k.as_ref().expect("a batch with no failure keeps every job").outcome)
+                }),
+                split.total.total(),
+            ),
+        };
+        let solution = match reduced {
             Ok(mut sol) => {
                 if self.spec.maximize {
                     sol.lambda = -sol.lambda;
@@ -989,7 +1243,7 @@ impl DynamicSolver {
             Err(e) => return Err(e.into()),
         };
         // An acyclic graph has nothing to solve, so nothing was missed.
-        let mode = if hits > 0 || jobs.is_empty() {
+        let mode = if hits > 0 || split.jobs.is_empty() {
             SolveMode::Incremental
         } else {
             SolveMode::Full
@@ -1000,12 +1254,6 @@ impl DynamicSolver {
             cache_hits: hits,
             cache_misses: misses,
         })
-    }
-
-    fn evict_stale(&mut self) {
-        let epoch = self.epoch;
-        self.cache
-            .retain(|_, e| e.epoch.saturating_add(RETAIN_EPOCHS) > epoch);
     }
 }
 
@@ -1261,13 +1509,18 @@ mod tests {
         assert_eq!(sa.counters, sb.counters);
     }
 
-    /// Asserts the solver's maintained topology state equals
-    /// [`Topo::build`] + `refresh` on its current arc list: whole graphs,
-    /// Tarjan's output and depth-first forest, and every job.
+    /// Asserts the solver's maintained state equals a fresh solver's
+    /// after one solve of the same arc list: whole graphs, Tarjan's
+    /// output and depth-first forest, every job, and — when the batch
+    /// reached the jobs (no up-front error) — the stale queue, every kept
+    /// result and the running counter total. Always: every job off the
+    /// queue keeps a result, the total is the sum of the kept counters,
+    /// and each cache entry counts the kept results that name it.
     fn assert_state_is_fresh(s: &DynamicSolver, ctx: &str) {
         let got = s.topo.as_ref().expect("a solve leaves the state built");
-        let mut want = Topo::build(s.nodes, &s.arcs, s.route.is_some(), s.spec.maximize);
-        want.refresh(s.spec.objective == Objective::Ratio);
+        let mut fresh = DynamicSolver::from_parts(s.nodes, s.arcs.clone(), s.spec, s.opts.clone());
+        let _ = fresh.solve();
+        let want = fresh.topo.as_ref().expect("a solve leaves the state built");
         assert!(got.graph == want.graph, "{ctx}: graph");
         assert!(got.negated == want.negated, "{ctx}: negated graph");
         let (Some(got), Some(want)) = (&got.split, &want.split) else {
@@ -1286,7 +1539,42 @@ mod tests {
         assert_eq!(got.owner, want.owner, "{ctx}: owner");
         assert_eq!(got.hashes, want.hashes, "{ctx}: hashes");
         assert_eq!(got.zero_transit, want.zero_transit, "{ctx}: zero_transit");
-        assert_eq!(got.stale, want.stale, "{ctx}: stale");
+        if fresh.cache.visited == fresh.epoch {
+            assert_eq!(got.stale, want.stale, "{ctx}: stale");
+            assert_eq!(got.kept, want.kept, "{ctx}: kept results");
+            assert_eq!(got.total, want.total, "{ctx}: running total");
+            assert_eq!(got.epsilon, want.epsilon, "{ctx}: precision");
+        }
+        let mut queue = got.queue.clone();
+        queue.sort_unstable();
+        let stale: Vec<usize> = (0..got.jobs.len()).filter(|&j| got.stale[j]).collect();
+        assert_eq!(queue, stale, "{ctx}: the queue holds the stale jobs once each");
+        let mut sum = CounterSum::default();
+        let mut merged = Counters::new();
+        let mut users = BTreeMap::<CacheKey, u32>::new();
+        for (j, kept) in got.kept.iter().enumerate() {
+            let Some(k) = kept else {
+                assert!(got.stale[j], "{ctx}: job {j} has no result and is not queued");
+                continue;
+            };
+            sum.add(&k.counters);
+            merged.merge(&k.counters);
+            *users.entry(k.key).or_default() += 1;
+            let entry = &s.cache.entries[&k.key];
+            assert!(
+                entry.outcome == k.outcome && entry.counters == k.counters,
+                "{ctx}: job {j} kept what its cache entry does not hold"
+            );
+        }
+        assert_eq!(got.total, sum, "{ctx}: running total");
+        assert_eq!(got.total.total(), merged, "{ctx}: clamped total");
+        for (key, entry) in &s.cache.entries {
+            assert_eq!(
+                entry.users,
+                users.get(key).copied().unwrap_or(0),
+                "{ctx}: users of {key:?}"
+            );
+        }
     }
 
     /// Solves `g`, then applies each batch and checks the state after
@@ -1567,6 +1855,222 @@ mod tests {
                 kept > 0 && rerun > 0,
                 "{spec:?}: {kept} kept, {rerun} re-run"
             );
+        }
+    }
+
+    /// The solution a from-scratch `solve_spec` gives for the solver's
+    /// current graph.
+    fn scratch(s: &DynamicSolver, opts: &SolveOptions) -> Solution {
+        solve_spec(&s.current_graph(), &s.spec, opts)
+            .expect("solves")
+            .expect("cyclic")
+    }
+
+    fn assert_same(sol: &Solution, want: &Solution, ctx: &str) {
+        assert_eq!(sol.lambda, want.lambda, "{ctx}: lambda");
+        assert_eq!(sol.cycle, want.cycle, "{ctx}: witness");
+        assert_eq!(sol.solved_by, want.solved_by, "{ctx}: solved_by");
+        assert_eq!(sol.counters, want.counters, "{ctx}: counters");
+    }
+
+    /// Three 2-rings, Tarjan order A = {0, 1}, B = {2, 3}, C = {4, 5}.
+    fn three_rings(spec: SolveSpec, b: (i64, i64), c: (i64, i64)) -> DynamicSolver {
+        let arcs = [(0, 1, 5), (1, 0, 7), (2, 3, b.0), (3, 2, b.1), (4, 5, c.0), (5, 4, c.1)];
+        DynamicSolver::new(&from_arc_list(6, &arcs), spec, SolveOptions::new())
+    }
+
+    #[test]
+    fn only_the_edited_job_is_solved_again() {
+        let mut s = three_rings(mean_spec(), (1, 3), (2, 9));
+        assert_eq!(s.solve().expect("solves").cache_misses, 3);
+        let opts = SolveOptions::new();
+        let edits = [(0, 2), (3, -4), (4, 6), (3, 8), (1, 1)];
+        for (i, (arc, weight)) in edits.into_iter().enumerate() {
+            let out = s.apply(&[Edit::Reweight { arc, weight }]).expect("solves");
+            let ctx = format!("edit {i}: arc {arc} to {weight}");
+            assert_eq!((out.cache_hits, out.cache_misses), (2, 1), "{ctx}");
+            assert_same(&out.solution.expect("cyclic"), &scratch(&s, &opts), &ctx);
+            assert_state_is_fresh(&s, &ctx);
+        }
+    }
+
+    #[test]
+    fn ties_between_byte_identical_jobs_go_to_the_earlier_job() {
+        // A and B are byte-identical as subgraphs, so B hits the entry
+        // A's solve made, and on equal lambda the witness must map into
+        // A's arcs (0 and 1) whichever of the two was solved last.
+        let mut s = solver(&[(0, 1, 4), (1, 0, 6), (2, 3, 4), (3, 2, 6)], 4);
+        let opts = SolveOptions::new();
+        let steps: [(&str, Option<Edit>, &[usize], usize); 5] = [
+            ("first solve", None, &[0, 1], 1),
+            ("A worse", Some(Edit::Reweight { arc: 0, weight: 9 }), &[2, 3], 1),
+            ("A restored", Some(Edit::Reweight { arc: 0, weight: 4 }), &[0, 1], 2),
+            // B's new bytes are A's of two batches ago, still cached.
+            ("B worse", Some(Edit::Reweight { arc: 2, weight: 9 }), &[0, 1], 2),
+            ("B restored", Some(Edit::Reweight { arc: 2, weight: 4 }), &[0, 1], 2),
+        ];
+        for (ctx, edit, arcs, hits) in steps {
+            let out = match edit {
+                None => s.solve(),
+                Some(e) => s.apply(&[e]),
+            }
+            .expect("solves");
+            let sol = out.solution.expect("cyclic");
+            let mut witness: Vec<usize> = sol.cycle.iter().map(|a| a.index()).collect();
+            witness.sort_unstable();
+            assert_eq!(witness, arcs, "{ctx}: witness arcs");
+            assert_same(&sol, &scratch(&s, &opts), ctx);
+            assert_eq!(out.cache_hits, hits, "{ctx}: cache hits");
+        }
+    }
+
+    #[test]
+    fn a_failed_job_is_never_kept() {
+        // Lawler-exact with one refinement and no fallback fails on the
+        // 1/4001 ring A and answers the self-loop B.
+        let g = from_arc_list(3, &[(0, 1, 1), (1, 0, 4001), (2, 2, 5)]);
+        let opts = SolveOptions::new()
+            .budget(crate::Budget::default().max_lambda_refinements(1))
+            .fallback(crate::FallbackChain::NONE);
+        let spec = SolveSpec::mean(Algorithm::LawlerExact);
+        let mut s = DynamicSolver::new(&g, spec, opts.clone());
+        let failure = |r: Result<DynamicOutcome, SpecError>, ctx: &str| match r {
+            Err(SpecError::Solve(SolveError::BudgetExhausted { .. })) => {}
+            other => panic!("{ctx}: expected budget exhaustion, got {other:?}"),
+        };
+        failure(s.solve(), "first solve");
+        failure(s.apply(&[Edit::Reweight { arc: 2, weight: 6 }]), "B edited");
+        failure(s.solve(), "re-solve");
+        let split = s.topo.as_ref().and_then(|t| t.split.as_ref()).expect("split");
+        assert!(split.kept[0].is_none() && split.stale[0], "A keeps no result");
+        assert!(split.kept[1].is_some() && !split.stale[1], "B keeps its result");
+        // Once A is solvable it is solved, and B is still a hit.
+        let out = s.apply(&[Edit::Reweight { arc: 1, weight: 1 }]).expect("solves");
+        assert_eq!((out.cache_hits, out.cache_misses), (1, 1));
+        assert_same(&out.solution.expect("cyclic"), &scratch(&s, &opts), "A mended");
+    }
+
+    #[test]
+    fn an_entry_a_live_twin_names_is_never_evicted() {
+        // A and B are byte-identical; A is edited away for three times
+        // the retention window while B keeps naming the shared entry.
+        let mut s = solver(&[(0, 1, 4), (1, 0, 6), (2, 3, 4), (3, 2, 6), (4, 5, 1), (5, 4, 1)], 6);
+        s.solve().expect("solves");
+        s.apply(&[Edit::Reweight { arc: 0, weight: 9 }]).expect("solves");
+        for i in 0..3 * RETAIN_EPOCHS {
+            s.apply(&[Edit::Reweight { arc: 4, weight: i as i64 }]).expect("solves");
+        }
+        let out = s.apply(&[Edit::Reweight { arc: 0, weight: 4 }]).expect("solves");
+        assert_eq!((out.cache_hits, out.cache_misses), (3, 0), "A's bytes are B's");
+        assert_state_is_fresh(&s, "A restored");
+    }
+
+    #[test]
+    fn an_entry_edited_away_ages_out_after_the_retention_window() {
+        // A's entry is last named in batch 1 (the first solve) and edited
+        // away in batch 2; batches then edit C only. Restored in batch
+        // 1 + RETAIN_EPOCHS it still hits, one batch later it misses.
+        for (away, hit) in [(RETAIN_EPOCHS, true), (RETAIN_EPOCHS + 1, false)] {
+            let mut s = three_rings(mean_spec(), (1, 3), (2, 9));
+            s.solve().expect("solves");
+            s.apply(&[Edit::Reweight { arc: 0, weight: 8 }]).expect("solves");
+            for i in 2..away {
+                s.apply(&[Edit::Reweight { arc: 4, weight: i as i64 }]).expect("solves");
+            }
+            let out = s.apply(&[Edit::Reweight { arc: 0, weight: 5 }]).expect("solves");
+            assert_eq!(s.epoch, away + 1, "restored in batch {}", s.epoch);
+            let want = if hit { (3, 0) } else { (2, 1) };
+            assert_eq!((out.cache_hits, out.cache_misses), want, "restored in batch {}", s.epoch);
+        }
+    }
+
+    #[test]
+    fn the_running_total_is_exact_across_a_saturated_re_solve() {
+        let mut s = three_rings(mean_spec(), (1, 3), (2, 9));
+        s.solve().expect("solves");
+        // Job A's counters sit near u64::MAX, so the total saturates.
+        let split = s.topo.as_mut().and_then(|t| t.split.as_mut()).expect("split");
+        let mut big = split.kept[0].clone().expect("kept");
+        big.counters.relaxations = u64::MAX - 3;
+        big.counters.heap.inserts = u64::MAX;
+        big.counters.iterations = u64::MAX - 1;
+        split.set_kept(0, Some(big));
+        let merged = |s: &DynamicSolver| {
+            let split = s.topo.as_ref().and_then(|t| t.split.as_ref()).expect("split");
+            let mut c = Counters::new();
+            for k in &split.kept {
+                c.merge(&k.as_ref().expect("kept").counters);
+            }
+            c
+        };
+        let before = s.solve().expect("solves").solution.expect("cyclic");
+        assert_eq!(before.counters, merged(&s), "saturated total");
+        assert_eq!(before.counters.relaxations, u64::MAX);
+        // Solving A again takes its huge counters back out exactly.
+        let out = s.apply(&[Edit::Reweight { arc: 0, weight: 6 }]).expect("solves");
+        assert_eq!(out.cache_misses, 1);
+        let after = out.solution.expect("cyclic");
+        assert_eq!(after.counters, merged(&s), "total after the re-solve");
+        assert_same(&after, &scratch(&s, &SolveOptions::new()), "after the re-solve");
+        assert_state_is_fresh(&s, "after the re-solve");
+    }
+
+    #[test]
+    fn a_moved_default_precision_rekeys_every_job_of_an_approximate_route() {
+        // Howard reads the precision, whose default follows the graph's
+        // weight range: raising the largest weight (9, on C) gives every
+        // job a new key. Howard-exact reads none, so only C misses.
+        let edits = [
+            (Edit::Reweight { arc: 5, weight: 20 }, (0, 3), (2, 1)),
+            (Edit::Reweight { arc: 0, weight: 4 }, (2, 1), (2, 1)),
+        ];
+        for (alg, pick) in [(Algorithm::Howard, 0), (Algorithm::HowardExact, 1)] {
+            let mut s = three_rings(SolveSpec::mean(alg), (1, 3), (2, 9));
+            s.solve().expect("solves");
+            for (edit, approximate, exact) in edits {
+                let keys = |s: &DynamicSolver| -> Vec<CacheKey> {
+                    let split = s.topo.as_ref().and_then(|t| t.split.as_ref()).expect("split");
+                    split.kept.iter().map(|k| k.as_ref().expect("kept").key).collect()
+                };
+                let old = keys(&s);
+                let out = s.apply(&[edit]).expect("solves");
+                let want = [approximate, exact][pick];
+                let ctx = format!("{} {edit:?}", alg.name());
+                assert_eq!((out.cache_hits, out.cache_misses), want, "{ctx}");
+                let new = keys(&s);
+                let moved = old.iter().zip(&new).filter(|(a, b)| a != b).count();
+                assert_eq!(moved, want.1, "{ctx}: jobs with a new key");
+                let sol = out.solution.expect("cyclic");
+                assert_same(&sol, &scratch(&s, &SolveOptions::new()), &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn an_invalid_explicit_precision_fails_every_batch() {
+        // An exact route reads no precision, but an explicit one is still
+        // checked first, on every batch.
+        for bad in [0.0, f64::NAN] {
+            let g = from_arc_list(4, &[(0, 1, 5), (1, 0, 7), (2, 3, 1), (3, 2, 3)]);
+            let opts = SolveOptions { epsilon: Some(bad), ..SolveOptions::new() };
+            let mut s = DynamicSolver::new(&g, mean_spec(), opts);
+            let batches = [
+                vec![],
+                vec![Edit::Reweight { arc: 0, weight: 2 }],
+                vec![Edit::InsertArc { src: 1, dst: 2, weight: 1, transit: 1 }],
+                vec![Edit::DeleteArc { arc: 1 }],
+            ];
+            for (i, batch) in batches.iter().enumerate() {
+                let result = if i == 0 { s.solve() } else { s.apply(batch) };
+                assert!(
+                    matches!(
+                        result,
+                        Err(SpecError::Solve(SolveError::InvalidEpsilon { epsilon }))
+                            if epsilon.to_bits() == bad.to_bits()
+                    ),
+                    "epsilon {bad} batch {i}: {result:?}"
+                );
+            }
         }
     }
 

@@ -29,11 +29,10 @@
 //! is the committed golden script guarding the byte format.
 
 use crate::dynamic::{ArcSpec, Edit};
+use mcr_graph::edit::{arc_line, edit_line, header_line};
+pub use mcr_graph::edit::EDITS_SCHEMA;
 use mcr_graph::json::{self, Value};
 use mcr_graph::{Graph, GraphBuilder, NodeId};
-
-/// The schema tag every `mcr-edits v1` header carries.
-pub const EDITS_SCHEMA: &str = "mcr-edits v1";
 
 /// A parsed edit script: the base graph plus the edit batches to replay
 /// against it.
@@ -193,43 +192,18 @@ pub fn parse_edit_script(text: &str) -> Result<EditScript, String> {
 /// Renders a script back to `mcr-edits v1` text (the inverse of
 /// [`parse_edit_script`]; `parse(render(s)) == s`).
 pub fn render_edit_script(script: &EditScript) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\":\"{EDITS_SCHEMA}\",\"kind\":\"header\",\"nodes\":{},\"arcs\":{},\"batches\":{},\"seed\":{}}}\n",
+    let mut out = header_line(
         script.nodes,
         script.base_arcs.len(),
         script.batches.len(),
-        script.seed
-    ));
+        script.seed,
+    );
     for a in &script.base_arcs {
-        out.push_str(&format!(
-            "{{\"kind\":\"arc\",\"src\":{},\"dst\":{},\"weight\":{},\"transit\":{}}}\n",
-            a.src, a.dst, a.weight, a.transit
-        ));
+        out.push_str(&arc_line(a));
     }
     for (i, batch) in script.batches.iter().enumerate() {
-        let b = i + 1;
         for edit in batch {
-            let line = match *edit {
-                Edit::InsertArc {
-                    src,
-                    dst,
-                    weight,
-                    transit,
-                } => format!(
-                    "{{\"kind\":\"edit\",\"batch\":{b},\"op\":\"insert\",\"src\":{src},\"dst\":{dst},\"weight\":{weight},\"transit\":{transit}}}\n"
-                ),
-                Edit::DeleteArc { arc } => {
-                    format!("{{\"kind\":\"edit\",\"batch\":{b},\"op\":\"delete\",\"arc\":{arc}}}\n")
-                }
-                Edit::Reweight { arc, weight } => format!(
-                    "{{\"kind\":\"edit\",\"batch\":{b},\"op\":\"reweight\",\"arc\":{arc},\"weight\":{weight}}}\n"
-                ),
-                Edit::Retime { arc, transit } => format!(
-                    "{{\"kind\":\"edit\",\"batch\":{b},\"op\":\"retime\",\"arc\":{arc},\"transit\":{transit}}}\n"
-                ),
-            };
-            out.push_str(&line);
+            out.push_str(&edit_line(i + 1, edit));
         }
     }
     out

@@ -19,7 +19,7 @@
 // CI runs clippy with -D warnings, so these lints are a gate.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
-use crate::algorithms::{run_fallback_chain, solve_scc_budgeted, Algorithm};
+use crate::algorithms::{read_epsilon, run_fallback_chain, solve_scc_budgeted, Algorithm};
 use crate::budget::{BudgetScope, Deadline};
 use crate::driver::{solve_per_scc_opts, SccOutcome};
 use crate::error::SolveError;
@@ -91,30 +91,34 @@ impl Route {
 }
 
 /// The up-front checks of every solve, in order: the precision (an
-/// explicit one must be positive and finite; the default scales with
-/// `g`'s weight range), then, for the ratio objective, the
-/// zero-transit-cycle guard, which `zero_transit_cycle` answers.
-/// Returns the precision.
+/// explicit one must be positive and finite), then, for the ratio
+/// objective, the zero-transit-cycle guard, which `zero_transit_cycle`
+/// answers. Returns the precision when `consumes_epsilon` (some kernel
+/// of the route reads it): the explicit one, or else the default, which
+/// scales with `g`'s weight range and costs two scans of its weights.
+/// An exact route gets `None`, so no kernel can read a precision nobody
+/// computed.
 pub(crate) fn preflight(
     objective: Objective,
     g: &Graph,
     opts: &SolveOptions,
+    consumes_epsilon: bool,
     zero_transit_cycle: impl FnOnce() -> bool,
-) -> Result<f64, SolveError> {
+) -> Result<Option<f64>, SolveError> {
     let epsilon = match opts.epsilon {
-        Some(e) if e > 0.0 && e.is_finite() => e,
+        Some(e) if e > 0.0 && e.is_finite() => Some(e),
         Some(e) => return Err(SolveError::InvalidEpsilon { epsilon: e }),
-        None => Algorithm::default_epsilon(g),
+        None => None,
     };
     if objective == Objective::Ratio && zero_transit_cycle() {
         return Err(SolveError::ZeroTransitCycle);
     }
-    Ok(epsilon)
+    Ok(consumes_epsilon.then(|| epsilon.unwrap_or_else(|| Algorithm::default_epsilon(g))))
 }
 
 /// Solves one strongly connected, cyclic component by `route`. `job` is
 /// the component's index in Tarjan order, the key of the mean route's
-/// checkpoints and trace events.
+/// checkpoints and trace events; `epsilon` is [`preflight`]'s.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_component(
     route: &Route,
@@ -122,7 +126,7 @@ pub(crate) fn solve_component(
     sub: &Graph,
     counters: &mut Counters,
     ws: &mut Workspace,
-    epsilon: f64,
+    epsilon: Option<f64>,
     opts: &SolveOptions,
     deadline: Option<Deadline>,
 ) -> Result<SccOutcome, SolveError> {
@@ -133,7 +137,9 @@ pub(crate) fn solve_component(
         &Route::Ratio(alg) => {
             let mut scope = BudgetScope::for_solve(opts, deadline, alg);
             match alg {
-                Algorithm::Lawler => ratio_bisection(sub, counters, Some(epsilon), ws, &mut scope),
+                Algorithm::Lawler => {
+                    ratio_bisection(sub, counters, Some(read_epsilon(epsilon)?), ws, &mut scope)
+                }
                 Algorithm::LawlerExact => ratio_bisection(sub, counters, None, ws, &mut scope),
                 // Howard, Burns-exact, KO, YTO and Megiddo read transit
                 // times, so their mean kernels solve the ratio problem.
@@ -164,7 +170,9 @@ pub(crate) fn solve_untraced(
     route: &Route,
     opts: &SolveOptions,
 ) -> Result<Solution, SolveError> {
-    let epsilon = preflight(route.objective(), g, opts, || has_zero_transit_cycle(g))?;
+    let epsilon = preflight(route.objective(), g, opts, route.consumes_epsilon(), || {
+        has_zero_transit_cycle(g)
+    })?;
     let deadline = opts.effective_deadline();
     solve_per_scc_opts(g, opts, |job, sub, counters, ws| {
         solve_component(route, job, sub, counters, ws, epsilon, opts, deadline)

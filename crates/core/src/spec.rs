@@ -169,7 +169,8 @@ pub fn solve_spec(
     let sol = match route_for(spec, opts) {
         Some(route) => flatten_acyclic(route::solve(target, &route, opts))?,
         None => {
-            route::preflight(Objective::Ratio, target, opts, || {
+            // The expansion's own solve picks its precision.
+            route::preflight(Objective::Ratio, target, opts, false, || {
                 ratio::has_zero_transit_cycle(target)
             })?;
             ratio::solve_by_expansion(target, spec.algorithm, opts)?

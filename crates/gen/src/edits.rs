@@ -15,11 +15,13 @@
 //! generator tracks the evolving arc count so every emitted edit is
 //! valid at replay time.
 //!
-//! Like `requests.rs`, the JSON is hand-rolled: the generator crate
-//! sits below `mcr-core` in the dependency order, and core's tests
-//! depend on it in turn.
+//! Every line is written by `mcr_graph::edit`'s line writers, the same
+//! ones `mcr_core::render_edit_script` calls (the generator crate sits
+//! below `mcr-core` in the dependency order, and core's tests depend on
+//! it in turn).
 
 use crate::sprand::{sprand, SprandConfig};
+use mcr_graph::edit::{arc_line, edit_line, header_line, ArcSpec, Edit};
 use mcr_graph::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,18 +77,14 @@ impl EditScriptConfig {
     }
 }
 
-/// Extracts `(src, dst, weight, transit)` rows in arc-id order.
-fn arc_rows(g: &Graph) -> Vec<(usize, usize, i64, i64)> {
-    g.arc_ids()
-        .map(|a| {
-            (
-                g.source(a).index(),
-                g.target(a).index(),
-                g.weight(a),
-                g.transit(a),
-            )
-        })
-        .collect()
+/// The arcs of `g` in arc-id order, node ids shifted by `off`.
+fn arc_rows(g: &Graph, off: usize) -> impl Iterator<Item = ArcSpec> + '_ {
+    g.arc_ids().map(move |a| ArcSpec {
+        src: g.source(a).index() + off,
+        dst: g.target(a).index() + off,
+        weight: g.weight(a),
+        transit: g.transit(a),
+    })
 }
 
 /// Renders a deterministic `mcr-edits v1` JSONL script.
@@ -112,60 +110,52 @@ pub fn edit_script(cfg: &EditScriptConfig) -> String {
                 .seed(cfg.rng_seed.wrapping_add(k as u64))
                 .weight_range(1, 100),
         );
-        let off = k * per_nodes;
-        for (src, dst, weight, transit) in arc_rows(&block) {
-            arcs.push((src + off, dst + off, weight, transit));
-        }
+        arcs.extend(arc_rows(&block, k * per_nodes));
     }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\":\"mcr-edits v1\",\"kind\":\"header\",\"nodes\":{},\"arcs\":{},\"batches\":{},\"seed\":{}}}\n",
-        nodes,
-        arcs.len(),
-        cfg.batches,
-        cfg.rng_seed
-    ));
-    for &(src, dst, weight, transit) in &arcs {
-        out.push_str(&format!(
-            "{{\"kind\":\"arc\",\"src\":{src},\"dst\":{dst},\"weight\":{weight},\"transit\":{transit}}}\n"
-        ));
+    let mut out = header_line(nodes, arcs.len(), cfg.batches, cfg.rng_seed);
+    for arc in &arcs {
+        out.push_str(&arc_line(arc));
     }
     for batch in 1..=cfg.batches {
         let count = 1 + rng.gen_range(0..3);
         for _ in 0..count {
             let roll = rng.gen_range(0..100);
-            let line = if roll < 40 && !arcs.is_empty() {
+            let edit = if roll < 40 && !arcs.is_empty() {
                 let arc = rng.gen_range(0..arcs.len());
                 let weight = rng.gen_range(1..=100i64);
-                arcs[arc].2 = weight;
-                format!(
-                    "{{\"kind\":\"edit\",\"batch\":{batch},\"op\":\"reweight\",\"arc\":{arc},\"weight\":{weight}}}\n"
-                )
+                arcs[arc].weight = weight;
+                Edit::Reweight { arc, weight }
             } else if roll < 65 {
                 let off = rng.gen_range(0..components) * per_nodes;
                 let src = off + rng.gen_range(0..per_nodes);
                 let dst = off + rng.gen_range(0..per_nodes);
                 let weight = rng.gen_range(1..=100i64);
                 let transit = rng.gen_range(1..=3i64);
-                arcs.push((src, dst, weight, transit));
-                format!(
-                    "{{\"kind\":\"edit\",\"batch\":{batch},\"op\":\"insert\",\"src\":{src},\"dst\":{dst},\"weight\":{weight},\"transit\":{transit}}}\n"
-                )
+                arcs.push(ArcSpec {
+                    src,
+                    dst,
+                    weight,
+                    transit,
+                });
+                Edit::InsertArc {
+                    src,
+                    dst,
+                    weight,
+                    transit,
+                }
             } else if roll < 85 && arcs.len() >= 4 {
                 let arc = rng.gen_range(0..arcs.len());
                 arcs.remove(arc);
-                format!("{{\"kind\":\"edit\",\"batch\":{batch},\"op\":\"delete\",\"arc\":{arc}}}\n")
+                Edit::DeleteArc { arc }
             } else if !arcs.is_empty() {
                 let arc = rng.gen_range(0..arcs.len());
                 let transit = rng.gen_range(1..=3i64);
-                arcs[arc].3 = transit;
-                format!(
-                    "{{\"kind\":\"edit\",\"batch\":{batch},\"op\":\"retime\",\"arc\":{arc},\"transit\":{transit}}}\n"
-                )
+                arcs[arc].transit = transit;
+                Edit::Retime { arc, transit }
             } else {
                 continue;
             };
-            out.push_str(&line);
+            out.push_str(&edit_line(batch, &edit));
         }
     }
     out

@@ -37,6 +37,7 @@
 
 pub mod chaos;
 pub mod compact;
+pub mod edit;
 pub mod graph;
 pub mod hash;
 pub mod heap;

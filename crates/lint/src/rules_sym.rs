@@ -173,6 +173,7 @@ const WIRE_FIELD_SCOPE: &[(&str, &[&str])] = &[
     ),
     ("crates/serve/src/metrics.rs", &["mcr-metrics-v1"]),
     ("crates/core/src/edits.rs", &["mcr-edits-v1"]),
+    ("crates/graph/src/edit.rs", &["mcr-edits-v1"]),
     ("crates/obs/src/lib.rs", &["mcr-trace-v1", "mcr-metrics-v1"]),
 ];
 
@@ -196,7 +197,7 @@ const WIRE_PRESENCE: &[(&str, &[&str])] = &[
         "mcr-edits-v1",
         &[
             "crates/core/src/edits.rs",
-            "crates/gen/src/edits.rs",
+            "crates/graph/src/edit.rs",
             "crates/serve/src/protocol.rs",
         ],
     ),
