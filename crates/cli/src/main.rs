@@ -243,20 +243,26 @@ fn load_graph(path: Option<&str>) -> Result<Graph, String> {
     read_dimacs(&mut text.as_bytes()).map_err(|e| format!("parse error: {e}"))
 }
 
-/// `--threads N` / `--budget SPEC` / `--fallback CHAIN` →
-/// [`SolveOptions`], recording into `recorder` (see [`with_obs`]). The
+/// `--epsilon X` / `--threads N` / `--budget SPEC` / `--fallback CHAIN`
+/// → [`SolveOptions`], recording into `recorder` (see [`with_obs`]).
+/// Without `--epsilon` the precision stays unset, so the library
+/// derives its default only for a route that reads it (and, under
+/// `mcr dynamic`, re-derives it as edits move the weight range). The
 /// CLI defaults to `--threads 0` (auto-detect available parallelism);
 /// `--threads 1` forces the sequential legacy path. Results are
 /// identical either way.
-fn solve_options(
-    args: &Args,
-    epsilon: f64,
-    recorder: Option<Recorder>,
-) -> Result<SolveOptions, String> {
+fn solve_options(args: &Args, recorder: Option<Recorder>) -> Result<SolveOptions, String> {
+    let epsilon = match args.value("epsilon") {
+        None => None,
+        Some(_) => Some(args.value_parsed("epsilon", 0.0)?),
+    };
+    if epsilon.is_some_and(|e: f64| e <= 0.0) {
+        return Err("epsilon must be positive".into());
+    }
     let threads: usize = args.value_parsed("threads", 0)?;
     let mut opts = SolveOptions {
         threads,
-        epsilon: Some(epsilon),
+        epsilon,
         recorder,
         ..SolveOptions::default()
     };
@@ -403,11 +409,7 @@ fn cmd_solve(args: &Args, recorder: Option<Recorder>) -> Result<(), CliError> {
         .ok_or_else(|| format!("unknown algorithm `{alg_name}` (see --help)"))?;
     let maximize = args.flag("max");
     let ratio_mode = args.flag("ratio");
-    let epsilon = args.value_parsed("epsilon", Algorithm::default_epsilon(&g))?;
-    if epsilon <= 0.0 {
-        return Err("epsilon must be positive".into());
-    }
-    let opts = solve_options(args, epsilon, recorder)?;
+    let opts = solve_options(args, recorder)?;
 
     // The dispatch itself — objective match, maximize negation, the
     // acyclic fold — lives in `mcr_core::spec`, shared verbatim with
@@ -503,11 +505,7 @@ fn cmd_dynamic(args: &Args, recorder: Option<Recorder>) -> Result<(), CliError> 
         .ok_or_else(|| format!("unknown algorithm `{alg_name}` (see --help)"))?;
     let maximize = args.flag("max");
     let ratio_mode = args.flag("ratio");
-    let epsilon = args.value_parsed("epsilon", Algorithm::default_epsilon(&g))?;
-    if epsilon <= 0.0 {
-        return Err("epsilon must be positive".into());
-    }
-    let opts = solve_options(args, epsilon, recorder)?;
+    let opts = solve_options(args, recorder)?;
     let spec = SolveSpec {
         algorithm: alg,
         objective: if ratio_mode {
@@ -747,7 +745,7 @@ fn cmd_dot(args: &Args) -> Result<(), String> {
 
 fn cmd_bench(args: &Args, recorder: Option<Recorder>) -> Result<(), CliError> {
     let g = load_graph(args.positional.get(1).map(|s| s.as_str()))?;
-    let opts = solve_options(args, Algorithm::default_epsilon(&g), recorder)?;
+    let opts = solve_options(args, recorder)?;
     println!(
         "instance: {} nodes, {} arcs, weights [{}, {}]",
         g.num_nodes(),

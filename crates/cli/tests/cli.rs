@@ -345,3 +345,83 @@ fn client_without_addr_or_mode_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: mcr client"));
 }
+
+#[test]
+fn dynamic_rederives_the_default_precision_like_the_library() {
+    use mcr_core::{
+        render_edit_script, Algorithm, ArcSpec, DynamicSolver, Edit, EditScript, Guarantee,
+        SolveOptions, SolveSpec,
+    };
+    // Two rings; the second holds the heaviest arc (weight 30). Raising
+    // it to 30000 widens the weight range, and with it the default
+    // precision an approximate route reads, so every job re-keys.
+    let ring = |base: usize, weights: [i64; 3]| {
+        (0..3).map(move |i| ArcSpec {
+            src: base + i,
+            dst: base + (i + 1) % 3,
+            weight: weights[i],
+            transit: 1,
+        })
+    };
+    let script = EditScript {
+        nodes: 6,
+        base_arcs: ring(0, [1, 2, 3]).chain(ring(3, [10, 20, 30])).collect(),
+        batches: vec![
+            vec![Edit::Reweight {
+                arc: 5,
+                weight: 30_000,
+            }],
+            vec![Edit::Reweight { arc: 0, weight: 2 }],
+        ],
+        seed: 0,
+    };
+    let text = render_edit_script(&script);
+    let (stdout, stderr, ok) = run_with_stdin(
+        &[
+            "dynamic",
+            "--edits",
+            "-",
+            "--algorithm",
+            "howard",
+            "--threads",
+            "1",
+        ],
+        &text,
+    );
+    assert!(ok, "{stderr}");
+    let mut opts = SolveOptions::new().threads(1);
+    opts.epsilon = None;
+    let mut solver = DynamicSolver::new(
+        &script.base_graph(),
+        SolveSpec::mean(Algorithm::Howard),
+        opts,
+    );
+    let mut outcomes = vec![solver.solve().expect("solves")];
+    for batch in &script.batches {
+        outcomes.push(solver.apply(batch).expect("applies"));
+    }
+    for (i, outcome) in outcomes.iter().enumerate() {
+        let sol = outcome.solution.as_ref().expect("cyclic");
+        let line = format!(
+            "batch {i}: lambda = {} (~ {:.6}) [{}; {} cached, {} solved]",
+            sol.lambda,
+            sol.lambda.to_f64(),
+            outcome.mode.name(),
+            outcome.cache_hits,
+            outcome.cache_misses
+        );
+        assert!(stdout.contains(&line), "missing `{line}` in:\n{stdout}");
+    }
+    assert_eq!(
+        outcomes[1].cache_misses, 2,
+        "the moved precision re-keys both rings"
+    );
+    let last = outcomes[2].solution.as_ref().expect("cyclic");
+    let Guarantee::Epsilon(e) = last.guarantee else {
+        panic!("howard is approximate");
+    };
+    assert!(
+        stdout.contains(&format!("guarantee: within {e} of the optimum")),
+        "{stdout}"
+    );
+}

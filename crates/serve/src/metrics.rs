@@ -109,6 +109,14 @@ metrics_struct! {
     /// Edit batches applied to cached instances (the `edit` op settled
     /// `ok`; each one also invalidated the instance's cached plans).
     edit_applied => "serve.edit.applied",
+    /// Solve requests answered from the cached instance's store of
+    /// certified answers: the same question was answered before, so no
+    /// solve ran.
+    answer_hit => "serve.answer.hit",
+    /// Solve requests that reached the solver: the question is new to
+    /// the instance (since it was cached or last edited), its earlier
+    /// answer was an error, or caching is off.
+    answer_miss => "serve.answer.miss",
 }
 
 impl Metrics {
@@ -149,6 +157,36 @@ mod tests {
             }
         }
         assert!(saw_hit);
+    }
+
+    #[test]
+    fn the_schema_manifest_lists_every_counter_in_render_order() {
+        let manifest = include_str!("../../../schemas/mcr-metrics-v1.txt");
+        let declared: Vec<&str> = manifest
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("serve."))
+            .collect();
+        assert_eq!(declared, Metrics::NAMES);
+    }
+
+    #[test]
+    fn answer_store_counters_are_registered() {
+        let m = Metrics::default();
+        Metrics::bump(&m.answer_hit);
+        Metrics::bump(&m.answer_miss);
+        Metrics::bump(&m.answer_miss);
+        assert_eq!(m.value("serve.answer.hit"), Some(1));
+        assert_eq!(m.value("serve.answer.miss"), Some(2));
+        let text = m.render();
+        assert!(
+            text.contains("\"name\":\"serve.answer.hit\",\"value\":1}"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\"name\":\"serve.answer.miss\",\"value\":2}"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -25,6 +25,15 @@
 //! to the journal directory between slices so a crash loses at most
 //! one slice of progress.
 //!
+//! A question the cached instance has already answered skips the
+//! solve: the cache entry keeps its certified answers keyed by
+//! [`cache::Question`] (everything in the request that reaches the
+//! solver, not the id or the deadline). The lookup runs after the
+//! deadline check and the `serve.worker.solve` failpoint; the answer is
+//! certified and rendered as a fresh one would be, so the response
+//! bytes are a fresh solve's. Errors are never stored, and an `edit`
+//! empties the store (see [`GraphCache::remember`]).
+//!
 //! # Restart
 //!
 //! [`serve`] replays the journal before accepting connections:
@@ -59,7 +68,7 @@
 //! work is left journaled for the next start, which is the crash-
 //! recovery path the restart tests pin.
 
-use crate::cache::{self, GraphCache, Resolved};
+use crate::cache::{self, GraphCache, Question, Resolved};
 use crate::chaos;
 use crate::frame;
 use crate::guard::RequestGuard;
@@ -595,9 +604,9 @@ fn handle_edit(
     opts.epsilon = job.epsilon;
     // The solver answers one fixed question; reuse it only for the
     // exact same one (see GraphCache::take_dynamic).
-    let key = format!("{:?}|{:?}|{}", job.spec, job.epsilon, job.threads);
+    let question = Question::edit(job);
     let mut cache = lock(&shared.cache);
-    let reused = cache.take_dynamic(hash, &key);
+    let reused = cache.take_dynamic(hash, &question);
     drop(cache);
     let mut solver = match reused {
         Some(s) => s,
@@ -607,7 +616,7 @@ fn handle_edit(
     // Commit whatever state the solver ended in: a rejected batch left
     // the graph untouched, a failed solve still committed its edits.
     let mutated = Arc::new(solver.current_graph());
-    lock(&shared.cache).commit_edit(hash, &key, mutated, solver);
+    lock(&shared.cache).commit_edit(hash, question, mutated, solver);
     match result {
         Ok(outcome) => {
             Metrics::bump(&shared.metrics.edit_applied);
@@ -738,9 +747,13 @@ fn handle_admit(
         reply: Some(Arc::clone(reply)),
         frame_len,
     });
-    drop(q);
+    // Mark and count the request before a worker can pop it: a worker
+    // that answered first (a stored answer takes microseconds) would
+    // leave the id in flight for good, and a client could read the
+    // counters before its own admission was counted.
     lock(&shared.inflight).insert(id);
     Metrics::bump(&shared.metrics.accepted);
+    drop(q);
     shared.cond.notify_one();
     Flow::Continue
 }
@@ -810,8 +823,8 @@ fn finish(
     lock(&shared.inflight).remove(&id);
 }
 
-/// The worker-side handler: deadline re-check, graph resolution,
-/// (sliced) solve, certification, response.
+/// The worker-side handler: deadline re-check, graph resolution, the
+/// answer store or a (sliced) solve, certification, response.
 fn handle_dequeued(shared: &Shared, job: QueuedJob) {
     let QueuedJob {
         id,
@@ -862,21 +875,50 @@ fn handle_dequeued(shared: &Shared, job: QueuedJob) {
         finish(shared, id, &reply, SolveStatus::BudgetExhausted, resp, None);
         return;
     }
-    let mut opts = SolveOptions::new().threads(solve.threads).budget(budget);
-    opts.epsilon = solve.epsilon;
-    if let Some(fallback) = solve.fallback {
-        opts.fallback = fallback;
-    }
-    if let Some(ms) = solve.deadline_ms {
-        opts.deadline = Some(accepted_at + Duration::from_millis(ms));
-    }
-    opts.plan = resolved.plan.clone();
+    let question = Question::solve(&solve);
+    let cache = lock(&shared.cache);
+    let stored = cache.answer(resolved.hash, &resolved.graph, &question);
+    drop(cache);
+    let hit = stored.is_some();
+    let outcome = match stored {
+        Some(answer) => {
+            Metrics::bump(&shared.metrics.answer_hit);
+            // A recovered request's solve would have consumed the
+            // checkpoint its previous process left.
+            if let (None, Some(journal)) = (&reply, &shared.journal) {
+                journal.clear_checkpoint(id);
+            }
+            Ok(answer)
+        }
+        None => {
+            Metrics::bump(&shared.metrics.answer_miss);
+            let mut opts = SolveOptions::new().threads(solve.threads).budget(budget);
+            opts.epsilon = solve.epsilon;
+            if let Some(fallback) = solve.fallback {
+                opts.fallback = fallback;
+            }
+            if let Some(ms) = solve.deadline_ms {
+                opts.deadline = Some(accepted_at + Duration::from_millis(ms));
+            }
+            opts.plan = resolved.plan.clone();
+            solve_one(shared, id, &resolved.graph, &solve, &opts).map(|sol| sol.map(Arc::new))
+        }
+    };
+    // Store a fresh answer before the response goes out, so a repeat
+    // sent after reading it finds the answer. An edit that replaced the
+    // graph meanwhile makes the store drop it.
+    let keep = |answer: cache::Answer| {
+        if !hit {
+            lock(&shared.cache).remember(resolved.hash, &resolved.graph, question, answer);
+        }
+    };
     let hash = Some(resolved.hash);
-    match solve_one(shared, id, &resolved.graph, &solve, &opts) {
+    match outcome {
         Ok(Some(sol)) => match certify(&sol, &resolved.graph) {
             Ok(()) => {
                 let lambda = sol.lambda.to_string();
                 let resp = protocol::resp_solution(id, hash, &sol);
+                keep(Some(sol));
                 finish(shared, id, &reply, SolveStatus::Ok, resp, Some(lambda));
             }
             Err(e) => {
@@ -890,6 +932,7 @@ fn handle_dequeued(shared: &Shared, job: QueuedJob) {
             }
         },
         Ok(None) => {
+            keep(None);
             let resp = protocol::resp_acyclic(id, hash);
             finish(shared, id, &reply, SolveStatus::Ok, resp, None);
         }

@@ -215,3 +215,60 @@ fn finished_journal_entries_are_not_rerun() {
     b.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_recovered_request_answered_from_the_store_drops_its_checkpoint() {
+    let dir = tmpdir("stored");
+    let graph = graph_text(24, 9);
+    let g = mcr_graph::io::read_dimacs(&mut graph.as_bytes()).expect("parse");
+    let store = CheckpointStore::new();
+    let mut opts = SolveOptions::new().budget(Budget::UNLIMITED.max_iterations(1));
+    opts.fallback = FallbackChain::NONE;
+    opts.checkpoints = Some(store.clone());
+    solve_spec(
+        &g,
+        &SolveSpec::mean(mcr_core::Algorithm::HowardExact),
+        &opts,
+    )
+    .expect_err("one iteration must not converge on this instance");
+    // Two admitted requests ask the same question; the second also left
+    // a partial checkpoint behind.
+    let a = start(0, &dir);
+    let mut sink = Vec::new();
+    mcr_serve::client::replay(
+        &a.local_addr().to_string(),
+        &[solve_req(5, &graph), solve_req(6, &graph)],
+        true,
+        &mut sink,
+    )
+    .expect("replay");
+    wait_for("admissions journaled", || {
+        a.metric("serve.requests.accepted") == Some(2)
+    });
+    a.shutdown();
+    let journal = Journal::open(&dir).expect("open");
+    journal
+        .save_checkpoint(6, &store.snapshot().to_text())
+        .expect("plant ckpt");
+    drop(journal);
+    // One worker settles 5 first (a fresh solve) and answers 6 from the
+    // store, which must not leave 6's checkpoint for a later request
+    // reusing the id to resume from.
+    let b = start(1, &dir);
+    wait_for("recovered requests settle", || {
+        recovered_lines(&dir).len() == 2
+    });
+    assert_eq!(b.metric("serve.answer.miss"), Some(1));
+    assert_eq!(b.metric("serve.answer.hit"), Some(1));
+    assert_eq!(b.metric("serve.solve.resumed"), Some(0));
+    for line in recovered_lines(&dir) {
+        assert_eq!(field(&line, "status"), "ok");
+        assert_eq!(field(&line, "lambda"), direct_lambda(&graph));
+    }
+    assert!(
+        !dir.join("ckpt-6.txt").exists(),
+        "the stored answer consumed the checkpoint"
+    );
+    b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

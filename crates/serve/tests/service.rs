@@ -581,3 +581,249 @@ fn replay_client_drives_the_golden_log_end_to_end() {
     assert!(parses <= 4, "at most one parse per pool instance: {parses}");
     handle.shutdown();
 }
+
+/// One connection that sends a request and reads its response before
+/// the next, keeping every response's raw bytes.
+struct Conn {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Conn {
+    fn open(handle: &ServerHandle) -> Conn {
+        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        // One small frame per call: without this, Nagle's algorithm
+        // and the daemon's delayed ACK add ~40 ms to every round trip.
+        stream.set_nodelay(true).expect("nodelay");
+        Conn {
+            writer: stream.try_clone().expect("clone"),
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn call(&mut self, request: &str) -> String {
+        write_frame(&mut self.writer, request.as_bytes()).expect("send");
+        let payload = read_frame(&mut self.reader)
+            .expect("read")
+            .expect("response frame");
+        String::from_utf8(payload).expect("utf8")
+    }
+}
+
+fn lambda_of(response: &str) -> String {
+    let v = json::parse(response).expect("json");
+    v.get("lambda")
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("no lambda in {response}"))
+        .to_string()
+}
+
+fn by_hash(id: u64, hash: &str, extra: &str) -> String {
+    format!(
+        "{{\"schema\":\"mcr-req v1\",\"id\":{id},\"op\":\"solve\",\"graph_hash\":\"{hash}\"{extra}}}"
+    )
+}
+
+#[test]
+fn a_repeated_question_is_answered_from_the_store_with_the_same_bytes() {
+    let text = graph_text(12, 5);
+    let ratio_text = "p mcr 3 4\na 1 2 4 2\na 2 3 1 1\na 3 1 2 3\na 2 1 7 1\n";
+    let acyclic_text = "p mcr 3 2\na 1 2 4\na 2 3 1\n";
+    let questions = [
+        solve_req(0, &text, ""),
+        solve_req(0, &text, ",\"algorithm\":\"karp\""),
+        solve_req(0, &text, ",\"algorithm\":\"lawler\",\"epsilon\":1e-7"),
+        solve_req(0, &text, ",\"maximize\":true"),
+        solve_req(
+            0,
+            ratio_text,
+            ",\"objective\":\"ratio\",\"algorithm\":\"yto\"",
+        ),
+        solve_req(0, acyclic_text, ""),
+    ];
+    let handle = start(quiet());
+    let mut conn = Conn::open(&handle);
+    let mut id = 0;
+    let mut ask = |template: &str| {
+        id += 1;
+        let request = template.replacen("\"id\":0,", &format!("\"id\":{id},"), 1);
+        (id, conn.call(&request))
+    };
+    for q in &questions {
+        let (first_id, first) = ask(q);
+        let misses = handle.metric("serve.answer.miss");
+        let hits = handle.metric("serve.answer.hit").expect("registered");
+        // Again, now with a deadline, which is not part of the question.
+        let (again_id, again) = ask(&q.replacen("}", ",\"deadline_ms\":60000}", 1));
+        assert_eq!(
+            status_of(&json::parse(&again).expect("json")).0,
+            "ok",
+            "{again}"
+        );
+        assert_eq!(
+            first.replacen(
+                &format!("\"id\":{first_id},"),
+                &format!("\"id\":{again_id},"),
+                1
+            ),
+            again,
+            "a stored answer must render as the fresh solve did"
+        );
+        assert_eq!(handle.metric("serve.answer.hit"), Some(hits + 1), "{q}");
+        assert_eq!(handle.metric("serve.answer.miss"), misses, "{q}");
+    }
+    assert_eq!(
+        handle.metric("serve.answer.miss"),
+        Some(questions.len() as u64)
+    );
+    // A question differing only in its budget is a new question.
+    let (_, limited) = ask(&questions[0].replacen("}", ",\"budget\":\"iters=1000\"}", 1));
+    assert_eq!(lambda_of(&limited), lambda_of(&ask(&questions[0]).1));
+    assert_eq!(
+        handle.metric("serve.answer.miss"),
+        Some(questions.len() as u64 + 1)
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_solve_after_a_lambda_changing_edit_sees_the_edited_graph() {
+    // A 2-ring 1 -> 2 -> 1 with weights 6 and 0 (mean 3) and a 3-ring
+    // of weight 9 each.
+    let text = "p mcr 5 5\na 1 2 6\na 2 1 0\na 3 4 9\na 4 5 9\na 5 3 9\n";
+    let hash = protocol::format_hash(mcr_serve::cache::fnv1a(text));
+    let handle = start(quiet());
+    let mut conn = Conn::open(&handle);
+    assert_eq!(lambda_of(&conn.call(&solve_req(1, text, ""))), "3");
+    assert_eq!(lambda_of(&conn.call(&by_hash(2, &hash, ""))), "3");
+    let karp = ",\"algorithm\":\"karp\"";
+    assert_eq!(lambda_of(&conn.call(&by_hash(3, &hash, karp))), "3");
+    assert_eq!(handle.metric("serve.answer.hit"), Some(1));
+    let edit = format!(
+        "{{\"schema\":\"mcr-req v1\",\"id\":4,\"op\":\"edit\",\"graph_hash\":\"{hash}\",\
+         \"edits\":[{{\"op\":\"reweight\",\"arc\":0,\"weight\":20}}]}}"
+    );
+    assert_eq!(lambda_of(&conn.call(&edit)), "9");
+    // Both questions asked before the edit are answered anew.
+    assert_eq!(lambda_of(&conn.call(&by_hash(5, &hash, ""))), "9");
+    assert_eq!(lambda_of(&conn.call(&by_hash(6, &hash, karp))), "9");
+    assert_eq!(handle.metric("serve.answer.hit"), Some(1));
+    assert_eq!(handle.metric("serve.answer.miss"), Some(4));
+    assert_eq!(lambda_of(&conn.call(&by_hash(7, &hash, karp))), "9");
+    assert_eq!(handle.metric("serve.answer.hit"), Some(2));
+    handle.shutdown();
+}
+
+#[test]
+fn failed_and_cancelled_lines_answer_the_same_on_every_resend() {
+    // The golden log ends with a `deadline_ms: 0` line (cancelled at
+    // dequeue) and a one-refinement Lawler-exact line without fallback
+    // (budget-exhausted). Errors are never stored, so every replay
+    // solves those again and must answer as the first replay did.
+    let log = request_log(&RequestLogConfig::new(12).seed(42));
+    let lines: Vec<&str> = log.lines().collect();
+    let handle = start(serial());
+    let mut conn = Conn::open(&handle);
+    let replay = |conn: &mut Conn| -> Vec<String> { lines.iter().map(|l| conn.call(l)).collect() };
+    let first = replay(&mut conn);
+    let statuses: Vec<String> = first
+        .iter()
+        .map(|r| status_of(&json::parse(r).expect("json")).0.to_string())
+        .collect();
+    assert_eq!(statuses[10], "cancelled", "{}", first[10]);
+    assert_eq!(statuses[11], "budget-exhausted", "{}", first[11]);
+    let miss_after_first = handle.metric("serve.answer.miss").expect("registered");
+    for round in 2..=3 {
+        assert_eq!(replay(&mut conn), first, "replay {round}");
+    }
+    // Each replay solves only the failed line again; the 10 ok lines
+    // (fewer distinct questions) all hit.
+    assert_eq!(
+        handle.metric("serve.answer.miss"),
+        Some(miss_after_first + 2)
+    );
+    assert_eq!(
+        handle.metric("serve.answer.hit").map(|h| h >= 20),
+        Some(true)
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_solve_sent_after_an_edit_response_never_sees_the_pre_edit_lambda() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+    // A 2-ring (arcs 0 and 1, weights 0) beside a 1000-node SPRAND
+    // component with positive weights. Edit k reweights arc 0 to -2k,
+    // so λ = -k names the last edit the answer saw.
+    let sprand = graph_text(1000, 13);
+    let (header, arcs) = sprand.split_once('\n').expect("header");
+    let counts: Vec<usize> = header
+        .split_whitespace()
+        .skip(2)
+        .map(|t| t.parse().expect("count"))
+        .collect();
+    let text = format!(
+        "p mcr {} {}\na {} {} 0\na {} {} 0\n{arcs}",
+        counts[0] + 2,
+        counts[1] + 2,
+        counts[0] + 1,
+        counts[0] + 2,
+        counts[0] + 2,
+        counts[0] + 1
+    );
+    let hash = protocol::format_hash(mcr_serve::cache::fnv1a(&text));
+    let handle = start(quiet());
+    let mut editor = Conn::open(&handle);
+    assert_eq!(lambda_of(&editor.call(&solve_req(1, &text, ""))), "0");
+    let edited = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(AtomicBool::new(false));
+    // Two connections keep both workers solving while the edits commit
+    // back to back. Each rotates over four questions (threads 1-4), so
+    // many solves miss the store and some straddle an edit's commit:
+    // the solves whose answer the store must then drop.
+    let solvers: Vec<_> = (1..=2u64)
+        .map(|t| {
+            let (edited, done, hash) = (Arc::clone(&edited), Arc::clone(&done), hash.clone());
+            let mut conn = Conn::open(&handle);
+            std::thread::spawn(move || {
+                let mut id = t * 1_000_000;
+                while !done.load(Ordering::SeqCst) {
+                    let seen = edited.load(Ordering::SeqCst);
+                    id += 1;
+                    let threads = format!(",\"threads\":{}", 1 + id % 4);
+                    let lambda: i64 = lambda_of(&conn.call(&by_hash(id, &hash, &threads)))
+                        .parse()
+                        .expect("integral λ");
+                    assert!(
+                        -lambda >= seen as i64,
+                        "solve {id} sent after edit {seen} answered λ = {lambda}"
+                    );
+                }
+            })
+        })
+        .collect();
+    for k in 1..=300u64 {
+        let edit = format!(
+            "{{\"schema\":\"mcr-req v1\",\"id\":{},\"op\":\"edit\",\"graph_hash\":\"{hash}\",\
+             \"edits\":[{{\"op\":\"reweight\",\"arc\":0,\"weight\":-{}}}]}}",
+            k + 1,
+            2 * k
+        );
+        assert_eq!(lambda_of(&editor.call(&edit)), format!("-{k}"));
+        edited.store(k, Ordering::SeqCst);
+    }
+    done.store(true, Ordering::SeqCst);
+    for solver in solvers {
+        solver.join().expect("no stale answer");
+    }
+    // The settled graph's answer is stored once asked.
+    let hits = handle.metric("serve.answer.hit").expect("registered");
+    assert_eq!(lambda_of(&editor.call(&by_hash(90, &hash, ""))), "-300");
+    assert_eq!(lambda_of(&editor.call(&by_hash(91, &hash, ""))), "-300");
+    assert!(handle.metric("serve.answer.hit") > Some(hits));
+    handle.shutdown();
+}

@@ -272,8 +272,10 @@ echo "=== serve drill: mcrd kill -9 crash recovery + golden replay ==="
 # request — the generator's tail makes the recovered statuses exact
 # (4 ok, 1 cancelled, 1 budget-exhausted). The restarted daemon then
 # serves the golden request log live, byte-identical to what
-# `mcr gen requests` emits, and exits 0 on a client-driven shutdown
-# with the recovery visible in its final metrics dump.
+# `mcr gen requests` emits, twice (the second replay answered the same,
+# its ok lines from the answer store), and exits 0 on a client-driven
+# shutdown with the recovery and the store hits visible in its final
+# metrics dump.
 MCRD=target/release/mcrd
 SERVE_TMP=/tmp/mcr_ci_serve
 rm -rf "$SERVE_TMP"
@@ -355,6 +357,19 @@ if [ "$oks" != 10 ]; then
     cat "$SERVE_TMP/client.err"
     exit 1
 fi
+# A second replay against the same daemon asks every question again:
+# the ok lines come from the per-graph answer store, the failed and
+# cancelled lines are solved again, and every response must equal the
+# first replay's.
+"$MCR" client --addr "$ADDR" \
+    --replay crates/serve/tests/data/golden_requests.jsonl \
+    > "$SERVE_TMP/resp2.jsonl" 2> "$SERVE_TMP/client2.err"
+sort "$SERVE_TMP/resp.jsonl" > "$SERVE_TMP/resp.sorted"
+sort "$SERVE_TMP/resp2.jsonl" > "$SERVE_TMP/resp2.sorted"
+if ! diff "$SERVE_TMP/resp.sorted" "$SERVE_TMP/resp2.sorted"; then
+    echo "FAIL: the second golden replay answered differently"
+    exit 1
+fi
 "$MCR" client --addr "$ADDR" --op shutdown > /dev/null
 wait "$MCRD_PID" || {
     echo "FAIL: mcrd exited non-zero after a clean shutdown"
@@ -366,6 +381,13 @@ grep '"name":"serve.journal.recovered"' "$SERVE_TMP/mcrd_b.out" \
     tail -20 "$SERVE_TMP/mcrd_b.out"
     exit 1
 }
+answer_hits=$(grep '"name":"serve.answer.hit"' "$SERVE_TMP/mcrd_b.out" \
+    | sed 's/.*"value":\([0-9]*\).*/\1/')
+if [ "${answer_hits:-0}" -le 0 ]; then
+    echo "FAIL: the second replay was not answered from the answer store:"
+    tail -25 "$SERVE_TMP/mcrd_b.out"
+    exit 1
+fi
 rm -rf "$SERVE_TMP"
 
 echo "=== fleet drill: two shards, kill -9 one mid-replay ==="
