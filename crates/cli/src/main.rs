@@ -458,18 +458,21 @@ fn cmd_solve(args: &Args, recorder: Option<Recorder>) -> Result<(), CliError> {
     }
 }
 
-/// One trajectory line per batch: exact λ (or acyclic) plus whether
-/// the incremental solver answered from its component cache. The line
-/// is thread-count-independent — λ by the bit-identity contract, the
+/// One trajectory line per batch: exact λ (or acyclic), whether the
+/// incremental solver answered from its component cache, and how it
+/// kept the component decomposition current. The line is
+/// thread-count-independent — λ by the bit-identity contract, the
 /// hit/miss split because component fingerprints do not depend on the
-/// driver schedule — which is what lets CI byte-compare 1-thread and
-/// 4-thread replays.
+/// driver schedule, the topology path because it depends on the edits
+/// alone — which is what lets CI byte-compare 1-thread and 4-thread
+/// replays.
 fn describe_batch(i: usize, outcome: &DynamicOutcome) {
     let provenance = format!(
-        "[{}; {} cached, {} solved]",
+        "[{}; {} cached, {} solved; topology {}]",
         outcome.mode.name(),
         outcome.cache_hits,
-        outcome.cache_misses
+        outcome.cache_misses,
+        outcome.topology.name()
     );
     match &outcome.solution {
         Some(sol) => println!(
@@ -535,6 +538,7 @@ fn cmd_dynamic(args: &Args, recorder: Option<Recorder>) -> Result<(), CliError> 
         last = solver.apply(batch)?;
         describe_batch(i + 1, &last);
     }
+    println!("whole-graph Tarjan runs: {}", solver.tarjan_runs());
     match last.solution {
         None => {
             println!("final graph is acyclic: no cycle mean/ratio");

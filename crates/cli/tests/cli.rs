@@ -403,15 +403,17 @@ fn dynamic_rederives_the_default_precision_like_the_library() {
     for (i, outcome) in outcomes.iter().enumerate() {
         let sol = outcome.solution.as_ref().expect("cyclic");
         let line = format!(
-            "batch {i}: lambda = {} (~ {:.6}) [{}; {} cached, {} solved]",
+            "batch {i}: lambda = {} (~ {:.6}) [{}; {} cached, {} solved; topology {}]",
             sol.lambda,
             sol.lambda.to_f64(),
             outcome.mode.name(),
             outcome.cache_hits,
-            outcome.cache_misses
+            outcome.cache_misses,
+            outcome.topology.name()
         );
         assert!(stdout.contains(&line), "missing `{line}` in:\n{stdout}");
     }
+    assert!(stdout.contains("whole-graph Tarjan runs: 1\n"), "{stdout}");
     assert_eq!(
         outcomes[1].cache_misses, 2,
         "the moved precision re-keys both rings"

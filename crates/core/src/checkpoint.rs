@@ -10,7 +10,7 @@
 //! # What is saved
 //!
 //! Progress is keyed by the component's **job index** — its position in
-//! the driver's Tarjan-ordered job list — which is a pure function of
+//! the driver's canonically ordered job list — which is a pure function of
 //! the input graph, independent of thread count and scheduling. Per
 //! attempt the save is the algorithm's full cross-iteration state:
 //!
@@ -32,7 +32,7 @@
 //! # File format
 //!
 //! [`Checkpoint::to_text`] / [`Checkpoint::from_text`] give a versioned,
-//! line-oriented text encoding ("`mcr-checkpoint v1`" header, one
+//! line-oriented text encoding ("`mcr-checkpoint v2`" header, one
 //! `job …` line per saved component) used by the CLI and usable
 //! without any serialization framework.
 
@@ -48,8 +48,11 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// Version tag written in the checkpoint header; bumped on any
-/// incompatible format change.
-pub const FORMAT_VERSION: u32 = 1;
+/// incompatible format change. Version 2 keys jobs by canonical job
+/// order (by smallest node); version 1 keyed them by Tarjan's emission
+/// order, so a version 1 file would resume progress into the wrong
+/// components and is refused.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Cross-iteration state of one interrupted per-SCC solve attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,8 +91,8 @@ pub struct JobEntry {
 }
 
 /// A point-in-time snapshot of saved solve progress, keyed by job
-/// index (the component's position in the driver's deterministic
-/// Tarjan-ordered job list).
+/// index (the component's position in the driver's canonical job
+/// order).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Saved progress per job index.
@@ -221,7 +224,10 @@ impl Checkpoint {
                     .strip_prefix("mcr-checkpoint v")
                     .and_then(|v| v.parse::<u32>().ok())
                     .ok_or_else(|| {
-                        CheckpointError::new(lineno, "expected header `mcr-checkpoint v1`")
+                        CheckpointError::new(
+                            lineno,
+                            format!("expected header `mcr-checkpoint v{FORMAT_VERSION}`"),
+                        )
                     })?;
                 if version != FORMAT_VERSION {
                     return Err(CheckpointError::new(
@@ -446,14 +452,25 @@ mod tests {
     fn text_roundtrip_is_lossless() {
         let ckpt = sample();
         let text = ckpt.to_text();
-        assert!(text.starts_with("mcr-checkpoint v1\n"), "{text}");
+        assert!(text.starts_with("mcr-checkpoint v2\n"), "{text}");
         let back = Checkpoint::from_text(&text).expect("parse");
         assert_eq!(back, ckpt);
     }
 
     #[test]
+    fn a_version_1_checkpoint_is_refused_with_a_typed_error() {
+        // Version 1 keyed jobs by Tarjan order; resuming it under
+        // canonical job order could hand one component's progress to
+        // another.
+        let err = Checkpoint::from_text("mcr-checkpoint v1\njob 0 Karp interval 0/1 5/1\n")
+            .expect_err("version 1 is refused");
+        assert_eq!(err.line(), 1);
+        assert_eq!(err.message(), "unsupported checkpoint version 1");
+    }
+
+    #[test]
     fn comments_and_blanks_are_ignored() {
-        let text = "# a comment\n\nmcr-checkpoint v1\n# another\njob 1 Karp interval 0/1 5/1\n";
+        let text = "# a comment\n\nmcr-checkpoint v2\n# another\njob 1 Karp interval 0/1 5/1\n";
         let ckpt = Checkpoint::from_text(text).expect("parse");
         assert_eq!(ckpt.jobs.len(), 1);
         assert_eq!(ckpt.jobs[&1].algorithm, Algorithm::Karp);
@@ -465,13 +482,13 @@ mod tests {
             ("", "missing", 0),
             ("nonsense\n", "header", 1),
             ("mcr-checkpoint v99\n", "version", 1),
-            ("mcr-checkpoint v1\nblob 0 Karp interval 0 1\n", "job", 2),
-            ("mcr-checkpoint v1\njob x Karp interval 0 1\n", "job index", 2),
-            ("mcr-checkpoint v1\njob 0 Nope interval 0 1\n", "algorithm", 2),
-            ("mcr-checkpoint v1\njob 0 Karp wat 0 1\n", "kind", 2),
-            ("mcr-checkpoint v1\njob 0 Karp interval 1/0 2\n", "denominator", 2),
+            ("mcr-checkpoint v2\nblob 0 Karp interval 0 1\n", "job", 2),
+            ("mcr-checkpoint v2\njob x Karp interval 0 1\n", "job index", 2),
+            ("mcr-checkpoint v2\njob 0 Nope interval 0 1\n", "algorithm", 2),
+            ("mcr-checkpoint v2\njob 0 Karp wat 0 1\n", "kind", 2),
+            ("mcr-checkpoint v2\njob 0 Karp interval 1/0 2\n", "denominator", 2),
             (
-                "mcr-checkpoint v1\njob 0 Howard howard 3 0 1 2\n",
+                "mcr-checkpoint v2\njob 0 Howard howard 3 0 1 2\n",
                 "declares",
                 2,
             ),

@@ -13,8 +13,8 @@
 //! on several worker threads ([`SolveOptions::threads`]). Determinism is
 //! preserved by construction, not by luck:
 //!
-//! * all cyclic components are extracted **up front**, in Tarjan's
-//!   (reverse topological) order, into an indexed job list;
+//! * all cyclic components are extracted **up front** into an indexed
+//!   job list, in canonical job order (below);
 //! * workers pull job indices from one shared atomic cursor and record
 //!   each outcome in the job's own result slot — scheduling affects only
 //!   *when* a job runs, never which result it produces (each job is
@@ -29,6 +29,18 @@
 //!
 //! Consequently `threads = 1` and `threads = N` return bit-identical
 //! [`Solution`]s.
+//!
+//! # Job order
+//!
+//! Jobs are sorted by each component's smallest node id, and each job's
+//! subgraph numbers the component's nodes in
+//! [`mcr_graph::scc::canonical_order`]. Both are functions of the graph
+//! alone, independent of where Tarjan's search happened to enter each
+//! component. Job order decides the tie-break between components with
+//! equal λ, which error is reported first, the order of per-job trace
+//! events and the checkpoint keys; because it is canonical,
+//! [`crate::DynamicSolver`] can keep it under edits by re-decomposing
+//! only the components an edit touches.
 //!
 //! Each component is solved by one sequential kernel on one worker, so
 //! the driver spawns at most one worker per component and a single
@@ -73,7 +85,7 @@ pub(crate) struct Job {
 }
 
 /// A pre-computed, shareable SCC decomposition of one specific graph:
-/// the driver's Tarjan-ordered job list, frozen behind an `Arc`.
+/// the driver's job list in canonical order, frozen behind an `Arc`.
 ///
 /// Attach it via [`crate::SolveOptions::plan`] to skip SCC extraction
 /// on repeated solves of the **same** graph (the `mcrd` daemon's graph
@@ -143,13 +155,13 @@ fn plan_or_extract(g: &Graph, opts: &SolveOptions) -> Arc<Vec<Job>> {
 }
 
 /// Extracts every cyclic component of `g` as a standalone job, in
-/// component (reverse topological) order, reusing one translation table
-/// across extractions.
+/// canonical job order (by smallest node; see the module docs), reusing
+/// one translation table across extractions.
 pub(crate) fn extract_jobs(g: &Graph) -> Vec<Job> {
     let scc = SccDecomposition::new(g);
     let mut ex = SubgraphExtractor::new(g.num_nodes());
-    (0..scc.num_components())
-        .filter(|&c| scc.is_cyclic_component(g, c))
+    scc.cyclic_by_smallest_node(g)
+        .into_iter()
         .map(|c| {
             let (sub, arc_map) = ex.extract(g, scc.component(c));
             Job { sub, arc_map }
@@ -172,8 +184,8 @@ const PARALLEL_ARC_THRESHOLD: usize = 256;
 /// per worker, so the output is identical either way.
 ///
 /// `solve` receives the job's index as its first argument — a stable,
-/// scheduling-independent key (the component's position in Tarjan
-/// order) used for checkpoint/resume bookkeeping. Each job's span goes
+/// scheduling-independent key (the component's position in canonical
+/// job order) used for checkpoint/resume bookkeeping. Each job's span goes
 /// to `recorder`.
 fn run_jobs<R: Send>(
     jobs: &[Job],

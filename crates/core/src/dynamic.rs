@@ -16,36 +16,35 @@
 //! The solver therefore:
 //!
 //! 1. keeps the topology-derived state alive across batches: the CSR
-//!    graph (and its negated twin when maximizing), Tarjan's components
-//!    and depth-first forest (pre-order index `pre`, subtree end `end`,
-//!    a tree bit per arc), the cyclic component jobs, a host-arc →
-//!    component-arc map, and each component's fingerprint. The first
-//!    solve builds it in `O(n + m)`, exactly as a from-scratch solve
-//!    would. An insert or delete patches the CSR graph in place
-//!    ([`Graph::append_arc`], [`Graph::remove_arc`]; byte-equal to a
-//!    rebuild) and renumbers the arc maps, then asks whether a fresh
-//!    Tarjan run would give the same output — the same forest and the
-//!    same components:
-//!    * an insert `u → v` keeps it when `pre[v] < end[u]` (the arc,
-//!      scanned last at `u`, finds `v` already discovered) and `v`'s
-//!      component is `u`'s or an earlier one in Tarjan order (`v`
-//!      cannot reach `u`, so nothing merges);
-//!    * a delete of a non-tree arc keeps it between two components, and
-//!      inside component `C` when `u` still reaches `v` inside `C` (one
-//!      bounded search) and `C` keeps a cycle.
+//!    graph (and its negated twin when maximizing), the strongly
+//!    connected components (each named by its smallest node), a
+//!    topological order of them, the cyclic component jobs in the
+//!    driver's canonical job order (by smallest node, each job's nodes
+//!    in [`canonical_order`]), a host-arc → component-arc map, and each
+//!    component's fingerprint. The first solve builds it with one Tarjan
+//!    run over the whole graph, exactly as a from-scratch solve would;
+//!    no later batch runs one. An insert or delete patches the CSR graph
+//!    in place ([`Graph::append_arc`], [`Graph::remove_arc`]; byte-equal
+//!    to a rebuild) and renumbers the arc maps, then updates only the
+//!    components the arc can touch ([`TopologyPath`] names each case):
+//!    * a delete between two components changes nothing;
+//!    * a delete inside component `C` runs Tarjan on `C`'s job subgraph
+//!      alone. If `C` stays whole its job is extracted again; if it
+//!      splits, its pieces take `C`'s place in the order and its cyclic
+//!      pieces become jobs at their canonical places;
+//!    * an insert inside one component extracts that job again (a node
+//!      gaining its first self-loop becomes a job); an insert that the
+//!      order already respects changes nothing;
+//!    * an insert against the order searches forward from its head and
+//!      backward from its tail, visiting only components placed between
+//!      the two (Pearce–Kelly). The components both searches reach lie
+//!      on a path from head to tail and merge into one job; if there are
+//!      none, the two searches' components swap places locally.
 //!
-//!    A kept edit re-extracts only the job holding the arc. The first
-//!    edit of a batch that fails the test (including a self-loop on an
-//!    acyclic singleton) sends the rest of the batch down the rerun
-//!    path: Tarjan re-runs on the patched graph before the solve, and a
-//!    new cyclic component keeps its previous job — subgraph,
-//!    fingerprint and flags — when the previous job had exactly the same
-//!    node list and the batch edited (inserted, deleted, reweighted or
-//!    retimed) no arc with both endpoints inside it. Such a job is
-//!    byte-equal to a fresh extraction: its internal arcs are unchanged,
-//!    and deletes and appends keep their relative id order. Either way
-//!    job order, every subgraph and every fingerprint equal a
-//!    from-scratch build;
+//!    Because both job order and each job's node numbering depend on the
+//!    component's own arcs alone, the jobs, subgraphs and fingerprints
+//!    after every edit equal a from-scratch build; only the topological
+//!    order may differ from a fresh one, and it stays valid;
 //! 2. patches that state in place for a batch made only of
 //!    [`Edit::Reweight`] / [`Edit::Retime`]: each edit rewrites one arc
 //!    of the host graph and of its component's subgraph in
@@ -119,9 +118,8 @@ use crate::workspace::Workspace;
 pub use mcr_graph::edit::{ArcSpec, Edit};
 use mcr_graph::hash::{fnv1a_word, FNV1A_OFFSET};
 use mcr_graph::heap::HeapCounters;
-use mcr_graph::{
-    idx32, ArcId, DfsForest, Graph, GraphBuilder, NodeId, SccDecomposition, SubgraphExtractor,
-};
+use mcr_graph::scc::canonical_order;
+use mcr_graph::{idx32, ArcId, Graph, GraphBuilder, NodeId, SccDecomposition, SubgraphExtractor};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Whether a batch was answered from the component cache or by a full
@@ -158,6 +156,8 @@ pub struct DynamicOutcome {
     pub cache_hits: usize,
     /// Component jobs solved fresh this batch.
     pub cache_misses: usize,
+    /// How the batch kept the component decomposition current.
+    pub topology: TopologyPath,
 }
 
 /// The fingerprint cache's key: a job's fingerprint, with the precision
@@ -258,7 +258,8 @@ impl Cache {
 }
 
 /// One job's last successful result, kept next to its fingerprint until
-/// an edit, a new precision or a Tarjan run that drops the job stales it.
+/// an edit or a new precision stales it, or a split or merge drops the
+/// job.
 #[derive(Clone, Debug, PartialEq)]
 struct Kept {
     /// The cache entry holding the same result.
@@ -348,42 +349,94 @@ impl CounterSum {
     }
 }
 
-/// The `Split::owner` job slot of an arc outside every cyclic component.
+/// The `Split::owner` component of an arc outside every cyclic
+/// component.
 const NO_JOB: u32 = u32::MAX;
 
+/// How a batch kept the component decomposition current, from no change
+/// to a build from the arc list. A batch whose edits took several paths
+/// reports the one listed last here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TopologyPath {
+    /// No component changed: a weight-only batch, a delete between two
+    /// components, or an insert that respects the component order.
+    None,
+    /// An insert or delete inside one component that leaves its node set
+    /// as it was: that one job is extracted again (or dropped, when a
+    /// single node loses its last self-loop).
+    Reextract,
+    /// An insert against the component order that closes no cycle: the
+    /// components between its endpoints are reordered locally.
+    Reorder,
+    /// A delete that split a component: Tarjan ran on that component's
+    /// job subgraph alone.
+    Split,
+    /// An insert that closed a cycle: the components on the paths from
+    /// its head back to its tail merged into one.
+    Merge,
+    /// A build from the arc list: the first solve, or a fallback to a
+    /// full solve.
+    Full,
+}
+
+impl TopologyPath {
+    /// Stable name (`none`, `re-extract`, `reorder`, `local-split`,
+    /// `merge`, `full-build`), used by `mcr dynamic` and the
+    /// `dynamic.topology.*` counters.
+    pub fn name(self) -> &'static str {
+        match self {
+            TopologyPath::None => "none",
+            TopologyPath::Reextract => "re-extract",
+            TopologyPath::Reorder => "reorder",
+            TopologyPath::Split => "local-split",
+            TopologyPath::Merge => "merge",
+            TopologyPath::Full => "full-build",
+        }
+    }
+}
+
 /// The topology-derived state of the current graph (module docs, steps
-/// 1–2). Every edit patches it in place. After a topology batch whose
-/// edits all passed the DFS test it is again a function of the arc
-/// list; otherwise the next solve re-runs Tarjan first
-/// ([`Topo::settle`]).
+/// 1–2). Every edit patches it in place, and after every edit it is
+/// again the state a fresh build of the arc list would give, save the
+/// topological order of the components, which is only kept valid.
 #[derive(Debug)]
 struct Topo {
     /// The current graph, caller orientation.
     graph: Graph,
     /// `graph.negated()` when a maximizing spec solves per component.
     negated: Option<Graph>,
-    /// Tarjan's split of the solved orientation into component jobs;
-    /// `None` for a spec with no per-component route, which always
+    /// The component decomposition of the solved orientation and its
+    /// jobs; `None` for a spec with no per-component route, which always
     /// solves in full.
     split: Option<Split>,
 }
 
-/// One Tarjan run over the solved orientation, the component jobs taken
-/// from it, and each job's kept result.
+/// The strongly connected components of the solved orientation, a
+/// topological order of them, the component jobs in canonical order, and
+/// each job's kept result.
+///
+/// A component is named by its smallest node, its *id*. Each job holds
+/// its component's nodes in [`canonical_order`], so a job depends on its
+/// component's arcs alone, and jobs are sorted by id: both equal a fresh
+/// build's whatever the edits that led here.
 #[derive(Debug)]
 struct Split {
-    /// Tarjan's components, in emission order.
-    scc: SccDecomposition,
-    /// The depth-first forest of that run.
-    dfs: DfsForest,
-    /// The cyclic components, in Tarjan order.
+    /// Per node: the id of its component.
+    comp: Vec<u32>,
+    /// Per component id: its place in `order`.
+    pos: Vec<u32>,
+    /// Every component id, in a topological order of the condensation:
+    /// an arc between two components goes from the earlier to the later.
+    order: Vec<u32>,
+    /// The cyclic components' jobs, by id.
     jobs: Vec<Job>,
-    /// Per job: its component in `scc` (strictly increasing).
+    /// Per job: its component id (strictly increasing).
     job_comp: Vec<u32>,
-    /// Host arc → (job, local arc) for arcs inside a cyclic component,
-    /// `(NO_JOB, _)` for the rest. Job indices are below the node count,
-    /// so a `u32` holds them, and a build fills half the memory an
-    /// `Option<(usize, ArcId)>` table would take.
+    /// Per job: its component's nodes, node `i` of the job's subgraph
+    /// first.
+    members: Vec<Vec<NodeId>>,
+    /// Host arc → (component id, local arc) for arcs inside a cyclic
+    /// component, `(NO_JOB, _)` for the rest.
     owner: Vec<(u32, ArcId)>,
     /// Per job: the epsilon-free FNV-1a state of its subgraph.
     hashes: Vec<u64>,
@@ -393,11 +446,11 @@ struct Split {
     zero_transit: Vec<bool>,
     /// Per job: on `queue`.
     stale: Vec<bool>,
-    /// The jobs the next solve re-fingerprints and visits, in no order:
-    /// each patched, extracted or left without a kept result since the
-    /// last visit. Every other job holds a kept result for its current
-    /// bytes.
-    queue: Vec<usize>,
+    /// The ids of the jobs the next solve re-fingerprints and visits, in
+    /// no order: each patched, extracted or left without a kept result
+    /// since the last visit. Every other job holds a kept result for its
+    /// current bytes.
+    queue: Vec<u32>,
     /// Per job: its kept result, `None` while it is stale or its last
     /// solve failed (an error is never kept).
     kept: Vec<Option<Kept>>,
@@ -406,15 +459,22 @@ struct Split {
     /// The bits of the precision the kept keys fold in, `None` for a
     /// route that reads none.
     epsilon: Option<u64>,
-    /// Set by a topology edit the DFS test could not keep. From then on
-    /// `scc`, `dfs` and `job_comp` describe the graph before that edit,
-    /// later inserts and deletes only patch the graphs and keep `owner`
-    /// and the arc maps numbered, and Tarjan re-runs before the next
-    /// solve.
-    rerun: bool,
-    /// Translation table for re-extracting one job.
+    /// The ids of the jobs extracted since the batch began.
+    extracted: Vec<u32>,
+    /// The heaviest path the batch's edits took so far.
+    path: TopologyPath,
+    /// Translation table for extracting one job.
     ex: SubgraphExtractor,
+    /// Per component id: the searches' marks, zero outside a search.
+    seen: Vec<u8>,
 }
+
+/// A component reached by the forward search of an insert.
+const FORWARD: u8 = 1;
+/// A component reached by the backward search of an insert.
+const BACKWARD: u8 = 2;
+/// An `order` slot a merge emptied.
+const HOLE: u32 = u32::MAX;
 
 impl Topo {
     /// Builds the state of `arcs` from scratch: the CSR graph, then,
@@ -423,13 +483,8 @@ impl Topo {
     fn build(nodes: usize, arcs: &[ArcSpec], per_component: bool, maximize: bool) -> Topo {
         let graph = build_graph(nodes, arcs);
         let negated = (per_component && maximize).then(|| graph.negated());
-        let split = per_component.then(|| Split::build(negated.as_ref().unwrap_or(&graph), None).0);
+        let split = per_component.then(|| Split::build(negated.as_ref().unwrap_or(&graph)));
         Topo { graph, negated, split }
-    }
-
-    /// The orientation the components are solved in.
-    fn target(&self) -> &Graph {
-        self.negated.as_ref().unwrap_or(&self.graph)
     }
 
     /// Rewrites one arc's weight and transit in every graph that holds
@@ -445,106 +500,52 @@ impl Topo {
             None => weight,
         };
         let Some(split) = &mut self.split else { return };
-        let (job, local) = split.owner[arc];
-        if job != NO_JOB {
-            let j = job as usize;
+        let (c, local) = split.owner[arc];
+        if let Some(j) = split.job_of(c) {
             split.jobs[j].sub.set_arc_values(local, solved_weight, transit);
             split.mark(j);
         }
     }
 
-    /// Appends an arc to every graph in place. An arc appended last in
-    /// `src`'s out-list is scanned once every node with `pre < end[src]`
-    /// has been discovered, so when `pre[dst] < end[src]` the depth-first
-    /// forest is unchanged; when `dst`'s component is also `src`'s or an
-    /// earlier one in Tarjan order, `dst` cannot reach `src` and nothing
-    /// merges. Then Tarjan's output is unchanged, and only the job that
-    /// gains the arc is re-extracted. Any other insert (or a self-loop
-    /// that makes an acyclic singleton cyclic) sets `rerun`.
-    fn append_arc(&mut self, src: usize, dst: usize, weight: i64, transit: i64) {
+    /// Appends an arc to every graph in place, then updates the
+    /// components ([`Split::insert_arc`]).
+    fn append_arc(&mut self, src: usize, dst: usize, weight: i64, transit: i64, cache: &mut Cache) {
         let (u, v) = (NodeId::new(src), NodeId::new(dst));
         self.graph.append_arc(u, v, weight, transit);
         if let Some(neg) = &mut self.negated {
             neg.append_arc(u, v, -weight, transit);
         }
         let Topo { graph, negated, split } = self;
-        let Some(split) = split else { return };
-        split.owner.push((NO_JOB, ArcId::new(0)));
-        split.dfs.tree.push(false);
-        if split.rerun {
-            return;
-        }
-        let (cu, cv) = (split.scc.component_of(u), split.scc.component_of(v));
-        if split.dfs.pre[dst] >= split.dfs.end[src] || cv > cu {
-            split.rerun = true;
-        } else if cu == cv {
-            match split.job_of_comp(cu) {
-                Some(j) => split.extract(negated.as_ref().unwrap_or(graph), j),
-                None => split.rerun = true,
-            }
+        if let Some(split) = split {
+            split.insert_arc(negated.as_ref().unwrap_or(graph), u, v, cache);
         }
     }
 
-    /// Removes an arc from every graph in place, and renumbers `owner`
-    /// and the arc maps. Deleting a non-tree arc leaves the depth-first
-    /// forest unchanged. Between two components it cannot change them
-    /// either; inside component `C` it splits nothing while `src` still
-    /// reaches `dst` inside `C` (one bounded search) and `C` keeps a
-    /// cycle. Then only the job that loses the arc is re-extracted. Any
-    /// other delete sets `rerun`.
-    fn remove_arc(&mut self, arc: usize) {
+    /// Removes an arc from every graph in place, renumbers the arc maps,
+    /// then updates the components ([`Split::delete_arc`]).
+    fn remove_arc(&mut self, arc: usize, cache: &mut Cache) {
         let id = ArcId::new(arc);
-        let (u, v) = (self.graph.source(id), self.graph.target(id));
         self.graph.remove_arc(id);
         if let Some(neg) = &mut self.negated {
             neg.remove_arc(id);
         }
         let Topo { graph, negated, split } = self;
-        let Some(split) = split else { return };
-        let (job, _) = split.owner.remove(arc);
-        let tree = split.dfs.tree.remove(arc);
-        for (host, &(j, local)) in split.owner.iter().enumerate().skip(arc) {
-            if j != NO_JOB {
-                split.jobs[j as usize].arc_map[local.index()] = ArcId::new(host);
-            }
-        }
-        if split.rerun || job == NO_JOB && !tree {
-            return;
-        }
-        let target = negated.as_ref().unwrap_or(graph);
-        let c = split.scc.component_of(u);
-        if tree
-            || !reaches_within(target, &split.scc, u, v)
-            || !split.scc.is_cyclic_component(target, c)
-        {
-            split.rerun = true;
-        } else {
-            split.extract(target, job as usize);
+        if let Some(split) = split {
+            split.delete_arc(negated.as_ref().unwrap_or(graph), arc, cache);
         }
     }
 
-    /// Ends a topology batch whose edited arcs had the endpoints
-    /// `touched`: re-runs Tarjan if an edit set `rerun`, moving over
-    /// every job the batch left unchanged, with its kept result, and
-    /// releasing the cache entries the dropped jobs named. Returns the
-    /// batch's `(reused, extracted)` split of the jobs and whether
-    /// Tarjan ran.
-    fn settle(&mut self, touched: &[(usize, usize)], cache: &mut Cache) -> ((usize, usize), bool) {
-        let Some(split) = self.split.take() else { return ((0, 0), false) };
-        if !split.rerun {
-            let changed = split.touched_jobs(touched).len();
-            let count = (split.jobs.len() - changed, changed);
-            self.split = Some(split);
-            return (count, false);
-        }
-        let mut prev = Previous::new(split, touched);
-        let (split, reused) = Split::build(self.target(), Some(&mut prev));
-        for kept in prev.prev.kept.into_iter().flatten() {
-            cache.release(kept.key);
-        }
-        let count = (reused, split.jobs.len() - reused);
-        self.split = Some(split);
-        (count, true)
+    /// Ends a topology batch: returns its `(reused, extracted)` split of
+    /// the jobs, where a job is extracted when the batch extracted it,
+    /// and the heaviest path its edits took.
+    fn settle(&mut self) -> ((usize, usize), TopologyPath) {
+        let Some(split) = &mut self.split else { return ((0, 0), TopologyPath::None) };
+        let mut ids = std::mem::take(&mut split.extracted);
+        ids.sort_unstable();
+        ids.dedup();
+        let extracted = ids.iter().filter(|&&c| split.job_of(c).is_some()).count();
+        let path = std::mem::replace(&mut split.path, TopologyPath::None);
+        ((split.jobs.len() - extracted, extracted), path)
     }
 
     /// Re-fingerprints (and, for the ratio objective, re-checks for a
@@ -553,7 +554,8 @@ impl Topo {
     fn refresh(&mut self, ratio: bool, cache: &mut Cache) {
         let Some(split) = &mut self.split else { return };
         let queue = std::mem::take(&mut split.queue);
-        for &j in &queue {
+        for &c in &queue {
+            let j = split.live_job(c);
             let sub = &split.jobs[j].sub;
             split.hashes[j] = fingerprint(sub);
             split.zero_transit[j] = ratio && crate::ratio::has_zero_transit_cycle(sub);
@@ -566,18 +568,18 @@ impl Topo {
 }
 
 impl Split {
-    /// Runs Tarjan on `target` and makes one job per cyclic component.
-    /// A component whose job `prev` can supply keeps that job's
-    /// subgraph, fingerprint, flags and kept result; every other one is
-    /// extracted and marked stale. Returns the split and the number of
-    /// jobs reused.
-    fn build(target: &Graph, mut prev: Option<&mut Previous>) -> (Split, usize) {
-        let (scc, dfs) = SccDecomposition::with_dfs(target);
+    /// Runs Tarjan on `target` (the only whole-graph run a solver makes
+    /// per build) and extracts one stale job per cyclic component.
+    fn build(target: &Graph) -> Split {
+        let scc = SccDecomposition::new(target);
+        let n = target.num_nodes();
         let mut split = Split {
-            scc,
-            dfs,
+            comp: vec![0; n],
+            pos: vec![0; n],
+            order: Vec::with_capacity(scc.num_components()),
             jobs: Vec::new(),
             job_comp: Vec::new(),
+            members: Vec::new(),
             owner: vec![(NO_JOB, ArcId::new(0)); target.num_arcs()],
             hashes: Vec::new(),
             zero_transit: Vec::new(),
@@ -585,79 +587,44 @@ impl Split {
             queue: Vec::new(),
             kept: Vec::new(),
             total: CounterSum::default(),
-            epsilon: prev.as_ref().and_then(|p| p.prev.epsilon),
-            rerun: false,
-            ex: SubgraphExtractor::new(target.num_nodes()),
+            epsilon: None,
+            extracted: Vec::new(),
+            path: TopologyPath::None,
+            ex: SubgraphExtractor::new(n),
+            seen: vec![0; n],
         };
-        let mut reused = 0;
-        for c in 0..split.scc.num_components() {
-            if !split.scc.is_cyclic_component(target, c) {
-                continue;
+        // Tarjan emits the components in reverse topological order, each
+        // ending with its smallest node.
+        for c in (0..scc.num_components()).rev() {
+            let nodes = scc.component(c);
+            let id = smallest(nodes);
+            for v in nodes {
+                split.comp[v.index()] = id;
             }
-            let nodes = split.scc.component(c);
-            let kept = match prev.as_mut().and_then(|p| p.take(nodes)) {
-                Some(kept) => {
-                    reused += 1;
-                    kept
-                }
-                None => {
-                    let (sub, arc_map) = split.ex.extract(target, nodes);
-                    KeptJob {
-                        job: Job { sub, arc_map },
-                        hash: 0,
-                        zero_transit: false,
-                        stale: true,
-                        kept: None,
-                    }
-                }
-            };
-            let j = split.jobs.len();
-            if kept.stale {
-                split.queue.push(j);
-            }
-            if let Some(k) = &kept.kept {
-                split.total.add(&k.counters);
-            }
-            split.job_comp.push(idx32(c));
-            split.jobs.push(kept.job);
-            split.hashes.push(kept.hash);
-            split.zero_transit.push(kept.zero_transit);
-            split.stale.push(kept.stale);
-            split.kept.push(kept.kept);
+            split.pos[id as usize] = idx32(split.order.len());
+            split.order.push(id);
         }
-        for (j, job) in split.jobs.iter().enumerate() {
-            for (local, host) in job.arc_map.iter().enumerate() {
-                split.owner[host.index()] = (idx32(j), ArcId::new(local));
-            }
+        for c in scc.cyclic_by_smallest_node(target) {
+            split.insert_job(target, scc.component(c).to_vec());
         }
-        (split, reused)
+        split.extracted.clear();
+        split
     }
 
     /// The job of component `c`, if `c` is cyclic.
-    fn job_of_comp(&self, c: usize) -> Option<usize> {
-        self.job_comp.binary_search(&idx32(c)).ok()
+    fn job_of(&self, c: u32) -> Option<usize> {
+        self.job_comp.binary_search(&c).ok()
     }
 
-    /// The jobs holding both endpoints of a pair in `pairs`, ascending.
-    fn touched_jobs(&self, pairs: &[(usize, usize)]) -> Vec<usize> {
-        let mut jobs: Vec<usize> = pairs
-            .iter()
-            .filter_map(|&(src, dst)| {
-                let c = self.scc.component_of(NodeId::new(src));
-                (c == self.scc.component_of(NodeId::new(dst)))
-                    .then(|| self.job_of_comp(c))
-                    .flatten()
-            })
-            .collect();
-        jobs.sort_unstable();
-        jobs.dedup();
-        jobs
+    /// The job of component `c`, which the caller knows is cyclic.
+    fn live_job(&self, c: u32) -> usize {
+        self.job_of(c).expect("a queued or owning component has a job")
     }
 
     /// Queues job `j` for the next solve.
     fn mark(&mut self, j: usize) {
         if !std::mem::replace(&mut self.stale[j], true) {
-            self.queue.push(j);
+            self.queue.push(self.job_comp[j]);
         }
     }
 
@@ -674,89 +641,261 @@ impl Split {
         old
     }
 
-    /// Re-extracts job `j` from `target`, its node list unchanged, and
-    /// marks it stale.
-    fn extract(&mut self, target: &Graph, j: usize) {
-        let (sub, arc_map) = self
-            .ex
-            .extract(target, self.scc.component(self.job_comp[j] as usize));
-        for (local, host) in arc_map.iter().enumerate() {
-            self.owner[host.index()] = (idx32(j), ArcId::new(local));
+    /// Points `owner` at job `j` for every arc of its subgraph.
+    fn own(&mut self, j: usize) {
+        let c = self.job_comp[j];
+        for (local, host) in self.jobs[j].arc_map.iter().enumerate() {
+            self.owner[host.index()] = (c, ArcId::new(local));
         }
+    }
+
+    /// Extracts job `j` again from `target`, its node set unchanged but
+    /// put back in canonical order (an arc edited inside the component
+    /// can move it), and marks it stale.
+    fn reextract(&mut self, target: &Graph, j: usize) {
+        canonical_order(target, &mut self.members[j]);
+        let (sub, arc_map) = self.ex.extract(target, &self.members[j]);
         self.jobs[j] = Job { sub, arc_map };
+        self.own(j);
         self.mark(j);
+        self.extracted.push(self.job_comp[j]);
     }
-}
 
-/// Whether `from` reaches `to` along arcs of `g` that stay inside
-/// `from`'s component of `scc`.
-fn reaches_within(g: &Graph, scc: &SccDecomposition, from: NodeId, to: NodeId) -> bool {
-    let c = scc.component_of(from);
-    let mut seen = vec![false; g.num_nodes()];
-    seen[from.index()] = true;
-    let mut stack = vec![from];
-    while let Some(x) = stack.pop() {
-        for (_, w) in g.out_neighbors(x) {
-            if w == to {
-                return true;
+    /// Adds a stale job for the cyclic component `nodes` (in canonical
+    /// order, so its id comes last), at its place in job order.
+    fn insert_job(&mut self, target: &Graph, nodes: Vec<NodeId>) {
+        let c = smallest(&nodes);
+        let j = self.job_comp.partition_point(|&d| d < c);
+        let (sub, arc_map) = self.ex.extract(target, &nodes);
+        self.jobs.insert(j, Job { sub, arc_map });
+        self.job_comp.insert(j, c);
+        self.members.insert(j, nodes);
+        self.hashes.insert(j, 0);
+        self.zero_transit.insert(j, false);
+        self.stale.insert(j, false);
+        self.kept.insert(j, None);
+        self.own(j);
+        self.mark(j);
+        self.extracted.push(c);
+    }
+
+    /// Drops job `j`, releasing its kept result and clearing the owner
+    /// of the arcs it still owns (a deleted arc's stale entry in its arc
+    /// map names some other arc). Returns its node list.
+    fn remove_job(&mut self, j: usize, cache: &mut Cache) -> Vec<NodeId> {
+        if let Some(old) = self.set_kept(j, None) {
+            cache.release(old.key);
+        }
+        let c = self.job_comp.remove(j);
+        if self.stale.remove(j) {
+            self.queue.retain(|&d| d != c);
+        }
+        for host in &self.jobs.remove(j).arc_map {
+            if let Some(owner) = self.owner.get_mut(host.index()).filter(|o| o.0 == c) {
+                *owner = (NO_JOB, ArcId::new(0));
             }
-            if !seen[w.index()] && scc.component_of(w) == c {
-                seen[w.index()] = true;
-                stack.push(w);
+        }
+        self.hashes.remove(j);
+        self.zero_transit.remove(j);
+        self.kept.remove(j);
+        self.members.remove(j)
+    }
+
+    /// Sets `pos` from `order` for every slot from `from` on.
+    fn renumber(&mut self, from: usize) {
+        for (i, &c) in self.order.iter().enumerate().skip(from) {
+            self.pos[c as usize] = idx32(i);
+        }
+    }
+
+    /// Records that the batch took `path`.
+    fn took(&mut self, path: TopologyPath) {
+        self.path = self.path.max(path);
+    }
+
+    /// Updates the components for the arc `u → v` just appended to
+    /// `target`. Inside one component it re-extracts that job (or makes
+    /// a job of a node that gains its first self-loop). Between two
+    /// components that the order already puts `u`'s first it changes
+    /// nothing. Otherwise it restores the order ([`Split::restore_order`]).
+    fn insert_arc(&mut self, target: &Graph, u: NodeId, v: NodeId, cache: &mut Cache) {
+        self.owner.push((NO_JOB, ArcId::new(0)));
+        let (cu, cv) = (self.comp[u.index()], self.comp[v.index()]);
+        if cu == cv {
+            match self.job_of(cu) {
+                Some(j) => self.reextract(target, j),
+                None => self.insert_job(target, vec![u]),
+            }
+            self.took(TopologyPath::Reextract);
+        } else if self.pos[cu as usize] > self.pos[cv as usize] {
+            self.restore_order(target, cu, cv, cache);
+        }
+    }
+
+    /// Restores the order after an arc from component `cu` to the earlier
+    /// component `cv` (Pearce–Kelly). A forward search from `cv` and a
+    /// backward search from `cu` visit only components placed between
+    /// the two. If the forward search reaches `cu`, the components both
+    /// searches reached are exactly those on a path from `cv` to `cu`:
+    /// they merge into one component, placed after every other component
+    /// the backward search reached and before every other one the
+    /// forward search reached. Otherwise the backward search's
+    /// components move before the forward search's, keeping their
+    /// relative orders, into the same set of slots.
+    fn restore_order(&mut self, target: &Graph, cu: u32, cv: u32, cache: &mut Cache) {
+        let (lo, hi) = (self.pos[cv as usize], self.pos[cu as usize]);
+        let forward = self.search(target, cv, FORWARD, lo..=hi);
+        let backward = self.search(target, cu, BACKWARD, lo..=hi);
+        let mut merged = Vec::new();
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        for &c in backward.iter().chain(&forward) {
+            match std::mem::take(&mut self.seen[c as usize]) {
+                BACKWARD => before.push(c),
+                FORWARD => after.push(c),
+                0 => {}
+                _ => merged.push(c),
             }
         }
-    }
-    from == to
-}
-
-/// One job of the previous split, moved into the new one.
-struct KeptJob {
-    job: Job,
-    hash: u64,
-    zero_transit: bool,
-    stale: bool,
-    kept: Option<Kept>,
-}
-
-/// The split before a Tarjan re-run, indexed for [`Split::build`]'s
-/// reuse test.
-struct Previous {
-    prev: Split,
-    /// Per previous job: whether an arc the batch edited has both
-    /// endpoints in it.
-    touched: Vec<bool>,
-}
-
-impl Previous {
-    fn new(prev: Split, pairs: &[(usize, usize)]) -> Previous {
-        let mut touched = vec![false; prev.jobs.len()];
-        for j in prev.touched_jobs(pairs) {
-            touched[j] = true;
+        let mut slots: Vec<u32> = before
+            .iter()
+            .chain(&after)
+            .chain(&merged)
+            .map(|&c| self.pos[c as usize])
+            .collect();
+        slots.sort_unstable();
+        before.sort_unstable_by_key(|&c| self.pos[c as usize]);
+        after.sort_unstable_by_key(|&c| self.pos[c as usize]);
+        let tail = slots.len() - after.len();
+        for (&slot, &c) in slots.iter().zip(&before).chain(slots[tail..].iter().zip(&after)) {
+            self.order[slot as usize] = c;
+            self.pos[c as usize] = slot;
         }
-        Previous { touched, prev }
+        if merged.is_empty() {
+            self.took(TopologyPath::Reorder);
+            return;
+        }
+        let mut nodes = Vec::new();
+        for &c in &merged {
+            match self.job_of(c) {
+                Some(j) => nodes.extend(self.remove_job(j, cache)),
+                None => nodes.push(NodeId::new(c as usize)),
+            }
+        }
+        canonical_order(target, &mut nodes);
+        let id = smallest(&nodes);
+        for v in &nodes {
+            self.comp[v.index()] = id;
+        }
+        let slot = slots[before.len()];
+        self.order[slot as usize] = id;
+        self.pos[id as usize] = slot;
+        for &hole in &slots[before.len() + 1..tail] {
+            self.order[hole as usize] = HOLE;
+        }
+        self.order.retain(|&c| c != HOLE);
+        self.renumber(slot as usize);
+        self.insert_job(target, nodes);
+        self.took(TopologyPath::Merge);
     }
 
-    /// The previous job of component `c` (a Tarjan node list of the new
-    /// graph), if it is byte-equal to a fresh extraction: it held `c`'s
-    /// first node, no edited arc lies inside it, and its node list is
-    /// `c` exactly. Then `c`'s internal arcs are the job's, unchanged,
-    /// in the same relative id order (deletes and appends keep it), and
-    /// the edits have kept its arc map numbered.
-    fn take(&mut self, c: &[NodeId]) -> Option<KeptJob> {
-        let prev = &mut self.prev;
-        let j = prev.job_of_comp(prev.scc.component_of(c[0]))?;
-        if self.touched[j] || prev.scc.component(prev.job_comp[j] as usize) != c {
-            return None;
+    /// Marks with `bit` and returns the components reachable from `from`
+    /// (`bit` is [`FORWARD`]) or reaching it ([`BACKWARD`]) through
+    /// components whose places lie in `within`.
+    fn search(
+        &mut self,
+        g: &Graph,
+        from: u32,
+        bit: u8,
+        within: std::ops::RangeInclusive<u32>,
+    ) -> Vec<u32> {
+        let Split { comp, pos, job_comp, members, seen, .. } = self;
+        seen[from as usize] |= bit;
+        let mut found = vec![from];
+        let mut next = 0;
+        while let Some(&c) = found.get(next) {
+            next += 1;
+            let single = [NodeId::new(c as usize)];
+            let nodes = match job_comp.binary_search(&c) {
+                Ok(j) => &members[j][..],
+                Err(_) => &single[..],
+            };
+            let mut visit = |w: NodeId| {
+                let d = comp[w.index()];
+                if seen[d as usize] & bit == 0 && within.contains(&pos[d as usize]) {
+                    seen[d as usize] |= bit;
+                    found.push(d);
+                }
+            };
+            for &x in nodes {
+                if bit == FORWARD {
+                    g.out_neighbors(x).for_each(|(_, w)| visit(w));
+                } else {
+                    g.in_neighbors(x).for_each(|(_, w)| visit(w));
+                }
+            }
         }
-        let empty = Job { sub: Graph::default(), arc_map: Vec::new() };
-        Some(KeptJob {
-            job: std::mem::replace(&mut prev.jobs[j], empty),
-            hash: prev.hashes[j],
-            zero_transit: prev.zero_transit[j],
-            stale: prev.stale[j],
-            kept: prev.kept[j].take(),
-        })
+        found
     }
+
+    /// Updates the components after host arc `arc` left `target`. Every
+    /// arc map is renumbered first. An arc between two components changes
+    /// nothing. Inside component `C`, Tarjan runs on `C`'s subgraph
+    /// alone: if it finds one component, the job is extracted again
+    /// (dropped if it lost its only cycle, a self-loop); otherwise `C`'s
+    /// pieces take `C`'s place in the order and its cyclic pieces become
+    /// jobs at their places in job order.
+    fn delete_arc(&mut self, target: &Graph, arc: usize, cache: &mut Cache) {
+        let (c, _) = self.owner.remove(arc);
+        for job in &mut self.jobs {
+            for host in &mut job.arc_map {
+                if host.index() > arc {
+                    *host = ArcId::new(host.index() - 1);
+                }
+            }
+        }
+        let Some(j) = self.job_of(c) else { return };
+        let (sub, _) = self.ex.extract(target, &self.members[j]);
+        let pieces = SccDecomposition::new(&sub);
+        if pieces.num_components() == 1 {
+            if pieces.is_cyclic_component(&sub, 0) {
+                self.reextract(target, j);
+            } else {
+                self.remove_job(j, cache);
+            }
+            self.took(TopologyPath::Reextract);
+            return;
+        }
+        let cyclic: Vec<bool> = (0..pieces.num_components())
+            .map(|p| pieces.is_cyclic_component(&sub, p))
+            .collect();
+        let old = self.remove_job(j, cache);
+        let at = self.pos[c as usize] as usize;
+        let mut ids = Vec::with_capacity(cyclic.len());
+        // Tarjan emits the pieces in reverse topological order.
+        for p in (0..cyclic.len()).rev() {
+            let mut nodes: Vec<NodeId> = pieces.component(p).iter().map(|l| old[l.index()]).collect();
+            if nodes.iter().min() != nodes.last() {
+                canonical_order(target, &mut nodes);
+            }
+            let id = smallest(&nodes);
+            for v in &nodes {
+                self.comp[v.index()] = id;
+            }
+            ids.push(id);
+            if cyclic[p] {
+                self.insert_job(target, nodes);
+            }
+        }
+        self.order.splice(at..=at, ids);
+        self.renumber(at);
+        self.took(TopologyPath::Split);
+    }
+}
+
+/// The id of a component whose nodes are in canonical order: its last,
+/// smallest node.
+fn smallest(nodes: &[NodeId]) -> u32 {
+    idx32(nodes.last().expect("a component has a node").index())
 }
 
 /// A persistent, incrementally updatable MCM/MCR solver.
@@ -791,7 +930,7 @@ pub struct DynamicSolver {
     topo: Option<Topo>,
     /// Jobs the most recent topology update reused and extracted.
     rebuild_jobs: (usize, usize),
-    /// Tarjan runs so far.
+    /// Whole-graph Tarjan runs so far.
     tarjan_runs: u64,
 }
 
@@ -859,11 +998,10 @@ impl DynamicSolver {
         self.rebuild_jobs
     }
 
-    /// How many times the solver has run Tarjan: once for each build
-    /// from the arc list (the first solve, a fallback to a full solve)
-    /// and once for each topology batch with an insert or delete that
-    /// could change the components. Every other topology batch keeps
-    /// Tarjan's output and patches its state in place.
+    /// How many times the solver has run Tarjan over the whole graph:
+    /// once for each build from the arc list (the first solve, a
+    /// fallback to a full solve). Inserts and deletes re-decompose only
+    /// the components they touch ([`DynamicOutcome::topology`]).
     pub fn tarjan_runs(&self) -> u64 {
         self.tarjan_runs
     }
@@ -977,11 +1115,8 @@ impl DynamicSolver {
     pub fn apply(&mut self, edits: &[Edit]) -> Result<DynamicOutcome, SpecError> {
         let weight_only =
             validate_edits(self.nodes, self.arcs.len(), edits).map_err(SpecError::Input)?;
-        // A topology batch records the endpoints of every arc it edits:
-        // the jobs holding both are the ones it changed.
-        let mut touched = Vec::new();
         for edit in edits {
-            let ends = match *edit {
+            match *edit {
                 Edit::InsertArc {
                     src,
                     dst,
@@ -995,16 +1130,14 @@ impl DynamicSolver {
                         transit,
                     });
                     if let Some(topo) = &mut self.topo {
-                        topo.append_arc(src, dst, weight, transit);
+                        topo.append_arc(src, dst, weight, transit, &mut self.cache);
                     }
-                    (src, dst)
                 }
                 Edit::DeleteArc { arc } => {
-                    let a = self.arcs.remove(arc);
+                    self.arcs.remove(arc);
                     if let Some(topo) = &mut self.topo {
-                        topo.remove_arc(arc);
+                        topo.remove_arc(arc, &mut self.cache);
                     }
-                    (a.src, a.dst)
                 }
                 Edit::Reweight { arc, weight } => {
                     self.set_arc_values(arc, weight, self.arcs[arc].transit)
@@ -1012,31 +1145,26 @@ impl DynamicSolver {
                 Edit::Retime { arc, transit } => {
                     self.set_arc_values(arc, self.arcs[arc].weight, transit)
                 }
-            };
-            if !weight_only {
-                touched.push(ends);
             }
         }
-        self.solve_batch(edits.len() as u64, (!weight_only).then_some(touched))
+        self.solve_batch(edits.len() as u64, !weight_only)
     }
 
     /// Writes one arc's new values, patching the topology state in
-    /// place when it is built. Returns the arc's endpoints.
-    fn set_arc_values(&mut self, arc: usize, weight: i64, transit: i64) -> (usize, usize) {
+    /// place when it is built.
+    fn set_arc_values(&mut self, arc: usize, weight: i64, transit: i64) {
         let a = &mut self.arcs[arc];
         a.weight = weight;
         a.transit = transit;
-        let ends = (a.src, a.dst);
         if let Some(topo) = &mut self.topo {
             topo.set_arc_values(arc, weight, transit);
         }
-        ends
     }
 
     /// Re-solves the current graph without editing it (the initial
     /// full solve, or a re-answer after an error).
     pub fn solve(&mut self) -> Result<DynamicOutcome, SpecError> {
-        self.solve_batch(0, None)
+        self.solve_batch(0, false)
     }
 
     /// Builds the topology state of the current arc list from scratch.
@@ -1053,14 +1181,9 @@ impl DynamicSolver {
         crate::obs::dynamic_rebuild(self.opts.recorder.as_ref(), split.0 as u64, split.1 as u64);
     }
 
-    /// Solves the state the batch's edits left behind. `touched` holds
-    /// the endpoints of every arc a topology batch edited, and is `None`
-    /// for a weight-only batch or a plain re-solve.
-    fn solve_batch(
-        &mut self,
-        edits: u64,
-        touched: Option<Vec<(usize, usize)>>,
-    ) -> Result<DynamicOutcome, SpecError> {
+    /// Solves the state the batch's edits left behind. `topology` is
+    /// whether the batch inserted or deleted an arc.
+    fn solve_batch(&mut self, edits: u64, topology: bool) -> Result<DynamicOutcome, SpecError> {
         self.epoch += 1;
         let recorder = self.opts.recorder.clone();
         let recorder = recorder.as_ref();
@@ -1073,19 +1196,18 @@ impl DynamicSolver {
             self.topo = None;
         }
         crate::chaos::pulse("core.dynamic.rebuild", recorder);
-        let mut rebuilt = false;
+        let mut path = TopologyPath::None;
         let mut topo = match self.topo.take() {
             Some(mut topo) => {
-                if let Some(touched) = &touched {
-                    let (split, rerun) = topo.settle(touched, &mut self.cache);
-                    self.tarjan_runs += u64::from(rerun);
+                if topology {
+                    let (split, taken) = topo.settle();
                     self.record_jobs(split);
-                    rebuilt = rerun;
+                    path = taken;
                 }
                 topo
             }
             None => {
-                rebuilt = true;
+                path = TopologyPath::Full;
                 self.rebuild()
             }
         };
@@ -1105,7 +1227,7 @@ impl DynamicSolver {
                 self.cache.clear();
                 let fresh = self.rebuild();
                 topo = self.topo.insert(fresh);
-                rebuilt = true;
+                path = TopologyPath::Full;
                 outcome = full_solve(&topo.graph, &self.spec, &self.opts)?;
                 if let Some(sol) = &outcome.solution {
                     certify(sol, &topo.graph).map_err(|e| {
@@ -1117,13 +1239,14 @@ impl DynamicSolver {
             }
         }
         self.cache.evict(self.epoch);
+        outcome.topology = path;
         crate::obs::dynamic_solve(
             recorder,
             outcome.mode.name(),
             edits,
             outcome.cache_hits as u64,
             outcome.cache_misses as u64,
-            rebuilt,
+            path,
         );
         Ok(outcome)
     }
@@ -1164,6 +1287,7 @@ impl DynamicSolver {
         cache.visited = self.epoch;
         let deadline = self.opts.effective_deadline();
         let mut ws = Workspace::new();
+        // Job order is id order, so the sorted queue visits jobs in order.
         let mut queue = std::mem::take(&mut split.queue);
         queue.sort_unstable();
         // Every job off the queue kept its result: a hit, as a lookup of
@@ -1171,7 +1295,8 @@ impl DynamicSolver {
         let mut hits = split.jobs.len() - queue.len();
         let mut misses = 0usize;
         let mut failed = None;
-        for &j in &queue {
+        for &c in &queue {
+            let j = split.live_job(c);
             split.stale[j] = false;
             let sub = &split.jobs[j].sub;
             // FNV-1a streams, so folding epsilon into the stored state
@@ -1253,6 +1378,7 @@ impl DynamicSolver {
             mode,
             cache_hits: hits,
             cache_misses: misses,
+            topology: TopologyPath::None,
         })
     }
 }
@@ -1269,6 +1395,7 @@ fn full_solve(
         mode: SolveMode::Full,
         cache_hits: 0,
         cache_misses: 0,
+        topology: TopologyPath::None,
     })
 }
 
@@ -1510,27 +1637,43 @@ mod tests {
     }
 
     /// Asserts the solver's maintained state equals a fresh solver's
-    /// after one solve of the same arc list: whole graphs, Tarjan's
-    /// output and depth-first forest, every job, and — when the batch
-    /// reached the jobs (no up-front error) — the stale queue, every kept
-    /// result and the running counter total. Always: every job off the
+    /// after one solve of the same arc list: whole graphs, the
+    /// components, every job, and — when the batch reached the jobs (no
+    /// up-front error) — the stale queue, every kept result and the
+    /// running counter total. The components' order need not be the
+    /// fresh one, only a topological order. Always: every job off the
     /// queue keeps a result, the total is the sum of the kept counters,
     /// and each cache entry counts the kept results that name it.
     fn assert_state_is_fresh(s: &DynamicSolver, ctx: &str) {
-        let got = s.topo.as_ref().expect("a solve leaves the state built");
+        let topo = s.topo.as_ref().expect("a solve leaves the state built");
         let mut fresh = DynamicSolver::from_parts(s.nodes, s.arcs.clone(), s.spec, s.opts.clone());
         let _ = fresh.solve();
         let want = fresh.topo.as_ref().expect("a solve leaves the state built");
-        assert!(got.graph == want.graph, "{ctx}: graph");
-        assert!(got.negated == want.negated, "{ctx}: negated graph");
-        let (Some(got), Some(want)) = (&got.split, &want.split) else {
-            assert!(got.split.is_none() && want.split.is_none(), "{ctx}: split");
+        assert!(topo.graph == want.graph, "{ctx}: graph");
+        assert!(topo.negated == want.negated, "{ctx}: negated graph");
+        let (Some(got), Some(want)) = (&topo.split, &want.split) else {
+            assert!(topo.split.is_none() && want.split.is_none(), "{ctx}: split");
             return;
         };
-        assert!(!got.rerun, "{ctx}: a solve leaves no Tarjan run pending");
-        assert!(got.scc == want.scc, "{ctx}: components");
-        assert!(got.dfs == want.dfs, "{ctx}: depth-first forest");
+        assert_eq!(got.comp, want.comp, "{ctx}: components");
+        let mut ids = got.order.clone();
+        ids.sort_unstable();
+        let mut fresh_ids = want.order.clone();
+        fresh_ids.sort_unstable();
+        assert_eq!(ids, fresh_ids, "{ctx}: one place per component");
+        for (i, &c) in got.order.iter().enumerate() {
+            assert_eq!(got.pos[c as usize] as usize, i, "{ctx}: place of {c}");
+        }
+        let target = topo.negated.as_ref().unwrap_or(&topo.graph);
+        for a in target.arc_ids() {
+            let cu = got.comp[target.source(a).index()] as usize;
+            let cv = got.comp[target.target(a).index()] as usize;
+            assert!(cu == cv || got.pos[cu] < got.pos[cv], "{ctx}: arc {a:?} against the order");
+        }
+        assert!(got.seen.iter().all(|&m| m == 0), "{ctx}: search marks left behind");
+        assert!(got.extracted.is_empty() && got.path == TopologyPath::None, "{ctx}: batch record");
         assert_eq!(got.job_comp, want.job_comp, "{ctx}: job components");
+        assert_eq!(got.members, want.members, "{ctx}: job node lists");
         assert_eq!(got.jobs.len(), want.jobs.len(), "{ctx}: job count");
         for (j, (a, b)) in got.jobs.iter().zip(&want.jobs).enumerate() {
             assert!(a.sub == b.sub, "{ctx}: job {j} subgraph");
@@ -1547,7 +1690,10 @@ mod tests {
         }
         let mut queue = got.queue.clone();
         queue.sort_unstable();
-        let stale: Vec<usize> = (0..got.jobs.len()).filter(|&j| got.stale[j]).collect();
+        let stale: Vec<u32> = (0..got.jobs.len())
+            .filter(|&j| got.stale[j])
+            .map(|j| got.job_comp[j])
+            .collect();
         assert_eq!(queue, stale, "{ctx}: the queue holds the stale jobs once each");
         let mut sum = CounterSum::default();
         let mut merged = Counters::new();
@@ -1579,22 +1725,26 @@ mod tests {
 
     /// Solves `g`, then applies each batch and checks the state after
     /// it. Solve errors (a zero-transit cycle) still commit the batch.
+    /// Returns the solver and the path of the last batch that answered.
     fn replay_checking_state(
         g: &Graph,
         spec: SolveSpec,
         batches: &[Vec<Edit>],
         ctx: &str,
-    ) -> DynamicSolver {
+    ) -> (DynamicSolver, TopologyPath) {
         let mut s = DynamicSolver::new(g, spec, SolveOptions::new());
         let _ = s.solve();
         assert_state_is_fresh(&s, &format!("{ctx} initial"));
+        let mut last = TopologyPath::Full;
         for (i, batch) in batches.iter().enumerate() {
-            if let Err(SpecError::Input(e)) = s.apply(batch) {
-                panic!("{ctx} batch {i}: rejected: {e}");
+            match s.apply(batch) {
+                Ok(out) => last = out.topology,
+                Err(SpecError::Input(e)) => panic!("{ctx} batch {i}: rejected: {e}"),
+                Err(_) => {}
             }
             assert_state_is_fresh(&s, &format!("{ctx} batch {i}"));
         }
-        s
+        (s, last)
     }
 
     /// Mean, maximize, ratio with Howard-exact, and a native ratio route.
@@ -1675,60 +1825,46 @@ mod tests {
             transit: 2,
         };
         let delete = |arc| Edit::DeleteArc { arc };
-        // Batches on the four base jobs B, A, {4} and C (Tarjan order),
-        // with the (reused, extracted) split of the last batch and the
-        // Tarjan runs in all, the first solve's included. The
-        // depth-first forest has the roots 0, 4 and 5 and the tree arcs
-        // 0 → 1, 1 → 2, 2 → 3, 5 → 6 and 6 → 7.
-        type Case = (&'static str, Vec<Vec<Edit>>, (usize, usize), u64);
+        // Batches on the four base jobs A, B, {4} and C (canonical
+        // order), with the (reused, extracted) split of the last batch
+        // and the path it took. No batch runs Tarjan on the whole graph.
+        type Case = (&'static str, Vec<Vec<Edit>>, (usize, usize), TopologyPath);
+        use TopologyPath::*;
         let hand: Vec<Case> = vec![
-            ("merge A and B", vec![vec![insert(3, 0)]], (2, 1), 2),
-            ("split C", vec![vec![delete(8)]], (3, 1), 2),
-            ("drop the self-loop", vec![vec![delete(5)]], (3, 0), 2),
-            ("reorder A before B", vec![vec![delete(4)]], (4, 0), 2),
-            ("chord deleted, C kept", vec![vec![delete(9)]], (3, 1), 1),
+            ("merge A and B", vec![vec![insert(3, 0)]], (2, 1), Merge),
+            ("split C", vec![vec![delete(8)]], (3, 1), Split),
+            ("drop the self-loop", vec![vec![delete(5)]], (3, 0), Reextract),
+            ("delete the bridge", vec![vec![delete(4)]], (4, 0), None),
+            ("chord deleted, C kept", vec![vec![delete(9)]], (3, 1), Reextract),
             (
                 "reweight and insert in C",
                 vec![vec![Edit::Reweight { arc: 7, weight: -4 }, insert(7, 6)]],
                 (3, 1),
-                1,
+                Reextract,
             ),
             (
                 "two deletes, the first shifting the second",
                 vec![vec![delete(1), delete(5)]],
                 (2, 0),
-                2,
+                Split,
             ),
-            (
-                "second bridge, downstream",
-                vec![vec![insert(1, 3)]],
-                (4, 0),
-                1,
-            ),
-            (
-                "tree arc to a later root",
-                vec![vec![insert(3, 5)]],
-                (4, 0),
-                2,
-            ),
+            ("second bridge, downstream", vec![vec![insert(1, 3)]], (4, 0), None),
+            // The first build places C before B.
+            ("bridge from C to B", vec![vec![insert(5, 3)]], (4, 0), None),
+            ("bridge from B to C", vec![vec![insert(3, 5)]], (4, 0), Reorder),
             (
                 "self-loops on cyclic components",
                 vec![vec![insert(4, 4), insert(7, 7)]],
                 (2, 2),
-                1,
+                Reextract,
             ),
             (
                 "acyclic singleton gains a self-loop",
                 vec![vec![delete(5)], vec![insert(4, 4)]],
                 (3, 1),
-                3,
+                Reextract,
             ),
-            (
-                "kept delete, then a split",
-                vec![vec![delete(9), delete(7)]],
-                (3, 0),
-                2,
-            ),
+            ("kept delete, then a split", vec![vec![delete(9), delete(7)]], (3, 0), Split),
             (
                 "kept inserts and deletes, ids shifting",
                 vec![vec![
@@ -1739,7 +1875,7 @@ mod tests {
                     delete(11),
                 ]],
                 (2, 2),
-                1,
+                Reextract,
             ),
             (
                 "kept inserts and deletes, then a split",
@@ -1751,15 +1887,16 @@ mod tests {
                     delete(0),
                 ]],
                 (2, 2),
-                2,
+                Split,
             ),
         ];
         for spec in state_specs() {
-            for (name, batches, split, runs) in &hand {
+            for (name, batches, split, path) in &hand {
                 let ctx = format!("{spec:?} {name}");
-                let s = replay_checking_state(&hand_graph(), spec, batches, &ctx);
+                let (s, last) = replay_checking_state(&hand_graph(), spec, batches, &ctx);
                 assert_eq!(s.rebuild_jobs(), *split, "{ctx}: reused/extracted");
-                assert_eq!(s.tarjan_runs(), *runs, "{ctx}: Tarjan runs");
+                assert_eq!(last, *path, "{ctx}: path");
+                assert_eq!(s.tarjan_runs(), 1, "{ctx}: Tarjan runs");
             }
             for seed in 0..6u64 {
                 let text = mcr_gen::edits::edit_script(
@@ -1774,6 +1911,147 @@ mod tests {
                 let ctx = format!("{spec:?} circuit seed {seed}");
                 replay_checking_state(&g, spec, &circuit_batches(&g, seed), &ctx);
             }
+        }
+    }
+
+    #[test]
+    fn random_mixed_batches_on_circuits_keep_the_canonical_state() {
+        // Larger circuits than the hand test's, every spec: each batch
+        // mixes inserts, deletes, reweights and retimes, and together
+        // they take every local path.
+        let mut paths = BTreeMap::<TopologyPath, usize>::new();
+        for spec in state_specs() {
+            for seed in 0..8u64 {
+                let g = mcr_gen::circuit::circuit_graph(
+                    &mcr_gen::circuit::CircuitConfig::new(30 + 5 * seed as usize).seed(seed + 11),
+                );
+                let mut s = DynamicSolver::new(&g, spec, SolveOptions::new());
+                let _ = s.solve();
+                for (i, batch) in circuit_batches(&g, seed + 11).iter().enumerate() {
+                    let ctx = format!("{spec:?} circuit seed {seed} batch {i}");
+                    match s.apply(batch) {
+                        Ok(out) => *paths.entry(out.topology).or_default() += 1,
+                        Err(SpecError::Input(e)) => panic!("{ctx}: rejected: {e}"),
+                        Err(_) => {}
+                    }
+                    assert_state_is_fresh(&s, &ctx);
+                }
+                assert_eq!(s.tarjan_runs(), 1, "{spec:?} circuit seed {seed}");
+            }
+        }
+        use TopologyPath::*;
+        for path in [None, Reextract, Reorder, Split, Merge] {
+            assert!(paths.contains_key(&path), "no {path:?} batch in {paths:?}");
+        }
+    }
+
+    /// Three 2-rings R1 = {0, 1}, R2 = {2, 3} and R3 = {4, 5} joined
+    /// into one component C by 1 → 2, 3 → 4 and 5 → 0; R1 and R3 tie
+    /// on mean 2. Three more 2-rings D = {6, 7}, E = {8, 9} and
+    /// F = {10, 11}, with the bridge D → E.
+    fn ring_graph() -> Graph {
+        from_arc_list(
+            12,
+            &[
+                (0, 1, 1),
+                (1, 0, 3),
+                (2, 3, 6),
+                (3, 2, 8),
+                (4, 5, 2),
+                (5, 4, 2),
+                (1, 2, 50),
+                (3, 4, 50),
+                (5, 0, 50),
+                (6, 7, 9),
+                (7, 6, 9),
+                (8, 9, 9),
+                (9, 8, 9),
+                (10, 11, 9),
+                (11, 10, 9),
+                (7, 8, 9),
+            ],
+        )
+    }
+
+    #[test]
+    fn local_splits_merges_and_reorders_keep_the_canonical_state() {
+        // Each step names its arcs by endpoints: its deletes, then its
+        // inserts (weight 40), and the path the batch must take. The
+        // first build orders the components F, D, E, C (Tarjan emits C,
+        // E, D, F).
+        type Step = (&'static str, &'static [(usize, usize)], &'static [(usize, usize)], TopologyPath);
+        use TopologyPath::*;
+        let steps: [Step; 6] = [
+            ("split C into R1, R2 and R3", &[(5, 0)], &[], Split),
+            ("merge R1, R2 and R3", &[], &[(5, 0)], Merge),
+            ("E to F against the order, no cycle", &[], &[(8, 10)], Reorder),
+            ("delete the bridge D to E", &[(7, 8)], &[], None),
+            (
+                "one batch: a split, a cross delete, a reorder and a merge",
+                &[(5, 0), (8, 10)],
+                &[(9, 6), (6, 9), (0, 0)],
+                Merge,
+            ),
+            ("C's pieces merge again", &[], &[(5, 0)], Merge),
+        ];
+        for spec in state_specs() {
+            let mut s = DynamicSolver::new(&ring_graph(), spec, SolveOptions::new());
+            s.solve().expect("solves");
+            for (name, deletes, inserts, path) in steps {
+                let ctx = format!("{spec:?} {name}");
+                let mut ids: Vec<usize> = deletes
+                    .iter()
+                    .map(|&(u, v)| {
+                        s.arcs().iter().position(|a| (a.src, a.dst) == (u, v)).expect("arc")
+                    })
+                    .collect();
+                ids.sort_unstable_by(|a, b| b.cmp(a));
+                let mut batch: Vec<Edit> = ids.into_iter().map(|arc| Edit::DeleteArc { arc }).collect();
+                batch.extend(inserts.iter().map(|&(src, dst)| Edit::InsertArc {
+                    src,
+                    dst,
+                    weight: 40,
+                    transit: 1,
+                }));
+                let out = s.apply(&batch).expect("solves");
+                assert_eq!(out.topology, path, "{ctx}: path");
+                assert_state_is_fresh(&s, &ctx);
+                let sol = out.solution.expect("cyclic");
+                assert_same(&sol, &scratch(&s, &SolveOptions::new()), &ctx);
+                if name.starts_with("split") && !spec.maximize {
+                    // R1 and R3 tie; R1 holds the smallest node.
+                    let mut ends: Vec<(usize, usize)> =
+                        sol.cycle.iter().map(|a| (s.arcs()[a.index()].src, s.arcs()[a.index()].dst)).collect();
+                    ends.sort_unstable();
+                    assert_eq!(ends, [(0, 1), (1, 0)], "{ctx}: witness");
+                }
+            }
+            assert_eq!(s.tarjan_runs(), 1, "{spec:?}: whole-graph Tarjan runs");
+        }
+    }
+
+    #[test]
+    fn a_component_no_edit_touches_keeps_its_result_wherever_tarjan_would_enter_it() {
+        // A = {0, 1} and C = {2, 3, 4}. A whole-graph Tarjan from node 0
+        // enters C at 4 through 0 → 4; once that arc is gone it enters C
+        // at 2 through 0 → 1 → 2 and would list C's nodes in another
+        // order, a job with other bytes (C's arc weights differ, so no
+        // relabelling gives the same bytes) and so a cache miss. Canonical
+        // order keeps C's job and its result: the delete costs no solve.
+        let g = from_arc_list(
+            5,
+            &[(0, 4, 5), (0, 1, 1), (1, 0, 3), (1, 2, 5), (2, 3, 2), (3, 4, 3), (4, 2, 4)],
+        );
+        for spec in state_specs() {
+            let ctx = format!("{spec:?}");
+            let mut s = DynamicSolver::new(&g, spec, SolveOptions::new());
+            assert_eq!(s.solve().expect("solves").cache_misses, 2, "{ctx}");
+            let out = s.apply(&[Edit::DeleteArc { arc: 0 }]).expect("solves");
+            assert_eq!(out.topology, TopologyPath::None, "{ctx}: path");
+            assert_eq!((out.cache_hits, out.cache_misses), (2, 0), "{ctx}: no job re-solved");
+            assert_state_is_fresh(&s, &ctx);
+            assert_same(&out.solution.expect("cyclic"), &scratch(&s, &SolveOptions::new()), &ctx);
+            assert_eq!(s.tarjan_runs(), 1, "{ctx}: whole-graph Tarjan runs");
         }
     }
 
@@ -1835,26 +2113,19 @@ mod tests {
             let mut s = DynamicSolver::new(&g, spec, SolveOptions::new());
             let _ = s.solve();
             assert_state_is_fresh(&s, &format!("{spec:?} initial"));
-            let (mut kept, mut rerun) = (0, 0);
+            let mut paths = BTreeMap::<TopologyPath, usize>::new();
             for (i, batch) in batches.iter().enumerate() {
-                let runs = s.tarjan_runs();
-                if let Err(SpecError::Input(e)) = s.apply(batch) {
-                    panic!("{spec:?} batch {i}: rejected: {e}");
+                match s.apply(batch) {
+                    Ok(out) => *paths.entry(out.topology).or_default() += 1,
+                    Err(SpecError::Input(e)) => panic!("{spec:?} batch {i}: rejected: {e}"),
+                    Err(_) => {}
                 }
                 assert_state_is_fresh(&s, &format!("{spec:?} batch {i}"));
-                let topology = batch
-                    .iter()
-                    .any(|e| matches!(e, Edit::InsertArc { .. } | Edit::DeleteArc { .. }));
-                match s.tarjan_runs() - runs {
-                    0 if topology => kept += 1,
-                    0 => {}
-                    _ => rerun += 1,
-                }
             }
-            assert!(
-                kept > 0 && rerun > 0,
-                "{spec:?}: {kept} kept, {rerun} re-run"
-            );
+            assert_eq!(s.tarjan_runs(), 1, "{spec:?}: whole-graph Tarjan runs");
+            for path in [TopologyPath::None, TopologyPath::Reextract, TopologyPath::Split] {
+                assert!(paths.contains_key(&path), "{spec:?}: no {path:?} batch in {paths:?}");
+            }
         }
     }
 
@@ -1873,7 +2144,7 @@ mod tests {
         assert_eq!(sol.counters, want.counters, "{ctx}: counters");
     }
 
-    /// Three 2-rings, Tarjan order A = {0, 1}, B = {2, 3}, C = {4, 5}.
+    /// Three 2-rings, job order A = {0, 1}, B = {2, 3}, C = {4, 5}.
     fn three_rings(spec: SolveSpec, b: (i64, i64), c: (i64, i64)) -> DynamicSolver {
         let arcs = [(0, 1, 5), (1, 0, 7), (2, 3, b.0), (3, 2, b.1), (4, 5, c.0), (5, 4, c.1)];
         DynamicSolver::new(&from_arc_list(6, &arcs), spec, SolveOptions::new())

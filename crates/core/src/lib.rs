@@ -85,7 +85,7 @@ pub use cancel::CancelToken;
 pub use certify::{certify, CertifyError};
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointStore, JobProgress};
 pub use driver::SccPlan;
-pub use dynamic::{ArcSpec, DynamicOutcome, DynamicSolver, Edit, SolveMode};
+pub use dynamic::{ArcSpec, DynamicOutcome, DynamicSolver, Edit, SolveMode, TopologyPath};
 pub use edits::{parse_edit_script, render_edit_script, EditScript, EDITS_SCHEMA};
 pub use error::{BudgetResource, SolveError};
 pub use instrument::Counters;

@@ -27,13 +27,14 @@
 //!
 //! Event ordering is deterministic modulo timestamps: solve-level
 //! events bracket the job phase, and job-scoped events carry the
-//! driver's stable Tarjan-order job index (the checkpoint key), so each
+//! driver's stable canonical job index (the checkpoint key), so each
 //! per-job stream is identical at any thread count. Metric names:
 //! `solve.*` / `heap.*` absorb the per-solve [`Counters`] once at solve
 //! end; `loop.<site>.*` counters come from
 //! [`crate::BudgetScope::loop_metrics`] marks inside each budgeted
 //! algorithm loop (lint rule MCRL006 keeps those marks present).
 
+use crate::dynamic::TopologyPath;
 use crate::instrument::Counters;
 use mcr_graph::Graph;
 
@@ -159,7 +160,7 @@ pub(crate) fn solve_end_err(rec: Option<&Recorder>, error: &'static str) {
 
 /// Wraps one SCC job: emits `job.start` / `job.end` around `f` and
 /// records the job's wall time under the `driver.job` timing metric.
-/// The job index is the driver's deterministic Tarjan-order key, so the
+/// The job index is the driver's deterministic canonical key, so the
 /// emitted per-job event stream is thread-count independent.
 #[inline]
 pub(crate) fn job_span<R>(
@@ -265,13 +266,14 @@ pub(crate) fn loop_flush(rec: Option<&Recorder>, site: &'static str, iters: u64,
 
 /// Records one incremental-solver batch: how many edits it applied,
 /// whether the solve was answered incrementally (component-cache hits
-/// covered part of the work) or by a full from-scratch solve, and
-/// whether the solver rebuilt its topology state (CSR + Tarjan) or
-/// reused it, patched in place. Emits the `dynamic.solve.incremental` /
-/// `dynamic.solve.full` and `dynamic.topology.patched` /
-/// `dynamic.topology.rebuilt` counter pairs plus
-/// `dynamic.edits.applied`, and a `dynamic.solve` trace event carrying
-/// the per-batch hit/miss split and a 0/1 `rebuilt` flag.
+/// covered part of the work) or by a full from-scratch solve, and the
+/// path that kept its component decomposition current
+/// ([`TopologyPath::name`]). Emits the
+/// `dynamic.solve.incremental` / `dynamic.solve.full` counter pair, one
+/// `dynamic.topology.<path>` counter and `dynamic.edits.applied`, and a
+/// `dynamic.solve` trace event carrying the per-batch hit/miss split and
+/// a 0/1 `rebuilt` flag, set when the batch built the state from the
+/// arc list (the only batches that run a whole-graph Tarjan).
 #[inline]
 pub(crate) fn dynamic_solve(
     rec: Option<&Recorder>,
@@ -279,12 +281,12 @@ pub(crate) fn dynamic_solve(
     edits: u64,
     hits: u64,
     misses: u64,
-    rebuilt: bool,
+    topology: TopologyPath,
 ) {
     let Some(rec) = rec else { return };
     rec.counter_add(&format!("dynamic.solve.{mode}"), 1);
-    let topology = if rebuilt { "rebuilt" } else { "patched" };
-    rec.counter_add(&format!("dynamic.topology.{topology}"), 1);
+    rec.counter_add(&format!("dynamic.topology.{}", topology.name()), 1);
+    let rebuilt = topology == TopologyPath::Full;
     rec.counter_add("dynamic.edits.applied", edits);
     rec.global_event(
         "dynamic.solve",
@@ -297,10 +299,10 @@ pub(crate) fn dynamic_solve(
     );
 }
 
-/// Records how one incremental-solver topology rebuild got its
-/// component jobs: `dynamic.jobs.reused` counts the jobs carried over
-/// unchanged from the state before the batch, `dynamic.jobs.extracted`
-/// the ones extracted from the new graph.
+/// Records how one incremental-solver topology update got its component
+/// jobs: `dynamic.jobs.reused` counts the jobs carried over unchanged
+/// from the state before the batch, `dynamic.jobs.extracted` the ones
+/// extracted from the new graph.
 #[inline]
 pub(crate) fn dynamic_rebuild(rec: Option<&Recorder>, reused: u64, extracted: u64) {
     let Some(rec) = rec else { return };

@@ -143,7 +143,7 @@ pub struct SolveOptions {
     pub checkpoints: Option<CheckpointStore>,
     /// A pre-computed SCC decomposition ([`SccPlan::prepare`]): when
     /// set **and** prepared from this exact graph, the per-SCC driver
-    /// reuses its Tarjan-ordered job list instead of re-running SCC
+    /// reuses its canonically ordered job list instead of re-running SCC
     /// extraction — the cache fast path of the `mcrd` daemon. The plan
     /// carries a size fingerprint; a solve on any other graph (e.g. the
     /// ratio-expansion graphs derived internally) falls back to fresh

@@ -117,8 +117,8 @@ pub(crate) fn preflight(
 }
 
 /// Solves one strongly connected, cyclic component by `route`. `job` is
-/// the component's index in Tarjan order, the key of the mean route's
-/// checkpoints and trace events; `epsilon` is [`preflight`]'s.
+/// the component's index in canonical job order, the key of the mean
+/// route's checkpoints and trace events; `epsilon` is [`preflight`]'s.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_component(
     route: &Route,

@@ -707,15 +707,15 @@ fn metrics_pair_reports_incremental_vs_full_modes() {
     assert_eq!(outcome.cache_hits, 2, "two untouched components reused");
     assert_eq!(outcome.cache_misses, 1, "the edited component re-solved");
 
-    // The `dynamic.topology.patched` / `.rebuilt` pair and the event's
-    // `rebuilt` flag: a reweight batch patches the topology state in
-    // place, and so does this insert of an arc parallel to one inside a
-    // component (Tarjan's output cannot change), reusing the untouched
-    // jobs (`dynamic.jobs.reused`) and re-extracting the edited one
-    // (`dynamic.jobs.extracted`). A solver that carries its own
-    // recorder reports exactly its own batches: the initial full solve
-    // (a rebuild that extracts all three jobs), one reweight and one
-    // insert.
+    // The `dynamic.topology.<path>` counters and the event's `rebuilt`
+    // flag: the initial solve is a full build (the one whole-graph
+    // Tarjan run), a reweight batch changes no component, and this
+    // insert of an arc parallel to one inside a component re-extracts
+    // that job alone, reusing the untouched jobs
+    // (`dynamic.jobs.reused`) and counting the edited one in
+    // `dynamic.jobs.extracted`. A solver that carries its own recorder
+    // reports exactly its own batches: the initial full solve (a build
+    // that extracts all three jobs), one reweight and one insert.
     #[cfg(feature = "obs")]
     {
         use mcr_core::obs::{Recorder, Timestamps};
@@ -731,12 +731,14 @@ fn metrics_pair_reports_incremental_vs_full_modes() {
             .apply(&[Edit::InsertArc { src: a.src, dst: a.dst, weight: 70, transit: 1 }])
             .expect("applies");
         assert_eq!((outcome.cache_hits, outcome.cache_misses), (2, 1));
+        assert_eq!(outcome.topology, mcr_core::TopologyPath::Reextract);
         let report = recorder.report();
         for (name, value) in [
             ("dynamic.solve.full", 1),
             ("dynamic.solve.incremental", 2),
-            ("dynamic.topology.patched", 2),
-            ("dynamic.topology.rebuilt", 1),
+            ("dynamic.topology.full-build", 1),
+            ("dynamic.topology.none", 1),
+            ("dynamic.topology.re-extract", 1),
             ("dynamic.jobs.reused", 2),
             ("dynamic.jobs.extracted", 4),
             ("dynamic.edits.applied", 2),

@@ -19,7 +19,7 @@ use mcr_graph::graph::from_arc_list;
 use mcr_graph::{json, Graph};
 
 /// Two cyclic SCCs (means 5 and 2) plus a connecting arc: the driver
-/// runs two jobs, in a stable Tarjan order.
+/// runs two jobs, in canonical job order.
 fn two_scc_graph() -> Graph {
     from_arc_list(
         5,

@@ -49,4 +49,4 @@ pub mod traverse;
 pub use compact::idx32;
 pub use graph::{ArcId, Graph, GraphBuilder, GraphError, NodeId};
 pub use io::{ParseErrorKind, ParseGraphError};
-pub use scc::{condensation, DfsForest, SccDecomposition, SubgraphExtractor};
+pub use scc::{condensation, SccDecomposition, SubgraphExtractor};

@@ -15,7 +15,10 @@ use crate::graph::{ArcId, Graph, GraphBuilder, NodeId};
 /// Components are numbered `0..num_components()` in **reverse
 /// topological order** of the condensation (Tarjan's output order): if
 /// there is an arc from component `a` to component `b` with `a != b`,
-/// then `a > b`.
+/// then `a > b`. Each component's nodes come in [`canonical_order`], a
+/// function of the component's own arcs that ends with its smallest
+/// node, so a component's node list does not depend on where the search
+/// entered it.
 ///
 /// ```
 /// use mcr_graph::{graph::from_arc_list, SccDecomposition};
@@ -30,62 +33,17 @@ use crate::graph::{ArcId, Graph, GraphBuilder, NodeId};
 pub struct SccDecomposition {
     comp_of: Vec<u32>,
     /// Every node, grouped by component in emission order: component `c`
-    /// is `nodes[start[c]..start[c + 1]]`, in Tarjan's pop order.
+    /// is `nodes[start[c]..start[c + 1]]`, in canonical order.
     nodes: Vec<NodeId>,
     start: Vec<u32>,
-}
-
-/// The depth-first forest of one Tarjan run, as recorded by
-/// [`SccDecomposition::with_dfs`].
-///
-/// Together with the component order these records decide whether an
-/// arc edit can change Tarjan's output. An arc `u -> v` appended last in
-/// `u`'s out-list is scanned when every node with `pre < end[u]` has been
-/// discovered, so it is a non-tree arc exactly when `pre[v] < end[u]`;
-/// deleting a non-tree arc leaves the forest as it was.
-///
-/// ```
-/// use mcr_graph::{graph::from_arc_list, NodeId, SccDecomposition};
-/// let g = from_arc_list(3, &[(0, 1, 1), (1, 0, 1), (1, 2, 1)]);
-/// let (_, dfs) = SccDecomposition::with_dfs(&g);
-/// assert_eq!(dfs.pre, [0, 1, 2]);
-/// assert_eq!(dfs.end, [3, 3, 3]);
-/// assert_eq!(dfs.tree, [true, false, true]);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DfsForest {
-    /// Per node: its pre-order (discovery) index.
-    pub pre: Vec<u32>,
-    /// Per node: the next pre-order index when it finishes, so its
-    /// subtree is the nodes whose `pre` lies in `pre[v]..end[v]`.
-    pub end: Vec<u32>,
-    /// Per arc: whether the search discovered the arc's target through it.
-    pub tree: Vec<bool>,
 }
 
 impl SccDecomposition {
     /// Computes the strongly connected components of `g` with an
     /// iterative Tarjan algorithm (no recursion, safe for n in the
-    /// hundreds of thousands).
+    /// hundreds of thousands), each component's nodes in
+    /// [`canonical_order`].
     pub fn new(g: &Graph) -> Self {
-        Self::tarjan(g, None)
-    }
-
-    /// [`SccDecomposition::new`], also recording the depth-first forest
-    /// the run walked (roots in node order, arcs in out-list order).
-    pub fn with_dfs(g: &Graph) -> (Self, DfsForest) {
-        let mut dfs = DfsForest {
-            pre: Vec::new(),
-            end: vec![0; g.num_nodes()],
-            tree: vec![false; g.num_arcs()],
-        };
-        let scc = Self::tarjan(g, Some(&mut dfs));
-        (scc, dfs)
-    }
-
-    /// Iterative Tarjan over `g`, filling `dfs` (whose `end` and `tree`
-    /// arrive sized and zeroed) when given.
-    fn tarjan(g: &Graph, mut dfs: Option<&mut DfsForest>) -> SccDecomposition {
         let n = g.num_nodes();
         const UNVISITED: u32 = u32::MAX;
         let mut index = vec![UNVISITED; n];
@@ -120,9 +78,6 @@ impl SccDecomposition {
                     let w = g.target(a).index();
                     *pos += 1;
                     if index[w] == UNVISITED {
-                        if let Some(d) = dfs.as_deref_mut() {
-                            d.tree[a.index()] = true;
-                        }
                         index[w] = next_index;
                         lowlink[w] = next_index;
                         next_index += 1;
@@ -134,23 +89,28 @@ impl SccDecomposition {
                     }
                 } else {
                     call.pop();
-                    if let Some(d) = dfs.as_deref_mut() {
-                        d.end[vu] = next_index;
-                    }
                     if let Some(&(parent, _)) = call.last() {
                         let p = parent as usize;
                         lowlink[p] = lowlink[p].min(lowlink[vu]);
                     }
                     if lowlink[vu] == index[vu] {
                         let comp_id = idx32(start.len() - 1);
+                        let first = nodes.len();
+                        let mut smallest = v;
                         loop {
                             let w = stack.pop().expect("tarjan stack underflow");
                             on_stack[w as usize] = false;
                             comp_of[w as usize] = comp_id;
                             nodes.push(NodeId::new(w as usize));
+                            smallest = smallest.min(w);
                             if w == v {
                                 break;
                             }
+                        }
+                        // Entered at its smallest node, the component
+                        // was popped in canonical order already.
+                        if smallest != v {
+                            canonical_order(g, &mut nodes[first..]);
                         }
                         start.push(idx32(nodes.len()));
                     }
@@ -158,9 +118,6 @@ impl SccDecomposition {
             }
         }
 
-        if let Some(d) = dfs {
-            d.pre = index;
-        }
         SccDecomposition { comp_of, nodes, start }
     }
 
@@ -182,6 +139,25 @@ impl SccDecomposition {
     /// Panics if `c >= self.num_components()`.
     pub fn component(&self, c: usize) -> &[NodeId] {
         &self.nodes[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+
+    /// The cyclic components in canonical job order: by smallest node,
+    /// which is each component's last node.
+    ///
+    /// ```
+    /// use mcr_graph::{graph::from_arc_list, SccDecomposition};
+    /// // {0, 1} reaches {2, 3}, so Tarjan emits {2, 3} first.
+    /// let g = from_arc_list(4, &[(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 3, 1), (3, 2, 1)]);
+    /// let scc = SccDecomposition::new(&g);
+    /// assert_eq!(scc.cyclic_by_smallest_node(&g), [1, 0]);
+    /// assert_eq!(scc.component(1).last(), Some(&mcr_graph::NodeId::new(0)));
+    /// ```
+    pub fn cyclic_by_smallest_node(&self, g: &Graph) -> Vec<usize> {
+        let mut cyclic: Vec<usize> = (0..self.num_components())
+            .filter(|&c| self.is_cyclic_component(g, c))
+            .collect();
+        cyclic.sort_unstable_by_key(|&c| self.component(c).last().copied());
+        cyclic
     }
 
     /// Iterates over all components as node slices.
@@ -214,6 +190,49 @@ impl SccDecomposition {
         let mut ex = SubgraphExtractor::new(g.num_nodes());
         let (sub, arc_map) = ex.extract(g, nodes);
         (sub, nodes.to_vec(), arc_map)
+    }
+}
+
+/// Puts `nodes`, the node set of one strongly connected component of
+/// `g`, in canonical order: the reverse of the order in which a
+/// depth-first search from the smallest node discovers them, scanning
+/// each node's out-arcs in out-list order and never leaving the set. It
+/// is the order Tarjan pops a component that it entered at its smallest
+/// node, and it depends only on the component's own arcs, so a search
+/// over the component alone reproduces it. The smallest node comes last.
+///
+/// ```
+/// use mcr_graph::{graph::from_arc_list, scc::canonical_order, NodeId};
+/// let g = from_arc_list(3, &[(0, 2, 1), (2, 1, 1), (1, 0, 1)]);
+/// let mut nodes = [1, 0, 2].map(NodeId::new);
+/// canonical_order(&g, &mut nodes);
+/// assert_eq!(nodes, [1, 2, 0].map(NodeId::new));
+/// ```
+pub fn canonical_order(g: &Graph, nodes: &mut [NodeId]) {
+    let mut sorted = nodes.to_vec();
+    sorted.sort_unstable();
+    let Some(&root) = sorted.first() else { return };
+    let mut seen = vec![false; sorted.len()];
+    seen[0] = true;
+    let mut found = vec![root];
+    let mut call = vec![(root, 0usize)];
+    while let Some(&mut (v, ref mut pos)) = call.last_mut() {
+        let Some(&a) = g.out_arcs(v).get(*pos) else {
+            call.pop();
+            continue;
+        };
+        *pos += 1;
+        let w = g.target(a);
+        if let Ok(i) = sorted.binary_search(&w) {
+            if !std::mem::replace(&mut seen[i], true) {
+                found.push(w);
+                call.push((w, 0));
+            }
+        }
+    }
+    debug_assert_eq!(found.len(), nodes.len(), "the set is strongly connected");
+    for (slot, v) in nodes.iter_mut().zip(found.into_iter().rev()) {
+        *slot = v;
     }
 }
 
@@ -472,10 +491,10 @@ mod tests {
     }
 
     #[test]
-    fn recorded_forest_is_a_depth_first_forest_of_the_same_run() {
-        // Random graphs over 9 nodes: the recording run must give the
-        // plain run's components, and its records must satisfy the
-        // depth-first invariants the incremental solver relies on.
+    fn components_come_in_canonical_order_wherever_the_search_enters() {
+        // Random graphs over 9 nodes: each component's node list must
+        // equal a search over the component alone from its smallest
+        // node and end with that node, and the lists cover the graph.
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = |bound: u64| {
             x ^= x << 13;
@@ -483,44 +502,46 @@ mod tests {
             x ^= x << 17;
             x % bound
         };
-        for _ in 0..200 {
+        let mut entered_elsewhere = 0;
+        for _ in 0..300 {
             let n = 1 + next(9) as usize;
             let m = next(20) as usize;
             let arcs: Vec<(usize, usize, i64)> = (0..m)
                 .map(|_| (next(n as u64) as usize, next(n as u64) as usize, 1))
                 .collect();
             let g = from_arc_list(n, &arcs);
-            let (scc, dfs) = SccDecomposition::with_dfs(&g);
-            assert_eq!(scc, SccDecomposition::new(&g));
-            let mut by_pre = dfs.pre.clone();
-            by_pre.sort_unstable();
-            assert_eq!(
-                by_pre,
-                (0..idx32(n)).collect::<Vec<_>>(),
-                "pre is a permutation"
-            );
-            let mut parents = vec![0; n];
-            for a in g.arc_ids() {
-                let (u, v) = (g.source(a).index(), g.target(a).index());
-                // Every out-neighbour is discovered before its tail finishes.
-                assert!(dfs.pre[v] < dfs.end[u], "arc {a:?}");
-                if dfs.tree[a.index()] {
-                    parents[v] += 1;
-                    assert!(
-                        dfs.pre[u] < dfs.pre[v] && dfs.end[v] <= dfs.end[u],
-                        "tree arc {a:?}"
-                    );
-                }
+            let scc = SccDecomposition::new(&g);
+            let mut covered = 0;
+            for c in 0..scc.num_components() {
+                let nodes = scc.component(c);
+                covered += nodes.len();
+                let smallest = *nodes.iter().min().expect("nonempty");
+                assert_eq!(nodes.last(), Some(&smallest));
+                let mut again = nodes.to_vec();
+                again.reverse();
+                canonical_order(&g, &mut again);
+                assert_eq!(again, nodes);
+                // A component some arc enters at a node other than its
+                // smallest is one a plain Tarjan run may enter there.
+                entered_elsewhere += usize::from(g.arc_ids().any(|a| {
+                    scc.component_of(g.source(a)) != c
+                        && scc.component_of(g.target(a)) == c
+                        && g.target(a) != smallest
+                }));
             }
-            for (v, &p) in parents.iter().enumerate() {
-                // A node has at most one tree parent, and its subtree is
-                // a pre-order interval.
-                assert!(p <= 1);
-                assert!(dfs.pre[v] < dfs.end[v] && dfs.end[v] <= idx32(n));
-            }
-            let nodes: usize = scc.components().map(<[NodeId]>::len).sum();
-            assert_eq!(nodes, n);
+            assert_eq!(covered, n);
         }
+        assert!(entered_elsewhere > 0, "no component was entered off its smallest node");
+    }
+
+    #[test]
+    fn a_component_entered_off_its_smallest_node_is_reordered() {
+        // Root 0 enters {1, 2, 3} at 2; Tarjan pops 1, 3, 2, and the
+        // canonical order searches from 1 instead: 1 -> 3 -> 2.
+        let g = from_arc_list(4, &[(0, 2, 1), (2, 1, 1), (1, 3, 1), (3, 2, 1), (2, 3, 1)]);
+        let scc = SccDecomposition::new(&g);
+        let c = scc.component_of(NodeId::new(1));
+        assert_eq!(scc.component(c), [2, 3, 1].map(NodeId::new));
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub const KNOWN_FORMATS: [&str; 6] = [
     "mcr-resp-v1",
     "mcr-trace-v1",
     "mcr-metrics-v1",
-    "mcr-checkpoint-v1",
+    "mcr-checkpoint-v2",
     "mcr-edits-v1",
 ];
 
@@ -192,7 +192,7 @@ const WIRE_PRESENCE: &[(&str, &[&str])] = &[
         "mcr-metrics-v1",
         &["crates/serve/src/metrics.rs", "crates/obs/src/lib.rs"],
     ),
-    ("mcr-checkpoint-v1", &["crates/core/src/checkpoint.rs"]),
+    ("mcr-checkpoint-v2", &["crates/core/src/checkpoint.rs"]),
     (
         "mcr-edits-v1",
         &[
@@ -833,7 +833,7 @@ fn walk_fn_locks(
             }
             live.push(LiveGuard {
                 name: a.name.clone(),
-                binding: pending_let.clone(),
+                binding: pending_let.clone().filter(|_| binds_guard(toks, k)),
                 depth,
             });
         } else if !live.is_empty() && t.text != "drop" {
@@ -862,6 +862,34 @@ fn walk_fn_locks(
             }
         }
         k += 1;
+    }
+}
+
+/// Whether the `let` that the acquisition at `at` sits in binds the
+/// guard. Only `let x = lock(&m).method(..);`, a method call other than
+/// `unwrap`/`expect`/`unwrap_or_else` right after the call chain (`?`
+/// and those three are skipped), makes the guard a temporary that drops
+/// at the end of the statement. Any other form (`Some(lock(&m))`, a
+/// tuple, a constructor) is taken to hold it to the end of the block.
+fn binds_guard(toks: &[Token], at: usize) -> bool {
+    let text = |k: usize| toks.get(k).map(|t| t.text.as_str());
+    let Some(mut k) = matching(toks, at + 1, "(", ")").map(|close| close + 1) else {
+        return true;
+    };
+    loop {
+        match text(k) {
+            Some("?") => k += 1,
+            Some(".") if text(k + 2) == Some("(") => {
+                if !matches!(text(k + 1), Some("unwrap" | "expect" | "unwrap_or_else")) {
+                    return false;
+                }
+                match matching(toks, k + 2, "(", ")") {
+                    Some(close) => k = close + 1,
+                    None => return true,
+                }
+            }
+            _ => return true,
+        }
     }
 }
 

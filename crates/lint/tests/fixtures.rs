@@ -12,7 +12,7 @@ fn fixture_root() -> PathBuf {
 
 /// (rule, file, line, allowed) — the full expected report, in the
 /// report's own sort order (file, line, rule).
-const EXPECTED: [(&str, &str, u32, bool); 28] = [
+const EXPECTED: [(&str, &str, u32, bool); 31] = [
     ("MCRL002", "crates/chaos/sites.txt", 3, false), // declared but never used
     ("MCRL001", "crates/core/src/algorithms/l1_bad.rs", 1, false), // no ticks
     ("MCRL006", "crates/core/src/algorithms/l1_bad.rs", 9, false), // ticks, no loop_metrics
@@ -35,6 +35,9 @@ const EXPECTED: [(&str, &str, u32, bool); 28] = [
     ("MCRL008", "crates/serve/src/handlers_bad.rs", 6, true), // allowlisted
     ("MCRL014", "crates/serve/src/locks_bad.rs", 3, false), // queue taken under inflight
     ("MCRL014", "crates/serve/src/locks_bad.rs", 9, true), // allowlisted
+    ("MCRL014", "crates/serve/src/locks_bad.rs", 19, false), // `let` binds the guard
+    ("MCRL014", "crates/serve/src/locks_bad.rs", 24, false), // bound after unwrap()
+    ("MCRL014", "crates/serve/src/locks_bad.rs", 29, false), // bound inside Some(..)
     ("MCRL010", "crates/serve/src/nondet_bad.rs", 1, false), // HashMap import in serve
     ("MCRL010", "crates/serve/src/nondet_bad.rs", 4, true), // allowlisted
     ("MCRL011", "crates/serve/src/protocol.rs", 11, false), // undeclared bogus_field
@@ -71,7 +74,7 @@ fn fixture_workspace_produces_the_exact_diagnostic_set() {
 fn fixture_counts_and_gate_semantics() {
     let report = mcr_lint::run_workspace(&fixture_root()).expect("fixture run");
     assert_eq!(report.files_scanned, 11);
-    assert_eq!(report.violation_count(), 19);
+    assert_eq!(report.violation_count(), 22);
     assert_eq!(report.suppressed_count(), 9);
     // Allowlisted findings never appear in the gating iterator.
     assert!(report.violations().all(|d| !d.allowed));
@@ -94,7 +97,7 @@ fn json_report_round_trips_the_key_fields() {
     let json = mcr_lint::to_json(&report);
     assert!(json.starts_with('{') && json.ends_with('}'));
     assert!(json.contains("\"files_scanned\":11"));
-    assert!(json.contains("\"violations\":19"));
+    assert!(json.contains("\"violations\":22"));
     assert!(json.contains("\"suppressed\":9"));
     for (rule, file, line, allowed) in EXPECTED {
         assert!(

@@ -13,7 +13,7 @@
 //!   - `{"kind":"recovered","id":N,"status":"ok","lambda":"7/2"}`
 //!     written when a *replayed* request finishes after a restart
 //!     (counts as completion for any later replay).
-//! * `ckpt-<id>.txt` — an `mcr-checkpoint v1` snapshot
+//! * `ckpt-<id>.txt` — an `mcr-checkpoint v2` snapshot
 //!   ([`mcr_core::Checkpoint::to_text`]) of a long solve's partial
 //!   progress, rewritten atomically after each slice and removed on
 //!   completion.

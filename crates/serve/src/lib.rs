@@ -15,7 +15,7 @@
 //!   [`mcr_core::SccPlan`] per orientation so cached re-solves skip
 //!   both parse and SCC extraction, and the certified answers already
 //!   given for the instance, so a repeated question skips the solve;
-//! * [`journal`] — fsynced admission journal plus `mcr-checkpoint v1`
+//! * [`journal`] — fsynced admission journal plus `mcr-checkpoint v2`
 //!   sidecars: a `kill -9` loses no admitted request and at most one
 //!   iteration-slice of solve progress;
 //! * [`server`] — admission control with bounded-queue load shedding,

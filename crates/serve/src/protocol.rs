@@ -637,12 +637,13 @@ mod tests {
 
     #[test]
     fn edit_responses_carry_the_mode() {
-        use mcr_core::{DynamicOutcome, SolveMode};
+        use mcr_core::{DynamicOutcome, SolveMode, TopologyPath};
         let outcome = DynamicOutcome {
             solution: None,
             mode: SolveMode::Incremental,
             cache_hits: 1,
             cache_misses: 0,
+            topology: TopologyPath::Merge,
         };
         let text = resp_edit(8, Some(0xabc), &outcome);
         let v = json::parse(&text).expect("valid JSON");

@@ -21,7 +21,7 @@
 //! CLI uses, which is what makes daemon responses bit-identical to CLI
 //! runs — certify the witness, respond, and mark the journal entry
 //! done. Long budget-free solves of the checkpointable algorithms run
-//! in bounded iteration slices, snapshotting `mcr-checkpoint v1` state
+//! in bounded iteration slices, snapshotting `mcr-checkpoint v2` state
 //! to the journal directory between slices so a crash loses at most
 //! one slice of progress.
 //!
@@ -876,9 +876,7 @@ fn handle_dequeued(shared: &Shared, job: QueuedJob) {
         return;
     }
     let question = Question::solve(&solve);
-    let cache = lock(&shared.cache);
-    let stored = cache.answer(resolved.hash, &resolved.graph, &question);
-    drop(cache);
+    let stored = lock(&shared.cache).answer(resolved.hash, &resolved.graph, &question);
     let hit = stored.is_some();
     let outcome = match stored {
         Some(answer) => {

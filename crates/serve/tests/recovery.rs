@@ -1,7 +1,7 @@
 //! Crash-recovery tests: a daemon is stopped with admitted-but-unsolved
 //! work in its journal, and a second daemon over the same directory
 //! must finish that work — including resuming a partial solve from its
-//! `mcr-checkpoint v1` sidecar.
+//! `mcr-checkpoint v2` sidecar.
 //!
 //! Graceful stop and `kill -9` share one recovery path (the journal is
 //! fsynced at admission, never flushed at exit), so these in-process
@@ -151,7 +151,7 @@ fn restart_resumes_a_partial_solve_from_its_checkpoint() {
     )
     .expect_err("one iteration must not converge on this instance");
     let snapshot = store.snapshot().to_text();
-    assert!(snapshot.contains("mcr-checkpoint v1"), "{snapshot}");
+    assert!(snapshot.contains("mcr-checkpoint v2"), "{snapshot}");
     let a = start(0, &dir);
     let mut sink = Vec::new();
     mcr_serve::client::replay(

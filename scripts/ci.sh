@@ -165,6 +165,13 @@ grep -q "incremental;" /tmp/mcr_ci_dyn1.out || {
     echo "FAIL: the golden replay never took the incremental path"
     exit 1
 }
+# An insert or delete re-decomposes only the components it touches:
+# the replay runs Tarjan over the whole graph once, for the first build.
+grep -qx "whole-graph Tarjan runs: 1" /tmp/mcr_ci_dyn1.out || {
+    echo "FAIL: the golden replay ran Tarjan over the whole graph after the first build"
+    grep "Tarjan" /tmp/mcr_ci_dyn1.out
+    exit 1
+}
 rm -f /tmp/mcr_ci_dyn1.out /tmp/mcr_ci_dyn4.out /tmp/mcr_ci_dyn_traj.txt
 
 echo "=== chaos suite (--features chaos, 3 fixed seeds) ==="
