@@ -18,7 +18,7 @@ pub(crate) mod parametric;
 
 use crate::budget::{BudgetScope, Deadline};
 use crate::checkpoint::JobProgress;
-use crate::driver::{solve_per_scc, solve_value_per_scc_opts, SccOutcome};
+use crate::driver::{solve_value_per_scc_opts, SccOutcome};
 use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::options::SolveOptions;
@@ -52,8 +52,8 @@ pub(crate) fn solve_scc_budgeted(
     match alg {
         Algorithm::Burns => burns::solve_scc_f64(sub, counters, scope),
         Algorithm::BurnsExact => burns::solve_scc(sub, counters, scope),
-        Algorithm::Ko => parametric::solve_scc(sub, counters, HeapGranularity::PerArc, scope),
-        Algorithm::Yto => parametric::solve_scc(sub, counters, HeapGranularity::PerNode, scope),
+        Algorithm::Ko => parametric::solve_scc(sub, counters, HeapGranularity::PerArc, ws, scope),
+        Algorithm::Yto => parametric::solve_scc(sub, counters, HeapGranularity::PerNode, ws, scope),
         Algorithm::Howard => {
             howard::solve_scc_fig1(sub, counters, read_epsilon(epsilon)?, ws, scope)
         }
@@ -422,33 +422,6 @@ impl Algorithm {
                 crate::route::solve_untraced(g, &route, opts).map(|s| (s.lambda, s.counters))
             }
         }
-    }
-}
-
-/// Ablation entry point: the parametric algorithms (KO / YTO) with a
-/// configurable priority queue. The study inherited LEDA's Fibonacci
-/// heap for both; this lets benches quantify that choice against a
-/// plain indexed binary heap.
-pub fn parametric_with_heap(g: &Graph, node_keyed: bool, fibonacci: bool) -> Option<Solution> {
-    use mcr_graph::heap::{FibonacciHeap, IndexedBinaryHeap};
-    use parametric::Event;
-    let (granularity, alg) = if node_keyed {
-        (HeapGranularity::PerNode, Algorithm::Yto)
-    } else {
-        (HeapGranularity::PerArc, Algorithm::Ko)
-    };
-    if fibonacci {
-        solve_per_scc(g, move |_job, s, c, _ws| {
-            let mut scope = BudgetScope::unlimited(alg);
-            parametric::solve_scc_with::<FibonacciHeap<Event>>(s, c, granularity, &mut scope)
-        })
-        .ok()
-    } else {
-        solve_per_scc(g, move |_job, s, c, _ws| {
-            let mut scope = BudgetScope::unlimited(alg);
-            parametric::solve_scc_with::<IndexedBinaryHeap<Event>>(s, c, granularity, &mut scope)
-        })
-        .ok()
     }
 }
 

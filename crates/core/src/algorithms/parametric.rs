@@ -27,6 +27,10 @@
 //!   incoming arcs). After a pivot only affected node keys are
 //!   recomputed and updated in place — far fewer heap operations,
 //!   "especially in the number of insertions".
+//!
+//! Both walk in-arcs, which [`Graph`] does not index: each solve builds
+//! its own reverse index into the workspace's [`RevCsr`], listing every
+//! node's in-arcs in ascending arc id.
 
 use crate::budget::BudgetScope;
 use crate::driver::SccOutcome;
@@ -34,6 +38,7 @@ use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
+use crate::workspace::{RevCsr, Workspace};
 use mcr_graph::idx32;
 use mcr_graph::heap::{AddressableHeap, FibonacciHeap};
 use mcr_graph::{ArcId, Graph, NodeId};
@@ -286,6 +291,35 @@ impl<'g> Tree<'g> {
     }
 }
 
+/// Rebuilds `ins` as the reverse index of `g`: list `v` holds the ids of
+/// the arcs entering `v`, in ascending order.
+fn index_in_arcs(g: &Graph, ins: &mut RevCsr) {
+    ins.build(g.num_nodes(), |emit| {
+        for (a, t) in g.targets().iter().enumerate() {
+            emit(idx32(t.index()), idx32(a));
+        }
+    });
+}
+
+/// The arcs entering `v` as `(arc, source, weight, transit)`, read
+/// through the reverse index `ins` of `g`.
+#[inline]
+fn in_adj<'a>(
+    g: &'a Graph,
+    ins: &'a RevCsr,
+    v: usize,
+) -> impl Iterator<Item = (ArcId, usize, i64, i64)> + 'a {
+    ins.list(v).iter().map(move |&f| {
+        let f = f as usize;
+        (
+            ArcId::new(f),
+            g.sources()[f].index(),
+            g.weights()[f],
+            g.transits()[f],
+        )
+    })
+}
+
 /// Runs the parametric algorithm on one strongly connected, cyclic
 /// component with the chosen heap granularity and LEDA's Fibonacci heap
 /// (the study's configuration).
@@ -293,13 +327,14 @@ pub(crate) fn solve_scc(
     g: &Graph,
     counters: &mut Counters,
     granularity: HeapGranularity,
+    ws: &mut Workspace,
     scope: &mut BudgetScope,
 ) -> Result<SccOutcome, SolveError> {
-    solve_scc_with::<FibonacciHeap<Event>>(g, counters, granularity, scope)
+    solve_scc_with::<FibonacciHeap<Event>>(g, counters, granularity, ws, scope)
 }
 
-/// Heap-generic engine, for the Fibonacci-vs-binary ablation bench.
-/// Every pivot charges one budget iteration.
+/// Heap-generic engine (a unit test runs it on a binary heap against
+/// the Fibonacci one). Every pivot charges one budget iteration.
 ///
 /// All path arithmetic is checked: a tree-path weight or transit that
 /// leaves `i64` fails the solve with [`SolveError::Overflow`] rather
@@ -308,11 +343,14 @@ pub(crate) fn solve_scc_with<H: AddressableHeap<Event>>(
     g: &Graph,
     counters: &mut Counters,
     granularity: HeapGranularity,
+    ws: &mut Workspace,
     scope: &mut BudgetScope,
 ) -> Result<SccOutcome, SolveError> {
     let n = g.num_nodes();
     let m = g.num_arcs();
     let mut tree = Tree::new(g)?;
+    index_in_arcs(g, &mut ws.rev);
+    let ins = &ws.rev;
 
     match granularity {
         HeapGranularity::PerArc => {
@@ -344,9 +382,9 @@ pub(crate) fn solve_scc_with<H: AddressableHeap<Event>>(
                             refresh_arc(&tree, &mut heap, f, x as usize, y.index(), w, t)?;
                         }
                     }
-                    for (f, z, w, t) in g.in_adj(xv) {
-                        if !tree.in_subtree(z.index()) {
-                            refresh_arc(&tree, &mut heap, f, z.index(), x as usize, w, t)?;
+                    for (f, z, w, t) in in_adj(g, ins, x as usize) {
+                        if !tree.in_subtree(z) {
+                            refresh_arc(&tree, &mut heap, f, z, x as usize, w, t)?;
                         }
                     }
                 }
@@ -362,7 +400,7 @@ pub(crate) fn solve_scc_with<H: AddressableHeap<Event>>(
             // tree, pick the same arc and key, and count nothing.
             let mut recomputed = vec![0u32; n];
             for v in 0..n {
-                recompute_node(&tree, &mut heap, &mut best_arc, v)?;
+                recompute_node(&tree, ins, &mut heap, &mut best_arc, v)?;
             }
             scope.loop_metrics("core.ko-yto.pivot");
             let outcome = loop {
@@ -380,14 +418,14 @@ pub(crate) fn solve_scc_with<H: AddressableHeap<Event>>(
                 // (their tree path moved) plus targets of arcs leaving
                 // the subtree (their candidate events moved).
                 for &x in &tree.sub {
-                    recompute_node(&tree, &mut heap, &mut best_arc, x as usize)?;
+                    recompute_node(&tree, ins, &mut heap, &mut best_arc, x as usize)?;
                 }
                 for &x in &tree.sub {
                     for (_f, y, _w, _t) in g.out_adj(NodeId::new(x as usize)) {
                         let y = y.index();
                         if !tree.in_subtree(y) && recomputed[y] != tree.epoch {
                             recomputed[y] = tree.epoch;
-                            recompute_node(&tree, &mut heap, &mut best_arc, y)?;
+                            recompute_node(&tree, ins, &mut heap, &mut best_arc, y)?;
                         }
                     }
                 }
@@ -416,14 +454,14 @@ fn refresh_arc<H: AddressableHeap<Event>>(
 
 fn recompute_node<H: AddressableHeap<Event>>(
     tree: &Tree<'_>,
+    ins: &RevCsr,
     heap: &mut H,
     best_arc: &mut [Option<ArcId>],
     v: usize,
 ) -> Result<(), SolveError> {
-    let g = tree.g;
     let mut best: Option<(Event, ArcId)> = None;
-    for (f, u, w, t) in g.in_adj(NodeId::new(v)) {
-        if let Some(ev) = tree.event_parts(u.index(), v, w, t)? {
+    for (f, u, w, t) in in_adj(tree.g, ins, v) {
+        if let Some(ev) = tree.event_parts(u, v, w, t)? {
             if best.is_none_or(|(b, _)| ev < b) {
                 best = Some((ev, f));
             }
@@ -474,14 +512,28 @@ mod tests {
     fn ko(g: &Graph) -> (Ratio64, Counters) {
         let mut c = Counters::new();
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Ko);
-        let s = solve_scc(g, &mut c, HeapGranularity::PerArc, &mut scope).expect("unlimited");
+        let s = solve_scc(
+            g,
+            &mut c,
+            HeapGranularity::PerArc,
+            &mut Workspace::new(),
+            &mut scope,
+        )
+        .expect("unlimited");
         (s.lambda, c)
     }
 
     fn yto(g: &Graph) -> (Ratio64, Counters) {
         let mut c = Counters::new();
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Yto);
-        let s = solve_scc(g, &mut c, HeapGranularity::PerNode, &mut scope).expect("unlimited");
+        let s = solve_scc(
+            g,
+            &mut c,
+            HeapGranularity::PerNode,
+            &mut Workspace::new(),
+            &mut scope,
+        )
+        .expect("unlimited");
         (s.lambda, c)
     }
 
@@ -542,6 +594,51 @@ mod tests {
             }
         }
         assert_eq!(Event { num: 2, den: 4 }, Event { num: 1, den: 2 });
+    }
+
+    #[test]
+    fn the_in_arc_index_lists_each_nodes_in_arcs_in_ascending_id() {
+        // Random arc lists over a few nodes, so parallel arcs and
+        // self-loops turn up often, then random appends and removes; each
+        // list must equal a per-node filter of the arc table.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut ins = RevCsr::default();
+        let mut check = |g: &Graph, ctx: &str| {
+            index_in_arcs(g, &mut ins);
+            assert_eq!(ins.start.len(), g.num_nodes() + 1, "{ctx}: list count");
+            for v in g.node_ids() {
+                let want: Vec<u32> = g
+                    .arc_ids()
+                    .filter(|&a| g.target(a) == v)
+                    .map(|a| idx32(a.index()))
+                    .collect();
+                assert_eq!(ins.list(v.index()), want, "{ctx}: in-arcs of {v:?}");
+            }
+        };
+        for n in 1..8usize {
+            let arcs: Vec<(usize, usize, i64)> = (0..rng.gen_range(0..4 * n))
+                .map(|_| {
+                    (
+                        rng.gen_range(0..n),
+                        rng.gen_range(0..n),
+                        rng.gen_range(-9..=9),
+                    )
+                })
+                .collect();
+            let mut g = from_arc_list(n, &arcs);
+            check(&g, &format!("{n} nodes"));
+            for step in 0..40 {
+                if g.num_arcs() > 0 && rng.gen_range(0..5) < 2 {
+                    g.remove_arc(ArcId::new(rng.gen_range(0..g.num_arcs())));
+                } else {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    g.append_arc(NodeId::new(u), NodeId::new(v), 1, 1);
+                }
+                check(&g, &format!("{n} nodes, step {step}"));
+            }
+        }
     }
 
     #[test]
@@ -623,10 +720,16 @@ mod tests {
                 let mut c2 = Counters::new();
                 let mut s1 = BudgetScope::unlimited(crate::Algorithm::Ko);
                 let mut s2 = BudgetScope::unlimited(crate::Algorithm::Ko);
-                let fib = solve_scc(&g, &mut c1, granularity, &mut s1).expect("unlimited");
-                let bin =
-                    solve_scc_with::<IndexedBinaryHeap<Event>>(&g, &mut c2, granularity, &mut s2)
-                        .expect("unlimited");
+                let mut ws = Workspace::new();
+                let fib = solve_scc(&g, &mut c1, granularity, &mut ws, &mut s1).expect("unlimited");
+                let bin = solve_scc_with::<IndexedBinaryHeap<Event>>(
+                    &g,
+                    &mut c2,
+                    granularity,
+                    &mut ws,
+                    &mut s2,
+                )
+                .expect("unlimited");
                 assert_eq!(fib.lambda, bin.lambda, "seed {seed} {granularity:?}");
                 // Tie-breaking may differ between heaps, but both
                 // engines must do real work and agree on the optimum.

@@ -260,25 +260,16 @@ fn run_jobs<R: Send>(
 }
 
 /// Runs `solve_scc` on every cyclic strongly connected component of `g`
-/// and returns the minimum, with the witness cycle mapped back to
-/// `g`'s arc ids. Returns [`SolveError::Acyclic`] when `g` has no
-/// cycle; any per-component error is propagated (the one from the
-/// lowest component index, independent of scheduling).
+/// on `opts`'s threads and returns the minimum, with the witness cycle
+/// mapped back to `g`'s arc ids. Returns [`SolveError::Acyclic`] when
+/// `g` has no cycle; any per-component error is propagated (the one
+/// from the lowest component index, independent of scheduling). See the
+/// module docs for the determinism argument.
 ///
 /// `solve_scc` receives the job index (stable across thread counts —
 /// the checkpoint key), a strongly connected graph that contains at
 /// least one cycle (possibly a single node with self-loops), a counter
 /// sink, and a reusable scratch workspace.
-pub(crate) fn solve_per_scc(
-    g: &Graph,
-    solve_scc: impl Fn(usize, &Graph, &mut Counters, &mut Workspace) -> Result<SccOutcome, SolveError>
-        + Sync,
-) -> Result<Solution, SolveError> {
-    solve_per_scc_opts(g, &SolveOptions::default(), solve_scc)
-}
-
-/// [`solve_per_scc`] with explicit [`SolveOptions`] (thread count).
-/// See the module docs for the determinism argument.
 pub(crate) fn solve_per_scc_opts(
     g: &Graph,
     opts: &SolveOptions,
@@ -391,6 +382,14 @@ mod tests {
             guarantee: Guarantee::Exact,
             solved_by: Algorithm::HowardExact,
         })
+    }
+
+    fn solve_per_scc(
+        g: &Graph,
+        solve_scc: impl Fn(usize, &Graph, &mut Counters, &mut Workspace) -> Result<SccOutcome, SolveError>
+            + Sync,
+    ) -> Result<Solution, SolveError> {
+        solve_per_scc_opts(g, &SolveOptions::default(), solve_scc)
     }
 
     #[test]

@@ -35,11 +35,12 @@
 //!    * an insert inside one component extracts that job again (a node
 //!      gaining its first self-loop becomes a job); an insert that the
 //!      order already respects changes nothing;
-//!    * an insert against the order searches forward from its head and
-//!      backward from its tail, visiting only components placed between
-//!      the two (Pearce–Kelly). The components both searches reach lie
-//!      on a path from head to tail and merge into one job; if there are
-//!      none, the two searches' components swap places locally.
+//!    * an insert against the order searches forward from its head,
+//!      visiting only components placed between the head and the tail
+//!      (the forward half of Pearce–Kelly). The components it reaches
+//!      that reach the tail lie on a path from head to tail and merge
+//!      into one job; the components it reached move after the others
+//!      placed between the two.
 //!
 //!    Because both job order and each job's node numbering depend on the
 //!    component's own arcs alone, the jobs, subgraphs and fingerprints
@@ -48,7 +49,7 @@
 //! 2. patches that state in place for a batch made only of
 //!    [`Edit::Reweight`] / [`Edit::Retime`]: each edit rewrites one arc
 //!    of the host graph and of its component's subgraph in
-//!    `O(degree)` ([`Graph::set_arc_values`]). The arc set is unchanged,
+//!    `O(out-degree)` ([`Graph::set_arc_values`]). The arc set is unchanged,
 //!    so the CSR, the job order and every subgraph stay byte-equal to a
 //!    rebuild, and only the patched components are re-fingerprinted;
 //! 3. keeps, per job, its last successful result next to its
@@ -465,16 +466,9 @@ struct Split {
     path: TopologyPath,
     /// Translation table for extracting one job.
     ex: SubgraphExtractor,
-    /// Per component id: the searches' marks, zero outside a search.
-    seen: Vec<u8>,
+    /// Per component id: the search's marks, all clear outside a search.
+    seen: Vec<bool>,
 }
-
-/// A component reached by the forward search of an insert.
-const FORWARD: u8 = 1;
-/// A component reached by the backward search of an insert.
-const BACKWARD: u8 = 2;
-/// An `order` slot a merge emptied.
-const HOLE: u32 = u32::MAX;
 
 impl Topo {
     /// Builds the state of `arcs` from scratch: the CSR graph, then,
@@ -591,7 +585,7 @@ impl Split {
             extracted: Vec::new(),
             path: TopologyPath::None,
             ex: SubgraphExtractor::new(n),
-            seen: vec![0; n],
+            seen: vec![false; n],
         };
         // Tarjan emits the components in reverse topological order, each
         // ending with its smallest node.
@@ -701,11 +695,26 @@ impl Split {
         self.members.remove(j)
     }
 
-    /// Sets `pos` from `order` for every slot from `from` on.
-    fn renumber(&mut self, from: usize) {
-        for (i, &c) in self.order.iter().enumerate().skip(from) {
-            self.pos[c as usize] = idx32(i);
+    /// Sets `pos` from `order` for the slots in `slots`.
+    fn renumber(&mut self, slots: std::ops::Range<usize>) {
+        for i in slots {
+            self.pos[self.order[i] as usize] = idx32(i);
         }
+    }
+
+    /// The component of each arc's head, for every arc leaving a node of
+    /// component `c`.
+    fn successors<'a>(&'a self, g: &'a Graph, c: u32) -> impl Iterator<Item = u32> + 'a {
+        let (nodes, single) = match self.job_of(c) {
+            Some(j) => (&self.members[j][..], None),
+            None => (&[][..], Some(NodeId::new(c as usize))),
+        };
+        nodes
+            .iter()
+            .copied()
+            .chain(single)
+            .flat_map(move |x| g.out_neighbors(x))
+            .map(move |(_, w)| self.comp[w.index()])
     }
 
     /// Records that the batch took `path`.
@@ -733,47 +742,57 @@ impl Split {
     }
 
     /// Restores the order after an arc from component `cu` to the earlier
-    /// component `cv` (Pearce–Kelly). A forward search from `cv` and a
-    /// backward search from `cu` visit only components placed between
-    /// the two. If the forward search reaches `cu`, the components both
-    /// searches reached are exactly those on a path from `cv` to `cu`:
-    /// they merge into one component, placed after every other component
-    /// the backward search reached and before every other one the
-    /// forward search reached. Otherwise the backward search's
-    /// components move before the forward search's, keeping their
-    /// relative orders, into the same set of slots.
+    /// component `cv` (the forward half of Pearce–Kelly). Let `F` be the
+    /// components a forward search from `cv` reaches through places in
+    /// `[pos cv, pos cu]`. Every component on a path from `cv` to `cu` is
+    /// placed in that range, so it is in `F`, and the new cycle, if any,
+    /// is the members of `F` that reach `cu`. One pass over the range in
+    /// decreasing place finds them: an arc inside the range runs to a
+    /// later place, so a component's successors are classified before
+    /// it, and the pass reads only arcs the search already read. The
+    /// range's slots then hold the components outside `F`, the merged
+    /// component (if any), then the rest of `F`, each group in its old
+    /// order. That order is valid. No arc leaves `F` for a range
+    /// component outside `F`, or the search would have reached it. No
+    /// arc runs from the rest of `F` into the merge, or its tail would
+    /// reach `cu`. The new arc runs from outside `F` into it, or lies
+    /// inside the merge. Every other arc keeps its direction.
     fn restore_order(&mut self, target: &Graph, cu: u32, cv: u32, cache: &mut Cache) {
-        let (lo, hi) = (self.pos[cv as usize], self.pos[cu as usize]);
-        let forward = self.search(target, cv, FORWARD, lo..=hi);
-        let backward = self.search(target, cu, BACKWARD, lo..=hi);
-        let mut merged = Vec::new();
-        let (mut before, mut after) = (Vec::new(), Vec::new());
-        for &c in backward.iter().chain(&forward) {
-            match std::mem::take(&mut self.seen[c as usize]) {
-                BACKWARD => before.push(c),
-                FORWARD => after.push(c),
-                0 => {}
-                _ => merged.push(c),
+        let lo = self.pos[cv as usize] as usize;
+        let hi = self.pos[cu as usize] as usize;
+        // Marks `F`, then, from the pass on, the members of `F` not ruled
+        // out of the merge.
+        let mut seen = std::mem::take(&mut self.seen);
+        seen[cv as usize] = true;
+        let mut stack = vec![cv];
+        while let Some(c) = stack.pop() {
+            for d in self.successors(target, c) {
+                if !seen[d as usize] && (lo..=hi).contains(&(self.pos[d as usize] as usize)) {
+                    seen[d as usize] = true;
+                    stack.push(d);
+                }
             }
         }
-        let mut slots: Vec<u32> = before
-            .iter()
-            .chain(&after)
-            .chain(&merged)
-            .map(|&c| self.pos[c as usize])
-            .collect();
-        slots.sort_unstable();
-        before.sort_unstable_by_key(|&c| self.pos[c as usize]);
-        after.sort_unstable_by_key(|&c| self.pos[c as usize]);
-        let tail = slots.len() - after.len();
-        for (&slot, &c) in slots.iter().zip(&before).chain(slots[tail..].iter().zip(&after)) {
-            self.order[slot as usize] = c;
-            self.pos[c as usize] = slot;
+        let (mut outside, mut merged, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+        for &c in self.order[lo..=hi].iter().rev() {
+            if !seen[c as usize] {
+                outside.push(c);
+            } else if c == cu
+                || self
+                    .successors(target, c)
+                    .any(|d| d != c && seen[d as usize])
+            {
+                merged.push(c);
+            } else {
+                seen[c as usize] = false;
+                rest.push(c);
+            }
         }
-        if merged.is_empty() {
-            self.took(TopologyPath::Reorder);
-            return;
+        for &c in &merged {
+            seen[c as usize] = false;
         }
+        self.seen = seen;
+        let mut placed: Vec<u32> = outside.into_iter().rev().collect();
         let mut nodes = Vec::new();
         for &c in &merged {
             match self.job_of(c) {
@@ -781,60 +800,24 @@ impl Split {
                 None => nodes.push(NodeId::new(c as usize)),
             }
         }
-        canonical_order(target, &mut nodes);
-        let id = smallest(&nodes);
-        for v in &nodes {
-            self.comp[v.index()] = id;
-        }
-        let slot = slots[before.len()];
-        self.order[slot as usize] = id;
-        self.pos[id as usize] = slot;
-        for &hole in &slots[before.len() + 1..tail] {
-            self.order[hole as usize] = HOLE;
-        }
-        self.order.retain(|&c| c != HOLE);
-        self.renumber(slot as usize);
-        self.insert_job(target, nodes);
-        self.took(TopologyPath::Merge);
-    }
-
-    /// Marks with `bit` and returns the components reachable from `from`
-    /// (`bit` is [`FORWARD`]) or reaching it ([`BACKWARD`]) through
-    /// components whose places lie in `within`.
-    fn search(
-        &mut self,
-        g: &Graph,
-        from: u32,
-        bit: u8,
-        within: std::ops::RangeInclusive<u32>,
-    ) -> Vec<u32> {
-        let Split { comp, pos, job_comp, members, seen, .. } = self;
-        seen[from as usize] |= bit;
-        let mut found = vec![from];
-        let mut next = 0;
-        while let Some(&c) = found.get(next) {
-            next += 1;
-            let single = [NodeId::new(c as usize)];
-            let nodes = match job_comp.binary_search(&c) {
-                Ok(j) => &members[j][..],
-                Err(_) => &single[..],
-            };
-            let mut visit = |w: NodeId| {
-                let d = comp[w.index()];
-                if seen[d as usize] & bit == 0 && within.contains(&pos[d as usize]) {
-                    seen[d as usize] |= bit;
-                    found.push(d);
-                }
-            };
-            for &x in nodes {
-                if bit == FORWARD {
-                    g.out_neighbors(x).for_each(|(_, w)| visit(w));
-                } else {
-                    g.in_neighbors(x).for_each(|(_, w)| visit(w));
-                }
+        if !nodes.is_empty() {
+            canonical_order(target, &mut nodes);
+            let id = smallest(&nodes);
+            for v in &nodes {
+                self.comp[v.index()] = id;
             }
+            placed.push(id);
         }
-        found
+        placed.extend(rest.iter().rev());
+        self.order.splice(lo..=hi, placed);
+        if nodes.is_empty() {
+            self.renumber(lo..hi + 1);
+            self.took(TopologyPath::Reorder);
+        } else {
+            self.renumber(lo..self.order.len());
+            self.insert_job(target, nodes);
+            self.took(TopologyPath::Merge);
+        }
     }
 
     /// Updates the components after host arc `arc` left `target`. Every
@@ -887,7 +870,7 @@ impl Split {
             }
         }
         self.order.splice(at..=at, ids);
-        self.renumber(at);
+        self.renumber(at..self.order.len());
         self.took(TopologyPath::Split);
     }
 }
@@ -909,8 +892,11 @@ fn smallest(nodes: &[NodeId]) -> u32 {
 /// stripped at construction: a frozen plan cannot follow edits, and
 /// checkpoint keys are job indices, which edits renumber — both would
 /// break the bit-identity contract. Budget, deadline, cancel token,
-/// threads, epsilon and the fallback chain all apply per batch exactly
-/// as they do to [`solve_spec`].
+/// epsilon and the fallback chain all apply per batch exactly as they do
+/// to [`solve_spec`]. `threads` does not: an incremental batch solves
+/// its missed jobs one after another on the calling thread, and only
+/// the full-solve fallback runs the driver on `threads` workers. The
+/// answer does not depend on the thread count either way.
 ///
 /// [`apply`]: DynamicSolver::apply
 #[derive(Debug)]
@@ -1670,7 +1656,7 @@ mod tests {
             let cv = got.comp[target.target(a).index()] as usize;
             assert!(cu == cv || got.pos[cu] < got.pos[cv], "{ctx}: arc {a:?} against the order");
         }
-        assert!(got.seen.iter().all(|&m| m == 0), "{ctx}: search marks left behind");
+        assert!(!got.seen.contains(&true), "{ctx}: search marks left behind");
         assert!(got.extracted.is_empty() && got.path == TopologyPath::None, "{ctx}: batch record");
         assert_eq!(got.job_comp, want.job_comp, "{ctx}: job components");
         assert_eq!(got.members, want.members, "{ctx}: job node lists");
@@ -1978,10 +1964,14 @@ mod tests {
         // Each step names its arcs by endpoints: its deletes, then its
         // inserts (weight 40), and the path the batch must take. The
         // first build orders the components F, D, E, C (Tarjan emits C,
-        // E, D, F).
+        // E, D, F). The last three steps order them E, D, F, C, then
+        // insert against the order over a range that holds a component
+        // the forward search never reaches between two it does: D
+        // between E and F when C → E reorders, then C and E between D
+        // and F when F → D merges D and F.
         type Step = (&'static str, &'static [(usize, usize)], &'static [(usize, usize)], TopologyPath);
         use TopologyPath::*;
-        let steps: [Step; 6] = [
+        let steps: [Step; 9] = [
             ("split C into R1, R2 and R3", &[(5, 0)], &[], Split),
             ("merge R1, R2 and R3", &[], &[(5, 0)], Merge),
             ("E to F against the order, no cycle", &[], &[(8, 10)], Reorder),
@@ -1993,6 +1983,9 @@ mod tests {
                 Merge,
             ),
             ("C's pieces merge again", &[], &[(5, 0)], Merge),
+            ("D and E come apart", &[(9, 6), (6, 9)], &[], Split),
+            ("C to E past D", &[], &[(8, 10), (6, 10), (0, 8)], Reorder),
+            ("F to D past C and E", &[], &[(10, 6)], Merge),
         ];
         for spec in state_specs() {
             let mut s = DynamicSolver::new(&ring_graph(), spec, SolveOptions::new());

@@ -21,11 +21,11 @@
 //!   `u32` stamp compared against the current epoch, so clearing a mark
 //!   array is a single counter increment instead of an `O(n)` fill.
 //! * **Flat CSR adjacency** (`RevCsr`): the critical-cycle DFS's
-//!   tight-arc adjacency is rebuilt per call by counting sort into one
-//!   flat array. Items are placed in increasing insertion order, which
-//!   is exactly the push order of the `Vec<Vec<u32>>` it replaces —
-//!   traversal order, and therefore every downstream tie-break, is
-//!   unchanged.
+//!   tight-arc adjacency and KO/YTO's in-arc index are rebuilt per call
+//!   by counting sort into one flat array. Items are placed in
+//!   increasing insertion order, which is exactly the push order of the
+//!   `Vec<Vec<u32>>` it replaces — traversal order, and therefore every
+//!   downstream tie-break, is unchanged.
 
 use crate::obs::Recorder;
 use mcr_graph::ArcId;
@@ -168,7 +168,8 @@ pub struct Workspace {
     /// Howard (exact): the same, when the latest round ran in `i128`.
     pub(crate) dist_i128: Vec<i128>,
     pub(crate) cycles: PolicyCycleScratch,
-    /// Tight-arc adjacency of the critical-cycle extraction.
+    /// Tight-arc adjacency of the critical-cycle extraction, and the
+    /// in-arc index of a KO/YTO solve.
     pub(crate) rev: RevCsr,
     pub(crate) marks: Marks,
     pub(crate) bf: BellmanScratch,

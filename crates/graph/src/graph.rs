@@ -125,14 +125,15 @@ impl fmt::Display for ArcId {
     }
 }
 
-/// An immutable directed graph with `i64` arc weights and transit times,
-/// stored in compressed adjacency (CSR) form in both directions.
+/// An immutable directed graph with `i64` arc weights and transit times:
+/// the arc table plus its out-adjacency in compressed (CSR) form.
 ///
 /// Constructed through [`GraphBuilder`]. Parallel arcs and self-loops are
-/// allowed (both occur in SPRAND-generated inputs). The out-adjacency is
-/// used by forward traversals (Howard, DG, parametric algorithms); the
-/// in-adjacency is used by Karp's recurrence, which relaxes over
-/// predecessors.
+/// allowed (both occur in SPRAND-generated inputs). Forward traversals
+/// (Howard, DG, Tarjan, the parametric algorithms) read the
+/// out-adjacency; flat relaxation kernels (Karp's recurrence) read the
+/// arc table. There is no in-adjacency: the one solver that walks
+/// predecessors (KO/YTO) builds its own reverse index per solve.
 ///
 /// ```
 /// use mcr_graph::GraphBuilder;
@@ -142,7 +143,7 @@ impl fmt::Display for ArcId {
 /// b.add_arc(v[1], v[0], -1);
 /// let g = b.build();
 /// assert_eq!(g.out_degree(v[0]), 1);
-/// assert_eq!(g.in_degree(v[0]), 1);
+/// assert_eq!(g.targets().iter().filter(|&&t| t == v[0]).count(), 1);
 /// ```
 ///
 /// Equality compares every array, so two graphs are equal exactly when
@@ -151,19 +152,14 @@ impl fmt::Display for ArcId {
 pub struct Graph {
     // CSR over arcs sorted by source; `out_arcs[first_out[v]..first_out[v+1]]`
     // are the arcs leaving `v`. The `out_targets`/`out_weights`/
-    // `out_transits` arrays are aligned with `out_arcs` (and the `in_*`
-    // arrays with `in_arcs`) so adjacency sweeps touch memory linearly
-    // instead of chasing arc ids scattered by insertion order.
+    // `out_transits` arrays are aligned with `out_arcs` so adjacency
+    // sweeps touch memory linearly instead of chasing arc ids scattered
+    // by insertion order.
     first_out: Vec<u32>,
     out_arcs: Vec<ArcId>,
     out_targets: Vec<NodeId>,
     out_weights: Vec<i64>,
     out_transits: Vec<i64>,
-    first_in: Vec<u32>,
-    in_arcs: Vec<ArcId>,
-    in_sources: Vec<NodeId>,
-    in_weights: Vec<i64>,
-    in_transits: Vec<i64>,
     sources: Vec<NodeId>,
     targets: Vec<NodeId>,
     weights: Vec<i64>,
@@ -253,24 +249,10 @@ impl Graph {
         &self.out_arcs[lo..hi]
     }
 
-    /// Arcs entering `v`.
-    #[inline]
-    pub fn in_arcs(&self, v: NodeId) -> &[ArcId] {
-        let lo = self.first_in[v.index()] as usize;
-        let hi = self.first_in[v.index() + 1] as usize;
-        &self.in_arcs[lo..hi]
-    }
-
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
         self.out_arcs(v).len()
-    }
-
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_arcs(v).len()
     }
 
     /// Iterates over `(arc, successor)` pairs of `v`.
@@ -281,16 +263,6 @@ impl Graph {
             .iter()
             .zip(&self.out_targets[lo..hi])
             .map(|(&a, &t)| (a, t))
-    }
-
-    /// Iterates over `(arc, predecessor)` pairs of `v`.
-    pub fn in_neighbors(&self, v: NodeId) -> impl Iterator<Item = (ArcId, NodeId)> + '_ {
-        let lo = self.first_in[v.index()] as usize;
-        let hi = self.first_in[v.index() + 1] as usize;
-        self.in_arcs[lo..hi]
-            .iter()
-            .zip(&self.in_sources[lo..hi])
-            .map(|(&a, &s)| (a, s))
     }
 
     /// Iterates over `(arc, target, weight, transit)` of the arcs
@@ -305,19 +277,6 @@ impl Graph {
             .zip(&self.out_weights[lo..hi])
             .zip(&self.out_transits[lo..hi])
             .map(|(((&a, &t), &w), &tr)| (a, t, w, tr))
-    }
-
-    /// Iterates over `(arc, source, weight, transit)` of the arcs
-    /// entering `v`, reading the cache-aligned adjacency copies.
-    pub fn in_adj(&self, v: NodeId) -> impl Iterator<Item = (ArcId, NodeId, i64, i64)> + '_ {
-        let lo = self.first_in[v.index()] as usize;
-        let hi = self.first_in[v.index() + 1] as usize;
-        self.in_arcs[lo..hi]
-            .iter()
-            .zip(&self.in_sources[lo..hi])
-            .zip(&self.in_weights[lo..hi])
-            .zip(&self.in_transits[lo..hi])
-            .map(|(((&a, &s), &w), &tr)| (a, s, w, tr))
     }
 
     /// Smallest arc weight, or `None` for an arc-free graph.
@@ -356,9 +315,6 @@ impl Graph {
         for w in &mut g.out_weights {
             *w = -*w;
         }
-        for w in &mut g.in_weights {
-            *w = -*w;
-        }
         g
     }
 
@@ -379,9 +335,6 @@ impl Graph {
         for (i, a) in g.out_arcs.iter().enumerate() {
             g.out_weights[i] = weights[a.index()];
         }
-        for (i, a) in g.in_arcs.iter().enumerate() {
-            g.in_weights[i] = weights[a.index()];
-        }
         g
     }
 
@@ -389,7 +342,7 @@ impl Graph {
     /// the aligned adjacency copies in step. The arc set, and so the CSR
     /// layout, is unchanged, which leaves the graph byte-equal to a fresh
     /// [`GraphBuilder`] build of the edited arc list. Costs
-    /// `O(out_degree(source) + in_degree(target))`.
+    /// `O(out_degree(source))`.
     ///
     /// ```
     /// use mcr_graph::{graph::from_arc_list, ArcId};
@@ -414,23 +367,14 @@ impl Graph {
             .expect("an arc is in its source's out-list");
         self.out_weights[at] = weight;
         self.out_transits[at] = transit;
-        let t = self.targets[i].index();
-        let (lo, hi) = (self.first_in[t] as usize, self.first_in[t + 1] as usize);
-        let at = lo + self.in_arcs[lo..hi]
-            .iter()
-            .position(|&a| a == arc)
-            .expect("an arc is in its target's in-list");
-        self.in_weights[at] = weight;
-        self.in_transits[at] = transit;
     }
 
     /// Appends the arc `source -> target` in place and returns its id,
     /// `num_arcs()` before the call. The new arc has the largest id, so
-    /// it goes last in its source's out-list and last in its target's
-    /// in-list, which leaves the graph equal to a fresh [`GraphBuilder`]
-    /// build of the arc list with the arc pushed on its end. Costs
-    /// `O(n + m)` (two array shifts), against a rebuild's `O(n + m)`
-    /// passes and allocations.
+    /// it goes last in its source's out-list, which leaves the graph equal
+    /// to a fresh [`GraphBuilder`] build of the arc list with the arc
+    /// pushed on its end. Costs `O(n + m)` (one array shift), against a
+    /// rebuild's `O(n + m)` passes and allocations.
     ///
     /// ```
     /// use mcr_graph::{graph::from_arc_list, ArcId, NodeId};
@@ -472,15 +416,6 @@ impl Graph {
         for f in &mut self.first_out[s + 1..] {
             *f += 1;
         }
-        let t = target.index();
-        let at = self.first_in[t + 1] as usize;
-        self.in_arcs.insert(at, id);
-        self.in_sources.insert(at, source);
-        self.in_weights.insert(at, weight);
-        self.in_transits.insert(at, transit);
-        for f in &mut self.first_in[t + 1..] {
-            *f += 1;
-        }
         self.sources.push(source);
         self.targets.push(target);
         self.weights.push(weight);
@@ -506,7 +441,7 @@ impl Graph {
     pub fn remove_arc(&mut self, arc: ArcId) {
         let i = arc.index();
         let s = self.sources.remove(i).index();
-        let t = self.targets.remove(i).index();
+        self.targets.remove(i);
         self.weights.remove(i);
         self.transits.remove(i);
         let (lo, hi) = (self.first_out[s] as usize, self.first_out[s + 1] as usize);
@@ -522,20 +457,7 @@ impl Graph {
         for f in &mut self.first_out[s + 1..] {
             *f -= 1;
         }
-        let (lo, hi) = (self.first_in[t] as usize, self.first_in[t + 1] as usize);
-        let at = lo
-            + self.in_arcs[lo..hi]
-                .iter()
-                .position(|&a| a == arc)
-                .expect("an arc is in its target's in-list");
-        self.in_arcs.remove(at);
-        self.in_sources.remove(at);
-        self.in_weights.remove(at);
-        self.in_transits.remove(at);
-        for f in &mut self.first_in[t + 1..] {
-            *f -= 1;
-        }
-        for a in self.out_arcs.iter_mut().chain(&mut self.in_arcs) {
+        for a in &mut self.out_arcs {
             a.0 -= u32::from(a.0 > arc.0);
         }
     }
@@ -720,36 +642,24 @@ impl GraphBuilder {
         let m = self.sources.len();
 
         let mut first_out = vec![0u32; n + 1];
-        let mut first_in = vec![0u32; n + 1];
-        for i in 0..m {
-            first_out[self.sources[i].index() + 1] += 1;
-            first_in[self.targets[i].index() + 1] += 1;
+        for s in &self.sources {
+            first_out[s.index() + 1] += 1;
         }
         for v in 0..n {
             first_out[v + 1] += first_out[v];
-            first_in[v + 1] += first_in[v];
         }
 
         let mut out_arcs = vec![ArcId::new(0); m];
-        let mut in_arcs = vec![ArcId::new(0); m];
         let mut out_cursor = first_out.clone();
-        let mut in_cursor = first_in.clone();
-        for i in 0..m {
-            let a = ArcId::new(i);
-            let s = self.sources[i].index();
-            let t = self.targets[i].index();
-            out_arcs[out_cursor[s] as usize] = a;
-            out_cursor[s] += 1;
-            in_arcs[in_cursor[t] as usize] = a;
-            in_cursor[t] += 1;
+        for (i, s) in self.sources.iter().enumerate() {
+            let c = &mut out_cursor[s.index()];
+            out_arcs[*c as usize] = ArcId::new(i);
+            *c += 1;
         }
         // Aligned adjacency copies for linear-memory sweeps.
         let out_targets: Vec<NodeId> = out_arcs.iter().map(|a| self.targets[a.index()]).collect();
         let out_weights: Vec<i64> = out_arcs.iter().map(|a| self.weights[a.index()]).collect();
         let out_transits: Vec<i64> = out_arcs.iter().map(|a| self.transits[a.index()]).collect();
-        let in_sources: Vec<NodeId> = in_arcs.iter().map(|a| self.sources[a.index()]).collect();
-        let in_weights: Vec<i64> = in_arcs.iter().map(|a| self.weights[a.index()]).collect();
-        let in_transits: Vec<i64> = in_arcs.iter().map(|a| self.transits[a.index()]).collect();
 
         Graph {
             first_out,
@@ -757,11 +667,6 @@ impl GraphBuilder {
             out_targets,
             out_weights,
             out_transits,
-            first_in,
-            in_arcs,
-            in_sources,
-            in_weights,
-            in_transits,
             sources: self.sources,
             targets: self.targets,
             weights: self.weights,
@@ -794,6 +699,10 @@ pub fn from_arc_list(num_nodes: usize, arcs: &[(usize, usize, i64)]) -> Graph {
 mod tests {
     use super::*;
 
+    fn in_degree(g: &Graph, v: NodeId) -> usize {
+        g.targets().iter().filter(|&&t| t == v).count()
+    }
+
     #[test]
     fn empty_graph() {
         let g = GraphBuilder::new().build();
@@ -809,7 +718,7 @@ mod tests {
         let g = from_arc_list(1, &[(0, 0, -3)]);
         let v = NodeId::new(0);
         assert_eq!(g.out_degree(v), 1);
-        assert_eq!(g.in_degree(v), 1);
+        assert_eq!(in_degree(&g, v), 1);
         let a = g.out_arcs(v)[0];
         assert_eq!(g.source(a), v);
         assert_eq!(g.target(a), v);
@@ -822,7 +731,7 @@ mod tests {
         let g = from_arc_list(2, &[(0, 1, 1), (0, 1, 2), (0, 1, 3)]);
         assert_eq!(g.num_arcs(), 3);
         assert_eq!(g.out_degree(NodeId::new(0)), 3);
-        assert_eq!(g.in_degree(NodeId::new(1)), 3);
+        assert_eq!(in_degree(&g, NodeId::new(1)), 3);
         let ws: Vec<i64> = g
             .out_arcs(NodeId::new(0))
             .iter()
@@ -838,14 +747,12 @@ mod tests {
             for &a in g.out_arcs(v) {
                 assert_eq!(g.source(a), v);
             }
-            for &a in g.in_arcs(v) {
-                assert_eq!(g.target(a), v);
-            }
+            let mut ids: Vec<ArcId> = g.out_arcs(v).to_vec();
+            ids.sort_unstable();
+            assert_eq!(ids, g.out_arcs(v), "out-arcs in ascending id");
         }
         let total_out: usize = g.node_ids().map(|v| g.out_degree(v)).sum();
-        let total_in: usize = g.node_ids().map(|v| g.in_degree(v)).sum();
         assert_eq!(total_out, g.num_arcs());
-        assert_eq!(total_in, g.num_arcs());
     }
 
     #[test]

@@ -63,7 +63,10 @@ pub fn dfs_preorder(g: &Graph, start: NodeId) -> Vec<NodeId> {
 /// ```
 pub fn topological_order(g: &Graph) -> Option<Vec<NodeId>> {
     let n = g.num_nodes();
-    let mut indeg: Vec<usize> = (0..n).map(|v| g.in_degree(NodeId::new(v))).collect();
+    let mut indeg = vec![0usize; n];
+    for t in g.targets() {
+        indeg[t.index()] += 1;
+    }
     let mut queue: VecDeque<NodeId> = (0..n)
         .filter(|&v| indeg[v] == 0)
         .map(NodeId::new)
