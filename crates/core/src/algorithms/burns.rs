@@ -19,7 +19,7 @@ use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
-use mcr_graph::{ArcId, Graph};
+use mcr_graph::{ArcId, GraphRef};
 
 /// Minimal exact rational over `i128` with overflow-checked arithmetic.
 /// Burns' intermediate duals can need denominators beyond `i64`, hence
@@ -131,7 +131,7 @@ impl Rat {
 
 /// Finds a cycle among `arcs` (a subgraph of `g`) via iterative
 /// three-color DFS, or `None` if the subgraph is acyclic.
-pub(crate) fn cycle_in_arc_subgraph(g: &Graph, arcs: &[ArcId]) -> Option<Vec<ArcId>> {
+pub(crate) fn cycle_in_arc_subgraph(g: GraphRef<'_>, arcs: &[ArcId]) -> Option<Vec<ArcId>> {
     let n = g.num_nodes();
     let mut out: Vec<Vec<ArcId>> = vec![Vec::new(); n];
     for &a in arcs {
@@ -182,7 +182,7 @@ pub(crate) fn cycle_in_arc_subgraph(g: &Graph, arcs: &[ArcId]) -> Option<Vec<Arc
 /// (compare paths by `(transit, weight)`): `λ₀` is the smallest event of
 /// any arc, `d₀(v) = a(v) − λ₀·k(v)`. With unit transit times this
 /// reduces to the classic `λ₀ = min w`, `d₀ = 0`.
-fn initial_pair(g: &Graph) -> Result<(Rat, Vec<Rat>), SolveError> {
+fn initial_pair(g: GraphRef<'_>) -> Result<(Rat, Vec<Rat>), SolveError> {
     let n = g.num_nodes();
     let mut a = vec![0i64; n];
     let mut k = vec![0i64; n];
@@ -240,7 +240,7 @@ fn initial_pair(g: &Graph) -> Result<(Rat, Vec<Rat>), SolveError> {
 /// Critical heights ρ(u) = max over tight out-arcs of ρ(v) + t(e), via
 /// a reverse topological sweep of the (acyclic) critical subgraph. A
 /// height past `i64` is [`SolveError::Overflow`].
-fn critical_heights(g: &Graph, tight: &[ArcId]) -> Result<Vec<i64>, SolveError> {
+fn critical_heights(g: GraphRef<'_>, tight: &[ArcId]) -> Result<Vec<i64>, SolveError> {
     let n = g.num_nodes();
     let mut tight_out: Vec<Vec<ArcId>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
@@ -278,7 +278,7 @@ fn critical_heights(g: &Graph, tight: &[ArcId]) -> Result<Vec<i64>, SolveError> 
 
 /// The rate `ρ(v) + t(e) − ρ(u)` at which arc `e = (u, v)`'s slack
 /// shrinks per unit step.
-fn step_coefficient(g: &Graph, rho: &[i64], e: ArcId) -> Result<i64, SolveError> {
+fn step_coefficient(g: GraphRef<'_>, rho: &[i64], e: ArcId) -> Result<i64, SolveError> {
     let rate = i128::from(rho[g.target(e).index()]) + i128::from(g.transit(e))
         - i128::from(rho[g.source(e).index()]);
     i64::try_from(rate).map_err(|_| HEIGHT_OVERFLOW)
@@ -294,7 +294,7 @@ const HEIGHT_OVERFLOW: SolveError = SolveError::Overflow {
 
 /// Burns' algorithm on one strongly connected, cyclic component.
 pub(crate) fn solve_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<SccOutcome, SolveError> {
@@ -385,7 +385,7 @@ pub(crate) fn solve_scc(
 /// exact version remains available as `Algorithm::BurnsExact` for the
 /// arithmetic-cost ablation.
 pub(crate) fn solve_scc_f64(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<SccOutcome, SolveError> {
@@ -480,15 +480,16 @@ pub(crate) fn solve_scc_f64(
 mod tests {
     use super::*;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn exact(g: &Graph, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::BurnsExact);
-        solve_scc(g, c, &mut scope).expect("unlimited")
+        solve_scc(g.view(), c, &mut scope).expect("unlimited")
     }
 
     fn fast(g: &Graph, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Burns);
-        solve_scc_f64(g, c, &mut scope).expect("unlimited")
+        solve_scc_f64(g.view(), c, &mut scope).expect("unlimited")
     }
 
     fn solve(g: &Graph) -> Ratio64 {
@@ -600,7 +601,7 @@ mod tests {
         let g = b.build();
         let mut c = Counters::new();
         let mut scope = BudgetScope::unlimited(crate::Algorithm::BurnsExact);
-        let err = solve_scc(&g, &mut c, &mut scope).expect_err("ratio undefined");
+        let err = solve_scc(g.view(), &mut c, &mut scope).expect_err("ratio undefined");
         assert_eq!(err, SolveError::ZeroTransitCycle);
     }
 
@@ -611,7 +612,7 @@ mod tests {
         let budget = crate::Budget::default().max_iterations(1);
         let mut scope = BudgetScope::new(&budget, None, crate::Algorithm::BurnsExact);
         let mut c = Counters::new();
-        match solve_scc(&g, &mut c, &mut scope) {
+        match solve_scc(g.view(), &mut c, &mut scope) {
             Ok(_) => {} // a lucky instance can finish in one phase
             Err(e) => assert!(matches!(e, SolveError::BudgetExhausted { .. }), "{e}"),
         }

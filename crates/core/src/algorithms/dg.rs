@@ -18,11 +18,11 @@ use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
 use mcr_graph::idx32;
-use mcr_graph::{Graph, NodeId};
+use mcr_graph::{GraphRef, NodeId};
 
 /// DG, λ only. Each unfolding level charges one budget iteration.
 pub(crate) fn lambda_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<Ratio64, SolveError> {
@@ -75,7 +75,7 @@ pub(crate) fn lambda_scc(
 
 /// DG on one strongly connected, cyclic component.
 pub(crate) fn solve_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut crate::workspace::Workspace,
     scope: &mut BudgetScope,
@@ -95,16 +95,28 @@ mod tests {
     use super::*;
     use crate::rational::Ratio64;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn dg_solve(g: &Graph, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Dg);
-        solve_scc(g, c, &mut crate::workspace::Workspace::new(), &mut scope).expect("unlimited")
+        solve_scc(
+            g.view(),
+            c,
+            &mut crate::workspace::Workspace::new(),
+            &mut scope,
+        )
+        .expect("unlimited")
     }
 
     fn karp_solve(g: &Graph, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Karp);
-        super::super::karp::solve_scc(g, c, &mut crate::workspace::Workspace::new(), &mut scope)
-            .expect("unlimited")
+        super::super::karp::solve_scc(
+            g.view(),
+            c,
+            &mut crate::workspace::Workspace::new(),
+            &mut scope,
+        )
+        .expect("unlimited")
     }
 
     fn lambda_of(g: &Graph) -> Ratio64 {

@@ -21,7 +21,7 @@ use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
 use mcr_graph::idx32;
-use mcr_graph::{ArcId, Graph};
+use mcr_graph::{ArcId, GraphRef};
 
 const NO_PARENT: u32 = u32::MAX;
 
@@ -29,7 +29,7 @@ const NO_PARENT: u32 = u32::MAX;
 /// the first cycle found on it (in forward order), if any.
 #[allow(clippy::too_many_arguments)] // internal helper over flat scratch arrays
 fn cycle_on_walk(
-    g: &Graph,
+    g: GraphRef<'_>,
     parent: &[u32],
     n: usize,
     level: usize,
@@ -75,7 +75,7 @@ fn cycle_on_walk(
 /// Verifies that `mu` is the optimum by building potentials
 /// `d(v) = min_j (D_j(v) − j·mu)` from the first `k+1` table rows and
 /// checking LP feasibility on every arc.
-fn criticality_check(g: &Graph, table: &[i64], k: usize, mu: Ratio64) -> bool {
+fn criticality_check(g: GraphRef<'_>, table: &[i64], k: usize, mu: Ratio64) -> bool {
     let n = g.num_nodes();
     let p = mu.numer() as i128;
     let q = mu.denom() as i128;
@@ -108,7 +108,7 @@ fn criticality_check(g: &Graph, table: &[i64], k: usize, mu: Ratio64) -> bool {
 /// Runs HO, returning λ and the witness when one came out naturally
 /// (early termination, or the best path cycle matching λ at level n).
 fn run(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<(Ratio64, Option<Vec<ArcId>>), SolveError> {
@@ -182,7 +182,7 @@ fn run(
 
 /// HO, λ only (the paper's measurement protocol).
 pub(crate) fn lambda_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<Ratio64, SolveError> {
@@ -191,7 +191,7 @@ pub(crate) fn lambda_scc(
 
 /// HO on one strongly connected, cyclic component.
 pub(crate) fn solve_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut crate::workspace::Workspace,
     scope: &mut BudgetScope,
@@ -213,13 +213,20 @@ pub(crate) fn solve_scc(
 mod tests {
     use super::*;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn scope() -> BudgetScope {
         BudgetScope::unlimited(crate::Algorithm::Ho)
     }
 
     fn solve(g: &Graph, c: &mut Counters) -> SccOutcome {
-        solve_scc(g, c, &mut crate::workspace::Workspace::new(), &mut scope()).expect("unlimited")
+        solve_scc(
+            g.view(),
+            c,
+            &mut crate::workspace::Workspace::new(),
+            &mut scope(),
+        )
+        .expect("unlimited")
     }
 
     fn lambda_of(g: &Graph) -> Ratio64 {
@@ -234,7 +241,7 @@ mod tests {
             let g = sprand(&SprandConfig::new(12, 34).seed(seed).weight_range(-15, 15));
             let mut c = Counters::new();
             let karp = super::super::karp::solve_scc(
-                &g,
+                g.view(),
                 &mut c,
                 &mut crate::workspace::Workspace::new(),
                 &mut BudgetScope::unlimited(crate::Algorithm::Karp),
@@ -299,8 +306,13 @@ mod tests {
         let budget = crate::Budget::default().max_iterations(1);
         let mut s = BudgetScope::new(&budget, None, crate::Algorithm::Ho);
         let mut c = Counters::new();
-        let err = solve_scc(&g, &mut c, &mut crate::workspace::Workspace::new(), &mut s)
-            .expect_err("ring of 4 needs more than one level");
+        let err = solve_scc(
+            g.view(),
+            &mut c,
+            &mut crate::workspace::Workspace::new(),
+            &mut s,
+        )
+        .expect_err("ring of 4 needs more than one level");
         assert!(matches!(err, SolveError::BudgetExhausted { .. }), "{err}");
     }
 }

@@ -43,7 +43,7 @@ use crate::rational::Ratio64;
 use crate::solution::Guarantee;
 use crate::workspace::{PolicyCycleScratch, Workspace};
 use mcr_graph::idx32;
-use mcr_graph::{ArcId, Graph};
+use mcr_graph::{ArcId, GraphRef};
 use std::hint::select_unpredictable;
 use std::ops::{Add, Mul, Sub};
 
@@ -62,7 +62,12 @@ fn snapshot_policy(policy: &[ArcId], d: Option<&[f64]>) -> JobProgress {
 /// *this* graph. Returns `false` (leaving `policy` empty) on any
 /// mismatch — a stale or corrupt checkpoint falls back to a fresh solve
 /// instead of panicking or poisoning the iteration.
-fn restore_policy(g: &Graph, saved: &[u32], policy: &mut Vec<ArcId>, succ: &mut Vec<u32>) -> bool {
+fn restore_policy(
+    g: GraphRef<'_>,
+    saved: &[u32],
+    policy: &mut Vec<ArcId>,
+    succ: &mut Vec<u32>,
+) -> bool {
     policy.clear();
     succ.clear();
     if saved.len() != g.num_nodes() {
@@ -95,7 +100,7 @@ fn iteration_cap(n: usize) -> u64 {
 /// walks that drain into it are what
 /// [`PolicyCycleScratch::for_each_in_basin`] visits.
 fn min_policy_cycle(
-    g: &Graph,
+    g: GraphRef<'_>,
     policy: &[ArcId],
     succ: &[u32],
     counters: &mut Counters,
@@ -195,7 +200,7 @@ impl PolicyCycleScratch {
 
 /// Initial policy: each node's minimum-weight outgoing arc (lines 1–4 of
 /// Figure 1), with its target in `succ`.
-fn initial_policy_into(g: &Graph, policy: &mut Vec<ArcId>, succ: &mut Vec<u32>) {
+fn initial_policy_into(g: GraphRef<'_>, policy: &mut Vec<ArcId>, succ: &mut Vec<u32>) {
     policy.clear();
     succ.clear();
     for v in g.node_ids() {
@@ -212,7 +217,7 @@ fn initial_policy_into(g: &Graph, policy: &mut Vec<ArcId>, succ: &mut Vec<u32>) 
 /// ε-terminated). All scratch state lives in `ws`; steady-state
 /// iterations allocate nothing.
 pub(crate) fn solve_scc_fig1(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     epsilon: f64,
     ws: &mut Workspace,
@@ -227,7 +232,7 @@ pub(crate) fn solve_scc_fig1(
 /// cancellation token, or an injected fault interrupts the iteration.
 /// Resuming continues the exact round sequence of an uninterrupted run.
 pub(crate) fn solve_scc_fig1_ckpt(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     epsilon: f64,
     ws: &mut Workspace,
@@ -395,7 +400,7 @@ fn round_fits_i64(
 /// adopted.
 #[allow(clippy::too_many_arguments)]
 fn exact_round<T: Scaled>(
-    g: &Graph,
+    g: GraphRef<'_>,
     lam: Ratio64,
     s: usize,
     walks: &PolicyCycleScratch,
@@ -414,7 +419,7 @@ fn exact_round<T: Scaled>(
 /// get `INF` this round.
 #[allow(clippy::too_many_arguments)]
 fn determine_values<T: Scaled>(
-    g: &Graph,
+    g: GraphRef<'_>,
     lam: Ratio64,
     s: usize,
     walks: &PolicyCycleScratch,
@@ -437,7 +442,7 @@ fn determine_values<T: Scaled>(
 /// loses to every finite candidate, so "u unset" needs no test of its
 /// own; a candidate through an `INF` `d(v)` is never taken.
 fn improve<T: Scaled>(
-    g: &Graph,
+    g: GraphRef<'_>,
     lam: Ratio64,
     policy: &mut [ArcId],
     succ: &mut [u32],
@@ -467,7 +472,7 @@ fn improve<T: Scaled>(
 /// All scratch state lives in `ws`; "unset this round" is an `INF`
 /// sentinel written by the value sweep.
 pub(crate) fn solve_scc_exact(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut Workspace,
     scope: &mut BudgetScope,
@@ -484,7 +489,7 @@ pub(crate) fn solve_scc_exact(
 /// that no cycle beats λ — are in `ws.dist_i64` or `ws.dist_i128`,
 /// whichever width that round used; the other is empty.
 pub(crate) fn solve_scc_exact_ckpt(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut Workspace,
     scope: &mut BudgetScope,
@@ -558,6 +563,7 @@ pub(crate) fn solve_scc_exact_ckpt(
 mod tests {
     use super::*;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn scope() -> BudgetScope {
         BudgetScope::unlimited(Algorithm::HowardExact)
@@ -565,14 +571,14 @@ mod tests {
 
     fn exact_lambda(g: &Graph) -> Ratio64 {
         let mut c = Counters::new();
-        solve_scc_exact(g, &mut c, &mut Workspace::new(), &mut scope())
+        solve_scc_exact(g.view(), &mut c, &mut Workspace::new(), &mut scope())
             .expect("solvable")
             .lambda
     }
 
     fn fig1_lambda(g: &Graph) -> Ratio64 {
         let mut c = Counters::new();
-        solve_scc_fig1(g, &mut c, 1e-9, &mut Workspace::new(), &mut scope())
+        solve_scc_fig1(g.view(), &mut c, 1e-9, &mut Workspace::new(), &mut scope())
             .expect("solvable")
             .lambda
     }
@@ -607,7 +613,7 @@ mod tests {
         use mcr_gen::sprand::{sprand, SprandConfig};
         let g = sprand(&SprandConfig::new(200, 600).seed(7));
         let mut c = Counters::new();
-        solve_scc_exact(&g, &mut c, &mut Workspace::new(), &mut scope()).expect("solvable");
+        solve_scc_exact(g.view(), &mut c, &mut Workspace::new(), &mut scope()).expect("solvable");
         // §4.3: "drastically small compared to the other algorithms".
         assert!(c.iterations < 60, "iterations {}", c.iterations);
     }
@@ -618,8 +624,8 @@ mod tests {
         for seed in 0..10 {
             let g = sprand(&SprandConfig::new(30, 90).seed(seed));
             let mut c = Counters::new();
-            let s =
-                solve_scc_exact(&g, &mut c, &mut Workspace::new(), &mut scope()).expect("solvable");
+            let s = solve_scc_exact(g.view(), &mut c, &mut Workspace::new(), &mut scope())
+                .expect("solvable");
             let (w, len, _) = crate::solution::check_cycle(&g, &s.cycle).expect("valid");
             assert_eq!(Ratio64::new(w, len as i64), s.lambda);
         }
@@ -635,7 +641,8 @@ mod tests {
         b.add_arc_with_transit(v[0], v[0], 1, 1); // ratio 1
         let g = b.build();
         let mut c = Counters::new();
-        let s = solve_scc_exact(&g, &mut c, &mut Workspace::new(), &mut scope()).expect("solvable");
+        let s = solve_scc_exact(g.view(), &mut c, &mut Workspace::new(), &mut scope())
+            .expect("solvable");
         assert_eq!(s.lambda, Ratio64::new(2, 5));
     }
 
@@ -646,7 +653,7 @@ mod tests {
         b.add_arc_with_transit(v[0], v[0], 3, 0);
         let g = b.build();
         let mut c = Counters::new();
-        let err = solve_scc_exact(&g, &mut c, &mut Workspace::new(), &mut scope())
+        let err = solve_scc_exact(g.view(), &mut c, &mut Workspace::new(), &mut scope())
             .expect_err("zero-transit cycle");
         assert_eq!(err, SolveError::ZeroTransitCycle);
     }
@@ -687,26 +694,34 @@ mod tests {
                 seed,
             );
             let (mut policy, mut succ) = (Vec::new(), Vec::new());
-            initial_policy_into(&g, &mut policy, &mut succ);
+            initial_policy_into(g.view(), &mut policy, &mut succ);
             let mut scratch = PolicyCycleScratch::default();
             let mut rounds = 0;
             loop {
                 let mut c = Counters::new();
-                let (lam, s) = min_policy_cycle(&g, &policy, &succ, &mut c, &mut scratch)
+                let (lam, s) = min_policy_cycle(g.view(), &policy, &succ, &mut c, &mut scratch)
                     .expect("positive transits");
                 assert!(round_fits_i64(g.num_nodes(), g.num_arcs(), 500, 3, lam).expect("fits"));
                 let walked = values_by_walking(&g, &policy, lam, s);
 
                 let (mut p64, mut s64, mut d64, mut c64) =
                     (policy.clone(), succ.clone(), Vec::<i64>::new(), c);
-                determine_values(&g, lam, s, &scratch, &p64, &s64, &mut d64, &mut c64);
+                determine_values(g.view(), lam, s, &scratch, &p64, &s64, &mut d64, &mut c64);
                 assert_eq!(widen(&d64, i128::from), walked, "seed {seed} round {rounds}");
-                let improved64 = improve(&g, lam, &mut p64, &mut s64, &mut d64, &mut c64);
+                let improved64 = improve(g.view(), lam, &mut p64, &mut s64, &mut d64, &mut c64);
 
                 let (mut p128, mut s128, mut d128, mut c128) =
                     (policy.clone(), succ.clone(), Vec::<i128>::new(), c);
-                let improved128 =
-                    exact_round(&g, lam, s, &scratch, &mut p128, &mut s128, &mut d128, &mut c128);
+                let improved128 = exact_round(
+                    g.view(),
+                    lam,
+                    s,
+                    &scratch,
+                    &mut p128,
+                    &mut s128,
+                    &mut d128,
+                    &mut c128,
+                );
 
                 assert_eq!((improved64, &p64, &s64, c64), (improved128, &p128, &s128, c128));
                 assert_eq!(widen(&d64, i128::from), widen(&d128, |x| x), "seed {seed}");
@@ -737,7 +752,7 @@ mod tests {
             let g = b.build();
             let mut ws = Workspace::new();
             let mut c = Counters::new();
-            let out = solve_scc_exact(&g, &mut c, &mut ws, &mut scope()).expect("solvable");
+            let out = solve_scc_exact(g.view(), &mut c, &mut ws, &mut scope()).expect("solvable");
             // The final round ran narrow below the switch (between k = 30
             // and k = 40 here, where every λ has denominator 1), wide above.
             assert_eq!(ws.dist_i64.is_empty(), k >= 40, "k = {k}");
@@ -781,7 +796,7 @@ mod tests {
         let mut scope = BudgetScope::new(&budget, None, Algorithm::HowardExact);
         let mut c = Counters::new();
         // One policy improvement is allowed; the second charge errs.
-        let r = solve_scc_exact(&g, &mut c, &mut Workspace::new(), &mut scope);
+        let r = solve_scc_exact(g.view(), &mut c, &mut Workspace::new(), &mut scope);
         if let Err(e) = r {
             assert!(
                 matches!(e, SolveError::BudgetExhausted { .. }),

@@ -27,7 +27,7 @@ use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
-use mcr_graph::Graph;
+use mcr_graph::GraphRef;
 use std::hint::select_unpredictable;
 
 pub(crate) const INF: i64 = i64::MAX / 4;
@@ -37,7 +37,7 @@ pub(crate) const INF: i64 = i64::MAX / 4;
 /// most `n · max|w|` in absolute value, so below the bound no finite
 /// `D_k(v)` is read as unreached and `D_{k−1}(u) + w` cannot overflow,
 /// even for `D_{k−1}(u) = INF`.
-pub(crate) fn check_magnitude(g: &Graph) -> Result<(), SolveError> {
+pub(crate) fn check_magnitude(g: GraphRef<'_>) -> Result<(), SolveError> {
     let max_abs = g.weights().iter().map(|w| w.unsigned_abs()).max().unwrap_or(0);
     if g.num_nodes() as i128 * max_abs as i128 >= INF as i128 {
         return Err(SolveError::Overflow {
@@ -57,7 +57,7 @@ pub(crate) fn check_magnitude(g: &Graph) -> Result<(), SolveError> {
 /// arc with a reached source, a distance update per lowered `cur[v]`.
 /// The caller must have passed [`check_magnitude`].
 pub(crate) fn relax_level(
-    g: &Graph,
+    g: GraphRef<'_>,
     prev: &[i64],
     cur: &mut [i64],
     mut parent: Option<&mut [u32]>,
@@ -87,7 +87,7 @@ pub(crate) fn relax_level(
 /// node 0, counting each arc scan. Each of the `n` levels charges one
 /// budget iteration.
 pub(crate) fn fill_table(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<Vec<i64>, SolveError> {
@@ -158,7 +158,7 @@ pub(crate) fn karp_formula(table: &[i64], n: usize) -> Result<Ratio64, SolveErro
 /// Karp's algorithm, λ only (the paper's measurement protocol skips
 /// witness extraction).
 pub(crate) fn lambda_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<Ratio64, SolveError> {
@@ -168,7 +168,7 @@ pub(crate) fn lambda_scc(
 
 /// Karp's algorithm on one strongly connected, cyclic component.
 pub(crate) fn solve_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut crate::workspace::Workspace,
     scope: &mut BudgetScope,
@@ -187,10 +187,17 @@ pub(crate) fn solve_scc(
 mod tests {
     use super::*;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn solve(g: &Graph, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Karp);
-        solve_scc(g, c, &mut crate::workspace::Workspace::new(), &mut scope).expect("unlimited")
+        solve_scc(
+            g.view(),
+            c,
+            &mut crate::workspace::Workspace::new(),
+            &mut scope,
+        )
+        .expect("unlimited")
     }
 
     fn lambda_of(g: &Graph) -> Ratio64 {
@@ -273,10 +280,10 @@ mod tests {
             }
 
             let (mut cur, mut par, mut c) = (cur0.clone(), par0, Counters::new());
-            relax_level(&g, &prev, &mut cur, Some(&mut par), &mut c);
+            relax_level(g.view(), &prev, &mut cur, Some(&mut par), &mut c);
             assert_eq!((&cur, &par, c), (&cur_ref, &par_ref, c_ref), "case {case}");
             let (mut cur, mut c) = (cur0, Counters::new());
-            relax_level(&g, &prev, &mut cur, None, &mut c);
+            relax_level(g.view(), &prev, &mut cur, None, &mut c);
             assert_eq!((&cur, c), (&cur_ref, c_ref), "case {case} without parents");
         }
     }

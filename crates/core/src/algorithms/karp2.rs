@@ -14,12 +14,12 @@ use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
-use mcr_graph::Graph;
+use mcr_graph::GraphRef;
 
 /// Karp2, λ only. Each row relaxation (both passes) charges one budget
 /// iteration, so a full run costs `2n − 1` charges.
 pub(crate) fn lambda_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     scope: &mut BudgetScope,
 ) -> Result<Ratio64, SolveError> {
@@ -61,7 +61,7 @@ pub(crate) fn lambda_scc(
 
 /// Karp2 on one strongly connected, cyclic component.
 pub(crate) fn solve_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut crate::workspace::Workspace,
     scope: &mut BudgetScope,
@@ -80,16 +80,28 @@ pub(crate) fn solve_scc(
 mod tests {
     use super::*;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn karp2_solve(g: &Graph, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Karp2);
-        solve_scc(g, c, &mut crate::workspace::Workspace::new(), &mut scope).expect("unlimited")
+        solve_scc(
+            g.view(),
+            c,
+            &mut crate::workspace::Workspace::new(),
+            &mut scope,
+        )
+        .expect("unlimited")
     }
 
     fn karp_solve(g: &Graph, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Karp);
-        super::super::karp::solve_scc(g, c, &mut crate::workspace::Workspace::new(), &mut scope)
-            .expect("unlimited")
+        super::super::karp::solve_scc(
+            g.view(),
+            c,
+            &mut crate::workspace::Workspace::new(),
+            &mut scope,
+        )
+        .expect("unlimited")
     }
 
     fn lambda_of(g: &Graph) -> Ratio64 {

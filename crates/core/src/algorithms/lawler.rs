@@ -20,7 +20,7 @@ use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
 use crate::workspace::Workspace;
-use mcr_graph::{ArcId, Graph};
+use mcr_graph::{ArcId, GraphRef};
 
 /// Restores a saved bisection interval if it is consistent with this
 /// component's weight bounds; an inconsistent checkpoint (wrong graph,
@@ -40,7 +40,7 @@ fn restore_interval(
 
 /// Weight bounds as rationals; equal bounds mean every arc has the same
 /// weight.
-fn weight_bounds(g: &Graph) -> (Ratio64, Ratio64) {
+fn weight_bounds(g: GraphRef<'_>) -> (Ratio64, Ratio64) {
     (
         Ratio64::from(g.min_weight().expect("component has arcs")),
         Ratio64::from(g.max_weight().expect("component has arcs")),
@@ -48,7 +48,7 @@ fn weight_bounds(g: &Graph) -> (Ratio64, Ratio64) {
 }
 
 fn witness_at(
-    g: &Graph,
+    g: GraphRef<'_>,
     lambda: Ratio64,
     counters: &mut Counters,
     ws: &mut Workspace,
@@ -73,7 +73,7 @@ fn witness_at(
 /// Lawler with the paper's ε-termination. Every bisection step charges
 /// both an iteration and a λ-refinement.
 pub(crate) fn solve_scc_eps(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     epsilon: f64,
     ws: &mut Workspace,
@@ -89,7 +89,7 @@ pub(crate) fn solve_scc_eps(
 /// sequence, so an interrupted-then-resumed solve is bit-identical to
 /// an uninterrupted one.
 pub(crate) fn solve_scc_eps_ckpt(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     epsilon: f64,
     ws: &mut Workspace,
@@ -132,7 +132,7 @@ pub(crate) fn solve_scc_eps_ckpt(
 /// to the unique cycle mean inside it. Every bisection step charges
 /// both an iteration and a λ-refinement.
 pub(crate) fn solve_scc_exact(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut Workspace,
     scope: &mut BudgetScope,
@@ -143,7 +143,7 @@ pub(crate) fn solve_scc_exact(
 /// [`solve_scc_exact`] with checkpoint/resume; see
 /// [`solve_scc_eps_ckpt`] for the interval save/restore contract.
 pub(crate) fn solve_scc_exact_ckpt(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut Workspace,
     scope: &mut BudgetScope,
@@ -197,15 +197,16 @@ pub(crate) fn solve_scc_exact_ckpt(
 mod tests {
     use super::*;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn exact_outcome(g: &Graph, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::LawlerExact);
-        solve_scc_exact(g, c, &mut Workspace::new(), &mut scope).expect("unlimited")
+        solve_scc_exact(g.view(), c, &mut Workspace::new(), &mut scope).expect("unlimited")
     }
 
     fn eps_outcome(g: &Graph, c: &mut Counters, epsilon: f64) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Lawler);
-        solve_scc_eps(g, c, epsilon, &mut Workspace::new(), &mut scope).expect("unlimited")
+        solve_scc_eps(g.view(), c, epsilon, &mut Workspace::new(), &mut scope).expect("unlimited")
     }
 
     fn exact(g: &Graph) -> Ratio64 {
@@ -273,7 +274,7 @@ mod tests {
         let budget = crate::Budget::default().max_lambda_refinements(1);
         let mut scope = BudgetScope::new(&budget, None, crate::Algorithm::LawlerExact);
         let mut c = Counters::new();
-        let err = solve_scc_exact(&g, &mut c, &mut Workspace::new(), &mut scope)
+        let err = solve_scc_exact(g.view(), &mut c, &mut Workspace::new(), &mut scope)
             .expect_err("needs many bisections");
         assert!(matches!(err, SolveError::BudgetExhausted { .. }), "{err}");
     }

@@ -25,7 +25,7 @@ use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
 use crate::workspace::Workspace;
-use mcr_graph::Graph;
+use mcr_graph::GraphRef;
 
 /// Linear distance function `a − b·λ`.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -67,7 +67,7 @@ fn negative_at(num: i64, den: i64, x: Ratio64) -> bool {
 /// resolution charges one λ-refinement.
 #[allow(clippy::too_many_arguments)] // internal helper threading scratch + budget state
 fn less_at_optimum(
-    g: &Graph,
+    g: GraphRef<'_>,
     cand: Lin,
     cur: Lin,
     iv: &mut Interval,
@@ -121,7 +121,7 @@ fn less_at_optimum(
 /// Symbolic Bellman–Ford rounds charge iterations; oracle resolutions
 /// charge λ-refinements.
 pub(crate) fn solve_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut Workspace,
     scope: &mut BudgetScope,
@@ -230,11 +230,12 @@ pub(crate) fn solve_scc(
 mod tests {
     use super::*;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn solve(g: &Graph) -> (Ratio64, Counters) {
         let mut c = Counters::new();
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Megiddo);
-        let s = solve_scc(g, &mut c, &mut Workspace::new(), &mut scope).expect("unlimited");
+        let s = solve_scc(g.view(), &mut c, &mut Workspace::new(), &mut scope).expect("unlimited");
         (s.lambda, c)
     }
 
@@ -280,7 +281,7 @@ mod tests {
             let (lam, c) = solve(&g);
             let mut cl = Counters::new();
             let lawler = super::super::lawler::solve_scc_exact(
-                &g,
+                g.view(),
                 &mut cl,
                 &mut crate::workspace::Workspace::new(),
                 &mut BudgetScope::unlimited(crate::Algorithm::LawlerExact),

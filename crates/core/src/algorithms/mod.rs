@@ -26,7 +26,7 @@ use crate::rational::Ratio64;
 use crate::route::Route;
 use crate::solution::Solution;
 use crate::workspace::Workspace;
-use mcr_graph::Graph;
+use mcr_graph::{Graph, GraphRef};
 use parametric::HeapGranularity;
 
 /// The precision an approximate kernel reads. A route computes one only
@@ -43,7 +43,7 @@ pub(crate) fn read_epsilon(epsilon: Option<f64>) -> Result<f64, SolveError> {
 /// ([`crate::route`]).
 pub(crate) fn solve_scc_budgeted(
     alg: Algorithm,
-    sub: &Graph,
+    sub: GraphRef<'_>,
     counters: &mut Counters,
     epsilon: Option<f64>,
     ws: &mut Workspace,
@@ -79,7 +79,7 @@ pub(crate) fn solve_scc_budgeted(
 #[allow(clippy::too_many_arguments)]
 fn solve_scc_resumable(
     alg: Algorithm,
-    sub: &Graph,
+    sub: GraphRef<'_>,
     counters: &mut Counters,
     epsilon: Option<f64>,
     ws: &mut Workspace,
@@ -121,7 +121,7 @@ fn solve_scc_resumable(
 pub(crate) fn run_fallback_chain(
     job: usize,
     chain: &[Algorithm],
-    sub: &Graph,
+    sub: GraphRef<'_>,
     counters: &mut Counters,
     epsilon: Option<f64>,
     ws: &mut Workspace,
@@ -403,13 +403,16 @@ impl Algorithm {
         opts: &SolveOptions,
     ) -> Result<(Ratio64, Counters), SolveError> {
         let deadline = opts.effective_deadline();
-        let scoped =
-            |f: fn(&Graph, &mut Counters, &mut BudgetScope) -> Result<Ratio64, SolveError>| {
-                move |_job: usize, s: &Graph, c: &mut Counters, _ws: &mut Workspace| {
-                    let mut scope = BudgetScope::for_solve(opts, deadline, self);
-                    f(s, c, &mut scope)
-                }
-            };
+        let scoped = |f: fn(
+            GraphRef<'_>,
+            &mut Counters,
+            &mut BudgetScope,
+        ) -> Result<Ratio64, SolveError>| {
+            move |_job: usize, s: GraphRef<'_>, c: &mut Counters, _ws: &mut Workspace| {
+                let mut scope = BudgetScope::for_solve(opts, deadline, self);
+                f(s, c, &mut scope)
+            }
+        };
         match self {
             Algorithm::Karp => solve_value_per_scc_opts(g, opts, scoped(karp::lambda_scc)),
             Algorithm::Karp2 => solve_value_per_scc_opts(g, opts, scoped(karp2::lambda_scc)),
@@ -651,8 +654,14 @@ mod tests {
         let g = from_arc_list(2, &[(0, 1, 1), (1, 0, 100)]);
         for alg in Algorithm::ALL {
             let (mut scope, mut ws) = (BudgetScope::unlimited(alg), Workspace::new());
-            let result =
-                solve_scc_budgeted(alg, &g, &mut Counters::new(), None, &mut ws, &mut scope);
+            let result = solve_scc_budgeted(
+                alg,
+                g.view(),
+                &mut Counters::new(),
+                None,
+                &mut ws,
+                &mut scope,
+            );
             let name = alg.name();
             if alg.is_approximate() {
                 assert!(
@@ -673,8 +682,17 @@ mod tests {
         let chain = opts.fallback.chain_for(Algorithm::HowardExact);
         let mut ws = Workspace::new();
         let mut counters = Counters::new();
-        let err = run_fallback_chain(0, &chain, &g, &mut counters, None, &mut ws, &opts, None)
-            .expect_err("every attempt exhausts");
+        let err = run_fallback_chain(
+            0,
+            &chain,
+            g.view(),
+            &mut counters,
+            None,
+            &mut ws,
+            &opts,
+            None,
+        )
+        .expect_err("every attempt exhausts");
         assert!(matches!(err, crate::SolveError::BudgetExhausted { .. }));
         assert!(
             !ws.is_poisoned(),
@@ -687,7 +705,7 @@ mod tests {
         // The same workspace must serve a clean follow-up solve.
         let mut scope = BudgetScope::unlimited(Algorithm::HowardExact);
         ws.begin_use(None);
-        let outcome = howard::solve_scc_exact(&g, &mut counters, &mut ws, &mut scope)
+        let outcome = howard::solve_scc_exact(g.view(), &mut counters, &mut ws, &mut scope)
             .expect("clean solve after exhaustion");
         ws.end_use();
         assert_eq!(outcome.lambda, Ratio64::new(101, 2));

@@ -32,11 +32,11 @@ use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::solution::Guarantee;
 use crate::workspace::Workspace;
-use mcr_graph::{ArcId, Graph};
+use mcr_graph::{ArcId, GraphRef};
 
 /// Rounded costs `⌊(w(e)·q − p) / (pe/qe · q)⌋` for λ = p/q and phase
 /// precision ε = pe/qe, computed exactly in i128 into a reused buffer.
-fn rounded_costs_into(g: &Graph, lambda: Ratio64, eps: Ratio64, out: &mut Vec<i128>) {
+fn rounded_costs_into(g: GraphRef<'_>, lambda: Ratio64, eps: Ratio64, out: &mut Vec<i128>) {
     let p = lambda.numer() as i128;
     let q = lambda.denom() as i128;
     let pe = eps.numer() as i128;
@@ -54,7 +54,7 @@ fn rounded_costs_into(g: &Graph, lambda: Ratio64, eps: Ratio64, out: &mut Vec<i1
 /// OA1 on one strongly connected, cyclic component. Every scaling
 /// phase charges both an iteration and a λ-refinement.
 pub(crate) fn solve_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     epsilon: f64,
     ws: &mut Workspace,
@@ -136,10 +136,11 @@ pub(crate) fn solve_scc(
 mod tests {
     use super::*;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn outcome(g: &Graph, c: &mut Counters, eps: f64) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Oa1);
-        solve_scc(g, c, eps, &mut Workspace::new(), &mut scope).expect("unlimited")
+        solve_scc(g.view(), c, eps, &mut Workspace::new(), &mut scope).expect("unlimited")
     }
 
     fn solve(g: &Graph, eps: f64) -> Ratio64 {
@@ -190,7 +191,7 @@ mod tests {
         let budget = crate::Budget::default().max_lambda_refinements(1);
         let mut scope = BudgetScope::new(&budget, None, crate::Algorithm::Oa1);
         let mut c = Counters::new();
-        let err = solve_scc(&g, &mut c, 1e-3, &mut Workspace::new(), &mut scope)
+        let err = solve_scc(g.view(), &mut c, 1e-3, &mut Workspace::new(), &mut scope)
             .expect_err("wide interval needs many phases");
         assert!(matches!(err, SolveError::BudgetExhausted { .. }), "{err}");
     }

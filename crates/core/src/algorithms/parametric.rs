@@ -28,7 +28,7 @@
 //!   recomputed and updated in place — far fewer heap operations,
 //!   "especially in the number of insertions".
 //!
-//! Both walk in-arcs, which [`Graph`] does not index: each solve builds
+//! Both walk in-arcs, which a [`GraphRef`] does not index: each solve builds
 //! its own reverse index into the workspace's [`RevCsr`], listing every
 //! node's in-arcs in ascending arc id.
 
@@ -41,7 +41,7 @@ use crate::solution::Guarantee;
 use crate::workspace::{RevCsr, Workspace};
 use mcr_graph::idx32;
 use mcr_graph::heap::{AddressableHeap, FibonacciHeap};
-use mcr_graph::{ArcId, Graph, NodeId};
+use mcr_graph::{ArcId, GraphRef, NodeId};
 use std::cmp::Ordering;
 
 const ROOT: u32 = u32::MAX;
@@ -114,7 +114,7 @@ fn add_sub(x: i64, y: i64, z: i64) -> Result<i64, SolveError> {
 }
 
 struct Tree<'g> {
-    g: &'g Graph,
+    g: GraphRef<'g>,
     parent_arc: Vec<Option<ArcId>>,
     parent_node: Vec<u32>,
     children: Vec<Vec<u32>>,
@@ -135,7 +135,7 @@ impl<'g> Tree<'g> {
     /// `(transit, weight)` lexicographically. With strictly positive
     /// transit times the artificial star (a = 0, k = 0) is already
     /// optimal; zero-transit arcs require a lexicographic Bellman–Ford.
-    fn new(g: &'g Graph) -> Result<Self, SolveError> {
+    fn new(g: GraphRef<'g>) -> Result<Self, SolveError> {
         let n = g.num_nodes();
         let mut tree = Tree {
             g,
@@ -293,7 +293,7 @@ impl<'g> Tree<'g> {
 
 /// Rebuilds `ins` as the reverse index of `g`: list `v` holds the ids of
 /// the arcs entering `v`, in ascending order.
-fn index_in_arcs(g: &Graph, ins: &mut RevCsr) {
+fn index_in_arcs(g: GraphRef<'_>, ins: &mut RevCsr) {
     ins.build(g.num_nodes(), |emit| {
         for (a, t) in g.targets().iter().enumerate() {
             emit(idx32(t.index()), idx32(a));
@@ -305,18 +305,14 @@ fn index_in_arcs(g: &Graph, ins: &mut RevCsr) {
 /// through the reverse index `ins` of `g`.
 #[inline]
 fn in_adj<'a>(
-    g: &'a Graph,
+    g: GraphRef<'a>,
     ins: &'a RevCsr,
     v: usize,
 ) -> impl Iterator<Item = (ArcId, usize, i64, i64)> + 'a {
+    let (sources, weights, transits) = (g.sources(), g.weights(), g.transits());
     ins.list(v).iter().map(move |&f| {
         let f = f as usize;
-        (
-            ArcId::new(f),
-            g.sources()[f].index(),
-            g.weights()[f],
-            g.transits()[f],
-        )
+        (ArcId::new(f), sources[f].index(), weights[f], transits[f])
     })
 }
 
@@ -324,7 +320,7 @@ fn in_adj<'a>(
 /// component with the chosen heap granularity and LEDA's Fibonacci heap
 /// (the study's configuration).
 pub(crate) fn solve_scc(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     granularity: HeapGranularity,
     ws: &mut Workspace,
@@ -340,7 +336,7 @@ pub(crate) fn solve_scc(
 /// leaves `i64` fails the solve with [`SolveError::Overflow`] rather
 /// than wrapping into a wrong λ.
 pub(crate) fn solve_scc_with<H: AddressableHeap<Event>>(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut Counters,
     granularity: HeapGranularity,
     ws: &mut Workspace,
@@ -481,7 +477,7 @@ fn recompute_node<H: AddressableHeap<Event>>(
 }
 
 fn finish(
-    g: &Graph,
+    g: GraphRef<'_>,
     (lam, cycle): (Event, Vec<ArcId>),
     solved_by: crate::Algorithm,
 ) -> Result<SccOutcome, SolveError> {
@@ -508,12 +504,13 @@ fn finish(
 mod tests {
     use super::*;
     use mcr_graph::graph::from_arc_list;
+    use mcr_graph::Graph;
 
     fn ko(g: &Graph) -> (Ratio64, Counters) {
         let mut c = Counters::new();
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Ko);
         let s = solve_scc(
-            g,
+            g.view(),
             &mut c,
             HeapGranularity::PerArc,
             &mut Workspace::new(),
@@ -527,7 +524,7 @@ mod tests {
         let mut c = Counters::new();
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Yto);
         let s = solve_scc(
-            g,
+            g.view(),
             &mut c,
             HeapGranularity::PerNode,
             &mut Workspace::new(),
@@ -606,7 +603,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(30);
         let mut ins = RevCsr::default();
         let mut check = |g: &Graph, ctx: &str| {
-            index_in_arcs(g, &mut ins);
+            index_in_arcs(g.view(), &mut ins);
             assert_eq!(ins.start.len(), g.num_nodes() + 1, "{ctx}: list count");
             for v in g.node_ids() {
                 let want: Vec<u32> = g
@@ -721,9 +718,10 @@ mod tests {
                 let mut s1 = BudgetScope::unlimited(crate::Algorithm::Ko);
                 let mut s2 = BudgetScope::unlimited(crate::Algorithm::Ko);
                 let mut ws = Workspace::new();
-                let fib = solve_scc(&g, &mut c1, granularity, &mut ws, &mut s1).expect("unlimited");
+                let fib =
+                    solve_scc(g.view(), &mut c1, granularity, &mut ws, &mut s1).expect("unlimited");
                 let bin = solve_scc_with::<IndexedBinaryHeap<Event>>(
-                    &g,
+                    g.view(),
                     &mut c2,
                     granularity,
                     &mut ws,

@@ -16,7 +16,7 @@ use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::workspace::Workspace;
 use mcr_graph::idx32;
-use mcr_graph::{ArcId, Graph};
+use mcr_graph::{ArcId, GraphRef};
 
 /// Outcome of a negative-cycle test on `G_λ`.
 #[derive(Clone, Debug)]
@@ -32,14 +32,14 @@ pub enum CycleCheck {
 }
 
 /// Scaled arc costs of `G_λ`: `w(e)·q − p·t(e)` for `λ = p/q`.
-pub fn scaled_costs(g: &Graph, lambda: Ratio64) -> Vec<i128> {
+pub fn scaled_costs<'g>(g: impl Into<GraphRef<'g>>, lambda: Ratio64) -> Vec<i128> {
     let mut out = Vec::new();
-    scaled_costs_into(g, lambda, &mut out);
+    scaled_costs_into(g.into(), lambda, &mut out);
     out
 }
 
 /// [`scaled_costs`] into a reusable buffer.
-pub(crate) fn scaled_costs_into(g: &Graph, lambda: Ratio64, out: &mut Vec<i128>) {
+pub(crate) fn scaled_costs_into(g: GraphRef<'_>, lambda: Ratio64, out: &mut Vec<i128>) {
     let p = lambda.numer() as i128;
     let q = lambda.denom() as i128;
     out.clear();
@@ -65,12 +65,13 @@ pub(crate) fn scaled_costs_into(g: &Graph, lambda: Ratio64, out: &mut Vec<i128>)
 /// # Panics
 ///
 /// Panics if `cost.len() != g.num_arcs()`.
-pub fn bellman_ford(
-    g: &Graph,
+pub fn bellman_ford<'g>(
+    g: impl Into<GraphRef<'g>>,
     cost: &[i128],
     strict: bool,
     counters: &mut Counters,
 ) -> Result<CycleCheck, SolveError> {
+    let g = g.into();
     assert_eq!(cost.len(), g.num_arcs());
     counters.oracle_calls += 1;
     if !strict {
@@ -112,7 +113,7 @@ pub fn bellman_ford(
 /// Each round is a Gauss–Seidel pass: later arcs in the round see
 /// updates committed by earlier arcs.
 fn bellman_core(
-    g: &Graph,
+    g: GraphRef<'_>,
     cost: &[i128],
     counters: &mut Counters,
     dist: &mut Vec<i128>,
@@ -186,7 +187,7 @@ fn bellman_core(
 /// match [`bellman_ford`] exactly (non-strict counts two oracle calls,
 /// mirroring its internal recursion).
 pub(crate) fn check_staged_costs_ws(
-    g: &Graph,
+    g: GraphRef<'_>,
     strict: bool,
     counters: &mut Counters,
     ws: &mut Workspace,
@@ -225,7 +226,7 @@ pub(crate) fn check_staged_costs_ws(
 /// Workspace-buffered cycle test on `G_λ`. See [`check_staged_costs_ws`]
 /// for where the results land.
 pub(crate) fn cycle_check_ws(
-    g: &Graph,
+    g: GraphRef<'_>,
     lambda: Ratio64,
     strict: bool,
     counters: &mut Counters,
@@ -239,7 +240,7 @@ pub(crate) fn cycle_check_ws(
 /// Workspace-buffered [`has_cycle_below`]: `true` iff some cycle has
 /// ratio strictly below `lambda` (the witness is left in `ws.bf.cycle`).
 pub(crate) fn has_cycle_below_ws(
-    g: &Graph,
+    g: GraphRef<'_>,
     lambda: Ratio64,
     counters: &mut Counters,
     ws: &mut Workspace,
@@ -251,7 +252,7 @@ pub(crate) fn has_cycle_below_ws(
 /// Workspace-buffered [`cycle_at_or_below`]: `true` iff some cycle has
 /// ratio at most `lambda` (the witness is left in `ws.bf.cycle`).
 pub(crate) fn cycle_at_or_below_ws(
-    g: &Graph,
+    g: GraphRef<'_>,
     lambda: Ratio64,
     counters: &mut Counters,
     ws: &mut Workspace,
@@ -263,11 +264,12 @@ pub(crate) fn cycle_at_or_below_ws(
 /// Tests whether `G_λ` (costs `w − λ·t`) has a strictly negative cycle,
 /// i.e. whether some cycle of `g` has ratio (mean, for unit transits)
 /// strictly below `lambda`. Fails only as [`bellman_ford`] does.
-pub fn has_cycle_below(
-    g: &Graph,
+pub fn has_cycle_below<'g>(
+    g: impl Into<GraphRef<'g>>,
     lambda: Ratio64,
     counters: &mut Counters,
 ) -> Result<Option<Vec<ArcId>>, SolveError> {
+    let g = g.into();
     let cost = scaled_costs(g, lambda);
     Ok(match bellman_ford(g, &cost, true, counters)? {
         CycleCheck::Feasible(_) => None,
@@ -277,11 +279,12 @@ pub fn has_cycle_below(
 
 /// Finds a cycle with ratio (mean) at most `lambda`, if any. Fails only
 /// as [`bellman_ford`] does.
-pub fn cycle_at_or_below(
-    g: &Graph,
+pub fn cycle_at_or_below<'g>(
+    g: impl Into<GraphRef<'g>>,
     lambda: Ratio64,
     counters: &mut Counters,
 ) -> Result<Option<Vec<ArcId>>, SolveError> {
+    let g = g.into();
     let cost = scaled_costs(g, lambda);
     Ok(match bellman_ford(g, &cost, false, counters)? {
         CycleCheck::Feasible(_) => None,
@@ -373,7 +376,8 @@ mod tests {
             let mut c1 = counters();
             let plain = has_cycle_below(&g, lam, &mut c1).expect("no fault");
             let mut c2 = counters();
-            let found = has_cycle_below_ws(&g, lam, &mut c2, &mut ws, &scope).expect("unlimited");
+            let found =
+                has_cycle_below_ws(g.view(), lam, &mut c2, &mut ws, &scope).expect("unlimited");
             assert_eq!(plain.is_some(), found, "lambda {lam}");
             if let Some(cycle) = plain {
                 assert_eq!(cycle, ws.bf.cycle, "lambda {lam}");
@@ -384,7 +388,7 @@ mod tests {
             let plain = cycle_at_or_below(&g, lam, &mut c3).expect("no fault");
             let mut c4 = counters();
             let found =
-                cycle_at_or_below_ws(&g, lam, &mut c4, &mut ws, &scope).expect("unlimited");
+                cycle_at_or_below_ws(g.view(), lam, &mut c4, &mut ws, &scope).expect("unlimited");
             assert_eq!(plain.is_some(), found, "lambda {lam} (non-strict)");
             if let Some(cycle) = plain {
                 assert_eq!(cycle, ws.bf.cycle, "lambda {lam} (non-strict)");
@@ -402,7 +406,7 @@ mod tests {
         let scope = BudgetScope::new(&budget, deadline, crate::algorithms::Algorithm::Megiddo);
         let mut ws = Workspace::new();
         let mut c = counters();
-        let err = has_cycle_below_ws(&g, Ratio64::from(3), &mut c, &mut ws, &scope)
+        let err = has_cycle_below_ws(g.view(), Ratio64::from(3), &mut c, &mut ws, &scope)
             .expect_err("deadline already passed");
         assert!(matches!(
             err,

@@ -15,7 +15,7 @@ use crate::instrument::Counters;
 use crate::rational::Ratio64;
 use crate::workspace::Workspace;
 use mcr_graph::idx32;
-use mcr_graph::{ArcId, Graph, NodeId};
+use mcr_graph::{ArcId, GraphRef, NodeId};
 
 /// The critical subgraph of `G_{λ}`.
 #[derive(Clone, Debug)]
@@ -55,7 +55,11 @@ impl CriticalSubgraph {
 /// assert_eq!(cs.arcs.len(), 2);
 /// assert_eq!(cs.nodes().len(), 2);
 /// ```
-pub fn critical_subgraph(g: &Graph, lambda: Ratio64) -> Result<CriticalSubgraph, String> {
+pub fn critical_subgraph<'g>(
+    g: impl Into<GraphRef<'g>>,
+    lambda: Ratio64,
+) -> Result<CriticalSubgraph, String> {
+    let g = g.into();
     let cost = scaled_costs(g, lambda);
     let mut counters = Counters::new();
     let dist = match bellman_ford(g, &cost, true, &mut counters).map_err(|e| e.to_string())? {
@@ -90,9 +94,12 @@ pub fn critical_subgraph(g: &Graph, lambda: Ratio64) -> Result<CriticalSubgraph,
 /// Returns [`SolveError::NumericRange`] if `lambda` is not the exact
 /// optimum of `g` (either `G_λ` has a negative cycle, or the critical
 /// subgraph is acyclic). Intended for internal use by exact solvers.
-pub fn critical_cycle(g: &Graph, lambda: Ratio64) -> Result<Vec<ArcId>, SolveError> {
+pub fn critical_cycle<'g>(
+    g: impl Into<GraphRef<'g>>,
+    lambda: Ratio64,
+) -> Result<Vec<ArcId>, SolveError> {
     let scope = BudgetScope::unlimited(crate::algorithms::Algorithm::HowardExact);
-    critical_cycle_ws(g, lambda, &mut Workspace::new(), &scope)
+    critical_cycle_ws(g.into(), lambda, &mut Workspace::new(), &scope)
 }
 
 /// [`critical_cycle`] over reusable workspace buffers: the Bellman–Ford
@@ -101,7 +108,7 @@ pub fn critical_cycle(g: &Graph, lambda: Ratio64) -> Result<Vec<ArcId>, SolveErr
 /// cycle. The wall-clock deadline of `scope` applies to the embedded
 /// Bellman–Ford pass.
 pub(crate) fn critical_cycle_ws(
-    g: &Graph,
+    g: GraphRef<'_>,
     lambda: Ratio64,
     ws: &mut Workspace,
     scope: &BudgetScope,

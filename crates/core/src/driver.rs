@@ -13,8 +13,10 @@
 //! on several worker threads ([`SolveOptions::threads`]). Determinism is
 //! preserved by construction, not by luck:
 //!
-//! * all cyclic components are extracted **up front** into an indexed
-//!   job list, in canonical job order (below);
+//! * all cyclic components are laid out **up front**, in canonical job
+//!   order (below), in one [`ComponentArena`]: one set of arrays for
+//!   every job, and a job is a pair of ranges into them that kernels
+//!   read through a borrowed [`GraphRef`];
 //! * workers pull job indices from one shared atomic cursor and record
 //!   each outcome in the job's own result slot — scheduling affects only
 //!   *when* a job runs, never which result it produces (each job is
@@ -33,7 +35,7 @@
 //! # Job order
 //!
 //! Jobs are sorted by each component's smallest node id, and each job's
-//! subgraph numbers the component's nodes in
+//! view numbers the component's nodes in
 //! [`mcr_graph::scc::canonical_order`]. Both are functions of the graph
 //! alone, independent of where Tarjan's search happened to enter each
 //! component. Job order decides the tie-break between components with
@@ -56,7 +58,7 @@ use crate::options::SolveOptions;
 use crate::rational::Ratio64;
 use crate::solution::{Guarantee, Solution};
 use crate::workspace::Workspace;
-use mcr_graph::{ArcId, Graph, SccDecomposition, SubgraphExtractor};
+use mcr_graph::{ArcId, ComponentArena, Graph, GraphRef};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -72,49 +74,107 @@ pub(crate) struct SccOutcome {
     pub solved_by: Algorithm,
 }
 
-/// One unit of work: a cyclic component's subgraph plus the map from its
-/// local arc ids back to the host graph.
+/// One owned unit of work: a cyclic component's subgraph plus the map
+/// from its local arc ids back to the host graph.
 ///
-/// `pub(crate)` so [`crate::dynamic::DynamicSolver`] can re-enter the
-/// driver pipeline at the reduction stage with a mix of cached and
-/// freshly solved component outcomes.
+/// [`crate::dynamic::DynamicSolver`] keeps one per cyclic component and
+/// patches it in place under edits; it re-enters the driver pipeline at
+/// the reduction stage with a mix of cached and freshly solved outcomes.
 #[derive(Debug)]
 pub(crate) struct Job {
     pub(crate) sub: Graph,
     pub(crate) arc_map: Vec<ArcId>,
 }
 
+/// A job list in canonical job order, as the driver reads it: each
+/// job's subgraph as a view, and the map from its local arc ids to the
+/// host graph's. A [`ComponentArena`] is one (every solve through
+/// [`solve_per_scc_opts`]); `DynamicSolver`'s owned, patched [`Job`]s
+/// are the other, through [`Graph::view`].
+pub(crate) trait JobList: Sync {
+    /// Number of jobs.
+    fn num_jobs(&self) -> usize;
+    /// Job `j`'s subgraph.
+    fn view(&self, j: usize) -> GraphRef<'_>;
+    /// Job `j`'s local arc id → host arc id.
+    fn arc_map(&self, j: usize) -> &[ArcId];
+}
+
+impl JobList for ComponentArena {
+    fn num_jobs(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn view(&self, j: usize) -> GraphRef<'_> {
+        ComponentArena::view(self, j)
+    }
+    fn arc_map(&self, j: usize) -> &[ArcId] {
+        ComponentArena::arc_map(self, j)
+    }
+}
+
+impl JobList for Vec<Job> {
+    fn num_jobs(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn view(&self, j: usize) -> GraphRef<'_> {
+        // lint: allow(panic) reason=the reduction asks only for jobs below num_jobs
+        self[j].sub.view()
+    }
+    fn arc_map(&self, j: usize) -> &[ArcId] {
+        // lint: allow(panic) reason=the reduction asks only for jobs below num_jobs
+        &self[j].arc_map
+    }
+}
+
 /// A pre-computed, shareable SCC decomposition of one specific graph:
-/// the driver's job list in canonical order, frozen behind an `Arc`.
+/// every cyclic component laid out in canonical job order in one
+/// [`ComponentArena`], frozen behind an `Arc`.
 ///
-/// Attach it via [`crate::SolveOptions::plan`] to skip SCC extraction
-/// on repeated solves of the **same** graph (the `mcrd` daemon's graph
+/// Attach it via [`crate::SolveOptions::plan`] to skip the SCC pass on
+/// repeated solves of the **same** graph (the `mcrd` daemon's graph
 /// cache does this, so a cached graph re-solved with a new epsilon or
 /// algorithm pays neither parse nor SCC cost). The plan records the
 /// node/arc counts of the graph it was prepared from; the driver only
 /// uses it when those match the graph actually being solved, so solves
 /// on internally-derived graphs (ratio expansion, register graphs)
-/// silently fall back to fresh extraction. Matching counts on a
+/// silently fall back to a fresh layout. Matching counts on a
 /// *different* graph of identical size would misattribute components —
 /// the same-graph contract is the caller's to uphold; the fingerprint
 /// is a guard against accidents, not a cryptographic check.
 ///
-/// Job order (and therefore job indices — the checkpoint/resume keys)
-/// is identical to what fresh extraction produces, so plans compose
+/// A solve without a plan lays out the same arena itself, so job order
+/// (and therefore job indices — the checkpoint/resume keys), λ,
+/// witnesses and counters are identical either way, and plans compose
 /// with checkpoints, budgets, and every thread count.
+///
+/// ```
+/// use mcr_core::SccPlan;
+/// use mcr_graph::{graph::from_arc_list, NodeId};
+/// // {0, 1} and the self-loop on 3 are cyclic; node 2 is not.
+/// let g = from_arc_list(4, &[(0, 1, 5), (1, 0, 1), (1, 2, 7), (2, 3, 2), (3, 3, 4)]);
+/// let plan = SccPlan::prepare(&g);
+/// assert_eq!(plan.num_jobs(), 2);
+/// // Job 1 is the self-loop: one local node, whose arc is host arc 4.
+/// let job = plan.view(1);
+/// assert_eq!((job.num_nodes(), job.num_arcs()), (1, 1));
+/// assert_eq!(job.out_arcs(NodeId::new(0)).len(), 1);
+/// assert_eq!(plan.arc_map(1), [mcr_graph::ArcId::new(4)]);
+/// ```
 #[derive(Clone, Debug)]
 pub struct SccPlan {
-    jobs: Arc<Vec<Job>>,
+    arena: Arc<ComponentArena>,
     nodes: usize,
     arcs: usize,
 }
 
 impl SccPlan {
-    /// Runs Tarjan's SCC decomposition on `g` and freezes the cyclic
-    /// components as a reusable job list.
+    /// Runs Tarjan's SCC decomposition on `g` and lays the cyclic
+    /// components out as a reusable job arena.
     pub fn prepare(g: &Graph) -> SccPlan {
         SccPlan {
-            jobs: Arc::new(extract_jobs(g)),
+            arena: Arc::new(ComponentArena::new(g)),
             nodes: g.num_nodes(),
             arcs: g.num_arcs(),
         }
@@ -123,11 +183,29 @@ impl SccPlan {
     /// Number of cyclic components (driver jobs) in the plan. Zero
     /// means the graph is acyclic.
     pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
+        self.arena.len()
+    }
+
+    /// Job `j`'s subgraph, in the local ids its kernel sees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.num_jobs()`.
+    pub fn view(&self, j: usize) -> GraphRef<'_> {
+        self.arena.view(j)
+    }
+
+    /// The map from job `j`'s local arc ids to the planned graph's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.num_jobs()`.
+    pub fn arc_map(&self, j: usize) -> &[ArcId] {
+        self.arena.arc_map(j)
     }
 
     /// Whether the plan's size fingerprint matches `g` (the guard the
-    /// driver applies before reusing the job list).
+    /// driver applies before reusing the arena).
     fn matches(&self, g: &Graph) -> bool {
         self.nodes == g.num_nodes() && self.arcs == g.num_arcs()
     }
@@ -138,35 +216,20 @@ impl SccPlan {
 /// [`crate::SolveOptions`] keeps its `PartialEq`.
 impl PartialEq for SccPlan {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.jobs, &other.jobs)
+        Arc::ptr_eq(&self.arena, &other.arena)
     }
 }
 
-/// The job list for a solve of `g`: the caller's pre-computed
+/// The job arena for a solve of `g`: the caller's pre-computed
 /// [`SccPlan`] when it fingerprints as prepared-from-`g`, else a fresh
-/// extraction. The plan path is the daemon cache's "skip SCC" fast
-/// path; the fallback keeps internally-derived graphs (ratio
-/// expansion) correct under a caller-attached plan.
-fn plan_or_extract(g: &Graph, opts: &SolveOptions) -> Arc<Vec<Job>> {
+/// layout. The plan path is the daemon cache's "skip SCC" fast path;
+/// the fallback keeps internally-derived graphs (ratio expansion)
+/// correct under a caller-attached plan.
+fn plan_or_layout(g: &Graph, opts: &SolveOptions) -> Arc<ComponentArena> {
     match opts.plan.as_ref() {
-        Some(plan) if plan.matches(g) => Arc::clone(&plan.jobs),
-        _ => Arc::new(extract_jobs(g)),
+        Some(plan) if plan.matches(g) => Arc::clone(&plan.arena),
+        _ => Arc::new(ComponentArena::new(g)),
     }
-}
-
-/// Extracts every cyclic component of `g` as a standalone job, in
-/// canonical job order (by smallest node; see the module docs), reusing
-/// one translation table across extractions.
-pub(crate) fn extract_jobs(g: &Graph) -> Vec<Job> {
-    let scc = SccDecomposition::new(g);
-    let mut ex = SubgraphExtractor::new(g.num_nodes());
-    scc.cyclic_by_smallest_node(g)
-        .into_iter()
-        .map(|c| {
-            let (sub, arc_map) = ex.extract(g, scc.component(c));
-            Job { sub, arc_map }
-        })
-        .collect()
 }
 
 /// Total-arc floor below which spinning up worker threads costs more
@@ -174,8 +237,9 @@ pub(crate) fn extract_jobs(g: &Graph) -> Vec<Job> {
 /// path (which is identical in results by construction).
 const PARALLEL_ARC_THRESHOLD: usize = 256;
 
-/// Solves every job and returns the per-job results (indexed like
-/// `jobs`) plus the accumulated counters.
+/// Solves every job of the arena, each through its view, and returns
+/// the per-job results (indexed like the jobs) plus the accumulated
+/// counters.
 ///
 /// `threads <= 1` (or a trivially small instance) is the sequential
 /// legacy path: one workspace, one counter sink, jobs in order.
@@ -188,30 +252,27 @@ const PARALLEL_ARC_THRESHOLD: usize = 256;
 /// job order) used for checkpoint/resume bookkeeping. Each job's span goes
 /// to `recorder`.
 fn run_jobs<R: Send>(
-    jobs: &[Job],
+    jobs: &ComponentArena,
     threads: usize,
     recorder: Option<&Recorder>,
-    solve: impl Fn(usize, &Graph, &mut Counters, &mut Workspace) -> R + Sync,
+    solve: impl Fn(usize, GraphRef<'_>, &mut Counters, &mut Workspace) -> R + Sync,
 ) -> (Vec<R>, Counters) {
-    let total_arcs: usize = jobs.iter().map(|j| j.sub.num_arcs()).sum();
-    if threads <= 1 || jobs.len() <= 1 || total_arcs < PARALLEL_ARC_THRESHOLD {
+    let count = jobs.len();
+    if threads <= 1 || count <= 1 || jobs.num_arcs() < PARALLEL_ARC_THRESHOLD {
         let mut counters = Counters::new();
         let mut ws = Workspace::new();
-        let results = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
+        let results = (0..count)
+            .map(|i| {
                 crate::chaos::pulse("core.driver.job", recorder);
-                crate::obs::job_span(recorder, i, &j.sub, || {
-                    solve(i, &j.sub, &mut counters, &mut ws)
-                })
+                let sub = jobs.view(i);
+                crate::obs::job_span(recorder, i, sub, || solve(i, sub, &mut counters, &mut ws))
             })
             .collect();
         return (results, counters);
     }
 
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
     let mut counters = Counters::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -222,12 +283,13 @@ fn run_jobs<R: Send>(
                     let mut done: Vec<(usize, R)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else {
+                        if i >= count {
                             break; // queue drained
-                        };
+                        }
                         crate::chaos::pulse("core.driver.job", recorder);
-                        let r = crate::obs::job_span(recorder, i, &job.sub, || {
-                            solve(i, &job.sub, &mut local, &mut ws)
+                        let sub = jobs.view(i);
+                        let r = crate::obs::job_span(recorder, i, sub, || {
+                            solve(i, sub, &mut local, &mut ws)
                         });
                         done.push((i, r));
                     }
@@ -253,7 +315,7 @@ fn run_jobs<R: Send>(
     });
     let results = slots
         .into_iter()
-        // lint: allow(panic) reason=fetch_add hands every index in 0..jobs.len() to exactly one worker, and a worker panic re-raises above
+        // lint: allow(panic) reason=fetch_add hands every index in 0..count to exactly one worker, and a worker panic re-raises above
         .map(|s| s.expect("the work queue covers every job"))
         .collect();
     (results, counters)
@@ -267,23 +329,22 @@ fn run_jobs<R: Send>(
 /// module docs for the determinism argument.
 ///
 /// `solve_scc` receives the job index (stable across thread counts —
-/// the checkpoint key), a strongly connected graph that contains at
-/// least one cycle (possibly a single node with self-loops), a counter
-/// sink, and a reusable scratch workspace.
+/// the checkpoint key), a view of a strongly connected graph that
+/// contains at least one cycle (possibly a single node with self-loops),
+/// a counter sink, and a reusable scratch workspace.
 pub(crate) fn solve_per_scc_opts(
     g: &Graph,
     opts: &SolveOptions,
-    solve_scc: impl Fn(usize, &Graph, &mut Counters, &mut Workspace) -> Result<SccOutcome, SolveError>
+    solve_scc: impl Fn(usize, GraphRef<'_>, &mut Counters, &mut Workspace) -> Result<SccOutcome, SolveError>
         + Sync,
 ) -> Result<Solution, SolveError> {
-    let jobs = plan_or_extract(g, opts);
-    let jobs: &[Job] = &jobs;
+    let jobs = plan_or_layout(g, opts);
     if jobs.is_empty() {
         return Err(SolveError::Acyclic);
     }
     let threads = opts.effective_threads().clamp(1, jobs.len());
-    let (results, counters) = run_jobs(jobs, threads, opts.recorder.as_ref(), solve_scc);
-    reduce_outcomes(jobs, results.iter().map(Result::as_ref), counters)
+    let (results, counters) = run_jobs(&jobs, threads, opts.recorder.as_ref(), solve_scc);
+    reduce_outcomes(&*jobs, results.iter().map(Result::as_ref), counters)
 }
 
 /// The driver's reduction stage, split out so it can be re-entered with
@@ -295,33 +356,34 @@ pub(crate) fn solve_per_scc_opts(
 /// equal λ the lowest component index wins, as in the sequential loop.
 /// Errors propagate the same way — the failure of the lowest component
 /// index is reported, regardless of which worker hit it.
-pub(crate) fn reduce_outcomes<'a>(
-    jobs: &[Job],
+pub(crate) fn reduce_outcomes<'a, J: JobList + ?Sized>(
+    jobs: &J,
     results: impl IntoIterator<Item = Result<&'a SccOutcome, &'a SolveError>>,
     counters: Counters,
 ) -> Result<Solution, SolveError> {
-    let mut best: Option<(&Job, &SccOutcome)> = None;
-    for (job, result) in jobs.iter().zip(results) {
+    let mut best: Option<(usize, &SccOutcome)> = None;
+    for (j, result) in results.into_iter().enumerate().take(jobs.num_jobs()) {
         let outcome = result.map_err(Clone::clone)?;
         debug_assert!(
-            crate::solution::is_closed_walk(&job.sub, &outcome.cycle),
+            crate::solution::is_closed_walk(jobs.view(j), &outcome.cycle),
             "solver returned a malformed cycle"
         );
         if best.is_none_or(|(_, b)| outcome.lambda < b.lambda) {
-            best = Some((job, outcome));
+            best = Some((j, outcome));
         }
     }
-    let (job, outcome) = match best {
+    let (j, outcome) = match best {
         Some(b) => b,
         // Unreachable when jobs is non-empty: every job either erred
         // (returned above) or won. An empty job list is acyclic.
         None => return Err(SolveError::Acyclic),
     };
+    let arc_map = jobs.arc_map(j);
     let mapped: Vec<ArcId> = outcome
         .cycle
         .iter()
-        // lint: allow(panic) reason=cycle arcs are ids of job.sub, which index arc_map by construction (is_closed_walk pins this in debug builds)
-        .map(|&a| job.arc_map[a.index()])
+        // lint: allow(panic) reason=cycle arcs are local ids of job j, which index its arc map by construction (is_closed_walk pins this in debug builds)
+        .map(|&a| arc_map[a.index()])
         .collect();
     Ok(Solution {
         lambda: outcome.lambda,
@@ -338,16 +400,15 @@ pub(crate) fn reduce_outcomes<'a>(
 pub(crate) fn solve_value_per_scc_opts(
     g: &Graph,
     opts: &SolveOptions,
-    lambda_scc: impl Fn(usize, &Graph, &mut Counters, &mut Workspace) -> Result<Ratio64, SolveError>
+    lambda_scc: impl Fn(usize, GraphRef<'_>, &mut Counters, &mut Workspace) -> Result<Ratio64, SolveError>
         + Sync,
 ) -> Result<(Ratio64, Counters), SolveError> {
-    let jobs = plan_or_extract(g, opts);
-    let jobs: &[Job] = &jobs;
+    let jobs = plan_or_layout(g, opts);
     if jobs.is_empty() {
         return Err(SolveError::Acyclic);
     }
     let threads = opts.effective_threads().clamp(1, jobs.len());
-    let (lambdas, counters) = run_jobs(jobs, threads, opts.recorder.as_ref(), lambda_scc);
+    let (lambdas, counters) = run_jobs(&jobs, threads, opts.recorder.as_ref(), lambda_scc);
     let mut best: Option<Ratio64> = None;
     for result in lambdas {
         let lambda = result?;
@@ -369,7 +430,7 @@ mod tests {
     /// A toy exact solver: brute force, packaged as an SCC solver.
     fn brute(
         _job: usize,
-        sub: &Graph,
+        sub: GraphRef<'_>,
         counters: &mut Counters,
         _ws: &mut Workspace,
     ) -> Result<SccOutcome, SolveError> {
@@ -386,7 +447,7 @@ mod tests {
 
     fn solve_per_scc(
         g: &Graph,
-        solve_scc: impl Fn(usize, &Graph, &mut Counters, &mut Workspace) -> Result<SccOutcome, SolveError>
+        solve_scc: impl Fn(usize, GraphRef<'_>, &mut Counters, &mut Workspace) -> Result<SccOutcome, SolveError>
             + Sync,
     ) -> Result<Solution, SolveError> {
         solve_per_scc_opts(g, &SolveOptions::default(), solve_scc)

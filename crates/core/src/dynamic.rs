@@ -1284,7 +1284,7 @@ impl DynamicSolver {
         for &c in &queue {
             let j = split.live_job(c);
             split.stale[j] = false;
-            let sub = &split.jobs[j].sub;
+            let sub = split.jobs[j].sub.view();
             // FNV-1a streams, so folding epsilon into the stored state
             // equals hashing it after the arc table.
             let hash = split.hashes[j];

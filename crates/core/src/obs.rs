@@ -36,7 +36,7 @@
 
 use crate::dynamic::TopologyPath;
 use crate::instrument::Counters;
-use mcr_graph::Graph;
+use mcr_graph::{Graph, GraphRef};
 
 #[cfg(feature = "obs")]
 pub use mcr_obs::{
@@ -166,7 +166,7 @@ pub(crate) fn solve_end_err(rec: Option<&Recorder>, error: &'static str) {
 pub(crate) fn job_span<R>(
     rec: Option<&Recorder>,
     job: usize,
-    sub: &Graph,
+    sub: GraphRef<'_>,
     f: impl FnOnce() -> R,
 ) -> R {
     let Some(rec) = rec else { return f() };

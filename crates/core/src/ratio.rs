@@ -26,7 +26,7 @@ use crate::solution::Solution;
 use crate::spec::SpecError;
 use crate::workspace::Workspace;
 use mcr_graph::compact::MAX_INDEX;
-use mcr_graph::{ArcId, Graph, GraphBuilder, SccDecomposition};
+use mcr_graph::{ArcId, Graph, GraphBuilder, GraphRef, SccDecomposition};
 
 /// Whether some cycle of `g` has zero total transit time (making cycle
 /// ratios undefined).
@@ -146,7 +146,7 @@ fn solve_or_none(g: &Graph, alg: Algorithm, epsilon: Option<f64>) -> Option<Solu
 /// Every bisection step charges an iteration and a λ-refinement, like
 /// the mean-problem Lawler it mirrors.
 pub(crate) fn ratio_bisection(
-    g: &Graph,
+    g: GraphRef<'_>,
     counters: &mut crate::instrument::Counters,
     epsilon: Option<f64>,
     ws: &mut Workspace,

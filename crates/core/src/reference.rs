@@ -6,7 +6,7 @@
 //! study algorithms.
 
 use crate::rational::Ratio64;
-use mcr_graph::{ArcId, Graph};
+use mcr_graph::{ArcId, GraphRef};
 
 /// Enumerates all simple cycles of `g` (as arc sequences), invoking
 /// `visit` on each.
@@ -14,7 +14,8 @@ use mcr_graph::{ArcId, Graph};
 /// Self-loops and cycles through parallel arcs are all enumerated
 /// separately. Exponential in general — intended for graphs with at
 /// most a few dozen nodes (tests only).
-pub fn for_each_simple_cycle(g: &Graph, mut visit: impl FnMut(&[ArcId])) {
+pub fn for_each_simple_cycle<'g>(g: impl Into<GraphRef<'g>>, mut visit: impl FnMut(&[ArcId])) {
+    let g = g.into();
     let n = g.num_nodes();
     // Johnson-style: for each root r, enumerate cycles whose smallest
     // node is r, restricted to nodes >= r.
@@ -22,7 +23,7 @@ pub fn for_each_simple_cycle(g: &Graph, mut visit: impl FnMut(&[ArcId])) {
     let mut path: Vec<ArcId> = Vec::new();
 
     fn dfs(
-        g: &Graph,
+        g: GraphRef<'_>,
         root: usize,
         v: usize,
         blocked: &mut Vec<bool>,
@@ -55,7 +56,8 @@ pub fn for_each_simple_cycle(g: &Graph, mut visit: impl FnMut(&[ArcId])) {
 
 /// The exact minimum cycle mean of `g` with a witness cycle, by
 /// exhaustive enumeration, or `None` if `g` is acyclic.
-pub fn brute_force_min_mean(g: &Graph) -> Option<(Ratio64, Vec<ArcId>)> {
+pub fn brute_force_min_mean<'g>(g: impl Into<GraphRef<'g>>) -> Option<(Ratio64, Vec<ArcId>)> {
+    let g = g.into();
     let mut best: Option<(Ratio64, Vec<ArcId>)> = None;
     for_each_simple_cycle(g, |cycle| {
         let w: i64 = cycle.iter().map(|&a| g.weight(a)).sum();
@@ -71,7 +73,8 @@ pub fn brute_force_min_mean(g: &Graph) -> Option<(Ratio64, Vec<ArcId>)> {
 /// exhaustive enumeration. Cycles with zero total transit time are
 /// skipped (their ratio is undefined). Returns `None` if `g` has no
 /// cycle with positive transit time.
-pub fn brute_force_min_ratio(g: &Graph) -> Option<(Ratio64, Vec<ArcId>)> {
+pub fn brute_force_min_ratio<'g>(g: impl Into<GraphRef<'g>>) -> Option<(Ratio64, Vec<ArcId>)> {
+    let g = g.into();
     let mut best: Option<(Ratio64, Vec<ArcId>)> = None;
     for_each_simple_cycle(g, |cycle| {
         let w: i64 = cycle.iter().map(|&a| g.weight(a)).sum();
@@ -89,7 +92,7 @@ pub fn brute_force_min_ratio(g: &Graph) -> Option<(Ratio64, Vec<ArcId>)> {
 
 /// Number of simple cycles of `g` (the `α` in the paper's Howard
 /// bound `O(nmα)`).
-pub fn count_simple_cycles(g: &Graph) -> u64 {
+pub fn count_simple_cycles<'g>(g: impl Into<GraphRef<'g>>) -> u64 {
     let mut count = 0;
     for_each_simple_cycle(g, |_| count += 1);
     count

@@ -29,7 +29,7 @@ use crate::ratio::{has_zero_transit_cycle, ratio_bisection};
 use crate::solution::Solution;
 use crate::spec::{Objective, SolveSpec};
 use crate::workspace::Workspace;
-use mcr_graph::Graph;
+use mcr_graph::{Graph, GraphRef};
 
 /// How each cyclic component of a request is solved.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,7 +123,7 @@ pub(crate) fn preflight(
 pub(crate) fn solve_component(
     route: &Route,
     job: usize,
-    sub: &Graph,
+    sub: GraphRef<'_>,
     counters: &mut Counters,
     ws: &mut Workspace,
     epsilon: Option<f64>,

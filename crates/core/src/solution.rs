@@ -4,7 +4,7 @@
 use crate::algorithms::Algorithm;
 use crate::instrument::Counters;
 use crate::rational::Ratio64;
-use mcr_graph::{ArcId, Graph, NodeId};
+use mcr_graph::{ArcId, GraphRef, NodeId};
 
 /// What a solver promises about the [`Solution::lambda`] it returned.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -50,7 +50,8 @@ pub struct Solution {
 
 impl Solution {
     /// The nodes of the witness cycle, in traversal order (one per arc).
-    pub fn cycle_nodes(&self, g: &Graph) -> Vec<NodeId> {
+    pub fn cycle_nodes<'g>(&self, g: impl Into<GraphRef<'g>>) -> Vec<NodeId> {
+        let g = g.into();
         self.cycle.iter().map(|&a| g.source(a)).collect()
     }
 
@@ -62,7 +63,7 @@ impl Solution {
     /// reduced form no longer fits `i64/i64`) — impossible for
     /// solutions produced by this crate. Use [`Solution::try_cycle_mean`]
     /// for untrusted data.
-    pub fn cycle_mean(&self, g: &Graph) -> Ratio64 {
+    pub fn cycle_mean<'g>(&self, g: impl Into<GraphRef<'g>>) -> Ratio64 {
         // lint: allow(panic) reason=documented panicking convenience API; try_cycle_mean is the fallible form
         self.try_cycle_mean(g).expect("well-formed witness cycle")
     }
@@ -70,7 +71,7 @@ impl Solution {
     /// Fallible [`Solution::cycle_mean`]: the accumulation is exact in
     /// `i128`, so this is `None` only for an empty cycle or a value
     /// outside `i64/i64`.
-    pub fn try_cycle_mean(&self, g: &Graph) -> Option<Ratio64> {
+    pub fn try_cycle_mean<'g>(&self, g: impl Into<GraphRef<'g>>) -> Option<Ratio64> {
         let (w, _) = cycle_totals(g, &self.cycle);
         Ratio64::try_from_i128(w, self.cycle.len() as i128)
     }
@@ -82,7 +83,8 @@ impl Solution {
     ///
     /// Panics if the cycle's total transit time is zero. Use
     /// [`Solution::try_cycle_ratio`] for untrusted data.
-    pub fn cycle_ratio(&self, g: &Graph) -> Ratio64 {
+    pub fn cycle_ratio<'g>(&self, g: impl Into<GraphRef<'g>>) -> Ratio64 {
+        let g = g.into();
         let (_, t) = cycle_totals(g, &self.cycle);
         assert!(t > 0, "witness cycle has zero transit time");
         // lint: allow(panic) reason=documented panicking convenience API; try_cycle_ratio is the fallible form
@@ -92,7 +94,7 @@ impl Solution {
     /// Fallible [`Solution::cycle_ratio`]: `None` if the cycle's total
     /// transit time is not positive or the reduced ratio does not fit
     /// `i64/i64`.
-    pub fn try_cycle_ratio(&self, g: &Graph) -> Option<Ratio64> {
+    pub fn try_cycle_ratio<'g>(&self, g: impl Into<GraphRef<'g>>) -> Option<Ratio64> {
         let (w, t) = cycle_totals(g, &self.cycle);
         if t <= 0 {
             return None;
@@ -106,7 +108,8 @@ impl Solution {
 /// `i128`, so this never wraps — the fallibility of downstream
 /// consumers is confined to fitting the *reduced ratio* back into
 /// [`Ratio64`]).
-pub fn cycle_totals(g: &Graph, cycle: &[ArcId]) -> (i128, i128) {
+pub fn cycle_totals<'g>(g: impl Into<GraphRef<'g>>, cycle: &[ArcId]) -> (i128, i128) {
+    let g = g.into();
     let mut weight = 0i128;
     let mut transit = 0i128;
     for &a in cycle {
@@ -120,7 +123,7 @@ pub fn cycle_totals(g: &Graph, cycle: &[ArcId]) -> (i128, i128) {
 /// arc's source, wrapping around. Unlike [`check_cycle`] it accepts a
 /// cycle whose weight sum leaves `i64`, which an exact answer may have
 /// (its mean `w / len` can still fit).
-pub(crate) fn is_closed_walk(g: &Graph, cycle: &[ArcId]) -> bool {
+pub(crate) fn is_closed_walk(g: GraphRef<'_>, cycle: &[ArcId]) -> bool {
     let next = cycle.iter().cycle().skip(1);
     !cycle.is_empty() && cycle.iter().zip(next).all(|(&a, &b)| g.target(a) == g.source(b))
 }
@@ -130,7 +133,11 @@ pub(crate) fn is_closed_walk(g: &Graph, cycle: &[ArcId]) -> bool {
 /// the first arc's source. Returns its `(weight, length, transit)`.
 ///
 /// Used by tests and debug assertions throughout the crate.
-pub fn check_cycle(g: &Graph, cycle: &[ArcId]) -> Result<(i64, usize, i64), String> {
+pub fn check_cycle<'g>(
+    g: impl Into<GraphRef<'g>>,
+    cycle: &[ArcId],
+) -> Result<(i64, usize, i64), String> {
+    let g = g.into();
     if cycle.is_empty() {
         return Err("empty cycle".into());
     }

@@ -145,8 +145,8 @@ impl From<SolveError> for SpecError {
 ///
 /// **Plan orientation.** [`SolveOptions::plan`] must be prepared from
 /// the graph the solve actually *runs on*: `g` for minimize, but
-/// `g.negated()` for maximize — a plan's frozen jobs carry the
-/// subgraph weights of the orientation it was extracted from, and the
+/// `g.negated()` for maximize — a plan's job arena carries the
+/// subgraph weights of the orientation it was laid out from, and the
 /// size fingerprint cannot tell the two orientations apart. The `mcrd`
 /// graph cache keeps one plan per orientation for exactly this reason.
 ///

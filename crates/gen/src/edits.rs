@@ -192,9 +192,7 @@ mod tests {
         let text = edit_script(&EditScriptConfig::new(64).seed(11));
         let mut arcs = 0usize;
         for line in text.lines() {
-            if line.contains("\"kind\":\"arc\"") {
-                arcs += 1;
-            } else if line.contains("\"op\":\"insert\"") {
+            if line.contains("\"kind\":\"arc\"") || line.contains("\"op\":\"insert\"") {
                 arcs += 1;
             } else if let Some(rest) = line.split("\"arc\":").nth(1) {
                 let idx: usize = rest

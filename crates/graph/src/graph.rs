@@ -134,6 +134,7 @@ impl fmt::Display for ArcId {
 /// out-adjacency; flat relaxation kernels (Karp's recurrence) read the
 /// arc table. There is no in-adjacency: the one solver that walks
 /// predecessors (KO/YTO) builds its own reverse index per solve.
+/// Kernels take a [`GraphRef`], which [`Graph::view`] lends.
 ///
 /// ```
 /// use mcr_graph::GraphBuilder;
@@ -166,7 +167,46 @@ pub struct Graph {
     transits: Vec<i64>,
 }
 
-impl Graph {
+/// A borrowed view of a graph: the nine arrays a [`Graph`] holds, as
+/// slices, with the same accessors. It is `Copy`, so it is passed by
+/// value.
+///
+/// Every kernel reads its input through a `GraphRef`. [`Graph::view`]
+/// lends one; so does a job of [`crate::scc::ComponentArena`], which
+/// keeps every cyclic component of a graph in one set of arrays. An
+/// arena job's arcs are stored in local-source order, so its
+/// out-adjacency is the arc table itself: `out_arcs` borrows a shared
+/// identity slice and the aligned copies alias the arc table, which is
+/// exactly what a [`Graph`] built from the same arc list holds.
+///
+/// ```
+/// use mcr_graph::{graph::from_arc_list, GraphRef, NodeId};
+/// let g = from_arc_list(3, &[(0, 1, 4), (1, 2, 6), (2, 0, -1), (0, 0, 2)]);
+/// let view: GraphRef<'_> = g.view();
+/// assert_eq!(view.num_arcs(), 4);
+/// assert_eq!(view.out_arcs(NodeId::new(0)), g.out_arcs(NodeId::new(0)));
+/// assert_eq!(view.weights(), g.weights());
+/// // A view is `Copy`: hand it on by value.
+/// let total = |h: GraphRef<'_>| h.weights().iter().sum::<i64>();
+/// assert_eq!(total(view), 11);
+/// ```
+///
+/// Equality compares the slices' contents, so a view equals another
+/// exactly when the graphs they show are byte-equal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GraphRef<'a> {
+    first_out: &'a [u32],
+    out_arcs: &'a [ArcId],
+    out_targets: &'a [NodeId],
+    out_weights: &'a [i64],
+    out_transits: &'a [i64],
+    sources: &'a [NodeId],
+    targets: &'a [NodeId],
+    weights: &'a [i64],
+    transits: &'a [i64],
+}
+
+impl<'a> GraphRef<'a> {
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -180,13 +220,208 @@ impl Graph {
     }
 
     /// Iterates over all node ids in increasing order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + 'a {
         (0..self.num_nodes()).map(NodeId::new)
     }
 
     /// Iterates over all arc ids in increasing order.
-    pub fn arc_ids(&self) -> impl Iterator<Item = ArcId> + '_ {
+    pub fn arc_ids(&self) -> impl Iterator<Item = ArcId> + 'a {
         (0..self.num_arcs()).map(ArcId::new)
+    }
+
+    /// Source node of `arc`.
+    #[inline]
+    pub fn source(&self, arc: ArcId) -> NodeId {
+        self.sources[arc.index()]
+    }
+
+    /// Target node of `arc`.
+    #[inline]
+    pub fn target(&self, arc: ArcId) -> NodeId {
+        self.targets[arc.index()]
+    }
+
+    /// Weight (cost) of `arc`.
+    #[inline]
+    pub fn weight(&self, arc: ArcId) -> i64 {
+        self.weights[arc.index()]
+    }
+
+    /// Transit time of `arc`.
+    #[inline]
+    pub fn transit(&self, arc: ArcId) -> i64 {
+        self.transits[arc.index()]
+    }
+
+    /// All arc weights as a slice, indexed by [`ArcId::index`].
+    #[inline]
+    pub fn weights(&self) -> &'a [i64] {
+        self.weights
+    }
+
+    /// All arc transit times as a slice, indexed by [`ArcId::index`].
+    #[inline]
+    pub fn transits(&self) -> &'a [i64] {
+        self.transits
+    }
+
+    /// All arc source nodes as a slice, indexed by [`ArcId::index`].
+    /// Together with [`GraphRef::targets`], [`GraphRef::weights`] and
+    /// [`GraphRef::transits`] this exposes the arc table in structure-of-
+    /// arrays form, so relaxation kernels can run flat, branch-light
+    /// passes over the arc array instead of chasing per-arc accessors.
+    #[inline]
+    pub fn sources(&self) -> &'a [NodeId] {
+        self.sources
+    }
+
+    /// All arc target nodes as a slice, indexed by [`ArcId::index`].
+    #[inline]
+    pub fn targets(&self) -> &'a [NodeId] {
+        self.targets
+    }
+
+    /// The positions of `v`'s out-arcs in the aligned adjacency arrays.
+    #[inline]
+    fn out_range(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.first_out[v.index()] as usize..self.first_out[v.index() + 1] as usize
+    }
+
+    /// Arcs leaving `v`, in ascending id.
+    #[inline]
+    pub fn out_arcs(&self, v: NodeId) -> &'a [ArcId] {
+        let out_arcs = self.out_arcs;
+        &out_arcs[self.out_range(v)]
+    }
+
+    /// Out-degree of `v`.
+    #[inline]
+    pub fn out_degree(&self, v: NodeId) -> usize {
+        self.out_range(v).len()
+    }
+
+    /// Iterates over `(arc, successor)` pairs of `v`.
+    pub fn out_neighbors(&self, v: NodeId) -> impl Iterator<Item = (ArcId, NodeId)> + 'a {
+        let r = self.out_range(v);
+        let (arcs, targets) = (self.out_arcs, self.out_targets);
+        arcs[r.clone()]
+            .iter()
+            .zip(&targets[r])
+            .map(|(&a, &t)| (a, t))
+    }
+
+    /// Iterates over `(arc, target, weight, transit)` of the arcs
+    /// leaving `v`, reading the cache-aligned adjacency copies (the hot
+    /// path of the breadth-first and parametric algorithms).
+    pub fn out_adj(&self, v: NodeId) -> impl Iterator<Item = (ArcId, NodeId, i64, i64)> + 'a {
+        let r = self.out_range(v);
+        let GraphRef {
+            out_arcs,
+            out_targets,
+            out_weights,
+            out_transits,
+            ..
+        } = *self;
+        out_arcs[r.clone()]
+            .iter()
+            .zip(&out_targets[r.clone()])
+            .zip(&out_weights[r.clone()])
+            .zip(&out_transits[r])
+            .map(|(((&a, &t), &w), &tr)| (a, t, w, tr))
+    }
+
+    /// Smallest arc weight, or `None` for an arc-free graph.
+    pub fn min_weight(&self) -> Option<i64> {
+        self.weights.iter().copied().min()
+    }
+
+    /// Largest arc weight, or `None` for an arc-free graph.
+    pub fn max_weight(&self) -> Option<i64> {
+        self.weights.iter().copied().max()
+    }
+
+    /// Whether every arc has transit time 1, i.e. the cost-to-time ratio
+    /// problem on this graph coincides with the cycle mean problem.
+    pub fn has_unit_transits(&self) -> bool {
+        self.transits.iter().all(|&t| t == 1)
+    }
+
+    /// A view of a graph whose arcs are stored in source order: its
+    /// out-adjacency is the arc table, so `out_arcs` is `identity`'s
+    /// first `sources.len()` ids and the aligned copies are the arc table
+    /// itself. Only the crate builds these, from arrays it laid out that
+    /// way.
+    pub(crate) fn source_ordered(
+        first_out: &'a [u32],
+        identity: &'a [ArcId],
+        sources: &'a [NodeId],
+        targets: &'a [NodeId],
+        weights: &'a [i64],
+        transits: &'a [i64],
+    ) -> GraphRef<'a> {
+        debug_assert!(
+            sources.windows(2).all(|p| p[0] <= p[1]),
+            "arcs in source order"
+        );
+        GraphRef {
+            first_out,
+            out_arcs: &identity[..sources.len()],
+            out_targets: targets,
+            out_weights: weights,
+            out_transits: transits,
+            sources,
+            targets,
+            weights,
+            transits,
+        }
+    }
+}
+
+impl<'a> From<&'a Graph> for GraphRef<'a> {
+    #[inline]
+    fn from(g: &'a Graph) -> GraphRef<'a> {
+        g.view()
+    }
+}
+
+impl Graph {
+    /// Lends the graph as a [`GraphRef`]: the same nine arrays, borrowed.
+    /// Every accessor below reads through it.
+    #[inline]
+    pub fn view(&self) -> GraphRef<'_> {
+        GraphRef {
+            first_out: &self.first_out,
+            out_arcs: &self.out_arcs,
+            out_targets: &self.out_targets,
+            out_weights: &self.out_weights,
+            out_transits: &self.out_transits,
+            sources: &self.sources,
+            targets: &self.targets,
+            weights: &self.weights,
+            transits: &self.transits,
+        }
+    }
+
+    /// Number of nodes.
+    #[inline]
+    pub fn num_nodes(&self) -> usize {
+        self.view().num_nodes()
+    }
+
+    /// Number of arcs.
+    #[inline]
+    pub fn num_arcs(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// Iterates over all node ids in increasing order.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.view().node_ids()
+    }
+
+    /// Iterates over all arc ids in increasing order.
+    pub fn arc_ids(&self) -> impl Iterator<Item = ArcId> + '_ {
+        self.view().arc_ids()
     }
 
     /// Source node of `arc`.
@@ -225,11 +460,8 @@ impl Graph {
         &self.transits
     }
 
-    /// All arc source nodes as a slice, indexed by [`ArcId::index`].
-    /// Together with [`Graph::targets`], [`Graph::weights`] and
-    /// [`Graph::transits`] this exposes the arc table in structure-of-
-    /// arrays form, so relaxation kernels can run flat, branch-light
-    /// passes over the arc array instead of chasing per-arc accessors.
+    /// All arc source nodes as a slice, indexed by [`ArcId::index`]
+    /// (see [`GraphRef::sources`]).
     #[inline]
     pub fn sources(&self) -> &[NodeId] {
         &self.sources
@@ -244,55 +476,40 @@ impl Graph {
     /// Arcs leaving `v`.
     #[inline]
     pub fn out_arcs(&self, v: NodeId) -> &[ArcId] {
-        let lo = self.first_out[v.index()] as usize;
-        let hi = self.first_out[v.index() + 1] as usize;
-        &self.out_arcs[lo..hi]
+        self.view().out_arcs(v)
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_arcs(v).len()
+        self.view().out_degree(v)
     }
 
     /// Iterates over `(arc, successor)` pairs of `v`.
     pub fn out_neighbors(&self, v: NodeId) -> impl Iterator<Item = (ArcId, NodeId)> + '_ {
-        let lo = self.first_out[v.index()] as usize;
-        let hi = self.first_out[v.index() + 1] as usize;
-        self.out_arcs[lo..hi]
-            .iter()
-            .zip(&self.out_targets[lo..hi])
-            .map(|(&a, &t)| (a, t))
+        self.view().out_neighbors(v)
     }
 
     /// Iterates over `(arc, target, weight, transit)` of the arcs
-    /// leaving `v`, reading the cache-aligned adjacency copies (the hot
-    /// path of the breadth-first and parametric algorithms).
+    /// leaving `v` (see [`GraphRef::out_adj`]).
     pub fn out_adj(&self, v: NodeId) -> impl Iterator<Item = (ArcId, NodeId, i64, i64)> + '_ {
-        let lo = self.first_out[v.index()] as usize;
-        let hi = self.first_out[v.index() + 1] as usize;
-        self.out_arcs[lo..hi]
-            .iter()
-            .zip(&self.out_targets[lo..hi])
-            .zip(&self.out_weights[lo..hi])
-            .zip(&self.out_transits[lo..hi])
-            .map(|(((&a, &t), &w), &tr)| (a, t, w, tr))
+        self.view().out_adj(v)
     }
 
     /// Smallest arc weight, or `None` for an arc-free graph.
     pub fn min_weight(&self) -> Option<i64> {
-        self.weights.iter().copied().min()
+        self.view().min_weight()
     }
 
     /// Largest arc weight, or `None` for an arc-free graph.
     pub fn max_weight(&self) -> Option<i64> {
-        self.weights.iter().copied().max()
+        self.view().max_weight()
     }
 
     /// Whether every arc has transit time 1, i.e. the cost-to-time ratio
     /// problem on this graph coincides with the cycle mean problem.
     pub fn has_unit_transits(&self) -> bool {
-        self.transits.iter().all(|&t| t == 1)
+        self.view().has_unit_transits()
     }
 
     /// Returns a graph with every weight negated, leaving transit times
@@ -738,6 +955,66 @@ mod tests {
             .map(|&a| g.weight(a))
             .collect();
         assert_eq!(ws.iter().sum::<i64>(), 6);
+    }
+
+    #[test]
+    fn a_view_answers_every_accessor_like_its_graph() {
+        // Random arc lists over up to 7 nodes, so self-loops, parallel
+        // arcs, isolated nodes and the empty graph all turn up; half the
+        // graphs get transits 0..=3 patched in.
+        let mut x = 0x5851_f42d_4c95_7f2du64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for round in 0..200 {
+            let n = next(8) as usize;
+            let m = if n == 0 { 0 } else { next(16) as usize };
+            let arcs: Vec<(usize, usize, i64)> = (0..m)
+                .map(|_| {
+                    (
+                        next(n as u64) as usize,
+                        next(n as u64) as usize,
+                        next(21) as i64 - 10,
+                    )
+                })
+                .collect();
+            let mut g = from_arc_list(n, &arcs);
+            if round % 2 == 1 {
+                for a in 0..m {
+                    let w = g.weight(ArcId::new(a));
+                    g.set_arc_values(ArcId::new(a), w, next(4) as i64);
+                }
+            }
+            let v = g.view();
+            assert_eq!(v, GraphRef::from(&g));
+            assert_eq!((v.num_nodes(), v.num_arcs()), (g.num_nodes(), g.num_arcs()));
+            assert!(v.node_ids().eq(g.node_ids()));
+            assert!(v.arc_ids().eq(g.arc_ids()));
+            for a in g.arc_ids() {
+                assert_eq!(v.source(a), g.source(a));
+                assert_eq!(v.target(a), g.target(a));
+                assert_eq!(v.weight(a), g.weight(a));
+                assert_eq!(v.transit(a), g.transit(a));
+            }
+            assert_eq!(v.sources(), g.sources());
+            assert_eq!(v.targets(), g.targets());
+            assert_eq!(v.weights(), g.weights());
+            assert_eq!(v.transits(), g.transits());
+            for u in g.node_ids() {
+                assert_eq!(v.out_arcs(u), g.out_arcs(u));
+                assert_eq!(v.out_degree(u), g.out_degree(u));
+                assert!(v.out_neighbors(u).eq(g.out_neighbors(u)));
+                assert!(v.out_adj(u).eq(g.out_adj(u)));
+            }
+            assert_eq!(v.min_weight(), g.min_weight());
+            assert_eq!(v.max_weight(), g.max_weight());
+            assert_eq!(v.has_unit_transits(), g.has_unit_transits());
+            // Each accessor reads the graph's own arrays, not a copy.
+            assert!(std::ptr::eq(v.weights(), g.weights()));
+        }
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub mod scc;
 pub mod traverse;
 
 pub use compact::idx32;
-pub use graph::{ArcId, Graph, GraphBuilder, GraphError, NodeId};
+pub use graph::{ArcId, Graph, GraphBuilder, GraphError, GraphRef, NodeId};
 pub use io::{ParseErrorKind, ParseGraphError};
-pub use scc::{condensation, SccDecomposition, SubgraphExtractor};
+pub use scc::{condensation, ComponentArena, SccDecomposition, SubgraphExtractor};

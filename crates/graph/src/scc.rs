@@ -2,13 +2,16 @@
 //!
 //! Every cycle mean / cycle ratio algorithm in the study assumes a
 //! strongly connected input; the common driver decomposes an arbitrary
-//! digraph with [`SccDecomposition::new`], extracts each nontrivial
-//! component with [`SccDecomposition::component_subgraph`], solves it,
-//! and takes the minimum over components — exactly the procedure
-//! described in Section 2 of the paper.
+//! digraph with [`SccDecomposition::new`], lays every cyclic component
+//! out in one [`ComponentArena`], solves each component through its
+//! [`GraphRef`] view, and takes the minimum over components — exactly
+//! the procedure described in Section 2 of the paper.
+//! [`SubgraphExtractor`] copies one component into a standalone
+//! [`Graph`] instead, for a caller that patches components one at a
+//! time.
 
 use crate::compact::idx32;
-use crate::graph::{ArcId, Graph, GraphBuilder, NodeId};
+use crate::graph::{ArcId, Graph, GraphBuilder, GraphRef, NodeId};
 
 /// The strongly connected components of a digraph.
 ///
@@ -236,14 +239,164 @@ pub fn canonical_order(g: &Graph, nodes: &mut [NodeId]) {
     }
 }
 
+/// Every cyclic component of a graph as a standalone subgraph, all in
+/// one set of arrays: one `first_out`, `sources`, `targets`, `weights`,
+/// `transits` and arc map for every component, and a component is a
+/// pair of ranges into them.
+///
+/// Components come in canonical job order (by smallest node,
+/// [`SccDecomposition::cyclic_by_smallest_node`]), and component `j`'s
+/// node `i` is node `i` of its [`canonical_order`]. Its arcs are the
+/// ones with both endpoints inside, by local source and then in the host
+/// graph's out-list order, which is the arc list
+/// [`SubgraphExtractor::extract`] builds. So [`ComponentArena::view`]
+/// equals the extracted [`Graph`]'s [`Graph::view`], array for array,
+/// and a kernel cannot tell the two apart.
+///
+/// The arena is filled in one pass over the components after Tarjan,
+/// with no per-component allocation.
+///
+/// ```
+/// use mcr_graph::{graph::from_arc_list, scc::SubgraphExtractor, ComponentArena, SccDecomposition};
+/// // {0, 1} reaches {2, 3}; node 4 lies on no cycle.
+/// let g = from_arc_list(5, &[(0, 1, 1), (1, 0, 2), (1, 2, 9), (2, 3, 3), (3, 2, 4), (3, 4, 0)]);
+/// let arena = ComponentArena::new(&g);
+/// assert_eq!(arena.len(), 2);
+/// let scc = SccDecomposition::new(&g);
+/// let mut ex = SubgraphExtractor::new(g.num_nodes());
+/// for (j, c) in scc.cyclic_by_smallest_node(&g).into_iter().enumerate() {
+///     let (sub, arc_map) = ex.extract(&g, scc.component(c));
+///     assert_eq!(arena.view(j), sub.view());
+///     assert_eq!(arena.arc_map(j), arc_map);
+/// }
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ComponentArena {
+    /// Each component's CSR offsets, local to its own arcs: component
+    /// `j` has one more entry than it has nodes.
+    first_out: Vec<u32>,
+    sources: Vec<NodeId>,
+    targets: Vec<NodeId>,
+    weights: Vec<i64>,
+    transits: Vec<i64>,
+    /// Local arc → host arc, aligned with the arc arrays.
+    arc_map: Vec<ArcId>,
+    /// `0..k` for the largest component's arc count `k`: every view's
+    /// `out_arcs`, since a component's out-adjacency is its arc table.
+    identity: Vec<ArcId>,
+    /// `[first_out start, arc start]` per component, plus one past the
+    /// last: component `j` spans `bounds[j]..bounds[j + 1]` in both.
+    bounds: Vec<[u32; 2]>,
+}
+
+impl ComponentArena {
+    /// Runs Tarjan on `g`, orders the cyclic components, and lays them
+    /// out.
+    pub fn new(g: &Graph) -> ComponentArena {
+        let scc = SccDecomposition::new(g);
+        let order = scc.cyclic_by_smallest_node(g);
+        let g = g.view();
+        let cyclic_nodes: usize = order.iter().map(|&c| scc.component(c).len()).sum();
+        let mut arena = ComponentArena {
+            first_out: Vec::with_capacity(cyclic_nodes + order.len()),
+            sources: Vec::with_capacity(g.num_arcs()),
+            targets: Vec::with_capacity(g.num_arcs()),
+            weights: Vec::with_capacity(g.num_arcs()),
+            transits: Vec::with_capacity(g.num_arcs()),
+            arc_map: Vec::with_capacity(g.num_arcs()),
+            identity: Vec::new(),
+            bounds: Vec::with_capacity(order.len() + 1),
+        };
+        arena.bounds.push([0, 0]);
+        let mut local = vec![0u32; g.num_nodes()];
+        let mut widest = 0;
+        for &c in &order {
+            let nodes = scc.component(c);
+            for (i, v) in nodes.iter().enumerate() {
+                local[v.index()] = idx32(i);
+            }
+            let first = arena.sources.len();
+            arena.first_out.push(0);
+            for (i, &v) in nodes.iter().enumerate() {
+                let lv = NodeId::new(i);
+                for (a, t, w, tr) in g.out_adj(v) {
+                    if scc.component_of(t) == c {
+                        arena.sources.push(lv);
+                        arena.targets.push(NodeId::new(local[t.index()] as usize));
+                        arena.weights.push(w);
+                        arena.transits.push(tr);
+                        arena.arc_map.push(a);
+                    }
+                }
+                arena.first_out.push(idx32(arena.sources.len() - first));
+            }
+            widest = widest.max(arena.sources.len() - first);
+            arena
+                .bounds
+                .push([idx32(arena.first_out.len()), idx32(arena.sources.len())]);
+        }
+        arena.identity = (0..widest).map(ArcId::new).collect();
+        arena
+    }
+
+    /// Number of cyclic components.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Whether the graph is acyclic.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total arcs over all components.
+    pub fn num_arcs(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// Component `j`'s arc range.
+    fn arcs(&self, j: usize) -> std::ops::Range<usize> {
+        self.bounds[j][1] as usize..self.bounds[j + 1][1] as usize
+    }
+
+    /// Component `j` as a graph of its own, in local ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.len()`.
+    #[inline]
+    pub fn view(&self, j: usize) -> GraphRef<'_> {
+        let arcs = self.arcs(j);
+        GraphRef::source_ordered(
+            &self.first_out[self.bounds[j][0] as usize..self.bounds[j + 1][0] as usize],
+            &self.identity,
+            &self.sources[arcs.clone()],
+            &self.targets[arcs.clone()],
+            &self.weights[arcs.clone()],
+            &self.transits[arcs],
+        )
+    }
+
+    /// The map from component `j`'s local arc ids to the host graph's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.len()`.
+    #[inline]
+    pub fn arc_map(&self, j: usize) -> &[ArcId] {
+        &self.arc_map[self.arcs(j)]
+    }
+}
+
 /// Reusable scratch state for extracting many node-induced subgraphs of
 /// the same host graph without re-allocating the `O(n)` translation
 /// table each time.
 ///
-/// The per-SCC solver driver extracts every cyclic component up front;
-/// with `k` components a naive loop performs `k` allocations of
+/// The incremental solver re-extracts single components as edits change
+/// them; with `k` extractions a naive loop performs `k` allocations of
 /// `n · 4` bytes and `O(kn)` initialization. The extractor allocates the
-/// table once and resets only the entries it touched.
+/// table once and resets only the entries it touched. (The per-SCC
+/// driver lays every component out at once in a [`ComponentArena`].)
 ///
 /// ```
 /// use mcr_graph::{graph::from_arc_list, scc::SubgraphExtractor, SccDecomposition};

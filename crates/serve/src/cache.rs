@@ -1,17 +1,17 @@
 //! The daemon's LRU graph cache.
 //!
-//! Parsing a DIMACS instance and running Tarjan's SCC extraction are
+//! Parsing a DIMACS instance and running Tarjan's SCC pass are
 //! the two per-request costs that do not depend on the requested
 //! algorithm or precision. The cache keys instances by the FNV-1a
 //! hash of their exact DIMACS text, so a client can send a graph once
 //! and then re-solve it under different algorithms, epsilons, or
 //! objectives by `graph_hash` alone — the daemon pays neither parse
-//! nor SCC extraction again (the `serve.graph.parse` and
+//! nor the SCC pass again (the `serve.graph.parse` and
 //! `serve.plan.build` counters prove it).
 //!
 //! Each entry lazily holds one [`SccPlan`] *per orientation*: maximize
-//! requests solve the negated graph, and a plan's frozen jobs carry
-//! the weights of the orientation they were extracted from (see
+//! requests solve the negated graph, and a plan's job arena carries
+//! the weights of the orientation it was laid out from (see
 //! [`mcr_core::spec::solve_spec`]'s plan-orientation contract), so the
 //! two orientations can never share a plan.
 
@@ -20,8 +20,8 @@
 //! names the evolving graph, not a digest of its original text.
 //! [`GraphCache::commit_edit`] is the single mutation point, and it
 //! drops both orientation plans along with the graph swap — a plan's
-//! frozen jobs carry the arc ids and weights of the graph they were
-//! extracted from, so a surviving plan after a `DeleteArc` would hand
+//! job arena carries the arc ids and weights of the graph it was laid
+//! out from, so a surviving plan after a `DeleteArc` would hand
 //! the solver stale subgraphs (the `serve.plan.build` counter jumping
 //! after an edit is the pinned evidence that this invalidation runs).
 //!

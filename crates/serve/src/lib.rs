@@ -13,7 +13,7 @@
 //!   installs (deadline + frame cap; lint rule MCRL008);
 //! * [`cache`] — LRU instance cache keyed by content hash, holding one
 //!   [`mcr_core::SccPlan`] per orientation so cached re-solves skip
-//!   both parse and SCC extraction, and the certified answers already
+//!   both parse and the SCC pass, and the certified answers already
 //!   given for the instance, so a repeated question skips the solve;
 //! * [`journal`] — fsynced admission journal plus `mcr-checkpoint v2`
 //!   sidecars: a `kill -9` loses no admitted request and at most one

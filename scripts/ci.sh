@@ -51,7 +51,7 @@ echo "=== cargo test (workspace) ==="
 cargo test -q --workspace
 
 echo "=== cargo clippy -D warnings (solver stack) ==="
-cargo clippy -q -p mcr-graph -p mcr-core -p mcr-cli -p mcr-bench \
+cargo clippy -q -p mcr-graph -p mcr-gen -p mcr-core -p mcr-cli -p mcr-bench \
     -p mcr-serve --all-targets -- -D warnings
 
 echo "=== rustdoc -D warnings (mcr-core private items; graph, gen, obs) ==="
