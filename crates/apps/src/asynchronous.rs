@@ -92,7 +92,7 @@ impl EventRuleSystem {
     /// Whether the system deadlocks: a rule cycle with zero total
     /// occurrence offset means some occurrence waits on itself.
     pub fn has_deadlock(&self) -> bool {
-        mcr_core::ratio::has_zero_transit_cycle(&self.rule_graph())
+        mcr_core::ratio::has_zero_transit_cycle(self.rule_graph().view())
     }
 
     /// Computes the steady-state cycle period, or `None` if the rule
@@ -104,7 +104,7 @@ impl EventRuleSystem {
     /// Returns `Err` on a deadlocked system.
     pub fn analyze(&self) -> Result<Option<PeriodAnalysis>, String> {
         let g = self.rule_graph();
-        if mcr_core::ratio::has_zero_transit_cycle(&g) {
+        if mcr_core::ratio::has_zero_transit_cycle(g.view()) {
             return Err("event-rule system deadlocks: a rule cycle has zero total offset".into());
         }
         let sol = match maximum_cycle_ratio(&g) {

@@ -124,7 +124,7 @@ impl DataflowGraph {
     /// Whether the graph has a delay-free loop (a deadlock: no schedule
     /// exists).
     pub fn has_deadlock(&self) -> bool {
-        mcr_core::ratio::has_zero_transit_cycle(&self.graph())
+        mcr_core::ratio::has_zero_transit_cycle(self.graph().view())
     }
 
     /// Computes the iteration bound, or `None` for a non-recursive
@@ -135,7 +135,7 @@ impl DataflowGraph {
     /// Returns `Err` on a delay-free loop (deadlock).
     pub fn iteration_bound(&self) -> Result<Option<IterationBound>, String> {
         let g = self.graph();
-        if mcr_core::ratio::has_zero_transit_cycle(&g) {
+        if mcr_core::ratio::has_zero_transit_cycle(g.view()) {
             return Err("dataflow graph deadlocks: a loop carries no delays".into());
         }
         Ok(maximum_cycle_ratio(&g).map(|sol| IterationBound {

@@ -120,7 +120,7 @@ impl Netlist {
     /// Whether the netlist contains a combinational loop (a cycle with
     /// zero registers), which makes it unclockable.
     pub fn has_combinational_loop(&self) -> bool {
-        mcr_core::ratio::has_zero_transit_cycle(&self.timing_graph())
+        mcr_core::ratio::has_zero_transit_cycle(self.timing_graph().view())
     }
 
     /// Computes the minimum feasible clock period and the critical
@@ -133,7 +133,7 @@ impl Netlist {
     /// Returns `Err` if the netlist has a combinational loop.
     pub fn analyze(&self) -> Result<Option<ClockAnalysis>, String> {
         let g = self.timing_graph();
-        if mcr_core::ratio::has_zero_transit_cycle(&g) {
+        if mcr_core::ratio::has_zero_transit_cycle(g.view()) {
             return Err("netlist contains a combinational loop".into());
         }
         let sol = match maximum_cycle_ratio(&g) {
@@ -182,7 +182,7 @@ impl Netlist {
     pub fn clock_schedule(&self, period: Ratio64) -> Result<Vec<Ratio64>, String> {
         use mcr_core::bellman::{bellman_ford, CycleCheck};
         let g = self.timing_graph();
-        if mcr_core::ratio::has_zero_transit_cycle(&g) {
+        if mcr_core::ratio::has_zero_transit_cycle(g.view()) {
             return Err("netlist contains a combinational loop".into());
         }
         // Constraint r(v) − r(u) ≥ delay(u) − P·regs: shortest-path

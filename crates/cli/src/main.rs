@@ -380,12 +380,12 @@ fn print_solution(g: &Graph, sol: &Solution, maximize: bool, args: &Args) {
     }
     if args.flag("critical") {
         let (graph, lambda) = if maximize {
-            (g.negated(), -sol.lambda)
+            (g.checked_negated(), -sol.lambda)
         } else {
-            (g.clone(), sol.lambda)
+            (Some(g.clone()), sol.lambda)
         };
-        match critical_subgraph(&graph, lambda) {
-            Ok(cs) => {
+        match graph.map(|graph| critical_subgraph(&graph, lambda)) {
+            Some(Ok(cs)) => {
                 println!("critical arcs ({}):", cs.arcs.len());
                 for a in cs.arcs {
                     println!(
@@ -397,7 +397,10 @@ fn print_solution(g: &Graph, sol: &Solution, maximize: bool, args: &Args) {
                     );
                 }
             }
-            Err(_) => println!("critical subgraph: unavailable (approximate lambda)"),
+            Some(Err(_)) => println!("critical subgraph: unavailable (approximate lambda)"),
+            None => {
+                println!("critical subgraph: unavailable (a weight of i64::MIN has no negation)")
+            }
         }
     }
 }

@@ -97,31 +97,20 @@ mod tests {
     use mcr_graph::graph::from_arc_list;
     use mcr_graph::Graph;
 
-    fn dg_solve(g: &Graph, c: &mut Counters) -> SccOutcome {
+    fn dg_solve(g: GraphRef<'_>, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Dg);
-        solve_scc(
-            g.view(),
-            c,
-            &mut crate::workspace::Workspace::new(),
-            &mut scope,
-        )
-        .expect("unlimited")
+        solve_scc(g, c, &mut crate::workspace::Workspace::new(), &mut scope).expect("unlimited")
     }
 
-    fn karp_solve(g: &Graph, c: &mut Counters) -> SccOutcome {
+    fn karp_solve(g: GraphRef<'_>, c: &mut Counters) -> SccOutcome {
         let mut scope = BudgetScope::unlimited(crate::Algorithm::Karp);
-        super::super::karp::solve_scc(
-            g.view(),
-            c,
-            &mut crate::workspace::Workspace::new(),
-            &mut scope,
-        )
-        .expect("unlimited")
+        super::super::karp::solve_scc(g, c, &mut crate::workspace::Workspace::new(), &mut scope)
+            .expect("unlimited")
     }
 
     fn lambda_of(g: &Graph) -> Ratio64 {
         let mut c = Counters::new();
-        dg_solve(g, &mut c).lambda
+        dg_solve(g.view(), &mut c).lambda
     }
 
     #[test]
@@ -130,7 +119,7 @@ mod tests {
         for seed in 0..25 {
             let g = sprand(&SprandConfig::new(12, 30).seed(seed).weight_range(-15, 15));
             let mut c = Counters::new();
-            let karp = karp_solve(&g, &mut c).lambda;
+            let karp = karp_solve(g.view(), &mut c).lambda;
             assert_eq!(lambda_of(&g), karp, "seed {seed}");
         }
     }
@@ -138,20 +127,19 @@ mod tests {
     #[test]
     fn visits_no_more_arcs_than_karp() {
         use mcr_gen::circuit::{circuit_graph, CircuitConfig};
-        use mcr_graph::SccDecomposition;
+        use mcr_graph::ComponentArena;
         // Use the largest SCC of a circuit-like graph, where the
         // unfolding is narrow.
         let g = circuit_graph(&CircuitConfig::new(120).seed(2));
-        let scc = SccDecomposition::new(&g);
-        let big = (0..scc.num_components())
-            .filter(|&c| scc.is_cyclic_component(&g, c))
-            .max_by_key(|&c| scc.component(c).len())
+        let arena = ComponentArena::new(g.view());
+        let sub = (0..arena.len())
+            .map(|j| arena.view(j))
+            .max_by_key(|sub| sub.num_nodes())
             .expect("circuit has cycles");
-        let (sub, _, _) = scc.component_subgraph(&g, big);
         let mut c_dg = Counters::new();
         let mut c_karp = Counters::new();
-        let dg = dg_solve(&sub, &mut c_dg);
-        let karp = karp_solve(&sub, &mut c_karp);
+        let dg = dg_solve(sub, &mut c_dg);
+        let karp = karp_solve(sub, &mut c_karp);
         assert_eq!(dg.lambda, karp.lambda);
         assert!(c_dg.arcs_visited <= c_karp.arcs_visited);
     }
@@ -162,7 +150,7 @@ mod tests {
         // visits exactly n arcs total (one per level).
         let g = from_arc_list(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)]);
         let mut c = Counters::new();
-        let s = dg_solve(&g, &mut c);
+        let s = dg_solve(g.view(), &mut c);
         assert_eq!(s.lambda, Ratio64::from(1));
         assert_eq!(c.arcs_visited, (g.num_nodes()) as u64);
     }

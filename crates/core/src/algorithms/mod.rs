@@ -362,7 +362,7 @@ impl Algorithm {
     /// λ-refinement allowance, but all attempts share the solve-wide
     /// wall-clock deadline.
     pub fn solve_with_options(self, g: &Graph, opts: &SolveOptions) -> Result<Solution, SolveError> {
-        crate::route::solve(g, &Route::Mean(opts.fallback.chain_for(self)), opts)
+        crate::route::solve(g, &Route::Mean(opts.fallback.chain_for(self)), false, opts)
     }
 }
 
@@ -422,7 +422,7 @@ impl Algorithm {
             // the delegation.
             other => {
                 let route = Route::Mean(opts.fallback.chain_for(other));
-                crate::route::solve_untraced(g, &route, opts).map(|s| (s.lambda, s.counters))
+                crate::route::solve_untraced(g, &route, false, opts).map(|s| (s.lambda, s.counters))
             }
         }
     }

@@ -74,58 +74,28 @@ pub(crate) struct SccOutcome {
     pub solved_by: Algorithm,
 }
 
-/// One owned unit of work: a cyclic component's subgraph plus the map
-/// from its local arc ids back to the host graph.
-///
-/// [`crate::dynamic::DynamicSolver`] keeps one per cyclic component and
-/// patches it in place under edits; it re-enters the driver pipeline at
-/// the reduction stage with a mix of cached and freshly solved outcomes.
-#[derive(Debug)]
-pub(crate) struct Job {
-    pub(crate) sub: Graph,
-    pub(crate) arc_map: Vec<ArcId>,
-}
-
-/// A job list in canonical job order, as the driver reads it: each
-/// job's subgraph as a view, and the map from its local arc ids to the
-/// host graph's. A [`ComponentArena`] is one (every solve through
-/// [`solve_per_scc_opts`]); `DynamicSolver`'s owned, patched [`Job`]s
-/// are the other, through [`Graph::view`].
-pub(crate) trait JobList: Sync {
-    /// Number of jobs.
-    fn num_jobs(&self) -> usize;
-    /// Job `j`'s subgraph.
-    fn view(&self, j: usize) -> GraphRef<'_>;
-    /// Job `j`'s local arc id → host arc id.
-    fn arc_map(&self, j: usize) -> &[ArcId];
-}
-
-impl JobList for ComponentArena {
-    fn num_jobs(&self) -> usize {
-        self.len()
+/// Job `j` of `jobs` in the solve's orientation. A minimize solve reads
+/// the caller's weights. A maximize solve reads them negated into
+/// `negated`, since max w(C)/t(C) = −min (−w)(C)/t(C) for both
+/// objectives; a weight of `i64::MIN` has no negation, so that job
+/// fails with [`SolveError::Overflow`].
+pub(crate) fn oriented<'a>(
+    jobs: &'a ComponentArena,
+    j: usize,
+    maximize: bool,
+    negated: &'a mut Vec<i64>,
+) -> Result<GraphRef<'a>, SolveError> {
+    let view = jobs.view(j);
+    if !maximize {
+        return Ok(view);
     }
-    #[inline]
-    fn view(&self, j: usize) -> GraphRef<'_> {
-        ComponentArena::view(self, j)
+    negated.clear();
+    for w in view.weights() {
+        negated.push(w.checked_neg().ok_or(SolveError::Overflow {
+            context: "maximize: negating an arc weight of i64::MIN",
+        })?);
     }
-    fn arc_map(&self, j: usize) -> &[ArcId] {
-        ComponentArena::arc_map(self, j)
-    }
-}
-
-impl JobList for Vec<Job> {
-    fn num_jobs(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn view(&self, j: usize) -> GraphRef<'_> {
-        // lint: allow(panic) reason=the reduction asks only for jobs below num_jobs
-        self[j].sub.view()
-    }
-    fn arc_map(&self, j: usize) -> &[ArcId] {
-        // lint: allow(panic) reason=the reduction asks only for jobs below num_jobs
-        &self[j].arc_map
-    }
+    Ok(jobs.view_with_weights(j, negated))
 }
 
 /// A pre-computed, shareable SCC decomposition of one specific graph:
@@ -147,7 +117,9 @@ impl JobList for Vec<Job> {
 /// A solve without a plan lays out the same arena itself, so job order
 /// (and therefore job indices — the checkpoint/resume keys), λ,
 /// witnesses and counters are identical either way, and plans compose
-/// with checkpoints, budgets, and every thread count.
+/// with checkpoints, budgets, and every thread count. The arena holds
+/// the graph's own weights, so one plan serves minimize and maximize
+/// solves alike.
 ///
 /// ```
 /// use mcr_core::SccPlan;
@@ -174,7 +146,7 @@ impl SccPlan {
     /// components out as a reusable job arena.
     pub fn prepare(g: &Graph) -> SccPlan {
         SccPlan {
-            arena: Arc::new(ComponentArena::new(g)),
+            arena: Arc::new(ComponentArena::new(g.view())),
             nodes: g.num_nodes(),
             arcs: g.num_arcs(),
         }
@@ -228,7 +200,7 @@ impl PartialEq for SccPlan {
 fn plan_or_layout(g: &Graph, opts: &SolveOptions) -> Arc<ComponentArena> {
     match opts.plan.as_ref() {
         Some(plan) if plan.matches(g) => Arc::clone(&plan.arena),
-        _ => Arc::new(ComponentArena::new(g)),
+        _ => Arc::new(ComponentArena::new(g.view())),
     }
 }
 
@@ -237,9 +209,9 @@ fn plan_or_layout(g: &Graph, opts: &SolveOptions) -> Arc<ComponentArena> {
 /// path (which is identical in results by construction).
 const PARALLEL_ARC_THRESHOLD: usize = 256;
 
-/// Solves every job of the arena, each through its view, and returns
-/// the per-job results (indexed like the jobs) plus the accumulated
-/// counters.
+/// Solves every job of the arena, each through its view in the solve's
+/// orientation ([`oriented`]), and returns the per-job results (indexed
+/// like the jobs) plus the accumulated counters.
 ///
 /// `threads <= 1` (or a trivially small instance) is the sequential
 /// legacy path: one workspace, one counter sink, jobs in order.
@@ -251,28 +223,32 @@ const PARALLEL_ARC_THRESHOLD: usize = 256;
 /// scheduling-independent key (the component's position in canonical
 /// job order) used for checkpoint/resume bookkeeping. Each job's span goes
 /// to `recorder`.
-fn run_jobs<R: Send>(
+fn run_jobs<T: Send>(
     jobs: &ComponentArena,
     threads: usize,
+    maximize: bool,
     recorder: Option<&Recorder>,
-    solve: impl Fn(usize, GraphRef<'_>, &mut Counters, &mut Workspace) -> R + Sync,
-) -> (Vec<R>, Counters) {
+    solve: impl Fn(usize, GraphRef<'_>, &mut Counters, &mut Workspace) -> Result<T, SolveError>
+        + Sync,
+) -> (Vec<Result<T, SolveError>>, Counters) {
+    let run = |i: usize, negated: &mut Vec<i64>, counters: &mut Counters, ws: &mut Workspace| {
+        crate::chaos::pulse("core.driver.job", recorder);
+        let sub = oriented(jobs, i, maximize, negated)?;
+        crate::obs::job_span(recorder, i, sub, || solve(i, sub, counters, ws))
+    };
     let count = jobs.len();
     if threads <= 1 || count <= 1 || jobs.num_arcs() < PARALLEL_ARC_THRESHOLD {
         let mut counters = Counters::new();
         let mut ws = Workspace::new();
+        let mut negated = Vec::new();
         let results = (0..count)
-            .map(|i| {
-                crate::chaos::pulse("core.driver.job", recorder);
-                let sub = jobs.view(i);
-                crate::obs::job_span(recorder, i, sub, || solve(i, sub, &mut counters, &mut ws))
-            })
+            .map(|i| run(i, &mut negated, &mut counters, &mut ws))
             .collect();
         return (results, counters);
     }
 
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
+    let mut slots: Vec<Option<Result<T, SolveError>>> = (0..count).map(|_| None).collect();
     let mut counters = Counters::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -280,18 +256,14 @@ fn run_jobs<R: Send>(
                 scope.spawn(|| {
                     let mut ws = Workspace::new();
                     let mut local = Counters::new();
-                    let mut done: Vec<(usize, R)> = Vec::new();
+                    let mut negated = Vec::new();
+                    let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= count {
                             break; // queue drained
                         }
-                        crate::chaos::pulse("core.driver.job", recorder);
-                        let sub = jobs.view(i);
-                        let r = crate::obs::job_span(recorder, i, sub, || {
-                            solve(i, sub, &mut local, &mut ws)
-                        });
-                        done.push((i, r));
+                        done.push((i, run(i, &mut negated, &mut local, &mut ws)));
                     }
                     (local, done)
                 })
@@ -322,11 +294,13 @@ fn run_jobs<R: Send>(
 }
 
 /// Runs `solve_scc` on every cyclic strongly connected component of `g`
-/// on `opts`'s threads and returns the minimum, with the witness cycle
-/// mapped back to `g`'s arc ids. Returns [`SolveError::Acyclic`] when
-/// `g` has no cycle; any per-component error is propagated (the one
-/// from the lowest component index, independent of scheduling). See the
-/// module docs for the determinism argument.
+/// on `opts`'s threads and returns the optimum, with the witness cycle
+/// mapped back to `g`'s arc ids: the minimum, or with `maximize` the
+/// maximum, solved as the minimum over the negated weights and negated
+/// back. Returns [`SolveError::Acyclic`] when `g` has no cycle; any
+/// per-component error is propagated (the one from the lowest component
+/// index, independent of scheduling). See the module docs for the
+/// determinism argument.
 ///
 /// `solve_scc` receives the job index (stable across thread counts —
 /// the checkpoint key), a view of a strongly connected graph that
@@ -335,6 +309,7 @@ fn run_jobs<R: Send>(
 pub(crate) fn solve_per_scc_opts(
     g: &Graph,
     opts: &SolveOptions,
+    maximize: bool,
     solve_scc: impl Fn(usize, GraphRef<'_>, &mut Counters, &mut Workspace) -> Result<SccOutcome, SolveError>
         + Sync,
 ) -> Result<Solution, SolveError> {
@@ -343,29 +318,36 @@ pub(crate) fn solve_per_scc_opts(
         return Err(SolveError::Acyclic);
     }
     let threads = opts.effective_threads().clamp(1, jobs.len());
-    let (results, counters) = run_jobs(&jobs, threads, opts.recorder.as_ref(), solve_scc);
-    reduce_outcomes(&*jobs, results.iter().map(Result::as_ref), counters)
+    let (results, counters) = run_jobs(&jobs, threads, maximize, opts.recorder.as_ref(), solve_scc);
+    let job = |j| (jobs.view(j), jobs.arc_map(j));
+    reduce_outcomes(job, results.iter().map(Result::as_ref), counters, maximize)
 }
 
 /// The driver's reduction stage, split out so it can be re-entered with
 /// per-component results that did not all come from [`run_jobs`] (the
 /// incremental [`crate::dynamic::DynamicSolver`] feeds it the outcome
-/// it keeps for each job, most of them from earlier batches).
+/// it keeps for each job, most of them from earlier batches, and its
+/// jobs are one-job arenas). `job(j)` is job `j`'s subgraph and the map
+/// from its local arc ids to the host graph's, and `results` holds one
+/// result per job, in canonical job order.
 ///
 /// Walks the slots in job (= component) order with a strict `<`: on
 /// equal λ the lowest component index wins, as in the sequential loop.
 /// Errors propagate the same way — the failure of the lowest component
-/// index is reported, regardless of which worker hit it.
-pub(crate) fn reduce_outcomes<'a, J: JobList + ?Sized>(
-    jobs: &J,
+/// index is reported, regardless of which worker hit it. With
+/// `maximize` the outcomes are minima over negated weights, and the
+/// returned λ is negated back to the caller's orientation.
+pub(crate) fn reduce_outcomes<'a, 'j>(
+    job: impl Fn(usize) -> (GraphRef<'j>, &'j [ArcId]),
     results: impl IntoIterator<Item = Result<&'a SccOutcome, &'a SolveError>>,
     counters: Counters,
+    maximize: bool,
 ) -> Result<Solution, SolveError> {
     let mut best: Option<(usize, &SccOutcome)> = None;
-    for (j, result) in results.into_iter().enumerate().take(jobs.num_jobs()) {
+    for (j, result) in results.into_iter().enumerate() {
         let outcome = result.map_err(Clone::clone)?;
         debug_assert!(
-            crate::solution::is_closed_walk(jobs.view(j), &outcome.cycle),
+            crate::solution::is_closed_walk(job(j).0, &outcome.cycle),
             "solver returned a malformed cycle"
         );
         if best.is_none_or(|(_, b)| outcome.lambda < b.lambda) {
@@ -378,7 +360,7 @@ pub(crate) fn reduce_outcomes<'a, J: JobList + ?Sized>(
         // (returned above) or won. An empty job list is acyclic.
         None => return Err(SolveError::Acyclic),
     };
-    let arc_map = jobs.arc_map(j);
+    let arc_map = job(j).1;
     let mapped: Vec<ArcId> = outcome
         .cycle
         .iter()
@@ -386,7 +368,7 @@ pub(crate) fn reduce_outcomes<'a, J: JobList + ?Sized>(
         .map(|&a| arc_map[a.index()])
         .collect();
     Ok(Solution {
-        lambda: outcome.lambda,
+        lambda: if maximize { -outcome.lambda } else { outcome.lambda },
         cycle: mapped,
         guarantee: outcome.guarantee,
         solved_by: outcome.solved_by,
@@ -408,7 +390,7 @@ pub(crate) fn solve_value_per_scc_opts(
         return Err(SolveError::Acyclic);
     }
     let threads = opts.effective_threads().clamp(1, jobs.len());
-    let (lambdas, counters) = run_jobs(&jobs, threads, opts.recorder.as_ref(), lambda_scc);
+    let (lambdas, counters) = run_jobs(&jobs, threads, false, opts.recorder.as_ref(), lambda_scc);
     let mut best: Option<Ratio64> = None;
     for result in lambdas {
         let lambda = result?;
@@ -450,7 +432,7 @@ mod tests {
         solve_scc: impl Fn(usize, GraphRef<'_>, &mut Counters, &mut Workspace) -> Result<SccOutcome, SolveError>
             + Sync,
     ) -> Result<Solution, SolveError> {
-        solve_per_scc_opts(g, &SolveOptions::default(), solve_scc)
+        solve_per_scc_opts(g, &SolveOptions::default(), false, solve_scc)
     }
 
     #[test]
@@ -470,7 +452,7 @@ mod tests {
         let g = from_arc_list(4, &[(0, 1, 5), (1, 0, 5), (2, 3, 1), (3, 2, 3)]);
         for threads in [1, 2, 4] {
             let opts = SolveOptions::new().threads(threads);
-            let err = solve_per_scc_opts(&g, &opts, |job, sub, c, ws| {
+            let err = solve_per_scc_opts(&g, &opts, false, |job, sub, c, ws| {
                 if sub.arc_ids().any(|a| sub.weight(a) == 5) {
                     Err(SolveError::Overflow {
                         context: "synthetic failure",
@@ -541,7 +523,7 @@ mod tests {
         let seq = solve_per_scc(&g, brute).expect("cyclic");
         for threads in [2, 3, 8] {
             let opts = SolveOptions::new().threads(threads);
-            let par = solve_per_scc_opts(&g, &opts, brute).expect("cyclic");
+            let par = solve_per_scc_opts(&g, &opts, false, brute).expect("cyclic");
             assert_eq!(par.lambda, seq.lambda, "threads {threads}");
             assert_eq!(par.cycle, seq.cycle, "witness differs at {threads} threads");
             assert_eq!(par.counters, seq.counters, "threads {threads}");
@@ -568,7 +550,7 @@ mod tests {
         let fresh = solve_per_scc(&g, brute).expect("cyclic");
         for threads in [1, 2, 8] {
             let opts = SolveOptions::new().threads(threads).plan(plan.clone());
-            let planned = solve_per_scc_opts(&g, &opts, brute).expect("cyclic");
+            let planned = solve_per_scc_opts(&g, &opts, false, brute).expect("cyclic");
             assert_eq!(planned.lambda, fresh.lambda, "threads {threads}");
             assert_eq!(planned.cycle, fresh.cycle, "threads {threads}");
             assert_eq!(planned.counters, fresh.counters, "threads {threads}");
@@ -591,7 +573,7 @@ mod tests {
         let big = from_arc_list(4, &[(0, 1, 5), (1, 0, 5), (2, 3, 1), (3, 2, 3)]);
         let stale = SccPlan::prepare(&small);
         let opts = SolveOptions::new().plan(stale);
-        let s = solve_per_scc_opts(&big, &opts, brute).expect("cyclic");
+        let s = solve_per_scc_opts(&big, &opts, false, brute).expect("cyclic");
         assert_eq!(s.lambda, Ratio64::from(2));
         assert_eq!(s.counters.iterations, 2, "both components must be solved");
     }
@@ -603,7 +585,7 @@ mod tests {
         assert_eq!(plan.num_jobs(), 0);
         let opts = SolveOptions::new().plan(plan);
         assert_eq!(
-            solve_per_scc_opts(&g, &opts, brute).expect_err("acyclic"),
+            solve_per_scc_opts(&g, &opts, false, brute).expect_err("acyclic"),
             SolveError::Acyclic
         );
     }
@@ -628,7 +610,7 @@ mod tests {
         let seq = solve_per_scc(&g, brute).expect("cyclic");
         for threads in [2, 3, 8] {
             let opts = SolveOptions::new().threads(threads);
-            let par = solve_per_scc_opts(&g, &opts, brute).expect("cyclic");
+            let par = solve_per_scc_opts(&g, &opts, false, brute).expect("cyclic");
             assert_eq!(par.lambda, seq.lambda);
             assert_eq!(par.cycle, seq.cycle, "witness differs at {threads} threads");
             assert_eq!(par.counters, seq.counters);

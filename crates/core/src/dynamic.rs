@@ -16,22 +16,27 @@
 //! The solver therefore:
 //!
 //! 1. keeps the topology-derived state alive across batches: the CSR
-//!    graph (and its negated twin when maximizing), the strongly
-//!    connected components (each named by its smallest node), a
-//!    topological order of them, the cyclic component jobs in the
-//!    driver's canonical job order (by smallest node, each job's nodes
-//!    in [`canonical_order`]), a host-arc → component-arc map, and each
-//!    component's fingerprint. The first solve builds it with one Tarjan
-//!    run over the whole graph, exactly as a from-scratch solve would;
-//!    no later batch runs one. An insert or delete patches the CSR graph
+//!    graph, the strongly connected components (each named by its
+//!    smallest node), a topological order of them, the cyclic component
+//!    jobs in the driver's canonical job order (by smallest node, each
+//!    job's nodes in [`canonical_order`]), each laid out in a
+//!    [`ComponentArena`] of its own by the routine that lays out the
+//!    driver's arena, a host-arc → component-arc map, and each
+//!    component's fingerprint. Jobs hold the caller's weights in either
+//!    orientation: a maximize negates a job's weights only when it
+//!    solves it. The first solve builds the state with one Tarjan run
+//!    over the whole graph, exactly as a from-scratch solve would; no
+//!    later batch runs one. An insert or delete patches the CSR graph
 //!    in place ([`Graph::append_arc`], [`Graph::remove_arc`]; byte-equal
 //!    to a rebuild) and renumbers the arc maps, then updates only the
 //!    components the arc can touch ([`TopologyPath`] names each case):
 //!    * a delete between two components changes nothing;
-//!    * a delete inside component `C` runs Tarjan on `C`'s job subgraph
-//!      alone. If `C` stays whole its job is extracted again; if it
-//!      splits, its pieces take `C`'s place in the order and its cyclic
-//!      pieces become jobs at their canonical places;
+//!    * a delete inside component `C` lays `C` out again and runs
+//!      Tarjan on that layout alone. If `C` stays whole, the layout
+//!      becomes its job (laid out once more only when the delete moved
+//!      `C`'s canonical order); if it splits, its pieces take `C`'s
+//!      place in the order and its cyclic pieces become jobs at their
+//!      canonical places;
 //!    * an insert inside one component extracts that job again (a node
 //!      gaining its first self-loop becomes a job); an insert that the
 //!      order already respects changes nothing;
@@ -48,8 +53,8 @@
 //!    order may differ from a fresh one, and it stays valid;
 //! 2. patches that state in place for a batch made only of
 //!    [`Edit::Reweight`] / [`Edit::Retime`]: each edit rewrites one arc
-//!    of the host graph and of its component's subgraph in
-//!    `O(out-degree)` ([`Graph::set_arc_values`]). The arc set is unchanged,
+//!    of the host graph in `O(out-degree)` ([`Graph::set_arc_values`])
+//!    and of its component's job in `O(1)`. The arc set is unchanged,
 //!    so the CSR, the job order and every subgraph stay byte-equal to a
 //!    rebuild, and only the patched components are re-fingerprinted;
 //! 3. keeps, per job, its last successful result next to its
@@ -104,11 +109,11 @@
 //!   re-answered from scratch, never returned unverified.
 //!
 //! Every returned solution — incremental or full — is certified exactly
-//! once against the current caller-orientation graph: the incremental
-//! answer at the gate, or the from-scratch answer that replaces it.
+//! once against the current graph: the incremental answer at the gate,
+//! or the from-scratch answer that replaces it.
 
 use crate::certify::certify;
-use crate::driver::{reduce_outcomes, Job, SccOutcome};
+use crate::driver::{oriented, reduce_outcomes, SccOutcome};
 use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::options::SolveOptions;
@@ -120,7 +125,9 @@ pub use mcr_graph::edit::{ArcSpec, Edit};
 use mcr_graph::hash::{fnv1a_word, FNV1A_OFFSET};
 use mcr_graph::heap::HeapCounters;
 use mcr_graph::scc::canonical_order;
-use mcr_graph::{idx32, ArcId, Graph, GraphBuilder, NodeId, SccDecomposition, SubgraphExtractor};
+use mcr_graph::{
+    idx32, ArcId, ComponentArena, Graph, GraphBuilder, GraphRef, NodeId, SccDecomposition,
+};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Whether a batch was answered from the component cache or by a full
@@ -402,19 +409,16 @@ impl TopologyPath {
 /// topological order of the components, which is only kept valid.
 #[derive(Debug)]
 struct Topo {
-    /// The current graph, caller orientation.
+    /// The current graph.
     graph: Graph,
-    /// `graph.negated()` when a maximizing spec solves per component.
-    negated: Option<Graph>,
-    /// The component decomposition of the solved orientation and its
-    /// jobs; `None` for a spec with no per-component route, which always
-    /// solves in full.
+    /// Its component decomposition and jobs; `None` for a spec with no
+    /// per-component route, which always solves in full.
     split: Option<Split>,
 }
 
-/// The strongly connected components of the solved orientation, a
-/// topological order of them, the component jobs in canonical order, and
-/// each job's kept result.
+/// The strongly connected components of the graph, a topological order
+/// of them, the component jobs in canonical order, and each job's kept
+/// result.
 ///
 /// A component is named by its smallest node, its *id*. Each job holds
 /// its component's nodes in [`canonical_order`], so a job depends on its
@@ -429,8 +433,9 @@ struct Split {
     /// Every component id, in a topological order of the condensation:
     /// an arc between two components goes from the earlier to the later.
     order: Vec<u32>,
-    /// The cyclic components' jobs, by id.
-    jobs: Vec<Job>,
+    /// The cyclic components' jobs, by id, each an arena of one job in
+    /// the caller's weights.
+    jobs: Vec<ComponentArena>,
     /// Per job: its component id (strictly increasing).
     job_comp: Vec<u32>,
     /// Per job: its component's nodes, node `i` of the job's subgraph
@@ -464,68 +469,49 @@ struct Split {
     extracted: Vec<u32>,
     /// The heaviest path the batch's edits took so far.
     path: TopologyPath,
-    /// Translation table for extracting one job.
-    ex: SubgraphExtractor,
+    /// Scratch for laying out one job.
+    local: Vec<u32>,
     /// Per component id: the search's marks, all clear outside a search.
     seen: Vec<bool>,
 }
 
 impl Topo {
     /// Builds the state of `arcs` from scratch: the CSR graph, then,
-    /// when `per_component`, its negated twin if `maximize` and one
-    /// Tarjan pass over the solved orientation.
-    fn build(nodes: usize, arcs: &[ArcSpec], per_component: bool, maximize: bool) -> Topo {
+    /// when `per_component`, one Tarjan pass over it.
+    fn build(nodes: usize, arcs: &[ArcSpec], per_component: bool) -> Topo {
         let graph = build_graph(nodes, arcs);
-        let negated = (per_component && maximize).then(|| graph.negated());
-        let split = per_component.then(|| Split::build(negated.as_ref().unwrap_or(&graph)));
-        Topo { graph, negated, split }
+        let split = per_component.then(|| Split::build(&graph));
+        Topo { graph, split }
     }
 
-    /// Rewrites one arc's weight and transit in every graph that holds
-    /// it, and marks its component stale.
+    /// Rewrites one arc's weight and transit in the graph and in its
+    /// job, and marks its component stale.
     fn set_arc_values(&mut self, arc: usize, weight: i64, transit: i64) {
-        let id = ArcId::new(arc);
-        self.graph.set_arc_values(id, weight, transit);
-        let solved_weight = match &mut self.negated {
-            Some(neg) => {
-                neg.set_arc_values(id, -weight, transit);
-                -weight
-            }
-            None => weight,
-        };
+        self.graph.set_arc_values(ArcId::new(arc), weight, transit);
         let Some(split) = &mut self.split else { return };
         let (c, local) = split.owner[arc];
         if let Some(j) = split.job_of(c) {
-            split.jobs[j].sub.set_arc_values(local, solved_weight, transit);
+            split.jobs[j].set_arc_values(local, weight, transit);
             split.mark(j);
         }
     }
 
-    /// Appends an arc to every graph in place, then updates the
+    /// Appends an arc to the graph in place, then updates the
     /// components ([`Split::insert_arc`]).
     fn append_arc(&mut self, src: usize, dst: usize, weight: i64, transit: i64, cache: &mut Cache) {
         let (u, v) = (NodeId::new(src), NodeId::new(dst));
         self.graph.append_arc(u, v, weight, transit);
-        if let Some(neg) = &mut self.negated {
-            neg.append_arc(u, v, -weight, transit);
-        }
-        let Topo { graph, negated, split } = self;
-        if let Some(split) = split {
-            split.insert_arc(negated.as_ref().unwrap_or(graph), u, v, cache);
+        if let Some(split) = &mut self.split {
+            split.insert_arc(&self.graph, u, v, cache);
         }
     }
 
-    /// Removes an arc from every graph in place, renumbers the arc maps,
+    /// Removes an arc from the graph in place, renumbers the arc maps,
     /// then updates the components ([`Split::delete_arc`]).
     fn remove_arc(&mut self, arc: usize, cache: &mut Cache) {
-        let id = ArcId::new(arc);
-        self.graph.remove_arc(id);
-        if let Some(neg) = &mut self.negated {
-            neg.remove_arc(id);
-        }
-        let Topo { graph, negated, split } = self;
-        if let Some(split) = split {
-            split.delete_arc(negated.as_ref().unwrap_or(graph), arc, cache);
+        self.graph.remove_arc(ArcId::new(arc));
+        if let Some(split) = &mut self.split {
+            split.delete_arc(&self.graph, arc, cache);
         }
     }
 
@@ -550,7 +536,7 @@ impl Topo {
         let queue = std::mem::take(&mut split.queue);
         for &c in &queue {
             let j = split.live_job(c);
-            let sub = &split.jobs[j].sub;
+            let sub = split.jobs[j].view(0);
             split.hashes[j] = fingerprint(sub);
             split.zero_transit[j] = ratio && crate::ratio::has_zero_transit_cycle(sub);
             if let Some(old) = split.set_kept(j, None) {
@@ -563,9 +549,9 @@ impl Topo {
 
 impl Split {
     /// Runs Tarjan on `target` (the only whole-graph run a solver makes
-    /// per build) and extracts one stale job per cyclic component.
+    /// per build) and lays out one stale job per cyclic component.
     fn build(target: &Graph) -> Split {
-        let scc = SccDecomposition::new(target);
+        let scc = SccDecomposition::new(target.view());
         let n = target.num_nodes();
         let mut split = Split {
             comp: vec![0; n],
@@ -584,7 +570,7 @@ impl Split {
             epsilon: None,
             extracted: Vec::new(),
             path: TopologyPath::None,
-            ex: SubgraphExtractor::new(n),
+            local: vec![0; n],
             seen: vec![false; n],
         };
         // Tarjan emits the components in reverse topological order, each
@@ -598,7 +584,7 @@ impl Split {
             split.pos[id as usize] = idx32(split.order.len());
             split.order.push(id);
         }
-        for c in scc.cyclic_by_smallest_node(target) {
+        for c in scc.cyclic_by_smallest_node(target.view()) {
             split.insert_job(target, scc.component(c).to_vec());
         }
         split.extracted.clear();
@@ -638,39 +624,50 @@ impl Split {
     /// Points `owner` at job `j` for every arc of its subgraph.
     fn own(&mut self, j: usize) {
         let c = self.job_comp[j];
-        for (local, host) in self.jobs[j].arc_map.iter().enumerate() {
+        for (local, host) in self.jobs[j].arc_map(0).iter().enumerate() {
             self.owner[host.index()] = (c, ArcId::new(local));
         }
     }
 
-    /// Extracts job `j` again from `target`, its node set unchanged but
-    /// put back in canonical order (an arc edited inside the component
-    /// can move it), and marks it stale.
-    fn reextract(&mut self, target: &Graph, j: usize) {
-        canonical_order(target, &mut self.members[j]);
-        let (sub, arc_map) = self.ex.extract(target, &self.members[j]);
-        self.jobs[j] = Job { sub, arc_map };
+    /// Points the owners at job `j`, just laid out, and marks it stale.
+    fn placed(&mut self, j: usize) {
         self.own(j);
         self.mark(j);
         self.extracted.push(self.job_comp[j]);
     }
 
+    /// Puts job `j`'s nodes back in canonical order (an arc edited
+    /// inside the component can move it) and lays the job out again from
+    /// `target`, or takes `layout`, a layout of its old order, when the
+    /// order stayed.
+    fn reextract(&mut self, target: &Graph, j: usize, layout: Option<ComponentArena>) {
+        let old = layout.is_some().then(|| self.members[j].clone());
+        canonical_order(target.view(), &mut self.members[j]);
+        self.jobs[j] = match layout {
+            Some(job) if old.as_ref() == Some(&self.members[j]) => job,
+            _ => {
+                let nodes = &self.members[j];
+                ComponentArena::component(target.view(), nodes, &self.comp, &mut self.local)
+            }
+        };
+        self.placed(j);
+    }
+
     /// Adds a stale job for the cyclic component `nodes` (in canonical
-    /// order, so its id comes last), at its place in job order.
+    /// order, so its id comes last, and named in `comp`), at its place
+    /// in job order.
     fn insert_job(&mut self, target: &Graph, nodes: Vec<NodeId>) {
         let c = smallest(&nodes);
         let j = self.job_comp.partition_point(|&d| d < c);
-        let (sub, arc_map) = self.ex.extract(target, &nodes);
-        self.jobs.insert(j, Job { sub, arc_map });
+        let job = ComponentArena::component(target.view(), &nodes, &self.comp, &mut self.local);
+        self.jobs.insert(j, job);
         self.job_comp.insert(j, c);
         self.members.insert(j, nodes);
         self.hashes.insert(j, 0);
         self.zero_transit.insert(j, false);
         self.stale.insert(j, false);
         self.kept.insert(j, None);
-        self.own(j);
-        self.mark(j);
-        self.extracted.push(c);
+        self.placed(j);
     }
 
     /// Drops job `j`, releasing its kept result and clearing the owner
@@ -684,7 +681,7 @@ impl Split {
         if self.stale.remove(j) {
             self.queue.retain(|&d| d != c);
         }
-        for host in &self.jobs.remove(j).arc_map {
+        for host in self.jobs.remove(j).arc_map(0) {
             if let Some(owner) = self.owner.get_mut(host.index()).filter(|o| o.0 == c) {
                 *owner = (NO_JOB, ArcId::new(0));
             }
@@ -732,7 +729,7 @@ impl Split {
         let (cu, cv) = (self.comp[u.index()], self.comp[v.index()]);
         if cu == cv {
             match self.job_of(cu) {
-                Some(j) => self.reextract(target, j),
+                Some(j) => self.reextract(target, j, None),
                 None => self.insert_job(target, vec![u]),
             }
             self.took(TopologyPath::Reextract);
@@ -801,7 +798,7 @@ impl Split {
             }
         }
         if !nodes.is_empty() {
-            canonical_order(target, &mut nodes);
+            canonical_order(target.view(), &mut nodes);
             let id = smallest(&nodes);
             for v in &nodes {
                 self.comp[v.index()] = id;
@@ -822,52 +819,53 @@ impl Split {
 
     /// Updates the components after host arc `arc` left `target`. Every
     /// arc map is renumbered first. An arc between two components changes
-    /// nothing. Inside component `C`, Tarjan runs on `C`'s subgraph
-    /// alone: if it finds one component, the job is extracted again
-    /// (dropped if it lost its only cycle, a self-loop); otherwise `C`'s
-    /// pieces take `C`'s place in the order and its cyclic pieces become
-    /// jobs at their places in job order.
+    /// nothing. Inside component `C`, Tarjan runs on a fresh layout of
+    /// `C` alone: if it finds one component, the layout becomes the job
+    /// (laid out again if the delete moved `C`'s canonical order; dropped
+    /// if `C` lost its only cycle, a self-loop); otherwise `C`'s pieces
+    /// take `C`'s place in the order and its cyclic pieces become jobs at
+    /// their places in job order.
     fn delete_arc(&mut self, target: &Graph, arc: usize, cache: &mut Cache) {
         let (c, _) = self.owner.remove(arc);
         for job in &mut self.jobs {
-            for host in &mut job.arc_map {
-                if host.index() > arc {
-                    *host = ArcId::new(host.index() - 1);
-                }
-            }
+            job.host_arc_removed(ArcId::new(arc));
         }
         let Some(j) = self.job_of(c) else { return };
-        let (sub, _) = self.ex.extract(target, &self.members[j]);
-        let pieces = SccDecomposition::new(&sub);
+        let nodes = &self.members[j];
+        let layout = ComponentArena::component(target.view(), nodes, &self.comp, &mut self.local);
+        let sub = layout.view(0);
+        let pieces = SccDecomposition::new(sub);
         if pieces.num_components() == 1 {
-            if pieces.is_cyclic_component(&sub, 0) {
-                self.reextract(target, j);
+            if pieces.is_cyclic_component(sub, 0) {
+                self.reextract(target, j, Some(layout));
             } else {
                 self.remove_job(j, cache);
             }
             self.took(TopologyPath::Reextract);
             return;
         }
-        let cyclic: Vec<bool> = (0..pieces.num_components())
-            .map(|p| pieces.is_cyclic_component(&sub, p))
-            .collect();
         let old = self.remove_job(j, cache);
         let at = self.pos[c as usize] as usize;
-        let mut ids = Vec::with_capacity(cyclic.len());
-        // Tarjan emits the pieces in reverse topological order.
-        for p in (0..cyclic.len()).rev() {
+        let (mut ids, mut cyclic) = (Vec::new(), Vec::new());
+        // Tarjan emits the pieces in reverse topological order. Every
+        // piece is named before any is laid out, since a layout reads
+        // the names.
+        for p in (0..pieces.num_components()).rev() {
             let mut nodes: Vec<NodeId> = pieces.component(p).iter().map(|l| old[l.index()]).collect();
             if nodes.iter().min() != nodes.last() {
-                canonical_order(target, &mut nodes);
+                canonical_order(target.view(), &mut nodes);
             }
             let id = smallest(&nodes);
             for v in &nodes {
                 self.comp[v.index()] = id;
             }
             ids.push(id);
-            if cyclic[p] {
-                self.insert_job(target, nodes);
+            if pieces.is_cyclic_component(sub, p) {
+                cyclic.push(nodes);
             }
+        }
+        for nodes in cyclic {
+            self.insert_job(target, nodes);
         }
         self.order.splice(at..=at, ids);
         self.renumber(at..self.order.len());
@@ -885,8 +883,10 @@ fn smallest(nodes: &[NodeId]) -> u32 {
 ///
 /// Construct it from a graph plus the [`SolveSpec`] and
 /// [`SolveOptions`] it will answer under (both fixed for the solver's
-/// lifetime — one solver per question, like one `SccPlan` per
-/// orientation), then feed it [`Edit`] batches via [`apply`].
+/// lifetime: one solver per question, orientation included, since its
+/// cache keeps the answers of one question), then feed it [`Edit`]
+/// batches via [`apply`]. Its jobs hold the caller's weights; a
+/// maximize negates a job's weights each time it solves that job.
 ///
 /// [`SolveOptions::plan`] and [`SolveOptions::checkpoints`] are
 /// stripped at construction: a frozen plan cannot follow edits, and
@@ -992,7 +992,7 @@ impl DynamicSolver {
         self.tarjan_runs
     }
 
-    /// Materializes the current graph (caller orientation). Arc ids in
+    /// Materializes the current graph. Arc ids in
     /// returned witnesses index this graph. After a solve this is a copy
     /// of the solver's own graph, with no rebuild.
     pub fn current_graph(&self) -> Graph {
@@ -1155,7 +1155,7 @@ impl DynamicSolver {
 
     /// Builds the topology state of the current arc list from scratch.
     fn rebuild(&mut self) -> Topo {
-        let topo = Topo::build(self.nodes, &self.arcs, self.route.is_some(), self.spec.maximize);
+        let topo = Topo::build(self.nodes, &self.arcs, self.route.is_some());
         self.tarjan_runs += u64::from(topo.split.is_some());
         self.record_jobs((0, topo.split.as_ref().map_or(0, |s| s.jobs.len())));
         topo
@@ -1248,12 +1248,11 @@ impl DynamicSolver {
         };
         let cache = &mut self.cache;
         topo.refresh(self.spec.objective == Objective::Ratio, cache);
-        let target = topo.negated.as_ref().unwrap_or(&topo.graph);
         let split = topo.split.as_mut().expect("a per-component route keeps a split");
         let zero_transit = &split.zero_transit;
         let epsilon = route::preflight(
             self.spec.objective,
-            target,
+            &topo.graph,
             &self.opts,
             route.consumes_epsilon(),
             || zero_transit.contains(&true),
@@ -1273,6 +1272,7 @@ impl DynamicSolver {
         cache.visited = self.epoch;
         let deadline = self.opts.effective_deadline();
         let mut ws = Workspace::new();
+        let mut negated = Vec::new();
         // Job order is id order, so the sorted queue visits jobs in order.
         let mut queue = std::mem::take(&mut split.queue);
         queue.sort_unstable();
@@ -1284,7 +1284,7 @@ impl DynamicSolver {
         for &c in &queue {
             let j = split.live_job(c);
             split.stale[j] = false;
-            let sub = split.jobs[j].sub.view();
+            let sub = split.jobs[j].view(0);
             // FNV-1a streams, so folding epsilon into the stored state
             // equals hashing it after the arc table.
             let hash = split.hashes[j];
@@ -1301,16 +1301,19 @@ impl DynamicSolver {
                 None => {
                     misses += 1;
                     let mut counters = Counters::new();
-                    let result = route::solve_component(
-                        route,
-                        j,
-                        sub,
-                        &mut counters,
-                        &mut ws,
-                        epsilon,
-                        &self.opts,
-                        deadline,
-                    );
+                    let result = oriented(&split.jobs[j], 0, self.spec.maximize, &mut negated)
+                        .and_then(|sub| {
+                            route::solve_component(
+                                route,
+                                j,
+                                sub,
+                                &mut counters,
+                                &mut ws,
+                                epsilon,
+                                &self.opts,
+                                deadline,
+                            )
+                        });
                     match result {
                         Ok(outcome) => {
                             cache.insert(key, outcome.clone(), counters);
@@ -1336,20 +1339,16 @@ impl DynamicSolver {
         let reduced = match failed {
             Some(e) => Err(e),
             None => reduce_outcomes(
-                &split.jobs,
+                |j| (split.jobs[j].view(0), split.jobs[j].arc_map(0)),
                 split.kept.iter().map(|k| {
                     Ok(&k.as_ref().expect("a batch with no failure keeps every job").outcome)
                 }),
                 split.total.total(),
+                self.spec.maximize,
             ),
         };
         let solution = match reduced {
-            Ok(mut sol) => {
-                if self.spec.maximize {
-                    sol.lambda = -sol.lambda;
-                }
-                Some(sol)
-            }
+            Ok(sol) => Some(sol),
             Err(SolveError::Acyclic) => None,
             Err(e) => return Err(e.into()),
         };
@@ -1469,7 +1468,7 @@ fn validate_edits(nodes: usize, mut len: usize, edits: &[Edit]) -> Result<bool, 
 /// stale outcomes across retimes). Components with equal fingerprints
 /// (and matching size guard) are byte-identical subproblems, so their
 /// outcomes are interchangeable.
-fn fingerprint(sub: &Graph) -> u64 {
+fn fingerprint(sub: GraphRef<'_>) -> u64 {
     let mut h = fnv1a_word(FNV1A_OFFSET, sub.num_nodes() as u64);
     h = fnv1a_word(h, sub.num_arcs() as u64);
     for a in sub.arc_ids() {
@@ -1636,7 +1635,6 @@ mod tests {
         let _ = fresh.solve();
         let want = fresh.topo.as_ref().expect("a solve leaves the state built");
         assert!(topo.graph == want.graph, "{ctx}: graph");
-        assert!(topo.negated == want.negated, "{ctx}: negated graph");
         let (Some(got), Some(want)) = (&topo.split, &want.split) else {
             assert!(topo.split.is_none() && want.split.is_none(), "{ctx}: split");
             return;
@@ -1650,7 +1648,7 @@ mod tests {
         for (i, &c) in got.order.iter().enumerate() {
             assert_eq!(got.pos[c as usize] as usize, i, "{ctx}: place of {c}");
         }
-        let target = topo.negated.as_ref().unwrap_or(&topo.graph);
+        let target = &topo.graph;
         for a in target.arc_ids() {
             let cu = got.comp[target.source(a).index()] as usize;
             let cv = got.comp[target.target(a).index()] as usize;
@@ -1662,8 +1660,7 @@ mod tests {
         assert_eq!(got.members, want.members, "{ctx}: job node lists");
         assert_eq!(got.jobs.len(), want.jobs.len(), "{ctx}: job count");
         for (j, (a, b)) in got.jobs.iter().zip(&want.jobs).enumerate() {
-            assert!(a.sub == b.sub, "{ctx}: job {j} subgraph");
-            assert_eq!(a.arc_map, b.arc_map, "{ctx}: job {j} arc_map");
+            assert!(a == b, "{ctx}: job {j} layout");
         }
         assert_eq!(got.owner, want.owner, "{ctx}: owner");
         assert_eq!(got.hashes, want.hashes, "{ctx}: hashes");
@@ -2342,7 +2339,7 @@ mod tests {
     fn fingerprint_is_pinned() {
         // Recorded before FNV-1a moved into mcr-graph: cache keys must
         // not change with where the hash lives.
-        assert_eq!(fingerprint(&hand_graph()), 0x978c_fe2e_f927_7bca);
+        assert_eq!(fingerprint(hand_graph().view()), 0x978c_fe2e_f927_7bca);
     }
 
     #[test]

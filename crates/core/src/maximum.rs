@@ -1,19 +1,17 @@
 //! Maximum cycle mean / ratio via negation.
 //!
 //! `max_C w(C)/t(C) = −min_C (−w)(C)/t(C)`, so every minimum solver
-//! doubles as a maximum solver on the negated graph. The maximum cycle
+//! doubles as a maximum solver on negated weights; the per-SCC driver
+//! negates each component's weights as it solves it. The maximum cycle
 //! mean is the quantity CAD applications usually need directly: the
 //! minimum clock period of a synchronous circuit and the iteration bound
 //! of a dataflow graph are *maximum* ratios.
 
 use crate::algorithms::Algorithm;
+use crate::route::{self, Route};
 use crate::solution::Solution;
+use crate::SolveOptions;
 use mcr_graph::Graph;
-
-fn negate_solution(mut sol: Solution) -> Solution {
-    sol.lambda = -sol.lambda;
-    sol
-}
 
 /// Maximum cycle mean of `g` (exact, Howard), or `None` if acyclic.
 ///
@@ -29,27 +27,32 @@ pub fn maximum_cycle_mean(g: &Graph) -> Option<Solution> {
 
 /// Maximum cycle mean with a chosen algorithm.
 pub fn maximum_cycle_mean_with(g: &Graph, algorithm: Algorithm) -> Option<Solution> {
-    algorithm.solve(&g.negated()).map(negate_solution)
+    let opts = SolveOptions {
+        epsilon: Some(Algorithm::default_epsilon(g)),
+        ..SolveOptions::default()
+    };
+    maximum_cycle_mean_opts(g, algorithm, &opts).ok()
 }
 
 /// [`maximum_cycle_mean_with`] with explicit [`crate::SolveOptions`]
 /// (thread count for the per-SCC driver, precision for approximate
 /// algorithms, budget and fallback chain). Errors mirror
-/// [`Algorithm::solve_with_options`].
+/// [`Algorithm::solve_with_options`], plus [`crate::SolveError::Overflow`]
+/// for a cycle through a weight of `i64::MIN`, which has no negation.
 pub fn maximum_cycle_mean_opts(
     g: &Graph,
     algorithm: Algorithm,
-    opts: &crate::SolveOptions,
+    opts: &SolveOptions,
 ) -> Result<Solution, crate::SolveError> {
-    algorithm
-        .solve_with_options(&g.negated(), opts)
-        .map(negate_solution)
+    route::solve(g, &Route::Mean(opts.fallback.chain_for(algorithm)), true, opts)
 }
 
 /// Maximum cost-to-time ratio of `g` (exact, Howard), or `None` if
-/// acyclic or if a zero-transit cycle makes the ratio undefined.
+/// acyclic, if a zero-transit cycle makes the ratio undefined, or if a
+/// cycle carries a weight of `i64::MIN`, which has no negation.
 pub fn maximum_cycle_ratio(g: &Graph) -> Option<Solution> {
-    crate::ratio::howard_ratio_exact(&g.negated()).map(negate_solution)
+    let route = Route::Ratio(Algorithm::HowardExact);
+    route::solve(g, &route, true, &SolveOptions::default()).ok()
 }
 
 #[cfg(test)]

@@ -37,9 +37,9 @@ use mcr_graph::{ArcId, Graph, GraphBuilder, GraphRef, SccDecomposition};
 /// let v = b.add_nodes(2);
 /// b.add_arc_with_transit(v[0], v[1], 1, 0);
 /// b.add_arc_with_transit(v[1], v[0], 1, 0);
-/// assert!(mcr_core::ratio::has_zero_transit_cycle(&b.build()));
+/// assert!(mcr_core::ratio::has_zero_transit_cycle(b.build().view()));
 /// ```
-pub fn has_zero_transit_cycle(g: &Graph) -> bool {
+pub fn has_zero_transit_cycle(g: GraphRef<'_>) -> bool {
     // A zero-transit cycle lies entirely within zero-transit arcs.
     let mut b = GraphBuilder::with_capacity(g.num_nodes(), g.num_arcs());
     b.add_nodes(g.num_nodes());
@@ -66,7 +66,7 @@ pub fn howard_ratio_exact(g: &Graph) -> Option<Solution> {
 /// plus the work [`Budget`](crate::Budget), deadline and cancel token;
 /// the fallback chain does not apply to the ratio objective).
 pub fn howard_ratio_exact_opts(g: &Graph, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    route::solve(g, &Route::Ratio(Algorithm::HowardExact), opts)
+    route::solve(g, &Route::Ratio(Algorithm::HowardExact), false, opts)
 }
 
 /// Minimum cycle ratio with the paper's Figure-1 Howard (ε-terminated).
@@ -129,7 +129,7 @@ pub fn lawler_ratio_exact(g: &Graph) -> Option<Solution> {
 /// budget, deadline and cancel token; no fallback chain on the ratio
 /// objective).
 pub fn lawler_ratio_exact_opts(g: &Graph, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    route::solve(g, &Route::Ratio(Algorithm::LawlerExact), opts)
+    route::solve(g, &Route::Ratio(Algorithm::LawlerExact), false, opts)
 }
 
 /// The ratio route of `alg` under default options at precision
@@ -140,7 +140,7 @@ fn solve_or_none(g: &Graph, alg: Algorithm, epsilon: Option<f64>) -> Option<Solu
         epsilon,
         ..SolveOptions::default()
     };
-    route::solve(g, &Route::Ratio(alg), &opts).ok()
+    route::solve(g, &Route::Ratio(alg), false, &opts).ok()
 }
 
 /// Every bisection step charges an iteration and a λ-refinement, like
@@ -359,11 +359,11 @@ pub(crate) fn solve_by_expansion(
 /// Per-component transit statistics used by harnesses: `(components,
 /// max total transit over cyclic components)`.
 pub fn transit_profile(g: &Graph) -> (usize, i64) {
-    let scc = SccDecomposition::new(g);
+    let scc = SccDecomposition::new(g.view());
     let mut max_t = 0i64;
     let mut cyclic = 0usize;
     for c in 0..scc.num_components() {
-        if !scc.is_cyclic_component(g, c) {
+        if !scc.is_cyclic_component(g.view(), c) {
             continue;
         }
         cyclic += 1;
@@ -478,12 +478,12 @@ mod tests {
         b.add_arc_with_transit(v[0], v[1], 1, 0);
         b.add_arc_with_transit(v[1], v[0], 1, 1);
         let ok = b.build();
-        assert!(!has_zero_transit_cycle(&ok));
+        assert!(!has_zero_transit_cycle(ok.view()));
         let mut b = GraphBuilder::new();
         let v = b.add_nodes(2);
         b.add_arc_with_transit(v[0], v[1], 1, 0);
         b.add_arc_with_transit(v[1], v[0], 1, 0);
-        assert!(has_zero_transit_cycle(&b.build()));
+        assert!(has_zero_transit_cycle(b.build().view()));
     }
 
     #[test]

@@ -147,7 +147,7 @@ fn build(g: &Graph, counters: &mut Counters) -> Option<RegisterGraph> {
 /// Returns `None` for an acyclic input and for inputs with a
 /// zero-transit cycle (where the cycle ratio is undefined).
 pub fn minimum_ratio_via_registers(g: &Graph, algorithm: Algorithm) -> Option<Solution> {
-    if crate::ratio::has_zero_transit_cycle(g) {
+    if crate::ratio::has_zero_transit_cycle(g.view()) {
         return None;
     }
     let mut counters = Counters::new();

@@ -95,9 +95,9 @@ impl Route {
 /// objective, the zero-transit-cycle guard, which `zero_transit_cycle`
 /// answers. Returns the precision when `consumes_epsilon` (some kernel
 /// of the route reads it): the explicit one, or else the default, which
-/// scales with `g`'s weight range and costs two scans of its weights.
-/// An exact route gets `None`, so no kernel can read a precision nobody
-/// computed.
+/// scales with `g`'s weight range (the same in either orientation) and
+/// costs two scans of its weights. An exact route gets `None`, so no
+/// kernel can read a precision nobody computed.
 pub(crate) fn preflight(
     objective: Objective,
     g: &Graph,
@@ -150,11 +150,17 @@ pub(crate) fn solve_component(
 }
 
 /// Solves `g` by `route`: the up-front checks, then every cyclic
-/// component and the minimum, inside one trace span.
-pub(crate) fn solve(g: &Graph, route: &Route, opts: &SolveOptions) -> Result<Solution, SolveError> {
+/// component and the minimum (the maximum with `maximize`), inside one
+/// trace span.
+pub(crate) fn solve(
+    g: &Graph,
+    route: &Route,
+    maximize: bool,
+    opts: &SolveOptions,
+) -> Result<Solution, SolveError> {
     let recorder = opts.recorder.as_ref();
     crate::obs::solve_start(recorder, route.name(), g, opts.effective_threads());
-    let result = solve_untraced(g, route, opts);
+    let result = solve_untraced(g, route, maximize, opts);
     match &result {
         Ok(sol) => {
             crate::obs::solve_end_ok(recorder, &sol.lambda, sol.solved_by.name(), &sol.counters)
@@ -168,13 +174,14 @@ pub(crate) fn solve(g: &Graph, route: &Route, opts: &SolveOptions) -> Result<Sol
 pub(crate) fn solve_untraced(
     g: &Graph,
     route: &Route,
+    maximize: bool,
     opts: &SolveOptions,
 ) -> Result<Solution, SolveError> {
     let epsilon = preflight(route.objective(), g, opts, route.consumes_epsilon(), || {
-        has_zero_transit_cycle(g)
+        has_zero_transit_cycle(g.view())
     })?;
     let deadline = opts.effective_deadline();
-    solve_per_scc_opts(g, opts, |job, sub, counters, ws| {
+    solve_per_scc_opts(g, opts, maximize, |job, sub, counters, ws| {
         solve_component(route, job, sub, counters, ws, epsilon, opts, deadline)
     })
 }

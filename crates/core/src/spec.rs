@@ -64,8 +64,9 @@ pub struct SolveSpec {
     pub algorithm: Algorithm,
     /// Mean or ratio.
     pub objective: Objective,
-    /// Maximize instead of minimize (solved on the negated graph; the
-    /// returned λ is already negated back to the caller's orientation).
+    /// Maximize instead of minimize (solved as the minimum over negated
+    /// weights; the returned λ is already negated back to the caller's
+    /// orientation).
     pub maximize: bool,
 }
 
@@ -137,18 +138,15 @@ impl From<SolveError> for SpecError {
 /// Runs `spec` on `g` under `opts`.
 ///
 /// Returns `Ok(None)` when `g` is acyclic (a non-error outcome: there
-/// is no cycle mean or ratio to report). For `maximize` the solve runs
-/// on the negated graph and the returned λ is negated back, so the
-/// solution is in the caller's orientation; the witness cycle indexes
-/// `g`'s arcs either way, and [`crate::certify()`] against `g` works
-/// unchanged (negation commutes with both objectives).
-///
-/// **Plan orientation.** [`SolveOptions::plan`] must be prepared from
-/// the graph the solve actually *runs on*: `g` for minimize, but
-/// `g.negated()` for maximize — a plan's job arena carries the
-/// subgraph weights of the orientation it was laid out from, and the
-/// size fingerprint cannot tell the two orientations apart. The `mcrd`
-/// graph cache keeps one plan per orientation for exactly this reason.
+/// is no cycle mean or ratio to report). For `maximize` each cyclic
+/// component is solved as the minimum over its negated weights and the
+/// returned λ is negated back, so the solution is in the caller's
+/// orientation; the witness cycle indexes `g`'s arcs either way, and
+/// [`crate::certify()`] against `g` works unchanged (negation commutes
+/// with both objectives). A cycle through a weight of `i64::MIN`, which
+/// has no negation, makes a maximize fail with
+/// [`SolveError::Overflow`]. [`SolveOptions::plan`] is prepared from
+/// `g` for either orientation.
 ///
 /// The per-component kernel comes from the crate's one route table,
 /// which [`crate::DynamicSolver`] shares; the `mcrd` daemon calls this
@@ -159,28 +157,25 @@ pub fn solve_spec(
     spec: &SolveSpec,
     opts: &SolveOptions,
 ) -> Result<Option<Solution>, SpecError> {
-    let negated;
-    let target: &Graph = if spec.maximize {
-        negated = g.negated();
-        &negated
-    } else {
-        g
-    };
-    let sol = match route_for(spec, opts) {
-        Some(route) => flatten_acyclic(route::solve(target, &route, opts))?,
-        None => {
-            // The expansion's own solve picks its precision.
-            route::preflight(Objective::Ratio, target, opts, false, || {
-                ratio::has_zero_transit_cycle(target)
-            })?;
-            ratio::solve_by_expansion(target, spec.algorithm, opts)?
-        }
-    };
-    Ok(sol.map(|mut sol| {
-        if spec.maximize {
-            sol.lambda = -sol.lambda;
-        }
-        sol
+    if let Some(route) = route_for(spec, opts) {
+        return flatten_acyclic(route::solve(g, &route, spec.maximize, opts));
+    }
+    // The expansion's own solve picks its precision.
+    route::preflight(Objective::Ratio, g, opts, false, || {
+        ratio::has_zero_transit_cycle(g.view())
+    })?;
+    if !spec.maximize {
+        return ratio::solve_by_expansion(g, spec.algorithm, opts);
+    }
+    // The expansion is one derived graph, so a maximize negates all of
+    // `g`, not only its cycles.
+    let negated = g.checked_negated().ok_or(SolveError::Overflow {
+        context: "maximize: negating an arc weight of i64::MIN",
+    })?;
+    let sol = ratio::solve_by_expansion(&negated, spec.algorithm, opts)?;
+    Ok(sol.map(|sol| Solution {
+        lambda: -sol.lambda,
+        ..sol
     }))
 }
 

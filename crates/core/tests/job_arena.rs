@@ -1,16 +1,18 @@
-//! The driver's job arena against per-component extraction.
+//! The driver's job arena against per-component extraction, and the
+//! maximize orientation against a negated graph.
 //!
 //! [`SccPlan`] lays every cyclic component out in one
 //! `mcr_graph::ComponentArena`, and kernels read each job through a
 //! borrowed `GraphRef`. These tests pin that a job's view is byte-equal
-//! to the standalone graph [`SubgraphExtractor::extract`] builds for the
-//! same component, and that every algorithm answers identically through
-//! a prepared plan, through a fresh layout and at every thread count.
+//! to the standalone graph a [`GraphBuilder`] builds from the same
+//! component's arcs, that every algorithm answers identically through
+//! a prepared plan, through a fresh layout and at every thread count,
+//! and that a maximize solve, which negates each job's weights as it
+//! solves it, equals a minimize solve of the negated graph.
 
 use mcr_core::spec::{solve_spec, SolveSpec};
-use mcr_core::{Algorithm, SccPlan, SolveOptions};
-use mcr_graph::scc::SubgraphExtractor;
-use mcr_graph::{Graph, GraphBuilder, NodeId, SccDecomposition};
+use mcr_core::{Algorithm, SccPlan, Solution, SolveOptions};
+use mcr_graph::{ArcId, Graph, GraphBuilder, NodeId, SccDecomposition};
 
 /// A small xorshift stream, so the inputs are fixed without a rand
 /// dependency.
@@ -34,34 +36,62 @@ fn build(n: usize, arcs: &[(usize, usize, i64, i64)]) -> Graph {
     b.build()
 }
 
+/// The reference extraction: the subgraph of `g` induced by `nodes`
+/// (its node `i` is `nodes[i]`), built by a [`GraphBuilder`] from each
+/// node's out-arcs in out-list order, kept when both endpoints are
+/// inside, plus the map from its arc ids to `g`'s.
+fn extract(g: &Graph, nodes: &[NodeId]) -> (Graph, Vec<ArcId>) {
+    let mut b = GraphBuilder::new();
+    b.add_nodes(nodes.len());
+    let mut arc_map = Vec::new();
+    for (i, &v) in nodes.iter().enumerate() {
+        for &a in g.out_arcs(v) {
+            if let Some(t) = nodes.iter().position(|&u| u == g.target(a)) {
+                b.add_arc_with_transit(NodeId::new(i), NodeId::new(t), g.weight(a), g.transit(a));
+                arc_map.push(a);
+            }
+        }
+    }
+    (b.build(), arc_map)
+}
+
+/// The next random graph of `rng`: up to 12 nodes with weights
+/// -10..=10 and transits 0..=3, self-loops and parallel arcs often, and
+/// a parallel twin of the first arc. Returns it with its arc list.
+fn random_graph(rng: &mut Stream) -> (Graph, Vec<(usize, usize, i64, i64)>) {
+    let n = 1 + rng.next(12) as usize;
+    let m = rng.next(30) as usize;
+    let mut arcs: Vec<(usize, usize, i64, i64)> = (0..m)
+        .map(|_| {
+            let (s, t) = (rng.next(n as u64) as usize, rng.next(n as u64) as usize);
+            (s, t, rng.next(21) as i64 - 10, rng.next(4) as i64)
+        })
+        .collect();
+    if let Some(&(s, t, w, tr)) = arcs.first() {
+        arcs.push((s, t, w + 1, tr)); // a parallel twin
+    }
+    (build(n, &arcs), arcs)
+}
+
+/// The seed of the random graphs.
+const SEED: u64 = 0x243f_6a88_85a3_08d3;
+
 #[test]
 fn every_arena_job_equals_its_extracted_subgraph() {
-    // Random graphs over up to 12 nodes with weights -10..=10 and
-    // transits 0..=3; self-loops and parallel arcs turn up often, and
-    // the counts below make sure each kind reached a job.
-    let mut rng = Stream(0x243f_6a88_85a3_08d3);
+    // The counts below make sure self-loops, parallel arcs, zero
+    // transits and components entered off their smallest node each
+    // reached a job.
+    let mut rng = Stream(SEED);
     let (mut loops, mut parallel, mut zero_transit, mut entered_elsewhere) = (0, 0, 0, 0);
     let mut jobs = 0;
     for _ in 0..400 {
-        let n = 1 + rng.next(12) as usize;
-        let m = rng.next(30) as usize;
-        let mut arcs: Vec<(usize, usize, i64, i64)> = (0..m)
-            .map(|_| {
-                let (s, t) = (rng.next(n as u64) as usize, rng.next(n as u64) as usize);
-                (s, t, rng.next(21) as i64 - 10, rng.next(4) as i64)
-            })
-            .collect();
-        if let Some(&(s, t, w, tr)) = arcs.first() {
-            arcs.push((s, t, w + 1, tr)); // a parallel twin
-        }
-        let g = build(n, &arcs);
+        let (g, arcs) = random_graph(&mut rng);
         let plan = SccPlan::prepare(&g);
-        let scc = SccDecomposition::new(&g);
-        let order = scc.cyclic_by_smallest_node(&g);
+        let scc = SccDecomposition::new(g.view());
+        let order = scc.cyclic_by_smallest_node(g.view());
         assert_eq!(plan.num_jobs(), order.len());
-        let mut ex = SubgraphExtractor::new(n);
         for (j, &c) in order.iter().enumerate() {
-            let (sub, arc_map) = ex.extract(&g, scc.component(c));
+            let (sub, arc_map) = extract(&g, scc.component(c));
             assert_eq!(plan.view(j), sub.view(), "job {j} of {arcs:?}");
             assert_eq!(plan.arc_map(j), arc_map, "job {j} of {arcs:?}");
             jobs += 1;
@@ -159,4 +189,65 @@ fn every_algorithm_answers_alike_with_and_without_a_plan_at_one_and_two_threads(
     .expect("cyclic");
     assert!(sol.cycle.iter().all(|a| a.index() < g.num_arcs()));
     assert_eq!(sol.cycle_ratio(&g), sol.lambda);
+}
+
+/// `g` with every weight negated, built from its arc list.
+fn negated(g: &Graph) -> Graph {
+    let mut b = GraphBuilder::new();
+    b.add_nodes(g.num_nodes());
+    for a in g.arc_ids() {
+        b.add_arc_with_transit(g.source(a), g.target(a), -g.weight(a), g.transit(a));
+    }
+    b.build()
+}
+
+#[test]
+fn maximize_equals_a_minimize_of_the_negated_graph_with_one_plan_for_both_orientations() {
+    let mut rng = Stream(SEED);
+    let mut graphs: Vec<Graph> = (0..40).map(|_| random_graph(&mut rng).0).collect();
+    graphs.push(multi_component_graph());
+    let mut answered = 0;
+    for g in &graphs {
+        let plan = SccPlan::prepare(g);
+        let neg = negated(g);
+        for alg in Algorithm::ALL {
+            for spec in [SolveSpec::mean(alg), SolveSpec::ratio(alg)] {
+                let max = spec.maximize();
+                // The maximum is minus the minimum over negated weights,
+                // witness and counters included.
+                let expected = solve_spec(&neg, &spec, &SolveOptions::new()).map(|sol| {
+                    sol.map(|sol| Solution {
+                        lambda: -sol.lambda,
+                        ..sol
+                    })
+                });
+                answered += usize::from(matches!(expected, Ok(Some(_))));
+                let minimum = solve_spec(g, &spec, &SolveOptions::new());
+                for threads in [1, 2] {
+                    for planned in [false, true] {
+                        let mut opts = SolveOptions::new().threads(threads);
+                        if planned {
+                            opts = opts.plan(plan.clone());
+                        }
+                        let ctx = format!(
+                            "{alg:?} {spec:?} on {g:?} at {threads} threads, planned: {planned}"
+                        );
+                        assert_eq!(
+                            format!("{:?}", solve_spec(g, &max, &opts)),
+                            format!("{expected:?}"),
+                            "maximize: {ctx}"
+                        );
+                        // The plan the maximize read serves the
+                        // minimize as well.
+                        assert_eq!(
+                            format!("{:?}", solve_spec(g, &spec, &opts)),
+                            format!("{minimum:?}"),
+                            "minimize: {ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(answered > 500, "only {answered} answers");
 }

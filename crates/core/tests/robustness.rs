@@ -546,3 +546,88 @@ fn every_ratio_route_honours_budget_and_cancel() {
         }
     }
 }
+
+/// `i64::MIN` on the graph's only cycle: its negation overflows, so no
+/// maximum can be computed in `i64`.
+const MIN_ON_A_CYCLE: &str = "p mcr 2 2\na 1 2 -9223372036854775808\na 2 1 0\n";
+
+/// `i64::MIN` on an arc that lies on no cycle, beside a cycle of mean 1.
+const MIN_OFF_EVERY_CYCLE: &str = "p mcr 3 3\na 1 2 1\na 2 1 1\na 2 3 -9223372036854775808\n";
+
+/// Whether `spec` solves the transit expansion of the whole graph (a
+/// ratio spec whose algorithm has no ratio kernel).
+fn expands(spec: &SolveSpec) -> bool {
+    use Algorithm::*;
+    spec.objective == mcr_core::spec::Objective::Ratio
+        && !matches!(
+            spec.algorithm,
+            Burns | BurnsExact | Howard | HowardExact | Ko | Yto | Lawler | LawlerExact | Megiddo
+        )
+}
+
+fn is_overflow(r: &Result<impl std::fmt::Debug, SpecError>) -> bool {
+    matches!(r, Err(e @ SpecError::Solve(SolveError::Overflow { .. }))
+        if e.status() == mcr_core::SolveStatus::InputError)
+}
+
+#[test]
+fn maximizing_through_an_i64_min_weight_fails_typed_and_never_panics() {
+    let on = read_dimacs(&mut MIN_ON_A_CYCLE.as_bytes()).expect("parses");
+    let off = read_dimacs(&mut MIN_OFF_EVERY_CYCLE.as_bytes()).expect("parses");
+    for alg in Algorithm::ALL {
+        for spec in [SolveSpec::mean(alg), SolveSpec::ratio(alg)] {
+            let max = spec.maximize();
+            for threads in [1, 2] {
+                for planned in [false, true] {
+                    let ctx = format!("{max:?} at {threads} threads, planned: {planned}");
+                    let opts = |g: &Graph| {
+                        let opts = SolveOptions::new().threads(threads);
+                        if planned {
+                            opts.plan(mcr_core::SccPlan::prepare(g))
+                        } else {
+                            opts
+                        }
+                    };
+                    let r = solve_spec(&on, &max, &opts(&on));
+                    assert!(is_overflow(&r), "{ctx}: {r:?}");
+                    let r = mcr_core::DynamicSolver::new(&on, max, opts(&on)).solve();
+                    assert!(is_overflow(&r), "dynamic {ctx}: {:?}", r.map(|o| o.solution));
+                    // Off every cycle the weight is never negated, save
+                    // by the expansion, which negates the whole graph.
+                    let r = solve_spec(&off, &max, &opts(&off));
+                    if expands(&max) {
+                        assert!(is_overflow(&r), "{ctx}: {r:?}");
+                        continue;
+                    }
+                    let sol = r.expect("answers").expect("cyclic");
+                    certify(&sol, &off).expect("certifies");
+                    if !alg.is_approximate() {
+                        assert_eq!(sol.lambda, Ratio64::from(1), "{ctx}");
+                    }
+                    let dynamic = mcr_core::DynamicSolver::new(&off, max, opts(&off))
+                        .solve()
+                        .expect("answers");
+                    assert_eq!(
+                        format!("{:?}", dynamic.solution),
+                        format!("{:?}", Some(sol)),
+                        "dynamic {ctx}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_maximize_reweight_to_i64_min_fails_typed_until_edited_back() {
+    use mcr_core::Edit;
+    let g = read_dimacs(&mut "p mcr 2 2\na 1 2 3\na 2 1 0\n".as_bytes()).expect("parses");
+    let spec = SolveSpec::mean(Algorithm::HowardExact).maximize();
+    let mut solver = mcr_core::DynamicSolver::new(&g, spec, SolveOptions::new());
+    let lambda = |out: mcr_core::DynamicOutcome| out.solution.expect("cyclic").lambda;
+    assert_eq!(lambda(solver.solve().expect("answers")), Ratio64::new(3, 2));
+    let r = solver.apply(&[Edit::Reweight { arc: 0, weight: i64::MIN }]);
+    assert!(is_overflow(&r), "{:?}", r.map(|o| o.solution));
+    let back = solver.apply(&[Edit::Reweight { arc: 0, weight: 3 }]);
+    assert_eq!(lambda(back.expect("answers")), Ratio64::new(3, 2));
+}

@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn two_rings_are_two_sccs() {
         let g = two_rings_with_bridge(&[1, 2], &[3, 4, 5], 9);
-        let scc = mcr_graph::SccDecomposition::new(&g);
+        let scc = mcr_graph::SccDecomposition::new(g.view());
         assert_eq!(scc.num_components(), 2);
         assert!(!is_strongly_connected(&g));
     }

@@ -535,6 +535,20 @@ impl Graph {
         g
     }
 
+    /// [`Graph::negated`], or `None` when a weight is `i64::MIN`, whose
+    /// negation overflows.
+    ///
+    /// ```
+    /// use mcr_graph::graph::from_arc_list;
+    /// let g = from_arc_list(2, &[(0, 1, 4), (1, 0, -3)]);
+    /// assert_eq!(g.checked_negated(), Some(from_arc_list(2, &[(0, 1, -4), (1, 0, 3)])));
+    /// assert_eq!(from_arc_list(1, &[(0, 0, i64::MIN)]).checked_negated(), None);
+    /// ```
+    pub fn checked_negated(&self) -> Option<Graph> {
+        let weights: Option<Vec<i64>> = self.weights.iter().map(|w| w.checked_neg()).collect();
+        Some(self.with_weights(&weights?))
+    }
+
     /// Returns the same graph structure with weights replaced by the
     /// provided slice.
     ///

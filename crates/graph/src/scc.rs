@@ -5,10 +5,9 @@
 //! digraph with [`SccDecomposition::new`], lays every cyclic component
 //! out in one [`ComponentArena`], solves each component through its
 //! [`GraphRef`] view, and takes the minimum over components — exactly
-//! the procedure described in Section 2 of the paper.
-//! [`SubgraphExtractor`] copies one component into a standalone
-//! [`Graph`] instead, for a caller that patches components one at a
-//! time.
+//! the procedure described in Section 2 of the paper. A caller that
+//! patches components one at a time keeps each in an arena of its own
+//! ([`ComponentArena::component`]), laid out by the same routine.
 
 use crate::compact::idx32;
 use crate::graph::{ArcId, Graph, GraphBuilder, GraphRef, NodeId};
@@ -27,7 +26,7 @@ use crate::graph::{ArcId, Graph, GraphBuilder, GraphRef, NodeId};
 /// use mcr_graph::{graph::from_arc_list, SccDecomposition};
 /// // Two 2-cycles joined by a one-way bridge.
 /// let g = from_arc_list(4, &[(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 3, 1), (3, 2, 1)]);
-/// let scc = SccDecomposition::new(&g);
+/// let scc = SccDecomposition::new(g.view());
 /// assert_eq!(scc.num_components(), 2);
 /// assert_eq!(scc.component_of(mcr_graph::NodeId::new(0)),
 ///            scc.component_of(mcr_graph::NodeId::new(1)));
@@ -46,7 +45,7 @@ impl SccDecomposition {
     /// iterative Tarjan algorithm (no recursion, safe for n in the
     /// hundreds of thousands), each component's nodes in
     /// [`canonical_order`].
-    pub fn new(g: &Graph) -> Self {
+    pub fn new(g: GraphRef<'_>) -> Self {
         let n = g.num_nodes();
         const UNVISITED: u32 = u32::MAX;
         let mut index = vec![UNVISITED; n];
@@ -151,11 +150,11 @@ impl SccDecomposition {
     /// use mcr_graph::{graph::from_arc_list, SccDecomposition};
     /// // {0, 1} reaches {2, 3}, so Tarjan emits {2, 3} first.
     /// let g = from_arc_list(4, &[(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 3, 1), (3, 2, 1)]);
-    /// let scc = SccDecomposition::new(&g);
-    /// assert_eq!(scc.cyclic_by_smallest_node(&g), [1, 0]);
+    /// let scc = SccDecomposition::new(g.view());
+    /// assert_eq!(scc.cyclic_by_smallest_node(g.view()), [1, 0]);
     /// assert_eq!(scc.component(1).last(), Some(&mcr_graph::NodeId::new(0)));
     /// ```
-    pub fn cyclic_by_smallest_node(&self, g: &Graph) -> Vec<usize> {
+    pub fn cyclic_by_smallest_node(&self, g: GraphRef<'_>) -> Vec<usize> {
         let mut cyclic: Vec<usize> = (0..self.num_components())
             .filter(|&c| self.is_cyclic_component(g, c))
             .collect();
@@ -170,29 +169,13 @@ impl SccDecomposition {
 
     /// Whether component `c` can contain a cycle: it has more than one
     /// node, or its single node has a self-loop.
-    pub fn is_cyclic_component(&self, g: &Graph, c: usize) -> bool {
+    pub fn is_cyclic_component(&self, g: GraphRef<'_>, c: usize) -> bool {
         let nodes = self.component(c);
         if nodes.len() > 1 {
             return true;
         }
         let v = nodes[0];
         g.out_neighbors(v).any(|(_, w)| w == v)
-    }
-
-    /// Extracts component `c` as a standalone graph.
-    ///
-    /// Returns the subgraph, the mapping from subgraph node index to
-    /// original [`NodeId`], and the mapping from subgraph arc index to
-    /// original [`ArcId`]. Only arcs with both endpoints inside the
-    /// component are kept; weights and transit times are preserved.
-    ///
-    /// Allocates a fresh node-translation table per call; batch callers
-    /// extracting many components should use a [`SubgraphExtractor`].
-    pub fn component_subgraph(&self, g: &Graph, c: usize) -> (Graph, Vec<NodeId>, Vec<ArcId>) {
-        let nodes = self.component(c);
-        let mut ex = SubgraphExtractor::new(g.num_nodes());
-        let (sub, arc_map) = ex.extract(g, nodes);
-        (sub, nodes.to_vec(), arc_map)
     }
 }
 
@@ -208,10 +191,10 @@ impl SccDecomposition {
 /// use mcr_graph::{graph::from_arc_list, scc::canonical_order, NodeId};
 /// let g = from_arc_list(3, &[(0, 2, 1), (2, 1, 1), (1, 0, 1)]);
 /// let mut nodes = [1, 0, 2].map(NodeId::new);
-/// canonical_order(&g, &mut nodes);
+/// canonical_order(g.view(), &mut nodes);
 /// assert_eq!(nodes, [1, 2, 0].map(NodeId::new));
 /// ```
-pub fn canonical_order(g: &Graph, nodes: &mut [NodeId]) {
+pub fn canonical_order(g: GraphRef<'_>, nodes: &mut [NodeId]) {
     let mut sorted = nodes.to_vec();
     sorted.sort_unstable();
     let Some(&root) = sorted.first() else { return };
@@ -239,36 +222,41 @@ pub fn canonical_order(g: &Graph, nodes: &mut [NodeId]) {
     }
 }
 
-/// Every cyclic component of a graph as a standalone subgraph, all in
-/// one set of arrays: one `first_out`, `sources`, `targets`, `weights`,
-/// `transits` and arc map for every component, and a component is a
-/// pair of ranges into them.
+/// Cyclic components of a graph as standalone subgraphs, all in one set
+/// of arrays: one `first_out`, `sources`, `targets`, `weights`,
+/// `transits` and arc map for every component, and a component (a
+/// *job*) is a pair of ranges into them.
 ///
-/// Components come in canonical job order (by smallest node,
-/// [`SccDecomposition::cyclic_by_smallest_node`]), and component `j`'s
-/// node `i` is node `i` of its [`canonical_order`]. Its arcs are the
-/// ones with both endpoints inside, by local source and then in the host
-/// graph's out-list order, which is the arc list
-/// [`SubgraphExtractor::extract`] builds. So [`ComponentArena::view`]
-/// equals the extracted [`Graph`]'s [`Graph::view`], array for array,
-/// and a kernel cannot tell the two apart.
-///
-/// The arena is filled in one pass over the components after Tarjan,
-/// with no per-component allocation.
+/// [`ComponentArena::new`] lays out every cyclic component of a graph,
+/// in canonical job order (by smallest node,
+/// [`SccDecomposition::cyclic_by_smallest_node`]), in one pass after
+/// Tarjan with no per-component allocation.
+/// [`ComponentArena::component`] lays out one component alone, for a
+/// caller that replaces components one at a time. Both run one routine:
+/// local node `i` of a job is node `i` of the list it is given (the
+/// component's [`canonical_order`]), and its arcs are the ones with both
+/// endpoints inside, by local source and then in the host graph's
+/// out-list order. That is the arc list a [`GraphBuilder`] build of the
+/// component would hold, so a job's [`ComponentArena::view`] equals that
+/// graph's [`Graph::view`], array for array, and a kernel cannot tell
+/// the two apart.
 ///
 /// ```
-/// use mcr_graph::{graph::from_arc_list, scc::SubgraphExtractor, ComponentArena, SccDecomposition};
+/// use mcr_graph::{graph::from_arc_list, ArcId, ComponentArena, NodeId};
 /// // {0, 1} reaches {2, 3}; node 4 lies on no cycle.
 /// let g = from_arc_list(5, &[(0, 1, 1), (1, 0, 2), (1, 2, 9), (2, 3, 3), (3, 2, 4), (3, 4, 0)]);
-/// let arena = ComponentArena::new(&g);
+/// let arena = ComponentArena::new(g.view());
 /// assert_eq!(arena.len(), 2);
-/// let scc = SccDecomposition::new(&g);
-/// let mut ex = SubgraphExtractor::new(g.num_nodes());
-/// for (j, c) in scc.cyclic_by_smallest_node(&g).into_iter().enumerate() {
-///     let (sub, arc_map) = ex.extract(&g, scc.component(c));
-///     assert_eq!(arena.view(j), sub.view());
-///     assert_eq!(arena.arc_map(j), arc_map);
-/// }
+/// // Job 1 is {2, 3} in canonical order, node 3 first: host arc 4
+/// // (3 -> 2), then host arc 3 (2 -> 3).
+/// assert_eq!(arena.arc_map(1), [4, 3].map(ArcId::new));
+/// assert_eq!(arena.view(1).weights(), [4, 3]);
+/// // The same component laid out alone: `comp` names each node's
+/// // component, and `local` is scratch.
+/// let comp = [0, 0, 2, 2, 4];
+/// let nodes = [3, 2].map(NodeId::new);
+/// let one = ComponentArena::component(g.view(), &nodes, &comp, &mut [0; 5]);
+/// assert_eq!(one.view(0), arena.view(1));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ComponentArena {
@@ -292,51 +280,81 @@ pub struct ComponentArena {
 impl ComponentArena {
     /// Runs Tarjan on `g`, orders the cyclic components, and lays them
     /// out.
-    pub fn new(g: &Graph) -> ComponentArena {
+    pub fn new(g: GraphRef<'_>) -> ComponentArena {
         let scc = SccDecomposition::new(g);
         let order = scc.cyclic_by_smallest_node(g);
-        let g = g.view();
         let cyclic_nodes: usize = order.iter().map(|&c| scc.component(c).len()).sum();
-        let mut arena = ComponentArena {
-            first_out: Vec::with_capacity(cyclic_nodes + order.len()),
-            sources: Vec::with_capacity(g.num_arcs()),
-            targets: Vec::with_capacity(g.num_arcs()),
-            weights: Vec::with_capacity(g.num_arcs()),
-            transits: Vec::with_capacity(g.num_arcs()),
-            arc_map: Vec::with_capacity(g.num_arcs()),
-            identity: Vec::new(),
-            bounds: Vec::with_capacity(order.len() + 1),
-        };
-        arena.bounds.push([0, 0]);
+        let mut arena = ComponentArena::with_capacity(cyclic_nodes, g.num_arcs(), order.len());
         let mut local = vec![0u32; g.num_nodes()];
-        let mut widest = 0;
         for &c in &order {
-            let nodes = scc.component(c);
-            for (i, v) in nodes.iter().enumerate() {
-                local[v.index()] = idx32(i);
-            }
-            let first = arena.sources.len();
-            arena.first_out.push(0);
-            for (i, &v) in nodes.iter().enumerate() {
-                let lv = NodeId::new(i);
-                for (a, t, w, tr) in g.out_adj(v) {
-                    if scc.component_of(t) == c {
-                        arena.sources.push(lv);
-                        arena.targets.push(NodeId::new(local[t.index()] as usize));
-                        arena.weights.push(w);
-                        arena.transits.push(tr);
-                        arena.arc_map.push(a);
-                    }
-                }
-                arena.first_out.push(idx32(arena.sources.len() - first));
-            }
-            widest = widest.max(arena.sources.len() - first);
-            arena
-                .bounds
-                .push([idx32(arena.first_out.len()), idx32(arena.sources.len())]);
+            arena.push(g, scc.component(c), &scc.comp_of, &mut local);
         }
-        arena.identity = (0..widest).map(ArcId::new).collect();
         arena
+    }
+
+    /// Lays out one component of `g` as an arena of one job, its local
+    /// node `i` being `nodes[i]`. `comp` names the component of every
+    /// node of `g`, and the job keeps the arcs whose two endpoints share
+    /// the name of `nodes[0]`. `local` is scratch with an entry per node
+    /// of `g`; its contents do not matter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is empty, or if `comp` or `local` has fewer
+    /// entries than `g` has nodes.
+    pub fn component(
+        g: GraphRef<'_>,
+        nodes: &[NodeId],
+        comp: &[u32],
+        local: &mut [u32],
+    ) -> ComponentArena {
+        let mut arena = ComponentArena::with_capacity(nodes.len(), 2 * nodes.len(), 1);
+        arena.push(g, nodes, comp, local);
+        arena
+    }
+
+    fn with_capacity(nodes: usize, arcs: usize, jobs: usize) -> ComponentArena {
+        let mut bounds = Vec::with_capacity(jobs + 1);
+        bounds.push([0, 0]);
+        ComponentArena {
+            first_out: Vec::with_capacity(nodes + jobs),
+            sources: Vec::with_capacity(arcs),
+            targets: Vec::with_capacity(arcs),
+            weights: Vec::with_capacity(arcs),
+            transits: Vec::with_capacity(arcs),
+            arc_map: Vec::with_capacity(arcs),
+            identity: Vec::new(),
+            bounds,
+        }
+    }
+
+    /// Appends the component `nodes` of `g` as the last job: the one
+    /// routine every layout runs (see [`ComponentArena::component`] for
+    /// the arguments).
+    fn push(&mut self, g: GraphRef<'_>, nodes: &[NodeId], comp: &[u32], local: &mut [u32]) {
+        let name = comp[nodes[0].index()];
+        for (i, v) in nodes.iter().enumerate() {
+            local[v.index()] = idx32(i);
+        }
+        let first = self.sources.len();
+        self.first_out.push(0);
+        for (i, &v) in nodes.iter().enumerate() {
+            let lv = NodeId::new(i);
+            for (a, t, w, tr) in g.out_adj(v) {
+                if comp[t.index()] == name {
+                    self.sources.push(lv);
+                    self.targets.push(NodeId::new(local[t.index()] as usize));
+                    self.weights.push(w);
+                    self.transits.push(tr);
+                    self.arc_map.push(a);
+                }
+            }
+            self.first_out.push(idx32(self.sources.len() - first));
+        }
+        let arcs = self.sources.len() - first;
+        self.identity.extend((self.identity.len()..arcs).map(ArcId::new));
+        self.bounds
+            .push([idx32(self.first_out.len()), idx32(self.sources.len())]);
     }
 
     /// Number of cyclic components.
@@ -366,13 +384,26 @@ impl ComponentArena {
     /// Panics if `j >= self.len()`.
     #[inline]
     pub fn view(&self, j: usize) -> GraphRef<'_> {
+        self.view_with_weights(j, &self.weights[self.arcs(j)])
+    }
+
+    /// Component `j` with `weights`, one per local arc, in place of its
+    /// own (a maximize solve's negated copy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.len()` or `weights` does not have one entry
+    /// per arc of component `j`.
+    #[inline]
+    pub fn view_with_weights<'a>(&'a self, j: usize, weights: &'a [i64]) -> GraphRef<'a> {
         let arcs = self.arcs(j);
+        assert_eq!(weights.len(), arcs.len(), "one weight per arc");
         GraphRef::source_ordered(
             &self.first_out[self.bounds[j][0] as usize..self.bounds[j + 1][0] as usize],
             &self.identity,
             &self.sources[arcs.clone()],
             &self.targets[arcs.clone()],
-            &self.weights[arcs.clone()],
+            weights,
             &self.transits[arcs],
         )
     }
@@ -386,78 +417,31 @@ impl ComponentArena {
     pub fn arc_map(&self, j: usize) -> &[ArcId] {
         &self.arc_map[self.arcs(j)]
     }
-}
 
-/// Reusable scratch state for extracting many node-induced subgraphs of
-/// the same host graph without re-allocating the `O(n)` translation
-/// table each time.
-///
-/// The incremental solver re-extracts single components as edits change
-/// them; with `k` extractions a naive loop performs `k` allocations of
-/// `n · 4` bytes and `O(kn)` initialization. The extractor allocates the
-/// table once and resets only the entries it touched. (The per-SCC
-/// driver lays every component out at once in a [`ComponentArena`].)
-///
-/// ```
-/// use mcr_graph::{graph::from_arc_list, scc::SubgraphExtractor, SccDecomposition};
-/// let g = from_arc_list(4, &[(0, 1, 1), (1, 0, 1), (2, 3, 5), (3, 2, 5)]);
-/// let scc = SccDecomposition::new(&g);
-/// let mut ex = SubgraphExtractor::new(g.num_nodes());
-/// for c in 0..scc.num_components() {
-///     let (sub, arc_map) = ex.extract(&g, scc.component(c));
-///     assert_eq!(sub.num_nodes(), 2);
-///     assert_eq!(arc_map.len(), 2);
-/// }
-/// ```
-#[derive(Clone, Debug)]
-pub struct SubgraphExtractor {
-    /// `local_of[v] == u32::MAX` outside an `extract` call; only entries
-    /// for the current node set are populated, and they are restored on
-    /// the way out.
-    local_of: Vec<u32>,
-}
-
-impl SubgraphExtractor {
-    /// Creates an extractor for host graphs of up to `num_nodes` nodes
-    /// (the table grows on demand if a larger graph shows up).
-    pub fn new(num_nodes: usize) -> Self {
-        SubgraphExtractor {
-            local_of: vec![u32::MAX; num_nodes],
-        }
+    /// Overwrites the weight and transit time of `arc` (an id over the
+    /// whole arena, so a local id in an arena of one job) in place, as
+    /// [`Graph::set_arc_values`] does to the host. The arc set, and so
+    /// the layout, is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arc` is out of range or `transit` is negative.
+    pub fn set_arc_values(&mut self, arc: ArcId, weight: i64, transit: i64) {
+        assert!(transit >= 0, "transit times must be nonnegative");
+        self.weights[arc.index()] = weight;
+        self.transits[arc.index()] = transit;
     }
 
-    /// Extracts the subgraph induced by `nodes` (weights and transit
-    /// times preserved), plus the map from subgraph arc index to the
-    /// host graph's [`ArcId`]. Node `i` of the subgraph is `nodes[i]`.
-    pub fn extract(&mut self, g: &Graph, nodes: &[NodeId]) -> (Graph, Vec<ArcId>) {
-        if self.local_of.len() < g.num_nodes() {
-            self.local_of.resize(g.num_nodes(), u32::MAX);
-        }
-        for (i, &v) in nodes.iter().enumerate() {
-            self.local_of[v.index()] = idx32(i);
-        }
-        let mut b = GraphBuilder::with_capacity(nodes.len(), nodes.len() * 2);
-        b.add_nodes(nodes.len());
-        let mut arc_map = Vec::new();
-        for &v in nodes {
-            for &a in g.out_arcs(v) {
-                let t = g.target(a);
-                let lt = self.local_of[t.index()];
-                if lt != u32::MAX {
-                    b.add_arc_with_transit(
-                        NodeId::new(self.local_of[v.index()] as usize),
-                        NodeId::new(lt as usize),
-                        g.weight(a),
-                        g.transit(a),
-                    );
-                    arc_map.push(a);
-                }
+    /// Renumbers the arc maps after host arc `arc` left the host graph
+    /// ([`Graph::remove_arc`]): every higher host id shifts down by one.
+    /// A component that held `arc` itself keeps a stale entry for it and
+    /// must be laid out again.
+    pub fn host_arc_removed(&mut self, arc: ArcId) {
+        for host in &mut self.arc_map {
+            if *host > arc {
+                *host = ArcId::new(host.index() - 1);
             }
         }
-        for &v in nodes {
-            self.local_of[v.index()] = u32::MAX;
-        }
-        (b.build(), arc_map)
     }
 }
 
@@ -471,7 +455,7 @@ impl SubgraphExtractor {
 /// ```
 /// use mcr_graph::{graph::from_arc_list, condensation, SccDecomposition};
 /// let g = from_arc_list(4, &[(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 3, 1), (3, 2, 1)]);
-/// let scc = SccDecomposition::new(&g);
+/// let scc = SccDecomposition::new(g.view());
 /// let c = condensation(&g, &scc);
 /// assert_eq!(c.num_nodes(), 2);
 /// assert_eq!(c.num_arcs(), 1);
@@ -499,34 +483,34 @@ mod tests {
     #[test]
     fn single_node_no_loop_is_trivial_component() {
         let g = from_arc_list(1, &[]);
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         assert_eq!(scc.num_components(), 1);
-        assert!(!scc.is_cyclic_component(&g, 0));
+        assert!(!scc.is_cyclic_component(g.view(), 0));
     }
 
     #[test]
     fn self_loop_component_is_cyclic() {
         let g = from_arc_list(1, &[(0, 0, 1)]);
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         assert_eq!(scc.num_components(), 1);
-        assert!(scc.is_cyclic_component(&g, 0));
+        assert!(scc.is_cyclic_component(g.view(), 0));
     }
 
     #[test]
     fn dag_has_singleton_components() {
         let g = from_arc_list(4, &[(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)]);
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         assert_eq!(scc.num_components(), 4);
         for c in 0..4 {
             assert_eq!(scc.component(c).len(), 1);
-            assert!(!scc.is_cyclic_component(&g, c));
+            assert!(!scc.is_cyclic_component(g.view(), c));
         }
     }
 
     #[test]
     fn cycle_is_one_component() {
         let g = from_arc_list(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)]);
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         assert_eq!(scc.num_components(), 1);
         assert_eq!(scc.component(0).len(), 5);
     }
@@ -538,7 +522,7 @@ mod tests {
             5,
             &[(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 3, 1), (3, 2, 1), (3, 4, 1)],
         );
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         assert_eq!(scc.num_components(), 3);
         for a in g.arc_ids() {
             let cu = scc.component_of(g.source(a));
@@ -557,18 +541,16 @@ mod tests {
         b.add_arc_with_transit(v[1], v[0], 7, 3);
         b.add_arc(v[1], v[2], 100); // leaves the component
         let g = b.build();
-        let scc = SccDecomposition::new(&g);
-        let c = scc.component_of(v[0]);
-        let (sub, node_map, arc_map) = scc.component_subgraph(&g, c);
+        let arena = ComponentArena::new(g.view());
+        assert_eq!(arena.len(), 1);
+        let sub = arena.view(0);
         assert_eq!(sub.num_nodes(), 2);
         assert_eq!(sub.num_arcs(), 2);
-        assert_eq!(node_map.len(), 2);
-        let total_w: i64 = sub.arc_ids().map(|a| sub.weight(a)).sum();
-        let total_t: i64 = sub.arc_ids().map(|a| sub.transit(a)).sum();
-        assert_eq!(total_w, 12);
-        assert_eq!(total_t, 5);
-        for (local, &orig) in arc_map.iter().enumerate() {
+        assert_eq!(sub.weights().iter().sum::<i64>(), 12);
+        assert_eq!(sub.transits().iter().sum::<i64>(), 5);
+        for (local, &orig) in arena.arc_map(0).iter().enumerate() {
             assert_eq!(sub.weight(ArcId::new(local)), g.weight(orig));
+            assert_eq!(sub.transit(ArcId::new(local)), g.transit(orig));
         }
     }
 
@@ -585,62 +567,97 @@ mod tests {
                 (3, 2, 1),
             ],
         );
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         let c = condensation(&g, &scc);
         assert_eq!(c.num_nodes(), 2);
         assert_eq!(c.num_arcs(), 1);
-        let cscc = SccDecomposition::new(&c);
+        let cscc = SccDecomposition::new(c.view());
         assert_eq!(cscc.num_components(), c.num_nodes());
     }
 
     #[test]
     fn two_disjoint_cycles() {
         let g = from_arc_list(4, &[(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 1)]);
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         assert_eq!(scc.num_components(), 2);
-        assert!(scc.is_cyclic_component(&g, 0));
-        assert!(scc.is_cyclic_component(&g, 1));
+        assert!(scc.is_cyclic_component(g.view(), 0));
+        assert!(scc.is_cyclic_component(g.view(), 1));
         assert_ne!(
             scc.component_of(NodeId::new(0)),
             scc.component_of(NodeId::new(2))
         );
     }
 
+    /// Every cyclic component of `g` laid out alone, in job order, with
+    /// the smallest-node names `comp` gives.
+    fn one_job_layouts(g: &Graph) -> Vec<ComponentArena> {
+        let scc = SccDecomposition::new(g.view());
+        let name = |c: usize| idx32(scc.component(c).last().expect("nonempty").index());
+        let comp: Vec<u32> = (0..g.num_nodes())
+            .map(|v| name(scc.component_of(NodeId::new(v))))
+            .collect();
+        let mut local = vec![u32::MAX; g.num_nodes()];
+        scc.cyclic_by_smallest_node(g.view())
+            .into_iter()
+            .map(|c| ComponentArena::component(g.view(), scc.component(c), &comp, &mut local))
+            .collect()
+    }
+
     #[test]
-    fn extractor_reuse_matches_one_shot_extraction() {
-        // Three disjoint rings; extracting them through one extractor
-        // must give the same subgraphs as fresh per-component calls.
+    fn one_job_layouts_match_the_full_arena() {
+        // Three rings, one with a chord and a self-loop, joined by
+        // one-way bridges, plus a node on no cycle.
         let g = from_arc_list(
-            6,
-            &[(0, 1, 1), (1, 0, 2), (2, 3, 3), (3, 2, 4), (4, 5, 5), (5, 4, 6)],
+            7,
+            &[
+                (4, 5, 5),
+                (5, 4, 6),
+                (0, 1, 1),
+                (1, 0, 2),
+                (1, 1, 9),
+                (3, 2, 4),
+                (2, 3, 3),
+                (1, 2, 8),
+                (3, 4, 0),
+                (5, 6, 7),
+            ],
         );
-        let scc = SccDecomposition::new(&g);
-        let mut ex = SubgraphExtractor::new(g.num_nodes());
-        for c in 0..scc.num_components() {
-            let (sub_a, arcs_a) = ex.extract(&g, scc.component(c));
-            let (sub_b, _, arcs_b) = scc.component_subgraph(&g, c);
-            assert_eq!(arcs_a, arcs_b);
-            assert_eq!(sub_a.num_nodes(), sub_b.num_nodes());
-            assert_eq!(sub_a.num_arcs(), sub_b.num_arcs());
-            for a in sub_a.arc_ids() {
-                assert_eq!(sub_a.source(a), sub_b.source(a));
-                assert_eq!(sub_a.target(a), sub_b.target(a));
-                assert_eq!(sub_a.weight(a), sub_b.weight(a));
-                assert_eq!(sub_a.transit(a), sub_b.transit(a));
-            }
+        let arena = ComponentArena::new(g.view());
+        let alone = one_job_layouts(&g);
+        assert_eq!(arena.len(), 3);
+        assert_eq!(alone.len(), arena.len());
+        for (j, one) in alone.iter().enumerate() {
+            assert_eq!(one.len(), 1);
+            assert_eq!(one.view(0), arena.view(j), "job {j}");
+            assert_eq!(one.arc_map(0), arena.arc_map(j), "job {j}");
         }
     }
 
     #[test]
-    fn extractor_grows_for_larger_graphs() {
-        let small = from_arc_list(2, &[(0, 1, 1), (1, 0, 1)]);
-        let big = from_arc_list(10, &[(8, 9, 2), (9, 8, 2)]);
-        let mut ex = SubgraphExtractor::new(small.num_nodes());
-        let (sub, _) = ex.extract(&small, &[NodeId::new(0), NodeId::new(1)]);
-        assert_eq!(sub.num_arcs(), 2);
-        let (sub, arcs) = ex.extract(&big, &[NodeId::new(8), NodeId::new(9)]);
-        assert_eq!(sub.num_nodes(), 2);
-        assert_eq!(arcs.len(), 2);
+    fn a_one_job_layout_reads_a_component_anywhere_in_the_host() {
+        // A 2-cycle on the two highest ids of a larger graph, whose
+        // scratch is dirty from another layout.
+        let g = from_arc_list(10, &[(8, 9, 2), (9, 8, 3), (0, 1, 1), (1, 0, 1), (7, 8, 5)]);
+        let alone = one_job_layouts(&g);
+        assert_eq!(alone.len(), 2);
+        let high = &alone[1];
+        assert_eq!((high.view(0).num_nodes(), high.view(0).num_arcs()), (2, 2));
+        assert_eq!(high.arc_map(0), [ArcId::new(1), ArcId::new(0)]);
+        assert_eq!(high.view(0).weights(), [3, 2]);
+    }
+
+    #[test]
+    fn patches_and_renumbering_follow_the_host() {
+        // Host arc 0 enters the ring {0, 1, 2} from a node on no cycle.
+        let mut g = from_arc_list(4, &[(3, 0, 9), (0, 1, 1), (1, 2, 2), (2, 0, 3), (1, 1, 4)]);
+        let mut arena = ComponentArena::new(g.view());
+        let local = arena.arc_map(0).iter().position(|&a| a == ArcId::new(3)).expect("kept");
+        arena.set_arc_values(ArcId::new(local), -7, 5);
+        g.set_arc_values(ArcId::new(3), -7, 5);
+        assert_eq!(arena, ComponentArena::new(g.view()));
+        g.remove_arc(ArcId::new(0));
+        arena.host_arc_removed(ArcId::new(0));
+        assert_eq!(arena, ComponentArena::new(g.view()));
     }
 
     #[test]
@@ -663,7 +680,7 @@ mod tests {
                 .map(|_| (next(n as u64) as usize, next(n as u64) as usize, 1))
                 .collect();
             let g = from_arc_list(n, &arcs);
-            let scc = SccDecomposition::new(&g);
+            let scc = SccDecomposition::new(g.view());
             let mut covered = 0;
             for c in 0..scc.num_components() {
                 let nodes = scc.component(c);
@@ -672,7 +689,7 @@ mod tests {
                 assert_eq!(nodes.last(), Some(&smallest));
                 let mut again = nodes.to_vec();
                 again.reverse();
-                canonical_order(&g, &mut again);
+                canonical_order(g.view(), &mut again);
                 assert_eq!(again, nodes);
                 // A component some arc enters at a node other than its
                 // smallest is one a plain Tarjan run may enter there.
@@ -692,7 +709,7 @@ mod tests {
         // Root 0 enters {1, 2, 3} at 2; Tarjan pops 1, 3, 2, and the
         // canonical order searches from 1 instead: 1 -> 3 -> 2.
         let g = from_arc_list(4, &[(0, 2, 1), (2, 1, 1), (1, 3, 1), (3, 2, 1), (2, 3, 1)]);
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         let c = scc.component_of(NodeId::new(1));
         assert_eq!(scc.component(c), [2, 3, 1].map(NodeId::new));
     }
@@ -703,7 +720,7 @@ mod tests {
         let n = 100_000;
         let arcs: Vec<(usize, usize, i64)> = (0..n - 1).map(|i| (i, i + 1, 1)).collect();
         let g = from_arc_list(n, &arcs);
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         assert_eq!(scc.num_components(), n);
     }
 }

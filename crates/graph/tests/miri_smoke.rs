@@ -12,7 +12,7 @@
 use mcr_graph::graph::from_arc_list;
 use mcr_graph::heap::{AddressableHeap, FibonacciHeap, IndexedBinaryHeap};
 use mcr_graph::io::{read_dimacs, write_dimacs};
-use mcr_graph::{condensation, NodeId, SccDecomposition, SubgraphExtractor};
+use mcr_graph::{condensation, ComponentArena, NodeId, SccDecomposition};
 
 /// Two 3-cycles bridged by a one-way arc, plus an isolated self-loop.
 fn two_scc_graph() -> mcr_graph::Graph {
@@ -46,7 +46,7 @@ fn builder_and_accessors_round_trip() {
 #[test]
 fn scc_decomposition_and_condensation() {
     let g = two_scc_graph();
-    let scc = SccDecomposition::new(&g);
+    let scc = SccDecomposition::new(g.view());
     assert_eq!(scc.num_components(), 3);
     assert_eq!(
         scc.component_of(NodeId::new(0)),
@@ -58,11 +58,12 @@ fn scc_decomposition_and_condensation() {
     );
     let cond = condensation(&g, &scc);
     assert_eq!(cond.num_nodes(), 3);
-    let mut ex = SubgraphExtractor::new(g.num_nodes());
-    for c in 0..scc.num_components() {
-        let (sub, arc_map) = ex.extract(&g, scc.component(c));
+    let arena = ComponentArena::new(g.view());
+    assert_eq!(arena.len(), 3);
+    for j in 0..arena.len() {
+        let sub = arena.view(j);
         assert!(sub.num_nodes() >= 1);
-        assert_eq!(sub.num_arcs(), arc_map.len());
+        assert_eq!(sub.num_arcs(), arena.arc_map(j).len());
     }
 }
 

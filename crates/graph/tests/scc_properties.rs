@@ -2,7 +2,7 @@
 //! mutual-reachability oracle, plus condensation invariants.
 
 use mcr_graph::traverse::{bfs_order, topological_order};
-use mcr_graph::{condensation, Graph, GraphBuilder, NodeId, SccDecomposition};
+use mcr_graph::{condensation, ComponentArena, Graph, GraphBuilder, NodeId, SccDecomposition};
 use proptest::prelude::*;
 
 fn arbitrary_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Graph> {
@@ -35,7 +35,7 @@ proptest! {
 
     #[test]
     fn components_are_mutual_reachability_classes(g in arbitrary_graph(24, 80)) {
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         let r = reachable(&g);
         for (u, row) in r.iter().enumerate() {
             for (v, &forward) in row.iter().enumerate() {
@@ -48,7 +48,7 @@ proptest! {
 
     #[test]
     fn components_partition_the_nodes(g in arbitrary_graph(24, 80)) {
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         let mut seen = vec![false; g.num_nodes()];
         for c in 0..scc.num_components() {
             for &v in scc.component(c) {
@@ -62,7 +62,7 @@ proptest! {
 
     #[test]
     fn component_order_is_reverse_topological(g in arbitrary_graph(24, 80)) {
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         for a in g.arc_ids() {
             let cu = scc.component_of(g.source(a));
             let cv = scc.component_of(g.target(a));
@@ -72,7 +72,7 @@ proptest! {
 
     #[test]
     fn condensation_is_a_dag_with_matching_reachability(g in arbitrary_graph(20, 60)) {
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         let c = condensation(&g, &scc);
         prop_assert_eq!(c.num_nodes(), scc.num_components());
         prop_assert!(topological_order(&c).is_some(), "condensation has a cycle");
@@ -95,21 +95,36 @@ proptest! {
 
     #[test]
     fn cyclic_component_flag_matches_definition(g in arbitrary_graph(20, 60)) {
-        let scc = SccDecomposition::new(&g);
+        let scc = SccDecomposition::new(g.view());
         for c in 0..scc.num_components() {
             let nodes = scc.component(c);
             let expected = nodes.len() > 1
                 || g.out_neighbors(nodes[0]).any(|(_, w)| w == nodes[0]);
-            prop_assert_eq!(scc.is_cyclic_component(&g, c), expected);
+            prop_assert_eq!(scc.is_cyclic_component(g.view(), c), expected);
         }
     }
 
     #[test]
     fn subgraph_extraction_is_faithful(g in arbitrary_graph(20, 60)) {
-        let scc = SccDecomposition::new(&g);
+        // Every component laid out alone is faithful, and a cyclic one
+        // is byte-equal to its job in the whole graph's arena.
+        let scc = SccDecomposition::new(g.view());
+        let comp: Vec<u32> = (0..g.num_nodes())
+            .map(|v| scc.component_of(NodeId::new(v)) as u32)
+            .collect();
+        let mut local = vec![0; g.num_nodes()];
+        let arena = ComponentArena::new(g.view());
+        let order = scc.cyclic_by_smallest_node(g.view());
+        prop_assert_eq!(arena.len(), order.len());
         for c in 0..scc.num_components() {
-            let (sub, node_map, arc_map) = scc.component_subgraph(&g, c);
-            prop_assert_eq!(sub.num_nodes(), scc.component(c).len());
+            let node_map = scc.component(c);
+            let one = ComponentArena::component(g.view(), node_map, &comp, &mut local);
+            let (sub, arc_map) = (one.view(0), one.arc_map(0));
+            if let Some(j) = order.iter().position(|&d| d == c) {
+                prop_assert_eq!(sub, arena.view(j));
+                prop_assert_eq!(arc_map, arena.arc_map(j));
+            }
+            prop_assert_eq!(sub.num_nodes(), node_map.len());
             // Every kept arc has both endpoints in the component and
             // matching weight.
             for la in sub.arc_ids() {

@@ -452,8 +452,9 @@ pub fn check_panic_free(file: &str, s: &Scanned, out: &mut Vec<Diagnostic>) {
 /// in the layers that must fail typed rather than panic. `get`/
 /// `get_mut` with an error path is the sanctioned idiom.
 pub fn check_no_indexing(file: &str, s: &Scanned, out: &mut Vec<Diagnostic>) {
-    const NON_RECEIVER_KW: [&str; 12] = [
+    const NON_RECEIVER_KW: [&str; 13] = [
         "let", "in", "mut", "ref", "return", "as", "if", "else", "match", "move", "box", "use",
+        "for",
     ];
     let toks = &s.tokens;
     for i in 1..toks.len() {
@@ -461,8 +462,10 @@ pub fn check_no_indexing(file: &str, s: &Scanned, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let prev = &toks[i - 1];
+        // A lifetime arrives as `'` then its name: `&'a [T]` is a type.
+        let lifetime = i >= 2 && toks[i - 2].kind == TokKind::Punct && toks[i - 2].text == "'";
         let is_receiver = match prev.kind {
-            TokKind::Ident => !NON_RECEIVER_KW.contains(&prev.text.as_str()),
+            TokKind::Ident => !NON_RECEIVER_KW.contains(&prev.text.as_str()) && !lifetime,
             TokKind::Punct => matches!(prev.text.as_str(), ")" | "]" | "?"),
             _ => false,
         };

@@ -9,6 +9,14 @@ pub fn l5_sites(v: &[u64]) -> u64 {
     a + b + c + d
 }
 
+pub trait First {
+    fn first_or_zero<'a>(&'a self, rest: &'a [u64]) -> u64;
+}
+
+impl First for [u64] {
+    fn first_or_zero<'a>(&'a self, _: &'a [u64]) -> u64 { self[0] }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

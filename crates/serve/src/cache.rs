@@ -9,21 +9,20 @@
 //! nor the SCC pass again (the `serve.graph.parse` and
 //! `serve.plan.build` counters prove it).
 //!
-//! Each entry lazily holds one [`SccPlan`] *per orientation*: maximize
-//! requests solve the negated graph, and a plan's job arena carries
-//! the weights of the orientation it was laid out from (see
-//! [`mcr_core::spec::solve_spec`]'s plan-orientation contract), so the
-//! two orientations can never share a plan.
-
+//! Each entry lazily holds one [`SccPlan`], which serves minimize and
+//! maximize requests alike: a plan's job arena holds the graph's own
+//! weights, and a maximize solve negates them per job as it solves.
 //!
 //! The `edit` op mutates a cached instance *in place*: the hash then
 //! names the evolving graph, not a digest of its original text.
 //! [`GraphCache::commit_edit`] is the single mutation point, and it
-//! drops both orientation plans along with the graph swap — a plan's
-//! job arena carries the arc ids and weights of the graph it was laid
-//! out from, so a surviving plan after a `DeleteArc` would hand
-//! the solver stale subgraphs (the `serve.plan.build` counter jumping
-//! after an edit is the pinned evidence that this invalidation runs).
+//! drops the plan along with the graph swap — a plan's job arena
+//! carries the arc ids and weights of the graph it was laid out from,
+//! so a surviving plan after a `DeleteArc` would hand the solver stale
+//! subgraphs (the `serve.plan.build` counter jumping after an edit is
+//! the pinned evidence that this invalidation runs). An entry also
+//! keeps the incremental solver of the last `edit` question beside its
+//! plan.
 //!
 //! λ* depends only on the graph and the [`Question`] asked, so each
 //! entry also keeps the last [`ANSWERS_PER_ENTRY`] certified answers
@@ -97,11 +96,8 @@ pub type Answer = Option<Arc<Solution>>;
 
 struct Entry {
     graph: Arc<Graph>,
-    /// Plan for the minimize orientation (prepared from `graph`).
+    /// The plan of `graph`, for either orientation.
     plan: Option<SccPlan>,
-    /// Plan for the maximize orientation (prepared from
-    /// `graph.negated()`).
-    negated_plan: Option<SccPlan>,
     /// The instance's persistent incremental solver, keyed by the
     /// question it answers so a later edit under a different question
     /// rebuilds instead of reusing a solver configured for another
@@ -117,21 +113,20 @@ impl Entry {
         Entry {
             graph,
             plan: None,
-            negated_plan: None,
             dynamic: None,
             answers: VecDeque::new(),
         }
     }
 }
 
-/// What a lookup hands to the worker: the instance in the caller's
-/// orientation plus the plan for the orientation the solver will run
-/// on. `plan_built` reports whether this call had to build the plan
-/// (first use of this orientation) so the server can meter it.
+/// What a lookup hands to the worker: the instance plus its plan.
+/// `plan_built` reports whether this call had to build the plan (its
+/// first use since the instance was cached or edited) so the server can
+/// meter it.
 pub struct Resolved {
-    /// The cached instance, caller orientation.
+    /// The cached instance.
     pub graph: Arc<Graph>,
-    /// SCC plan for the requested orientation.
+    /// The instance's SCC plan.
     pub plan: SccPlan,
     /// Whether [`SccPlan::prepare`] ran during this lookup.
     pub plan_built: bool,
@@ -175,12 +170,12 @@ impl GraphCache {
         self.order.push_back(hash);
     }
 
-    /// Looks up `hash`, building the orientation's plan on first use.
-    /// A hit refreshes the entry's recency. The `serve.cache.lookup`
-    /// failpoint degrades a would-be hit into a miss, which the server
-    /// then handles exactly like a cold instance — the fault is
-    /// contained to extra work, never a wrong answer.
-    pub fn get(&mut self, hash: u64, maximize: bool) -> Option<Resolved> {
+    /// Looks up `hash`, building the plan on first use. A hit refreshes
+    /// the entry's recency. The `serve.cache.lookup` failpoint degrades a
+    /// would-be hit into a miss, which the server then handles exactly
+    /// like a cold instance — the fault is contained to extra work, never
+    /// a wrong answer.
+    pub fn get(&mut self, hash: u64) -> Option<Resolved> {
         if !self.entries.contains_key(&hash) {
             return None;
         }
@@ -189,21 +184,11 @@ impl GraphCache {
         }
         self.touch(hash);
         let entry = self.entries.get_mut(&hash)?;
-        let slot = if maximize {
-            &mut entry.negated_plan
-        } else {
-            &mut entry.plan
-        };
-        let plan_built = slot.is_none();
-        if plan_built {
-            let plan = if maximize {
-                SccPlan::prepare(&entry.graph.negated())
-            } else {
-                SccPlan::prepare(&entry.graph)
-            };
-            *slot = Some(plan);
-        }
-        let plan = slot.clone()?;
+        let plan_built = entry.plan.is_none();
+        let plan = entry
+            .plan
+            .get_or_insert_with(|| SccPlan::prepare(&entry.graph))
+            .clone();
         Some(Resolved {
             graph: Arc::clone(&entry.graph),
             plan,
@@ -242,10 +227,10 @@ impl GraphCache {
 
     /// Commits an edited instance: swaps in the mutated graph, stores
     /// the solver for the next batch, and — the part a `DeleteArc`
-    /// makes load-bearing — invalidates both orientation plans, whose
-    /// frozen jobs still describe the pre-edit graph, and every stored
-    /// answer. No-op when the hash is not cached (capacity 0, or
-    /// evicted mid-edit).
+    /// makes load-bearing — invalidates the plan, whose frozen jobs
+    /// still describe the pre-edit graph, and every stored answer.
+    /// No-op when the hash is not cached (capacity 0, or evicted
+    /// mid-edit).
     pub fn commit_edit(
         &mut self,
         hash: u64,
@@ -258,7 +243,6 @@ impl GraphCache {
         };
         entry.graph = graph;
         entry.plan = None;
-        entry.negated_plan = None;
         entry.answers.clear();
         entry.dynamic = Some((question, solver));
         self.touch(hash);
@@ -342,25 +326,41 @@ mod tests {
     fn hit_reuses_the_plan_miss_reports_build() {
         let mut c = GraphCache::new(4);
         let h = fnv1a(TRIANGLE);
-        assert!(c.get(h, false).is_none());
+        assert!(c.get(h).is_none());
         c.insert(h, graph(TRIANGLE));
-        let first = c.get(h, false).expect("hit");
+        let first = c.get(h).expect("hit");
         assert!(first.plan_built);
-        let second = c.get(h, false).expect("hit");
+        let second = c.get(h).expect("hit");
         assert!(!second.plan_built, "plan is reused");
         assert_eq!(first.plan, second.plan, "same shared plan");
     }
 
     #[test]
     fn orientations_get_distinct_plans() {
+        // The name is older than the shared plan: both orientations now
+        // get the one plan, and it must answer both like no plan does.
         let mut c = GraphCache::new(4);
         let h = fnv1a(TRIANGLE);
         c.insert(h, graph(TRIANGLE));
-        let min = c.get(h, false).expect("hit");
-        let max = c.get(h, true).expect("hit");
-        assert!(max.plan_built, "maximize builds its own plan");
-        assert!(min.plan != max.plan, "orientations never share a plan");
-        assert_eq!(min.plan.num_jobs(), max.plan.num_jobs());
+        let resolved = c.get(h).expect("hit");
+        assert!(resolved.plan_built);
+        // The plan holds the graph's own weights, so a maximize solve
+        // through it equals one without a plan, and so does a minimize.
+        for spec in [
+            SolveSpec::mean(Algorithm::HowardExact),
+            SolveSpec::mean(Algorithm::HowardExact).maximize(),
+        ] {
+            let planned = SolveOptions::new().plan(resolved.plan.clone());
+            assert_eq!(
+                format!("{:?}", solve_spec(&resolved.graph, &spec, &planned)),
+                format!(
+                    "{:?}",
+                    solve_spec(&resolved.graph, &spec, &SolveOptions::new())
+                ),
+                "{spec:?}"
+            );
+        }
+        assert!(!c.get(h).expect("hit").plan_built, "one plan serves both");
     }
 
     #[test]
@@ -375,12 +375,12 @@ mod tests {
         c.insert(hashes[0], graph(texts[0]));
         c.insert(hashes[1], graph(texts[1]));
         // Touch [0] so [1] is the LRU victim.
-        assert!(c.get(hashes[0], false).is_some());
+        assert!(c.get(hashes[0]).is_some());
         c.insert(hashes[2], graph(texts[2]));
         assert_eq!(c.len(), 2);
-        assert!(c.get(hashes[1], false).is_none(), "victim evicted");
-        assert!(c.get(hashes[0], false).is_some());
-        assert!(c.get(hashes[2], false).is_some());
+        assert!(c.get(hashes[1]).is_none(), "victim evicted");
+        assert!(c.get(hashes[0]).is_some());
+        assert!(c.get(hashes[2]).is_some());
     }
 
     fn question(algorithm: Algorithm) -> Question {
@@ -402,10 +402,11 @@ mod tests {
         let mut c = GraphCache::new(4);
         let h = fnv1a(TRIANGLE);
         c.insert(h, graph(TRIANGLE));
-        // Build both orientation plans, then edit: the next lookups
-        // must rebuild rather than reuse pre-edit jobs.
-        assert!(c.get(h, false).expect("hit").plan_built);
-        assert!(c.get(h, true).expect("hit").plan_built);
+        // The name is older than the shared plan. Build the plan, then
+        // edit: the next lookup must rebuild rather than reuse pre-edit
+        // jobs, for either orientation.
+        assert!(c.get(h).expect("hit").plan_built);
+        assert!(!c.get(h).expect("hit").plan_built);
         let g = c.peek_graph(h).expect("cached");
         let solver = DynamicSolver::new(
             &g,
@@ -415,10 +416,14 @@ mod tests {
         let mutated = graph("p mcr 3 2\na 1 2 1\na 2 3 2\n");
         let key = question(Algorithm::HowardExact);
         c.commit_edit(h, key, Arc::clone(&mutated), solver);
-        let min = c.get(h, false).expect("hit");
-        assert!(min.plan_built, "minimize plan was invalidated");
-        assert_eq!(min.graph.num_arcs(), 2, "lookup sees the mutated graph");
-        assert!(c.get(h, true).expect("hit").plan_built);
+        let after = c.get(h).expect("hit");
+        assert!(after.plan_built, "the plan was invalidated");
+        assert_eq!(after.graph.num_arcs(), 2, "lookup sees the mutated graph");
+        assert_eq!(after.plan.num_jobs(), 0, "the plan is the mutated graph's");
+        assert!(
+            !c.get(h).expect("hit").plan_built,
+            "rebuilt once, then shared"
+        );
         // The solver round-trips only under the same question.
         assert!(c.take_dynamic(h, &question(Algorithm::Karp)).is_none());
         assert!(c.take_dynamic(h, &key).is_none(), "mismatch dropped it");
@@ -552,6 +557,6 @@ mod tests {
         let h = fnv1a(TRIANGLE);
         c.insert(h, graph(TRIANGLE));
         assert!(c.is_empty());
-        assert!(c.get(h, false).is_none());
+        assert!(c.get(h).is_none());
     }
 }

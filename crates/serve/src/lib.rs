@@ -12,7 +12,7 @@
 //! * [`guard`] — the per-request [`guard::RequestGuard`] every handler
 //!   installs (deadline + frame cap; lint rule MCRL008);
 //! * [`cache`] — LRU instance cache keyed by content hash, holding one
-//!   [`mcr_core::SccPlan`] per orientation so cached re-solves skip
+//!   [`mcr_core::SccPlan`] for both orientations so cached re-solves skip
 //!   both parse and the SCC pass, and the certified answers already
 //!   given for the instance, so a repeated question skips the solve;
 //! * [`journal`] — fsynced admission journal plus `mcr-checkpoint v2`

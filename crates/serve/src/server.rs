@@ -969,8 +969,7 @@ fn resolve_graph(shared: &Shared, id: u64, solve: &SolveJob) -> Result<Instance,
         (None, Some(claimed)) => claimed,
         (None, None) => return Err(input_err("solve request lost its graph".to_string())),
     };
-    let maximize = solve.spec.maximize;
-    if let Some(found) = lock(&shared.cache).get(hash, maximize) {
+    if let Some(found) = lock(&shared.cache).get(hash) {
         Metrics::bump(&shared.metrics.cache_hit);
         if found.plan_built {
             Metrics::bump(&shared.metrics.plan_build);
@@ -998,7 +997,7 @@ fn resolve_graph(shared: &Shared, id: u64, solve: &SolveJob) -> Result<Instance,
     // Re-read through the cache so the plan is built once and shared;
     // with caching disabled (capacity 0) this misses and the solve
     // simply runs without a plan.
-    if let Some(found) = cache.get(hash, maximize) {
+    if let Some(found) = cache.get(hash) {
         if found.plan_built {
             Metrics::bump(&shared.metrics.plan_build);
         }

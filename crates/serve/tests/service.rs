@@ -385,11 +385,11 @@ fn edit_weights_and_request_ids_are_read_as_exact_integers() {
 
 #[test]
 fn maximize_reuses_a_separate_negated_plan() {
-    // Two maximize solves of a cached instance: the second must hit
-    // the cache's negated-orientation plan, and both must agree with
-    // the direct (no plan) answer — a wrong-orientation plan would
-    // corrupt λ, which is exactly what the per-orientation cache
-    // design prevents.
+    // The name is older than the shared plan. Two maximize solves and
+    // a minimize of a cached instance: all three run on the one plan
+    // the first built, and each must agree with the direct (no plan)
+    // answer — a plan holding anything but the graph's own weights
+    // would corrupt λ in one orientation.
     let text = graph_text(14, 21);
     let g = mcr_graph::io::read_dimacs(&mut text.as_bytes()).expect("parse");
     let handle = start(serial());
@@ -423,15 +423,41 @@ fn maximize_reuses_a_separate_negated_plan() {
     assert_eq!(
         resp[&2].get("lambda").and_then(Value::as_str),
         Some(max_lambda.as_str()),
-        "cached negated plan must not change the answer"
+        "the cached plan must not change the answer"
     );
     assert_eq!(
         resp[&3].get("lambda").and_then(Value::as_str),
         Some(direct_min.lambda.to_string().as_str())
     );
-    // Two plans were built: one per orientation; one parse total.
+    // One plan serves both orientations; one parse total.
     assert_eq!(handle.metric("serve.graph.parse"), Some(1));
-    assert_eq!(handle.metric("serve.plan.build"), Some(2));
+    assert_eq!(handle.metric("serve.plan.build"), Some(1));
+    handle.shutdown();
+}
+
+#[test]
+fn maximizing_through_an_i64_min_weight_on_a_cycle_is_an_input_error() {
+    let on_a_cycle = "p mcr 2 2\na 1 2 -9223372036854775808\na 2 1 0\n";
+    let off_every_cycle = "p mcr 3 3\na 1 2 1\na 2 1 1\na 2 3 -9223372036854775808\n";
+    let handle = start(serial());
+    let resp = roundtrip(
+        &handle,
+        &[
+            solve_req(1, on_a_cycle, ",\"maximize\":true"),
+            // The second reads the plan the first built.
+            solve_req(2, on_a_cycle, ",\"maximize\":true,\"threads\":2"),
+            solve_req(3, off_every_cycle, ",\"maximize\":true"),
+        ],
+    );
+    for id in [1, 2] {
+        assert_eq!(status_of(&resp[&id]), ("input-error", 1), "{:?}", resp[&id]);
+        assert!(resp[&id]
+            .get("error")
+            .and_then(Value::as_str)
+            .expect("error")
+            .contains("i64::MIN"));
+    }
+    assert_eq!(resp[&3].get("lambda").and_then(Value::as_str), Some("1"));
     handle.shutdown();
 }
 

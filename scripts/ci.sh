@@ -100,7 +100,22 @@ fi
     --budget refine=1 > /tmp/mcr_ci_stdout
 grep -q "answered instead" /tmp/mcr_ci_stdout
 grep -q "certificate" /tmp/mcr_ci_stdout
-rm -f /tmp/mcr_ci_stderr /tmp/mcr_ci_stdout /tmp/mcr_ci_hostile.dimacs
+# Maximizing through a weight of i64::MIN, whose negation overflows,
+# must fail typed (exit 1, no panic) when the weight lies on a cycle,
+# and must answer when it lies on none: only cyclic arcs are negated.
+printf 'p mcr 2 2\na 1 2 -9223372036854775808\na 2 1 0\n' > /tmp/mcr_ci_min_on.dimacs
+status=0
+"$MCR" solve /tmp/mcr_ci_min_on.dimacs --max >/dev/null 2>/tmp/mcr_ci_stderr || status=$?
+if [ "$status" -ne 1 ] || grep -qi "panicked" /tmp/mcr_ci_stderr; then
+    echo "FAIL: --max through i64::MIN on a cycle exited $status, expected 1 with no panic"
+    cat /tmp/mcr_ci_stderr
+    exit 1
+fi
+printf 'p mcr 3 3\na 1 2 1\na 2 1 1\na 2 3 -9223372036854775808\n' > /tmp/mcr_ci_min_off.dimacs
+"$MCR" solve /tmp/mcr_ci_min_off.dimacs --max > /tmp/mcr_ci_stdout
+grep -q "^lambda = 1 " /tmp/mcr_ci_stdout
+rm -f /tmp/mcr_ci_stderr /tmp/mcr_ci_stdout /tmp/mcr_ci_hostile.dimacs \
+    /tmp/mcr_ci_min_on.dimacs /tmp/mcr_ci_min_off.dimacs
 
 echo "=== driver smoke: 1, 2 and 4 threads, byte-identical ==="
 # The per-SCC driver changes wall-clock only, never output: the full

@@ -106,16 +106,18 @@ proptest! {
     /// the per-component optima.
     #[test]
     fn scc_minimum_composition(g in cyclic_graph(12, 16, 40)) {
-        use mcr::graph::SccDecomposition;
+        use mcr::graph::ComponentArena;
         let whole = mcr::minimum_cycle_mean(&g).expect("cyclic").lambda;
-        let scc = SccDecomposition::new(&g);
+        let arena = ComponentArena::new(g.view());
         let mut best: Option<Ratio64> = None;
-        for c in 0..scc.num_components() {
-            if !scc.is_cyclic_component(&g, c) {
-                continue;
+        for j in 0..arena.len() {
+            let view = arena.view(j);
+            let mut b = GraphBuilder::new();
+            b.add_nodes(view.num_nodes());
+            for a in view.arc_ids() {
+                b.add_arc(view.source(a), view.target(a), view.weight(a));
             }
-            let (sub, _, _) = scc.component_subgraph(&g, c);
-            let lam = mcr::minimum_cycle_mean(&sub).expect("cyclic component").lambda;
+            let lam = mcr::minimum_cycle_mean(&b.build()).expect("cyclic component").lambda;
             if best.map_or(true, |b| lam < b) {
                 best = Some(lam);
             }
