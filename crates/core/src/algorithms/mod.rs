@@ -183,6 +183,13 @@ pub(crate) fn run_fallback_chain(
     }))
 }
 
+/// [`Algorithm::default_epsilon`] of a graph with arc weights `weights`.
+pub(crate) fn default_epsilon_of(weights: impl Iterator<Item = i64> + Clone) -> f64 {
+    let hi = weights.clone().max().unwrap_or(1) as f64;
+    let lo = weights.min().unwrap_or(0) as f64;
+    ((hi - lo).abs().max(1.0)) * 1e-6
+}
+
 /// A minimum mean cycle algorithm from the study.
 ///
 /// ```
@@ -312,9 +319,7 @@ impl Algorithm {
     /// Default precision for the approximate variants, scaled to the
     /// weight range of `g`.
     pub fn default_epsilon(g: &Graph) -> f64 {
-        let hi = g.max_weight().unwrap_or(1) as f64;
-        let lo = g.min_weight().unwrap_or(0) as f64;
-        ((hi - lo).abs().max(1.0)) * 1e-6
+        default_epsilon_of(g.weights().iter().copied())
     }
 
     /// Computes the minimum cycle mean of `g` with this algorithm, or

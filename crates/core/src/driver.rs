@@ -107,9 +107,9 @@ pub(crate) fn oriented<'a>(
 /// cache does this, so a cached graph re-solved with a new epsilon or
 /// algorithm pays neither parse nor SCC cost). The plan records the
 /// node/arc counts of the graph it was prepared from; the driver only
-/// uses it when those match the graph actually being solved, so solves
-/// on internally-derived graphs (ratio expansion, register graphs)
-/// silently fall back to a fresh layout. Matching counts on a
+/// uses it when those match the graph actually being solved, so a plan
+/// attached to a solve of some other graph is ignored and the solve
+/// lays out its own arena. Matching counts on a
 /// *different* graph of identical size would misattribute components —
 /// the same-graph contract is the caller's to uphold; the fingerprint
 /// is a guard against accidents, not a cryptographic check.
@@ -194,9 +194,10 @@ impl PartialEq for SccPlan {
 
 /// The job arena for a solve of `g`: the caller's pre-computed
 /// [`SccPlan`] when it fingerprints as prepared-from-`g`, else a fresh
-/// layout. The plan path is the daemon cache's "skip SCC" fast path;
-/// the fallback keeps internally-derived graphs (ratio expansion)
-/// correct under a caller-attached plan.
+/// layout. The plan path is the daemon cache's "skip SCC" fast path,
+/// which the transit-expansion route takes too: it expands each planned
+/// job, not the graph. The fallback keeps a solve correct under a plan
+/// of some other graph.
 fn plan_or_layout(g: &Graph, opts: &SolveOptions) -> Arc<ComponentArena> {
     match opts.plan.as_ref() {
         Some(plan) if plan.matches(g) => Arc::clone(&plan.arena),
@@ -566,9 +567,7 @@ mod tests {
     #[test]
     fn mismatched_plan_is_ignored_not_trusted() {
         // A plan prepared from a different-sized graph must fall back
-        // to fresh extraction (this is what protects the internally
-        // derived ratio-expansion graphs when a caller attaches a plan
-        // for the outer graph).
+        // to fresh extraction.
         let small = from_arc_list(2, &[(0, 1, 4), (1, 0, 4)]);
         let big = from_arc_list(4, &[(0, 1, 5), (1, 0, 5), (2, 3, 1), (3, 2, 3)]);
         let stale = SccPlan::prepare(&small);

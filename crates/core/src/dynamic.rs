@@ -76,7 +76,9 @@
 //!    errors. The precision is computed only when a kernel of the route
 //!    reads it (the default chain is exact); then it joins every key, and
 //!    a batch that moves it (the default follows the weight range) stales
-//!    every job. An explicit invalid precision still fails first; and
+//!    every job. An explicit invalid precision still fails first, and a
+//!    spec that expands transit times checks the expansion's refusals
+//!    over the whole graph before any job; and
 //! 5. keeps the counter total as a running sum (the old counters of a
 //!    re-solved job out, its new ones in, exact in `u128` and clamped to
 //!    `u64`, which equals the saturating merge), and re-enters the
@@ -93,20 +95,18 @@
 //!
 //! # Full-solve fallback
 //!
-//! Some requests cannot be answered from the component cache and fall
-//! back to a full [`solve_spec`] run (tracked by the
-//! `dynamic.solve.full` vs `dynamic.solve.incremental` counter pair):
+//! Two situations answer a batch from scratch instead of from the
+//! component cache (tracked by the `dynamic.solve.full` vs
+//! `dynamic.solve.incremental` counter pair):
 //!
-//! * a ratio spec whose algorithm has no ratio kernel (the Karp family
-//!   and OA1): the route table has no per-component route for it, and
-//!   `solve_spec` solves the transit expansion of the whole graph, a
-//!   derived graph the component cache cannot key;
-//! * a chaos fault at `core.dynamic.apply` (cache and patched topology
-//!   state dropped before the solve) or `core.dynamic.certify`
-//!   (incremental answer rejected);
-//! * a witness that fails [`certify`] — the cache is cleared, the
+//! * a chaos fault at `core.dynamic.apply` drops the cache and the
+//!   patched topology state before the solve, so every job is laid out
+//!   and solved again;
+//! * a witness that fails [`certify`], or that a chaos fault at
+//!   `core.dynamic.certify` rejects — the cache is cleared, the
 //!   topology state is rebuilt from the arc list, and the batch is
-//!   re-answered from scratch, never returned unverified.
+//!   re-answered by a full [`solve_spec`] run, never returned
+//!   unverified.
 //!
 //! Every returned solution — incremental or full — is certified exactly
 //! once against the current graph: the incremental answer at the gate,
@@ -411,9 +411,8 @@ impl TopologyPath {
 struct Topo {
     /// The current graph.
     graph: Graph,
-    /// Its component decomposition and jobs; `None` for a spec with no
-    /// per-component route, which always solves in full.
-    split: Option<Split>,
+    /// Its component decomposition and jobs.
+    split: Split,
 }
 
 /// The strongly connected components of the graph, a topological order
@@ -476,11 +475,11 @@ struct Split {
 }
 
 impl Topo {
-    /// Builds the state of `arcs` from scratch: the CSR graph, then,
-    /// when `per_component`, one Tarjan pass over it.
-    fn build(nodes: usize, arcs: &[ArcSpec], per_component: bool) -> Topo {
+    /// Builds the state of `arcs` from scratch: the CSR graph, then
+    /// one Tarjan pass over it.
+    fn build(nodes: usize, arcs: &[ArcSpec]) -> Topo {
         let graph = build_graph(nodes, arcs);
-        let split = per_component.then(|| Split::build(&graph));
+        let split = Split::build(&graph);
         Topo { graph, split }
     }
 
@@ -488,11 +487,10 @@ impl Topo {
     /// job, and marks its component stale.
     fn set_arc_values(&mut self, arc: usize, weight: i64, transit: i64) {
         self.graph.set_arc_values(ArcId::new(arc), weight, transit);
-        let Some(split) = &mut self.split else { return };
-        let (c, local) = split.owner[arc];
-        if let Some(j) = split.job_of(c) {
-            split.jobs[j].set_arc_values(local, weight, transit);
-            split.mark(j);
+        let (c, local) = self.split.owner[arc];
+        if let Some(j) = self.split.job_of(c) {
+            self.split.jobs[j].set_arc_values(local, weight, transit);
+            self.split.mark(j);
         }
     }
 
@@ -501,49 +499,14 @@ impl Topo {
     fn append_arc(&mut self, src: usize, dst: usize, weight: i64, transit: i64, cache: &mut Cache) {
         let (u, v) = (NodeId::new(src), NodeId::new(dst));
         self.graph.append_arc(u, v, weight, transit);
-        if let Some(split) = &mut self.split {
-            split.insert_arc(&self.graph, u, v, cache);
-        }
+        self.split.insert_arc(&self.graph, u, v, cache);
     }
 
     /// Removes an arc from the graph in place, renumbers the arc maps,
     /// then updates the components ([`Split::delete_arc`]).
     fn remove_arc(&mut self, arc: usize, cache: &mut Cache) {
         self.graph.remove_arc(ArcId::new(arc));
-        if let Some(split) = &mut self.split {
-            split.delete_arc(&self.graph, arc, cache);
-        }
-    }
-
-    /// Ends a topology batch: returns its `(reused, extracted)` split of
-    /// the jobs, where a job is extracted when the batch extracted it,
-    /// and the heaviest path its edits took.
-    fn settle(&mut self) -> ((usize, usize), TopologyPath) {
-        let Some(split) = &mut self.split else { return ((0, 0), TopologyPath::None) };
-        let mut ids = std::mem::take(&mut split.extracted);
-        ids.sort_unstable();
-        ids.dedup();
-        let extracted = ids.iter().filter(|&&c| split.job_of(c).is_some()).count();
-        let path = std::mem::replace(&mut split.path, TopologyPath::None);
-        ((split.jobs.len() - extracted, extracted), path)
-    }
-
-    /// Re-fingerprints (and, for the ratio objective, re-checks for a
-    /// zero-transit cycle) every stale job, and lets go of its kept
-    /// result.
-    fn refresh(&mut self, ratio: bool, cache: &mut Cache) {
-        let Some(split) = &mut self.split else { return };
-        let queue = std::mem::take(&mut split.queue);
-        for &c in &queue {
-            let j = split.live_job(c);
-            let sub = split.jobs[j].view(0);
-            split.hashes[j] = fingerprint(sub);
-            split.zero_transit[j] = ratio && crate::ratio::has_zero_transit_cycle(sub);
-            if let Some(old) = split.set_kept(j, None) {
-                cache.release(old.key);
-            }
-        }
-        split.queue = queue;
+        self.split.delete_arc(&self.graph, arc, cache);
     }
 }
 
@@ -589,6 +552,35 @@ impl Split {
         }
         split.extracted.clear();
         split
+    }
+
+    /// Ends a topology batch: returns its `(reused, extracted)` split of
+    /// the jobs, where a job is extracted when the batch extracted it,
+    /// and the heaviest path its edits took.
+    fn settle(&mut self) -> ((usize, usize), TopologyPath) {
+        let mut ids = std::mem::take(&mut self.extracted);
+        ids.sort_unstable();
+        ids.dedup();
+        let extracted = ids.iter().filter(|&&c| self.job_of(c).is_some()).count();
+        let path = std::mem::replace(&mut self.path, TopologyPath::None);
+        ((self.jobs.len() - extracted, extracted), path)
+    }
+
+    /// Re-fingerprints (and, for the ratio objective, re-checks for a
+    /// zero-transit cycle) every stale job, and lets go of its kept
+    /// result.
+    fn refresh(&mut self, ratio: bool, cache: &mut Cache) {
+        let queue = std::mem::take(&mut self.queue);
+        for &c in &queue {
+            let j = self.live_job(c);
+            let sub = self.jobs[j].view(0);
+            self.hashes[j] = fingerprint(sub);
+            self.zero_transit[j] = ratio && crate::ratio::has_zero_transit_cycle(sub);
+            if let Some(old) = self.set_kept(j, None) {
+                cache.release(old.key);
+            }
+        }
+        self.queue = queue;
     }
 
     /// The job of component `c`, if `c` is cyclic.
@@ -905,9 +897,8 @@ pub struct DynamicSolver {
     arcs: Vec<ArcSpec>,
     spec: SolveSpec,
     opts: SolveOptions,
-    /// The per-component route of `spec`; `None` for a ratio spec
-    /// solved by transit expansion, which always solves in full.
-    route: Option<Route>,
+    /// The per-component route of `spec`.
+    route: Route,
     cache: Cache,
     /// Batches so far, this one included.
     epoch: u64,
@@ -1155,9 +1146,9 @@ impl DynamicSolver {
 
     /// Builds the topology state of the current arc list from scratch.
     fn rebuild(&mut self) -> Topo {
-        let topo = Topo::build(self.nodes, &self.arcs, self.route.is_some());
-        self.tarjan_runs += u64::from(topo.split.is_some());
-        self.record_jobs((0, topo.split.as_ref().map_or(0, |s| s.jobs.len())));
+        let topo = Topo::build(self.nodes, &self.arcs);
+        self.tarjan_runs += 1;
+        self.record_jobs((0, topo.split.jobs.len()));
         topo
     }
 
@@ -1186,7 +1177,7 @@ impl DynamicSolver {
         let mut topo = match self.topo.take() {
             Some(mut topo) => {
                 if topology {
-                    let (split, taken) = topo.settle();
+                    let (split, taken) = topo.split.settle();
                     self.record_jobs(split);
                     path = taken;
                 }
@@ -1240,23 +1231,20 @@ impl DynamicSolver {
     /// The incremental path: re-fingerprint the stale jobs, look each
     /// one up in the cache, solve only the misses by the route
     /// [`solve_spec`] would take, and reduce every job's kept result
-    /// exactly as the driver would. A spec with no per-component route
-    /// solves in full.
+    /// exactly as the driver would.
     fn component_solve(&mut self, topo: &mut Topo) -> Result<DynamicOutcome, SpecError> {
-        let Some(route) = &self.route else {
-            return full_solve(&topo.graph, &self.spec, &self.opts);
-        };
+        let route = &self.route;
         let cache = &mut self.cache;
-        topo.refresh(self.spec.objective == Objective::Ratio, cache);
-        let split = topo.split.as_mut().expect("a per-component route keeps a split");
+        topo.split
+            .refresh(self.spec.objective == Objective::Ratio, cache);
+        let split = &mut topo.split;
         let zero_transit = &split.zero_transit;
-        let epsilon = route::preflight(
-            self.spec.objective,
-            &topo.graph,
-            &self.opts,
-            route.consumes_epsilon(),
-            || zero_transit.contains(&true),
-        )?;
+        let epsilon = route::preflight(route, &topo.graph, &self.opts, || {
+            zero_transit.contains(&true)
+        })?;
+        if let Route::Expand(_) = route {
+            crate::ratio::check_expansion(&topo.graph)?;
+        }
         // A route that reads the precision folds it into every key, so a
         // new one stales every job.
         let bits = epsilon.map(f64::to_bits);
@@ -1635,10 +1623,7 @@ mod tests {
         let _ = fresh.solve();
         let want = fresh.topo.as_ref().expect("a solve leaves the state built");
         assert!(topo.graph == want.graph, "{ctx}: graph");
-        let (Some(got), Some(want)) = (&topo.split, &want.split) else {
-            assert!(topo.split.is_none() && want.split.is_none(), "{ctx}: split");
-            return;
-        };
+        let (got, want) = (&topo.split, &want.split);
         assert_eq!(got.comp, want.comp, "{ctx}: components");
         let mut ids = got.order.clone();
         ids.sort_unstable();
@@ -2142,16 +2127,20 @@ mod tests {
 
     #[test]
     fn only_the_edited_job_is_solved_again() {
-        let mut s = three_rings(mean_spec(), (1, 3), (2, 9));
-        assert_eq!(s.solve().expect("solves").cache_misses, 3);
-        let opts = SolveOptions::new();
-        let edits = [(0, 2), (3, -4), (4, 6), (3, 8), (1, 1)];
-        for (i, (arc, weight)) in edits.into_iter().enumerate() {
-            let out = s.apply(&[Edit::Reweight { arc, weight }]).expect("solves");
-            let ctx = format!("edit {i}: arc {arc} to {weight}");
-            assert_eq!((out.cache_hits, out.cache_misses), (2, 1), "{ctx}");
-            assert_same(&out.solution.expect("cyclic"), &scratch(&s, &opts), &ctx);
-            assert_state_is_fresh(&s, &ctx);
+        // The ratio spec solves each job's transit expansion.
+        for spec in [mean_spec(), SolveSpec::ratio(Algorithm::Karp)] {
+            let mut s = three_rings(spec, (1, 3), (2, 9));
+            assert_eq!(s.solve().expect("solves").cache_misses, 3, "{spec:?}");
+            let opts = SolveOptions::new();
+            let edits = [(0, 2), (3, -4), (4, 6), (3, 8), (1, 1)];
+            for (i, (arc, weight)) in edits.into_iter().enumerate() {
+                let out = s.apply(&[Edit::Reweight { arc, weight }]).expect("solves");
+                let ctx = format!("{spec:?}, edit {i}: arc {arc} to {weight}");
+                assert_eq!(out.mode, SolveMode::Incremental, "{ctx}");
+                assert_eq!((out.cache_hits, out.cache_misses), (2, 1), "{ctx}");
+                assert_same(&out.solution.expect("cyclic"), &scratch(&s, &opts), &ctx);
+                assert_state_is_fresh(&s, &ctx);
+            }
         }
     }
 
@@ -2202,7 +2191,7 @@ mod tests {
         failure(s.solve(), "first solve");
         failure(s.apply(&[Edit::Reweight { arc: 2, weight: 6 }]), "B edited");
         failure(s.solve(), "re-solve");
-        let split = s.topo.as_ref().and_then(|t| t.split.as_ref()).expect("split");
+        let split = &s.topo.as_ref().expect("built").split;
         assert!(split.kept[0].is_none() && split.stale[0], "A keeps no result");
         assert!(split.kept[1].is_some() && !split.stale[1], "B keeps its result");
         // Once A is solvable it is solved, and B is still a hit.
@@ -2250,14 +2239,14 @@ mod tests {
         let mut s = three_rings(mean_spec(), (1, 3), (2, 9));
         s.solve().expect("solves");
         // Job A's counters sit near u64::MAX, so the total saturates.
-        let split = s.topo.as_mut().and_then(|t| t.split.as_mut()).expect("split");
+        let split = &mut s.topo.as_mut().expect("built").split;
         let mut big = split.kept[0].clone().expect("kept");
         big.counters.relaxations = u64::MAX - 3;
         big.counters.heap.inserts = u64::MAX;
         big.counters.iterations = u64::MAX - 1;
         split.set_kept(0, Some(big));
         let merged = |s: &DynamicSolver| {
-            let split = s.topo.as_ref().and_then(|t| t.split.as_ref()).expect("split");
+            let split = &s.topo.as_ref().expect("built").split;
             let mut c = Counters::new();
             for k in &split.kept {
                 c.merge(&k.as_ref().expect("kept").counters);
@@ -2290,7 +2279,7 @@ mod tests {
             s.solve().expect("solves");
             for (edit, approximate, exact) in edits {
                 let keys = |s: &DynamicSolver| -> Vec<CacheKey> {
-                    let split = s.topo.as_ref().and_then(|t| t.split.as_ref()).expect("split");
+                    let split = &s.topo.as_ref().expect("built").split;
                     split.kept.iter().map(|k| k.as_ref().expect("kept").key).collect()
                 };
                 let old = keys(&s);

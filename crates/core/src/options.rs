@@ -145,12 +145,12 @@ pub struct SolveOptions {
     /// set **and** prepared from this exact graph, the per-SCC driver
     /// reuses its canonically ordered job arena instead of re-running
     /// Tarjan and the job layout — the cache fast path of the `mcrd`
-    /// daemon. The plan carries a size fingerprint; a solve on any other
-    /// graph (e.g. the ratio-expansion graphs derived internally) falls
-    /// back to a fresh layout, so a stale plan can never misroute a
-    /// solve onto the wrong components as long as the caller honors the
-    /// same-graph contract. Job indices (the checkpoint keys) are
-    /// identical with and without a plan.
+    /// daemon, and a ratio solve by transit expansion expands each
+    /// planned job. The plan carries a size fingerprint; a solve on any
+    /// other graph falls back to a fresh layout, so a stale plan can
+    /// never misroute a solve onto the wrong components as long as the
+    /// caller honors the same-graph contract. Job indices (the
+    /// checkpoint keys) are identical with and without a plan.
     pub plan: Option<SccPlan>,
     /// Where the solve's trace events and metrics go (`obs` feature):
     /// each solve records into the recorder it carries, so concurrent

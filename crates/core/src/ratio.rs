@@ -17,16 +17,18 @@
 //! causality violation in the modeled system and is reported by
 //! [`has_zero_transit_cycle`].
 
-use crate::algorithms::Algorithm;
-use crate::budget::BudgetScope;
+use crate::algorithms::{run_fallback_chain, Algorithm};
+use crate::budget::{BudgetScope, Deadline};
+use crate::driver::SccOutcome;
 use crate::error::SolveError;
+use crate::instrument::Counters;
 use crate::options::SolveOptions;
 use crate::route::{self, Route};
 use crate::solution::Solution;
 use crate::spec::SpecError;
 use crate::workspace::Workspace;
 use mcr_graph::compact::MAX_INDEX;
-use mcr_graph::{ArcId, Graph, GraphBuilder, GraphRef, SccDecomposition};
+use mcr_graph::{ArcId, ComponentArena, Graph, GraphBuilder, GraphRef, NodeId, SccDecomposition};
 
 /// Whether some cycle of `g` has zero total transit time (making cycle
 /// ratios undefined).
@@ -147,11 +149,11 @@ fn solve_or_none(g: &Graph, alg: Algorithm, epsilon: Option<f64>) -> Option<Solu
 /// the mean-problem Lawler it mirrors.
 pub(crate) fn ratio_bisection(
     g: GraphRef<'_>,
-    counters: &mut crate::instrument::Counters,
+    counters: &mut Counters,
     epsilon: Option<f64>,
     ws: &mut Workspace,
     scope: &mut BudgetScope,
-) -> Result<crate::driver::SccOutcome, SolveError> {
+) -> Result<SccOutcome, SolveError> {
     use crate::bellman::{cycle_at_or_below_ws, has_cycle_below_ws};
     use crate::rational::Ratio64;
     use crate::solution::Guarantee;
@@ -225,7 +227,7 @@ pub(crate) fn ratio_bisection(
     let exact_ratio = Ratio64::try_from_i128(w, t).ok_or(SolveError::Overflow {
         context: "ratio bisection witness cycle ratio",
     })?;
-    Ok(crate::driver::SccOutcome {
+    Ok(SccOutcome {
         lambda: exact_ratio,
         cycle,
         guarantee,
@@ -245,35 +247,48 @@ pub(crate) fn ratio_bisection(
 /// the [`MAX_INDEX`] node or arc cap (checked before anything is
 /// allocated).
 pub fn expand_transits(g: &Graph) -> Result<(Graph, Vec<(ArcId, i64)>), String> {
+    check_expansion(g).map_err(|e| e.to_string())?;
+    Ok(expand(g.view(), |v| v))
+}
+
+/// The transit expansion's refusals, checked over the whole of `g`
+/// before any component is expanded: an arc of transit time 0, or an
+/// expansion past the [`MAX_INDEX`] node or arc cap.
+pub(crate) fn check_expansion(g: &Graph) -> Result<(), SpecError> {
     let mut extra = 0u128;
     for a in g.arc_ids() {
         let t = g.transit(a);
         if t < 1 {
-            return Err(format!("arc {a:?} has zero transit time"));
+            return Err(SpecError::Input(format!("arc {a:?} has zero transit time")));
         }
         extra += u128::from((t - 1).unsigned_abs());
     }
-    let extra = usize::try_from(extra)
-        .ok()
-        .filter(|&e| g.num_nodes().max(g.num_arcs()).saturating_add(e) <= MAX_INDEX)
-        .ok_or_else(|| {
-            format!(
-                "expanding the transit times adds {extra} nodes and arcs, \
-                 past the cap of {MAX_INDEX}"
-            )
-        })?;
-    let mut b = GraphBuilder::with_capacity(
-        g.num_nodes() + extra,
-        g.num_arcs() + extra,
-    );
+    let fits = usize::try_from(extra)
+        .is_ok_and(|e| g.num_nodes().max(g.num_arcs()).saturating_add(e) <= MAX_INDEX);
+    if !fits {
+        return Err(SpecError::Input(format!(
+            "expanding the transit times adds {extra} nodes and arcs, \
+             past the cap of {MAX_INDEX}"
+        )));
+    }
+    Ok(())
+}
+
+/// The expansion of `g`, whose transits [`check_expansion`] accepted:
+/// node `v` of `g` becomes node `node(v)`, and the chain nodes follow
+/// `g`'s nodes, numbered in `g`'s arc order.
+fn expand(g: GraphRef<'_>, node: impl Fn(NodeId) -> NodeId) -> (Graph, Vec<(ArcId, i64)>) {
+    debug_assert!(g.transits().iter().all(|&t| t >= 1));
+    let extra: usize = g.transits().iter().map(|&t| (t - 1) as usize).sum();
+    let mut b = GraphBuilder::with_capacity(g.num_nodes() + extra, g.num_arcs() + extra);
     b.add_nodes(g.num_nodes());
     let mut origin = Vec::with_capacity(g.num_arcs() + extra);
     for a in g.arc_ids() {
         let t = g.transit(a);
-        let mut prev = g.source(a);
+        let mut prev = node(g.source(a));
         for seg in 0..t {
             let next = if seg == t - 1 {
-                g.target(a)
+                node(g.target(a))
             } else {
                 b.add_node()
             };
@@ -283,12 +298,49 @@ pub fn expand_transits(g: &Graph) -> Result<(Graph, Vec<(ArcId, i64)>), String> 
             prev = next;
         }
     }
-    Ok((b.build(), origin))
+    (b.build(), origin)
+}
+
+/// Solves one cyclic component `sub` by its transit expansion, a mean
+/// problem for the fallback `chain`; the witness is in `sub`'s arc ids.
+/// The kernels see exactly the job the whole graph's expansion would
+/// give them: the chains follow `sub`'s arc order, and `sub`'s local
+/// node `k − 1`, the component's smallest host node (canonical order
+/// puts it last), becomes node 0, so the expansion's canonical order
+/// starts where the whole graph's does.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_expanded(
+    job: usize,
+    chain: &[Algorithm],
+    sub: GraphRef<'_>,
+    counters: &mut Counters,
+    epsilon: Option<f64>,
+    ws: &mut Workspace,
+    opts: &SolveOptions,
+    deadline: Option<Deadline>,
+) -> Result<SccOutcome, SolveError> {
+    let k = sub.num_nodes();
+    let (expanded, origin) = expand(sub, |v| NodeId::new((v.index() + 1) % k));
+    // Every arc of a strongly connected graph lies on a cycle, so the
+    // expansion is one cyclic component: job 0.
+    let arena = ComponentArena::new(expanded.view());
+    let view = arena.view(0);
+    let outcome = run_fallback_chain(job, chain, view, counters, epsilon, ws, opts, deadline)?;
+    // A closed walk of the expansion runs through whole chains, so the
+    // first segment of each, in walk order, is a closed walk of `sub`.
+    let arc_map = arena.arc_map(0);
+    let cycle = outcome
+        .cycle
+        .iter()
+        .filter_map(|a| origin.get(arc_map.get(a.index())?.index()))
+        .filter_map(|&(arc, seg)| (seg == 0).then_some(arc))
+        .collect();
+    Ok(SccOutcome { cycle, ..outcome })
 }
 
 /// Minimum cycle ratio via the expansion reduction and an arbitrary MCM
 /// [`Algorithm`] (the Hartmann–Orlin `O(Tm)` route when combined with a
-/// linear-time-per-level MCM method).
+/// linear-time-per-level MCM method), one component at a time.
 ///
 /// Returns `Ok(None)` if `g` is acyclic or on any solver failure;
 /// [`crate::spec::solve_spec`] reports the failure typed.
@@ -298,62 +350,10 @@ pub fn expand_transits(g: &Graph) -> Result<(Graph, Vec<(ArcId, i64)>), String> 
 /// Returns `Err` if any arc has transit time 0, or if the expansion
 /// would pass the [`MAX_INDEX`] cap.
 pub fn ratio_via_expansion(g: &Graph, algorithm: Algorithm) -> Result<Option<Solution>, String> {
-    match solve_by_expansion(g, algorithm, &SolveOptions::default()) {
-        Err(SpecError::Input(msg)) => Err(msg),
-        result => Ok(result.ok().flatten()),
-    }
-}
-
-/// [`ratio_via_expansion`] under `opts` — budget, deadline, cancel
-/// token, precision, threads and fallback chain — with solver failures
-/// typed. `opts.plan` describes `g`, not its expansion, so it is
-/// dropped.
-pub(crate) fn solve_by_expansion(
-    g: &Graph,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-) -> Result<Option<Solution>, SpecError> {
-    let (expanded, origin) = expand_transits(g).map_err(SpecError::Input)?;
-    let opts = SolveOptions { plan: None, ..opts.clone() };
-    let sol = match algorithm.solve_with_options(&expanded, &opts) {
-        Ok(sol) => sol,
-        Err(SolveError::Acyclic) => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    // Map the witness back: keep each original arc once (its segment 0),
-    // preserving traversal order.
-    let mut cycle: Vec<ArcId> = Vec::new();
-    for &a in &sol.cycle {
-        let Some(&(orig, seg)) = origin.get(a.index()) else {
-            return Err(SpecError::Input(
-                "witness references an arc outside the expansion".to_string(),
-            ));
-        };
-        if seg == 0 {
-            cycle.push(orig);
-        }
-    }
-    // The expanded cycle may start mid-chain; rotate so consecutive arcs
-    // connect in the original graph. Pairing each arc with its cyclic
-    // predecessor (`skip(len - 1)` wraps the rotation) avoids indexing.
-    if cycle.len() > 1 {
-        let misfit = cycle
-            .iter()
-            .enumerate()
-            .zip(cycle.iter().cycle().skip(cycle.len() - 1))
-            .find(|&((_, &cur), &prev)| g.target(prev) != g.source(cur))
-            .map(|((i, _), _)| i)
-            .unwrap_or(0);
-        cycle.rotate_left(misfit);
-    }
-    debug_assert!(crate::solution::check_cycle(g, &cycle).is_ok());
-    Ok(Some(Solution {
-        lambda: sol.lambda,
-        cycle,
-        guarantee: sol.guarantee,
-        solved_by: sol.solved_by,
-        counters: sol.counters,
-    }))
+    check_expansion(g).map_err(|e| e.to_string())?;
+    let opts = SolveOptions::default();
+    let route = Route::Expand(opts.fallback.chain_for(algorithm));
+    Ok(route::solve(g, &route, false, &opts).ok())
 }
 
 /// Per-component transit statistics used by harnesses: `(components,

@@ -11,21 +11,24 @@
 //!
 //! Every route runs its kernels under the request's budget, deadline
 //! and cancel token, and every failure comes back as a typed
-//! [`SolveError`]. The mean objective adds the fallback chain; the
-//! ratio objective has none (the chain's Karp and Lawler-exact ignore
-//! transit times).
+//! [`SolveError`]. The mean objective adds the fallback chain. A ratio
+//! kernel runs without one (the chain's Karp and Lawler-exact ignore
+//! transit times); an algorithm with no ratio kernel solves each
+//! component's transit expansion, a mean problem, with the chain.
 
 // Request dispatch must stay panic-free whatever the request says;
 // CI runs clippy with -D warnings, so these lints are a gate.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
-use crate::algorithms::{read_epsilon, run_fallback_chain, solve_scc_budgeted, Algorithm};
+use crate::algorithms::{
+    default_epsilon_of, read_epsilon, run_fallback_chain, solve_scc_budgeted, Algorithm,
+};
 use crate::budget::{BudgetScope, Deadline};
 use crate::driver::{solve_per_scc_opts, SccOutcome};
 use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::options::SolveOptions;
-use crate::ratio::{has_zero_transit_cycle, ratio_bisection};
+use crate::ratio::{has_zero_transit_cycle, ratio_bisection, solve_expanded};
 use crate::solution::Solution;
 use crate::spec::{Objective, SolveSpec};
 use crate::workspace::Workspace;
@@ -39,27 +42,31 @@ pub(crate) enum Route {
     Mean(Vec<Algorithm>),
     /// The ratio objective with a transit-aware kernel and no fallback.
     Ratio(Algorithm),
+    /// The ratio objective by the Hartmann–Orlin transit expansion: the
+    /// component's arcs become unit-transit chains, and the fallback
+    /// chain solves that mean problem
+    /// ([`crate::ratio::solve_expanded`]).
+    Expand(Vec<Algorithm>),
 }
 
-/// The route of `spec` under `opts`, or `None` when the ratio objective
-/// names an algorithm with no ratio kernel (the Karp family and OA1).
-/// Those solve the transit expansion of the whole graph under the same
-/// options ([`crate::ratio::ratio_via_expansion`]), so they have no
-/// per-component route.
-pub(crate) fn route_for(spec: &SolveSpec, opts: &SolveOptions) -> Option<Route> {
+/// The route of `spec` under `opts`. The ratio objective on an
+/// algorithm with no ratio kernel (the Karp family and OA1) expands the
+/// transit times of each component; its refusals
+/// ([`crate::ratio::check_expansion`]) are the caller's to check first.
+pub(crate) fn route_for(spec: &SolveSpec, opts: &SolveOptions) -> Route {
     match spec.objective {
-        Objective::Mean => Some(Route::Mean(opts.fallback.chain_for(spec.algorithm))),
+        Objective::Mean => Route::Mean(opts.fallback.chain_for(spec.algorithm)),
         Objective::Ratio => match spec.algorithm {
             // The ratio route has always run Burns on exact duals.
-            Algorithm::Burns | Algorithm::BurnsExact => Some(Route::Ratio(Algorithm::BurnsExact)),
+            Algorithm::Burns | Algorithm::BurnsExact => Route::Ratio(Algorithm::BurnsExact),
             alg @ (Algorithm::Howard
             | Algorithm::HowardExact
             | Algorithm::Ko
             | Algorithm::Yto
             | Algorithm::Lawler
             | Algorithm::LawlerExact
-            | Algorithm::Megiddo) => Some(Route::Ratio(alg)),
-            _ => None,
+            | Algorithm::Megiddo) => Route::Ratio(alg),
+            alg => Route::Expand(opts.fallback.chain_for(alg)),
         },
     }
 }
@@ -68,14 +75,14 @@ impl Route {
     fn objective(&self) -> Objective {
         match self {
             Route::Mean(_) => Objective::Mean,
-            Route::Ratio(_) => Objective::Ratio,
+            Route::Ratio(_) | Route::Expand(_) => Objective::Ratio,
         }
     }
 
     /// The algorithm the request names (the chain's primary).
     fn name(&self) -> &'static str {
         match self {
-            Route::Mean(chain) => chain.first().map_or("", |alg| alg.name()),
+            Route::Mean(chain) | Route::Expand(chain) => chain.first().map_or("", |alg| alg.name()),
             Route::Ratio(alg) => alg.name(),
         }
     }
@@ -84,7 +91,9 @@ impl Route {
     /// answer cached under one precision is stale under another.
     pub(crate) fn consumes_epsilon(&self) -> bool {
         match self {
-            Route::Mean(chain) => chain.iter().any(|alg| alg.is_approximate()),
+            Route::Mean(chain) | Route::Expand(chain) => {
+                chain.iter().any(|alg| alg.is_approximate())
+            }
             Route::Ratio(alg) => alg.is_approximate(),
         }
     }
@@ -93,16 +102,15 @@ impl Route {
 /// The up-front checks of every solve, in order: the precision (an
 /// explicit one must be positive and finite), then, for the ratio
 /// objective, the zero-transit-cycle guard, which `zero_transit_cycle`
-/// answers. Returns the precision when `consumes_epsilon` (some kernel
-/// of the route reads it): the explicit one, or else the default, which
-/// scales with `g`'s weight range (the same in either orientation) and
-/// costs two scans of its weights. An exact route gets `None`, so no
-/// kernel can read a precision nobody computed.
+/// answers. Returns the precision when some kernel of `route` reads it:
+/// the explicit one, or else the default, which scales with the weight
+/// range the kernels see (the same in either orientation) and costs two
+/// scans of `g`'s weights. An exact route gets `None`, so no kernel can
+/// read a precision nobody computed.
 pub(crate) fn preflight(
-    objective: Objective,
+    route: &Route,
     g: &Graph,
     opts: &SolveOptions,
-    consumes_epsilon: bool,
     zero_transit_cycle: impl FnOnce() -> bool,
 ) -> Result<Option<f64>, SolveError> {
     let epsilon = match opts.epsilon {
@@ -110,10 +118,17 @@ pub(crate) fn preflight(
         Some(e) => return Err(SolveError::InvalidEpsilon { epsilon: e }),
         None => None,
     };
-    if objective == Objective::Ratio && zero_transit_cycle() {
+    if route.objective() == Objective::Ratio && zero_transit_cycle() {
         return Err(SolveError::ZeroTransitCycle);
     }
-    Ok(consumes_epsilon.then(|| epsilon.unwrap_or_else(|| Algorithm::default_epsilon(g))))
+    let default = || {
+        // An expansion's chain arcs past the first weigh 0.
+        let chained = matches!(route, Route::Expand(_)) && g.transits().iter().any(|&t| t > 1);
+        default_epsilon_of(g.weights().iter().copied().chain(chained.then_some(0)))
+    };
+    Ok(route
+        .consumes_epsilon()
+        .then(|| epsilon.unwrap_or_else(default)))
 }
 
 /// Solves one strongly connected, cyclic component by `route`. `job` is
@@ -133,6 +148,9 @@ pub(crate) fn solve_component(
     match route {
         Route::Mean(chain) => {
             run_fallback_chain(job, chain, sub, counters, epsilon, ws, opts, deadline)
+        }
+        Route::Expand(chain) => {
+            solve_expanded(job, chain, sub, counters, epsilon, ws, opts, deadline)
         }
         &Route::Ratio(alg) => {
             let mut scope = BudgetScope::for_solve(opts, deadline, alg);
@@ -177,9 +195,7 @@ pub(crate) fn solve_untraced(
     maximize: bool,
     opts: &SolveOptions,
 ) -> Result<Solution, SolveError> {
-    let epsilon = preflight(route.objective(), g, opts, route.consumes_epsilon(), || {
-        has_zero_transit_cycle(g.view())
-    })?;
+    let epsilon = preflight(route, g, opts, || has_zero_transit_cycle(g.view()))?;
     let deadline = opts.effective_deadline();
     solve_per_scc_opts(g, opts, maximize, |job, sub, counters, ws| {
         solve_component(route, job, sub, counters, ws, epsilon, opts, deadline)

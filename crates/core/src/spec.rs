@@ -6,8 +6,8 @@
 //! only holds if they share one dispatch: [`solve_spec`] is it. The
 //! per-component kernel it runs comes from the crate's route table,
 //! shared with the incremental [`crate::DynamicSolver`]; the ratio
-//! objective on an algorithm with no ratio kernel solves the whole
-//! graph by transit expansion instead.
+//! objective on an algorithm with no ratio kernel solves each
+//! component's transit expansion.
 
 // Request dispatch must stay panic-free whatever the request says;
 // CI runs clippy with -D warnings, so these lints are a gate.
@@ -18,7 +18,7 @@ use crate::budget::Budget;
 use crate::error::SolveError;
 use crate::options::{FallbackChain, SolveOptions};
 use crate::ratio;
-use crate::route::{self, route_for};
+use crate::route::{self, route_for, Route};
 use crate::solution::Solution;
 use crate::status::SolveStatus;
 use mcr_graph::Graph;
@@ -146,7 +146,9 @@ impl From<SolveError> for SpecError {
 /// with both objectives). A cycle through a weight of `i64::MIN`, which
 /// has no negation, makes a maximize fail with
 /// [`SolveError::Overflow`]. [`SolveOptions::plan`] is prepared from
-/// `g` for either orientation.
+/// `g` for either orientation. A ratio spec that solves transit
+/// expansions refuses an arc of transit time 0, or an expansion past
+/// the graph index cap, with [`SpecError::Input`].
 ///
 /// The per-component kernel comes from the crate's one route table,
 /// which [`crate::DynamicSolver`] shares; the `mcrd` daemon calls this
@@ -157,26 +159,15 @@ pub fn solve_spec(
     spec: &SolveSpec,
     opts: &SolveOptions,
 ) -> Result<Option<Solution>, SpecError> {
-    if let Some(route) = route_for(spec, opts) {
-        return flatten_acyclic(route::solve(g, &route, spec.maximize, opts));
+    let route = route_for(spec, opts);
+    if let Route::Expand(_) = route {
+        if let Err(refusal) = ratio::check_expansion(g) {
+            // The checks every ratio solve makes up front come first.
+            route::preflight(&route, g, opts, || ratio::has_zero_transit_cycle(g.view()))?;
+            return Err(refusal);
+        }
     }
-    // The expansion's own solve picks its precision.
-    route::preflight(Objective::Ratio, g, opts, false, || {
-        ratio::has_zero_transit_cycle(g.view())
-    })?;
-    if !spec.maximize {
-        return ratio::solve_by_expansion(g, spec.algorithm, opts);
-    }
-    // The expansion is one derived graph, so a maximize negates all of
-    // `g`, not only its cycles.
-    let negated = g.checked_negated().ok_or(SolveError::Overflow {
-        context: "maximize: negating an arc weight of i64::MIN",
-    })?;
-    let sol = ratio::solve_by_expansion(&negated, spec.algorithm, opts)?;
-    Ok(sol.map(|sol| Solution {
-        lambda: -sol.lambda,
-        ..sol
-    }))
+    flatten_acyclic(route::solve(g, &route, spec.maximize, opts))
 }
 
 /// Folds the non-error "no cycle" outcome back into `None`, leaving

@@ -197,9 +197,10 @@ impl GraphCache {
     }
 
     /// The cached instance itself, without building a plan (the `edit`
-    /// path builds no plan — its solver re-extracts components after
-    /// every batch). A hit refreshes recency; the `serve.cache.lookup`
-    /// failpoint degrades it into a miss like [`GraphCache::get`].
+    /// path builds no plan — its solver keeps its own components and
+    /// re-decomposes only those an edit touches). A hit refreshes
+    /// recency; the `serve.cache.lookup` failpoint degrades it into a
+    /// miss like [`GraphCache::get`].
     pub fn peek_graph(&mut self, hash: u64) -> Option<Arc<Graph>> {
         if !self.entries.contains_key(&hash) {
             return None;
@@ -336,9 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn orientations_get_distinct_plans() {
-        // The name is older than the shared plan: both orientations now
-        // get the one plan, and it must answer both like no plan does.
+    fn one_plan_serves_both_orientations() {
         let mut c = GraphCache::new(4);
         let h = fnv1a(TRIANGLE);
         c.insert(h, graph(TRIANGLE));
@@ -398,13 +397,12 @@ mod tests {
     }
 
     #[test]
-    fn commit_edit_invalidates_both_orientation_plans() {
+    fn commit_edit_invalidates_the_plan() {
         let mut c = GraphCache::new(4);
         let h = fnv1a(TRIANGLE);
         c.insert(h, graph(TRIANGLE));
-        // The name is older than the shared plan. Build the plan, then
-        // edit: the next lookup must rebuild rather than reuse pre-edit
-        // jobs, for either orientation.
+        // Build the plan, then edit: the next lookup must rebuild rather
+        // than reuse pre-edit jobs, for either orientation.
         assert!(c.get(h).expect("hit").plan_built);
         assert!(!c.get(h).expect("hit").plan_built);
         let g = c.peek_graph(h).expect("cached");

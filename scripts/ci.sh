@@ -114,6 +114,10 @@ fi
 printf 'p mcr 3 3\na 1 2 1\na 2 1 1\na 2 3 -9223372036854775808\n' > /tmp/mcr_ci_min_off.dimacs
 "$MCR" solve /tmp/mcr_ci_min_off.dimacs --max > /tmp/mcr_ci_stdout
 grep -q "^lambda = 1 " /tmp/mcr_ci_stdout
+# The transit expansion (a ratio spec with no ratio kernel) negates only
+# the components it expands, so it answers too.
+"$MCR" solve /tmp/mcr_ci_min_off.dimacs --max --ratio --algorithm karp > /tmp/mcr_ci_stdout
+grep -q "^lambda = 1 " /tmp/mcr_ci_stdout
 rm -f /tmp/mcr_ci_stderr /tmp/mcr_ci_stdout /tmp/mcr_ci_hostile.dimacs \
     /tmp/mcr_ci_min_on.dimacs /tmp/mcr_ci_min_off.dimacs
 
